@@ -216,6 +216,8 @@ def route_all_edges(dfg: DFG, mrrg: MRRG,
 
 def mapping_cost(mrrg: MRRG, routes: dict[int, Route],
                  unrouted: int) -> float:
-    """Scalar objective: overuse dominates, then unrouted, then wirelength."""
+    """Scalar objective: unrouted edges weigh most (1000 each), then
+    overuse (100 per charge beyond capacity), then wirelength (1 per
+    route step)."""
     steps = sum(len(route.steps) for route in routes.values())
     return 1000.0 * unrouted + 100.0 * mrrg.total_overuse() + 1.0 * steps

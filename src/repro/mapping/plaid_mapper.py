@@ -33,7 +33,7 @@ from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import mapping_cost, modulo_asap, schedule_horizon
 from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
-from repro.mapping.router import min_transport_latency, route_edge
+from repro.mapping.router import route_edge, transport_latency_table
 from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
 from repro.motifs.schedules import schedule_templates
 from repro.motifs.types import MotifKind
@@ -249,7 +249,6 @@ class _State:
         self.mrrg = mrrg if mrrg is not None else MRRG(arch, ii)
         self.placement: dict[int, tuple[int, int]] = {}
         self.routes: dict[int, Route] = {}
-        self.unrouted: set[int] = set()
         self.unplaced: set[int] = set()
         self.group_of_edge: dict[int, tuple[int, int]] = {}
         self.order = hierarchy.dependency_order()
@@ -259,9 +258,11 @@ class _State:
             node.node_id: 0 for node in dfg.nodes
         }
         self.num_pcus = arch.rows * arch.cols
+        self._latency = transport_latency_table(arch)
         self._edge_list = dfg.edges
+        num_groups = len(hierarchy.groups)
         self._incident_groups: dict[int, list[int]] = {
-            g: [] for g in range(len(hierarchy.groups))
+            g: [] for g in range(num_groups)
         }
         for index, edge in enumerate(self._edge_list):
             sg = hierarchy.group_of(edge.src)
@@ -270,6 +271,34 @@ class _State:
             self._incident_groups[sg].append(index)
             if dg != sg:
                 self._incident_groups[dg].append(index)
+        # Static per-group views the candidate scorers read instead of
+        # DFGEdge objects: incident edges as (src, dst, distance * II,
+        # is_ordering) in incidence order, and the in-edges arriving from
+        # other groups as (src, distance * II, is_ordering).
+        edge_rows = [(edge.src, edge.dst, edge.distance * ii,
+                      edge.is_ordering) for edge in self._edge_list]
+        self._group_edges = {
+            g: tuple(edge_rows[index] for index in indices)
+            for g, indices in self._incident_groups.items()
+        }
+        self._group_in_edges = {
+            g: tuple(
+                (edge.src, edge.distance * ii, edge.is_ordering)
+                for node_id in hierarchy.groups[g].nodes
+                for edge in dfg.in_edges(node_id)
+                if hierarchy.group_of(edge.src) != g
+            )
+            for g in range(num_groups)
+        }
+        self._group_asap = [
+            max((self.asap.get(nid, 0) for nid in motif.nodes), default=0)
+            for motif in hierarchy.groups
+        ]
+        # self.routes only ever holds data-edge indices, so completeness
+        # needs a count plus the ordering edges' timing.
+        self._ordering_edges = tuple(
+            edge for edge in self._edge_list if edge.is_ordering)
+        self._num_data_edges = len(self._edge_list) - len(self._ordering_edges)
         #: group -> list of (node_id, fu_id, cycle) commitments.
         self.group_spots: dict[int, list[tuple[int, int, int]]] = {}
         self._last_failed: int | None = None
@@ -306,12 +335,12 @@ class _State:
         routes; candidates are (PCU, template, start) for motifs and
         (FU, cycle) for singletons."""
         motif = self.hierarchy.groups[group]
-        candidates = []
+        asap = self._group_asap[group]
         if motif.is_collective:
+            candidates = []
             templates = schedule_templates(motif.kind)[:8]
             for pcu in self._pcus_for_kind(motif.kind):
-                earliest = max(self._earliest_start(group, pcu),
-                               self._group_asap(group))
+                earliest = max(self._earliest_start(group, pcu), asap)
                 window = min(self.ii, 4)
                 for template in templates:
                     for start in range(earliest,
@@ -325,24 +354,69 @@ class _State:
                             continue
                         candidates.append((estimate + 0.05 * start, spots))
         else:
-            for fu_id in self._singleton_candidates(group):
-                earliest = max(self._earliest_start_fu(group, fu_id),
-                               self._group_asap(group))
-                found = 0
-                for cycle in range(earliest,
-                                   min(earliest + 2 * self.ii, self.horizon)):
-                    spots = self._singleton_spots(group, fu_id, cycle)
-                    if spots is None:
-                        continue
-                    estimate = self._estimate(group, spots)
-                    if estimate == float("inf"):
-                        continue
-                    candidates.append((estimate + 0.05 * cycle, spots))
-                    found += 1
-                    if found >= 3:
-                        break
+            candidates = self._scored_singletons(group, asap)
         candidates.sort(key=lambda c: c[0])
         return self._commit_best(group, [c[1] for c in candidates[:6]])
+
+    def _scored_singletons(self, group: int, asap: int):
+        """(score, spots) for the first three free, timing-feasible cycles
+        of each candidate FU, scored exactly like :meth:`_estimate`.
+
+        Against placed neighbours every incident edge's span is
+        ``const + sign * cycle``, so each FU's latencies and feasible
+        cycle window are worked out once and the cycle loop only checks
+        the FU slot and sums the same terms in the same edge order.
+        """
+        node_id = self.hierarchy.groups[group].nodes[0]
+        placement = self.placement
+        latency = self._latency
+        ii = self.ii
+        fu_nodes = self.mrrg._fu_nodes
+        edges = self._group_edges[group]
+        candidates = []
+        for fu_id in self._singleton_candidates(group):
+            lo = max(self._earliest_start_fu(group, fu_id), asap)
+            stop = min(lo + 2 * ii, self.horizon)
+            terms = []      # (lat, const, sign) of each data edge
+            for src, dst, dist_ii, is_ordering in edges:
+                if src != node_id:              # placed producer -> node
+                    spot = placement.get(src)
+                    if spot is None:
+                        continue
+                    lat = latency[spot[0]][fu_id]
+                    const, sign = dist_ii - spot[1], 1
+                elif dst != node_id:            # node -> placed consumer
+                    spot = placement.get(dst)
+                    if spot is None:
+                        continue
+                    lat = latency[fu_id][spot[0]]
+                    const, sign = spot[1] + dist_ii, -1
+                else:                           # self recurrence
+                    lat = latency[fu_id][fu_id]
+                    const, sign = dist_ii, 0
+                need = 1 if is_ordering else lat
+                if sign > 0:
+                    lo = max(lo, need - const)
+                elif sign < 0:
+                    stop = min(stop, const - need + 1)
+                elif const < need:
+                    stop = lo
+                if not is_ordering:
+                    terms.append((lat, const, sign))
+            found = 0
+            for cycle in range(lo, stop):
+                if (fu_id, cycle % ii) in fu_nodes:
+                    continue
+                score = 0.0
+                for lat, const, sign in terms:
+                    # Prefer short wires and tight schedules.
+                    score += 2.0 * lat + 0.5 * (const + sign * cycle - lat)
+                candidates.append((score + 0.05 * cycle,
+                                   [(node_id, fu_id, cycle)]))
+                found += 1
+                if found >= 3:
+                    break
+        return candidates
 
     def place_group_random(self) -> bool:
         """Lines 7-11: random placement candidate for the unmapped victim,
@@ -356,7 +430,7 @@ class _State:
         pcus = self._pcus_for_kind(motif.kind)
         pcu = self.rng.choice(pcus)              # line 7: random candidate
         earliest = max(self._earliest_start(group, pcu),
-                       self._group_asap(group))
+                       self._group_asap[group])
         span = max(1, min(2 * self.ii, self.horizon - earliest))
         start0 = earliest + self.rng.randrange(span)
         candidates = []
@@ -373,28 +447,41 @@ class _State:
                                  [c[1] for c in candidates[:4]])   # line 11
 
     def _commit_best(self, group: int, spot_lists) -> bool:
-        """Trial-route each candidate (with rollback), then commit the one
-        with the lowest full cost — congestion included, so repair moves
-        actually relieve overused wires."""
-        best_spots = None
+        """Trial-route each candidate, then commit the one with the lowest
+        full cost — congestion included, so repair moves actually relieve
+        overused wires.
+
+        A trial rolls back its own placements and routes, but its
+        negotiation may have re-routed other groups' committed routes
+        (residue).  When neither the winner's trial nor any later one left
+        residue, the state is exactly as it was before the winner's trial,
+        so the winner's spots are re-placed and its trial routes replayed;
+        otherwise the winner is placed and routed again from scratch.
+        """
+        best = None
         best_total = float("inf")
+        replayable = False
         for spots in spot_lists:
-            total = self._commit_spots(group, spots, keep=False)
+            total, routes, residue = self._commit_spots(group, spots,
+                                                        keep=False)
             if total is not None and total < best_total:
                 best_total = total
-                best_spots = spots
-        if best_spots is None:
+                best = (spots, routes)
+                replayable = not residue
+            elif residue:
+                replayable = False
+        if best is None:
             return False
-        return self._commit_spots(group, best_spots, keep=True) is not None
+        spots, routes = best
+        if not replayable:
+            return self._commit_spots(group, spots, keep=True)[0] is not None
+        self._place_spots(spots)
+        for route in routes.values():
+            self.mrrg.commit_route(route)
+        self._adopt(group, spots, routes)
+        return True
 
     # ------------------------------------------------------------------
-    def _group_asap(self, group: int) -> int:
-        return max(
-            (self.asap.get(nid, 0)
-             for nid in self.hierarchy.groups[group].nodes),
-            default=0,
-        )
-
     def _collective_spots(self, group, pcu, template, start):
         motif = self.hierarchy.groups[group]
         spots = []
@@ -408,33 +495,26 @@ class _State:
             spots.append((node_id, fu_id, cycle))
         return spots
 
-    def _singleton_spots(self, group, fu_id, cycle):
-        node_id = self.hierarchy.groups[group].nodes[0]
-        if cycle >= self.horizon or cycle < 0 \
-                or not self.mrrg.fu_free(fu_id, cycle):
-            return None
-        return [(node_id, fu_id, cycle)]
-
-    def _estimate(self, group: int, spots) -> float | None:
+    def _estimate(self, group: int, spots) -> float:
         """Routing-free candidate score: transport slack and wire length
         to already-placed neighbours; infinity when timing-infeasible."""
         trial = {node_id: (fu, cyc) for node_id, fu, cyc in spots}
+        placement = self.placement
+        latency = self._latency
         score = 0.0
-        for index in self._incident_groups[group]:
-            edge = self._edge_list[index]
-            src = trial.get(edge.src) or self.placement.get(edge.src)
-            dst = trial.get(edge.dst) or self.placement.get(edge.dst)
-            if src is None or dst is None:
+        for src, dst, dist_ii, is_ordering in self._group_edges[group]:
+            src_spot = trial.get(src) or placement.get(src)
+            dst_spot = trial.get(dst) or placement.get(dst)
+            if src_spot is None or dst_spot is None:
                 continue
-            src_fu, src_cycle = src
-            dst_fu, dst_cycle = dst
-            arrival = dst_cycle + edge.distance * self.ii
-            if edge.is_ordering:
-                if arrival < src_cycle + 1:
+            src_fu, src_cycle = src_spot
+            dst_fu, dst_cycle = dst_spot
+            span = dst_cycle + dist_ii - src_cycle
+            if is_ordering:
+                if span < 1:
                     return float("inf")
                 continue
-            lat = min_transport_latency(self.arch, src_fu, dst_fu)
-            span = arrival - src_cycle
+            lat = latency[src_fu][dst_fu]
             if span < lat:
                 return float("inf")
             # Prefer short wires and tight schedules.
@@ -444,40 +524,35 @@ class _State:
     # ------------------------------------------------------------------
     def _earliest_start(self, group: int, pcu: int) -> int:
         """Earliest start cycle given placed predecessors of the group."""
-        earliest = 0
-        for node_id in self.hierarchy.groups[group].nodes:
-            for edge in self.dfg.in_edges(node_id):
-                if edge.src in self.placement \
-                        and self.hierarchy.group_of(edge.src) != group:
-                    src_fu, src_cycle = self.placement[edge.src]
-                    lat = 1 if edge.is_ordering else min_transport_latency(
-                        self.arch, src_fu, self._alu_fu(pcu, 0))
-                    earliest = max(
-                        earliest,
-                        src_cycle + lat - edge.distance * self.ii)
-        return max(0, earliest)
+        return self._earliest_start_fu(group, self._alu_fu(pcu, 0))
 
     def _earliest_start_fu(self, group: int, fu_id: int) -> int:
+        """Earliest cycle ``fu_id`` can consume every value arriving from
+        placed nodes of other groups."""
         earliest = 0
-        node_id = self.hierarchy.groups[group].nodes[0]
-        for edge in self.dfg.in_edges(node_id):
-            if edge.src in self.placement and edge.src != node_id:
-                src_fu, src_cycle = self.placement[edge.src]
-                lat = 1 if edge.is_ordering else min_transport_latency(
-                    self.arch, src_fu, fu_id)
-                earliest = max(
-                    earliest, src_cycle + lat - edge.distance * self.ii)
-        return max(0, earliest)
+        placement = self.placement
+        latency = self._latency
+        for src, dist_ii, is_ordering in self._group_in_edges[group]:
+            spot = placement.get(src)
+            if spot is not None:
+                src_fu, src_cycle = spot
+                lat = 1 if is_ordering else latency[src_fu][fu_id]
+                earliest = max(earliest, src_cycle + lat - dist_ii)
+        return earliest
 
     # ------------------------------------------------------------------
     # Committing (place + route or roll back)
     # ------------------------------------------------------------------
     def _commit_spots(self, group: int, spots, keep: bool = True
-                      ) -> float | None:
-        """Place nodes, route ready edges, score; roll back unless keep."""
-        for node_id, fu_id, cycle in spots:
-            self.placement[node_id] = (fu_id, cycle)
-            self.mrrg.place_node(node_id, fu_id, cycle)
+                      ) -> tuple[float | None, dict[int, Route], bool]:
+        """Place nodes, route ready edges, score; roll back unless keep.
+
+        Returns ``(total, new_routes, residue)``: the full cost (None when
+        an edge failed to route), the group's routes after negotiation,
+        and whether negotiation re-routed committed routes of other
+        groups — changes a rollback does not undo.
+        """
+        self._place_spots(spots)
         new_routes: dict[int, Route] = {}
         failed = 0
         for index in self._incident_groups[group]:
@@ -494,24 +569,32 @@ class _State:
                 failed += 1
             else:
                 new_routes[index] = route
-        if failed == 0:
-            self._negotiate(new_routes)
+        residue = failed == 0 and self._negotiate(new_routes)
         cost = sum(len(route.steps) for route in new_routes.values())
         total = 1000.0 * failed + 100.0 * self.mrrg.total_overuse() + cost
         if keep and failed == 0:
-            self.group_spots[group] = list(spots)
-            self.routes.update(new_routes)
-            self.unplaced.discard(group)
-            return total
+            self._adopt(group, spots, new_routes)
+            return total, new_routes, residue
         # Roll back.
         for route in new_routes.values():
             self.mrrg.uncommit_route(route)
         for node_id, fu_id, cycle in spots:
             self.mrrg.unplace_node(node_id, fu_id, cycle)
             del self.placement[node_id]
-        if keep:
-            return None    # keep requested but edges failed
-        return total if failed == 0 else None
+        if keep or failed:
+            return None, new_routes, residue
+        return total, new_routes, residue
+
+    def _place_spots(self, spots) -> None:
+        for node_id, fu_id, cycle in spots:
+            self.placement[node_id] = (fu_id, cycle)
+            self.mrrg.place_node(node_id, fu_id, cycle)
+
+    def _adopt(self, group: int, spots, routes: dict[int, Route]) -> None:
+        """Record a placed, routed group as mapped."""
+        self.group_spots[group] = list(spots)
+        self.routes.update(routes)
+        self.unplaced.discard(group)
 
     def _route_index(self, index: int) -> Route | None:
         edge = self._edge_list[index]
@@ -522,15 +605,20 @@ class _State:
                           dst_fu, arrival)
 
     def _negotiate(self, new_routes: dict[int, Route],
-                   rounds: int = 2) -> None:
+                   rounds: int = 2) -> bool:
         """Mini rip-up-and-reroute: slack-rich routes committed early can
         squat on wires that later, tighter routes have no alternative to.
         Every committed route touching an overused slot — whichever group
-        it belongs to — is rerouted against the now-visible congestion."""
+        it belongs to — is rerouted against the now-visible congestion.
+
+        Returns True when a route of ``self.routes`` (not one of
+        ``new_routes``) was ripped up: residue a trial rollback leaves.
+        """
+        residue = False
         for _round in range(rounds):
             violations = self.mrrg.overuse()
             if not violations:
-                return
+                return residue
             hot = {(res, slot) for res, slot, _u, _c in violations}
             candidates = list(new_routes.items()) + [
                 (index, route) for index, route in self.routes.items()
@@ -541,6 +629,8 @@ class _State:
                            for s in route.steps):
                     continue
                 self.mrrg.uncommit_route(route)
+                if index not in new_routes:
+                    residue = True
                 redone = self._route_index(index)
                 if redone is None:
                     self.mrrg.commit_route(route)
@@ -549,6 +639,7 @@ class _State:
                     new_routes[index] = redone
                 else:
                     self.routes[index] = redone
+        return residue
 
     def _ordering_ok(self, edge) -> bool:
         if edge.src not in self.placement or edge.dst not in self.placement:
@@ -638,21 +729,12 @@ class _State:
 
     # ------------------------------------------------------------------
     def is_complete(self) -> bool:
-        if self.unplaced:
+        if self.unplaced or len(self.routes) != self._num_data_edges:
             return False
-        for index, edge in enumerate(self._edge_list):
-            if edge.is_ordering:
-                if not self._ordering_ok(edge):
-                    return False
-            elif index not in self.routes:
-                return False
-        return True
+        return all(self._ordering_ok(edge) for edge in self._ordering_edges)
 
     def cost(self) -> float:
-        missing = sum(
-            1 for index, edge in enumerate(self._edge_list)
-            if not edge.is_ordering and index not in self.routes
-        )
+        missing = self._num_data_edges - len(self.routes)
         return mapping_cost(self.mrrg, self.routes, missing) \
             + 500.0 * len(self.unplaced)
 
