@@ -9,16 +9,8 @@ there too.  This Python implementation maps each kernel in well under a
 minute; the assertion guards against pathological hot-path regressions
 (CI runs this with a tightened ``$REPRO_MAPPING_BUDGET_S``), the printed
 per-mapper numbers are the artifact.
-
-``test_race_speedup`` benchmarks the portfolio racer (the ``race``
-composite, :mod:`repro.mapping.race`) against the sequential ``best``
-baseline on the same kernel set and always checks winner bit-identity;
-the geomean wall-clock floor is asserted only when
-``$REPRO_RACE_SPEEDUP_MIN`` is set (CI sets 1.3 on its multi-core
-runners — a 1-CPU host cannot promise wall-clock wins).
 """
 
-import math
 import os
 import time
 
@@ -30,10 +22,6 @@ KERNELS = ["atax_u2", "gemm_u4", "conv3x3", "jacobi_u4", "seidel"]
 
 #: Hard per-(mapper, kernel) budget in seconds; CI tightens it.
 BUDGET_S = float(os.environ.get("REPRO_MAPPING_BUDGET_S", "120"))
-
-#: Geomean race-vs-best speedup floor; 0 (the default) reports without
-#: asserting, so single-CPU and loaded hosts don't flake.
-RACE_SPEEDUP_MIN = float(os.environ.get("REPRO_RACE_SPEEDUP_MIN", "0"))
 
 
 def test_mapping_time(benchmark):
@@ -68,62 +56,3 @@ def test_mapping_time(benchmark):
     over = {key: seconds for key, (seconds, _ii) in timings.items()
             if seconds >= BUDGET_S}
     assert not over, f"kernels over the {BUDGET_S:.0f}s budget: {over}"
-
-
-def test_race_speedup(benchmark):
-    """The ``race`` composite vs sequential ``best`` on the bench kernels.
-
-    Bit-identity of the winner is asserted unconditionally — the racer's
-    whole contract is "same mapping, less wall clock".  The wall-clock
-    floor is opt-in via ``$REPRO_RACE_SPEEDUP_MIN``.
-    """
-    from repro.eval.harness import _seed_for, build_arch
-    from repro.mapping.engine import map_kernel
-
-    arch = build_arch("st")
-
-    def seeds(name):
-        # The exact seeds the harness would use, so the conformance
-        # claim covers the evaluation pipeline's configurations.
-        return lambda key: _seed_for(name, "st", key)
-
-    # Untimed warmup: MRRG pool fills, routing tables build, and (on
-    # multi-core hosts) the race pool forks its workers once.
-    for name in KERNELS:
-        map_kernel("best", get_dfg(name), arch, seeds(name))
-        map_kernel("race", get_dfg(name), arch, seeds(name))
-
-    def run():
-        timings = {}
-        for name in KERNELS:
-            dfg = get_dfg(name)
-            start = time.perf_counter()
-            best = map_kernel("best", dfg, arch, seeds(name))
-            best_s = time.perf_counter() - start
-            start = time.perf_counter()
-            raced = map_kernel("race", get_dfg(name), arch, seeds(name))
-            race_s = time.perf_counter() - start
-            assert raced.ii == best.ii \
-                and raced.placement == best.placement \
-                and raced.routes == best.routes \
-                and raced.stats.mapper == best.stats.mapper, \
-                f"race winner diverged from best on {name}"
-            timings[name] = (best_s, race_s)
-        return timings
-
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
-    ratios = []
-    print()
-    for name in KERNELS:
-        best_s, race_s = timings[name]
-        ratio = best_s / race_s if race_s > 0 else 1.0
-        ratios.append(ratio)
-        print(f"  {name}: best {best_s:.3f}s, race {race_s:.3f}s "
-              f"({ratio:.2f}x)")
-    geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-    print(f"  geomean speedup: {geomean:.2f}x "
-          f"(floor: {RACE_SPEEDUP_MIN or 'report-only'})")
-    if RACE_SPEEDUP_MIN > 0:
-        assert geomean >= RACE_SPEEDUP_MIN, (
-            f"race geomean speedup {geomean:.2f}x below the "
-            f"{RACE_SPEEDUP_MIN}x floor")

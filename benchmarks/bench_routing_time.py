@@ -16,19 +16,12 @@ invariant, so the printed numbers are the artifact):
 
 CI also tightens a hard wall-clock budget per timed section via
 ``$REPRO_ROUTING_BUDGET_S``.
-
-A third lane times the native (generated-C) route search of
-:mod:`repro.native` against the compiled Python core on the same
-scenario sweep, gated by a ``$REPRO_NATIVE_SPEEDUP_MIN`` geomean floor
-over the st meshes (skipped when no C toolchain is available).
 """
 
 import math
 import os
 import statistics
 import time
-
-import pytest
 
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.eval.harness import _seed_for
@@ -51,12 +44,6 @@ BUDGET_S = float(os.environ.get("REPRO_ROUTING_BUDGET_S", "120"))
 
 #: Geomean floor for the mapper-level routing-stage speedup.
 SPEEDUP_MIN = float(os.environ.get("REPRO_ROUTING_SPEEDUP_MIN", "1.5"))
-
-#: Geomean floor for the native (generated-C) route search over the
-#: compiled Python core, measured on the spatio-temporal meshes where
-#: searches are long enough for the C heap to pay for the call
-#: marshalling (short plaid searches are printed as context, ungated).
-NATIVE_SPEEDUP_MIN = float(os.environ.get("REPRO_NATIVE_SPEEDUP_MIN", "1.5"))
 
 FABRICS = [
     ("st4x4", lambda: make_spatio_temporal(4, 4)),
@@ -163,79 +150,4 @@ def test_routing_time(benchmark):
     assert geomean >= SPEEDUP_MIN, (
         f"compiled routing geomean speedup {geomean:.2f}x fell below the "
         f"{SPEEDUP_MIN:.2f}x floor"
-    )
-
-
-def _native_available() -> bool:
-    from repro.native import toolchain_available
-
-    return toolchain_available()
-
-
-def _routed_sweep(arch, ii, engine, rounds):
-    """(routes/second, routes of the first pass) over the scenario sweep."""
-    set_routing_engine(engine)
-    routecore.clear_core_cache()
-    mrrg = MRRG(arch, ii)
-    routecore.ensure_core(mrrg)
-    n_fus = len(arch.fus)
-    cases = [(src, dst, slack)
-             for src in range(0, n_fus, 3)
-             for dst in range(0, n_fus, 2)
-             for slack in (0, 1, 2)]
-    # Warm pass, outside the timed region: compiles/loads the native
-    # module once and collects the conformance routes.
-    routes = [route_edge(mrrg, 1, src, 0, dst,
-                         min_transport_latency(arch, src, dst) + slack,
-                         commit=False)
-              for src, dst, slack in cases]
-    count = 0
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for src, dst, slack in cases:
-            arrive = min_transport_latency(arch, src, dst) + slack
-            route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
-            count += 1
-    return count / (time.perf_counter() - start), routes
-
-
-@pytest.mark.skipif(not _native_available(),
-                    reason="native backend needs a C toolchain")
-def test_native_routing_speedup(benchmark):
-    """Native route search vs the compiled Python core, conformance-
-    checked per scenario.  The CI gate is the geomean over the st
-    meshes (``$REPRO_NATIVE_SPEEDUP_MIN``); plaid's short searches are
-    printed as context."""
-
-    def run():
-        rows = []
-        for name, factory in FABRICS:
-            arch = factory()
-            for ii in (4, 8):
-                compiled, routes_c = _routed_sweep(arch, ii, "compiled",
-                                                   rounds=12)
-                native, routes_n = _routed_sweep(arch, ii, "native",
-                                                 rounds=12)
-                assert routes_n == routes_c, (name, ii)
-                rows.append((name, ii, compiled, native))
-        set_routing_engine("compiled")
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print("  route searches/second (native vs compiled):")
-    gated = []
-    for name, ii, compiled, native in rows:
-        speedup = native / compiled if compiled else float("inf")
-        gate = name.startswith("st")
-        if gate:
-            gated.append(speedup)
-        print(f"    {name} II={ii}: {native:8.0f}/s vs {compiled:8.0f}/s "
-              f"({speedup:.2f}x{'' if gate else ', ungated'})")
-    geomean = math.exp(sum(math.log(s) for s in gated) / len(gated))
-    print(f"  geomean native speedup (st meshes): {geomean:.2f}x "
-          f"(floor {NATIVE_SPEEDUP_MIN:.2f}x)")
-    assert geomean >= NATIVE_SPEEDUP_MIN, (
-        f"native route-search geomean speedup {geomean:.2f}x fell below "
-        f"the {NATIVE_SPEEDUP_MIN:.2f}x floor"
     )

@@ -17,7 +17,6 @@ import time
 from repro.eval import client, parallel
 from repro.eval.harness import clear_caches, configure_store
 from repro.eval.serve import SweepServer
-from repro.mapping import race
 
 #: Hard budget per timed stage, in seconds; CI tightens it.
 BUDGET_S = float(os.environ.get("REPRO_SERVE_BUDGET_S", "60"))
@@ -32,8 +31,6 @@ CONCURRENT_CLIENTS = 4
 def _teardown():
     clear_caches()
     configure_store(None)
-    race.configure_racing(max_workers=0, sweep_jobs=1)
-    race.shutdown_racing()
 
 
 def test_warm_serve_request_time(benchmark, tmp_path):

@@ -13,17 +13,12 @@ the artifact; CI gates the hot paths with a per-kernel
 ``$REPRO_SIM_BUDGET_S`` budget, a ``$REPRO_SIM_SPEEDUP_MIN`` geomean
 floor for the compiled engine (default 1.5x over interpreted), and a
 ``$REPRO_SIM_BATCH_SPEEDUP_MIN`` geomean floor for batched numpy
-execution over sequential compiled execution (default 3x), and a
-``$REPRO_NATIVE_SPEEDUP_MIN`` geomean floor for the native
-(generated-C) engine of :mod:`repro.native` over the compiled engine
-(default 2x; skipped when no C toolchain is available).
+execution over sequential compiled execution (default 3x).
 """
 
 import math
 import os
 import time
-
-import pytest
 
 from repro.arch import make_plaid
 from repro.ir.interpreter import DFGInterpreter
@@ -46,11 +41,6 @@ BATCH_SPEEDUP_MIN = float(
 
 #: Memory windows per kernel in the batched-throughput scenario.
 BATCH_WINDOWS = int(os.environ.get("REPRO_SIM_BATCH_WINDOWS", "32"))
-
-#: Geomean speedup floor of the native (generated-C) engine over the
-#: compiled Python engine.  Conservative: measured speedups are an
-#: order of magnitude above it.
-NATIVE_SPEEDUP_MIN = float(os.environ.get("REPRO_NATIVE_SPEEDUP_MIN", "2"))
 
 #: Simulation windows per engine (the compiled side pays compilation
 #: once, inside its timed region — the batched multi-window scenario).
@@ -172,64 +162,4 @@ def test_batched_simulation_throughput(benchmark):
     assert geomean >= BATCH_SPEEDUP_MIN, (
         f"batched numpy geomean speedup {geomean:.2f}x below the "
         f"{BATCH_SPEEDUP_MIN:.2f}x floor: {dict(zip(KERNELS, speedups))}"
-    )
-
-
-def _native_available() -> bool:
-    from repro.native import toolchain_available
-
-    return toolchain_available()
-
-
-@pytest.mark.skipif(not _native_available(),
-                    reason="native backend needs a C toolchain")
-def test_native_simulation_speedup(benchmark):
-    """Native (generated-C) engine vs the compiled Python engine over
-    the same kernels, conformance-checked; the one-time codegen +
-    compile happens in a warm pass outside the timed region (it is
-    amortized across every simulation of the schedule by the disk
-    cache)."""
-    mappings = _mappings()
-
-    def run():
-        timings = {}
-        for name, mapping in mappings.items():
-            memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
-            simulator = CGRASimulator(mapping)
-            simulator.run(memory, verify=False, engine="native")   # warm
-            simulator.run(memory, verify=False, engine="compiled")
-            start = time.perf_counter()
-            for _ in range(ROUNDS):
-                simulator.run(memory, verify=False, engine="compiled")
-            compiled_s = time.perf_counter() - start
-            start = time.perf_counter()
-            for _ in range(ROUNDS):
-                simulator.run(memory, verify=False, engine="native")
-            native_s = time.perf_counter() - start
-            # Conformance ride-along: identical reports, identical verify.
-            got = simulator.run(memory, engine="native")
-            want = simulator.run(memory, engine="compiled")
-            assert got == want, f"{name}: native diverges from compiled"
-            assert got.verified is True, f"{name}: {got.mismatches[:3]}"
-            timings[name] = (native_s, compiled_s, got.cycles)
-        return timings
-
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    speedups = []
-    for name in KERNELS:
-        native_s, compiled_s, cycles = timings[name]
-        speedup = compiled_s / native_s if native_s else float("inf")
-        speedups.append(speedup)
-        print(f"  {name}: {cycles} cycles x{ROUNDS}, "
-              f"native {native_s:.4f}s, compiled {compiled_s:.3f}s "
-              f"({speedup:.2f}x)")
-    geomean = _geomean(speedups)
-    print(f"  geomean native speedup: {geomean:.2f}x "
-          f"(floor {NATIVE_SPEEDUP_MIN:.2f}x)")
-    over = {name: t[0] for name, t in timings.items() if t[0] >= BUDGET_S}
-    assert not over, f"kernels over the {BUDGET_S:.0f}s budget: {over}"
-    assert geomean >= NATIVE_SPEEDUP_MIN, (
-        f"native engine geomean speedup {geomean:.2f}x below the "
-        f"{NATIVE_SPEEDUP_MIN:.2f}x floor: {dict(zip(KERNELS, speedups))}"
     )

@@ -18,12 +18,10 @@ Commands:
   hosts (see :mod:`repro.eval.distributed`);
 * ``cache``    — manage result-store directories: ``merge`` unions
   shard stores (byte-preserving, deterministic conflict policy),
-  ``stats`` inventories one (result entries plus the native codegen
-  artifact cache), ``gc`` prunes corrupt/stale/expired entries and
-  stale-schema native artifacts;
+  ``stats`` inventories one, ``gc`` prunes corrupt/stale/expired
+  entries;
 * ``engines``  — list routing/simulation engines, the active ones and
-  how they were resolved, C toolchain availability, and the native
-  artifact cache;
+  how they were resolved;
 * ``serve``    — run the long-running sweep/result service: an HTTP
   server in front of one result store; clients POST grid specs to
   ``/sweep`` and stream per-cell results as NDJSON, concurrent
@@ -422,7 +420,6 @@ def cmd_engines(_args) -> int:
     import os
 
     from repro.mapping import routecore
-    from repro.native import build as native_build
     from repro.sim import engine as sim_engine
 
     def describe(title, engines, env_var, env_error, active) -> None:
@@ -449,22 +446,6 @@ def cmd_engines(_args) -> int:
                   else sim_engine.resolve_engine(None))
     describe("simulation", sim_engine.SIM_ENGINES,
              sim_engine.SIM_ENGINE_ENV, sim_engine.ENV_ERROR, sim_active)
-
-    cc = native_build.find_compiler()
-    if cc is None:
-        print(f"toolchain: unavailable (${native_build.NATIVE_CC_ENV} "
-              "or cc/gcc/clang on $PATH; native engines fall back to "
-              "the compiled Python cores)")
-    else:
-        print(f"toolchain: {' '.join(cc)}")
-    cache_dir = native_build.native_cache_dir()
-    groups = native_build.scan_cache(cache_dir)
-    print(f"native cache: {cache_dir} "
-          f"(schema v{native_build.NATIVE_SCHEMA_VERSION}; "
-          f"{len(groups['module'])} modules, "
-          f"{len(groups['source'])} sources, "
-          f"{len(groups['stale'])} stale, "
-          f"{len(groups['debris'])} debris)")
     # Exit 1 flags a broken engine environment so CI setup scripts can
     # assert a clean configuration before launching a sweep.
     return 0 if (routecore.ENV_ERROR is None
@@ -480,8 +461,6 @@ def cmd_mappers(_args) -> int:
         detail = info.description
         if info.kind == "composite":
             detail += f" [candidates: {', '.join(info.candidates)}]"
-        if info.racing:
-            detail += " [racing]"
         rows.append([info.key, info.kind, detail])
     print(format_table(["mapper", "kind", "description"], rows))
     return 0
@@ -531,12 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--iterations", type=int, default=8)
     p_sim.add_argument("--fill", type=int, default=3)
     p_sim.add_argument("--engine",
-                       choices=["compiled", "numpy", "native", "reference"],
+                       choices=["compiled", "numpy", "reference"],
                        default=None,
                        help="simulation engine: the compiled schedule, its "
-                            "vectorized numpy replay, the generated-C "
-                            "native backend, or the interpreted reference "
-                            "loop (all bit-identical; default "
+                            "vectorized numpy replay, or the interpreted "
+                            "reference loop (all bit-identical; default "
                             "$REPRO_SIM_ENGINE, else compiled)")
     p_sim.add_argument("--trace", type=int, metavar="N", default=0,
                        help="print the first N execution trace events "
@@ -637,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="machine-readable output")
     p_stats.set_defaults(func=cmd_cache_stats)
     p_gc = cache_sub.add_parser(
-        "gc", help="prune corrupt/stale/expired entries and stale "
-                   "native artifacts")
+        "gc", help="prune corrupt/stale/expired entries")
     p_gc.add_argument("dir", nargs="?", metavar="DIR",
                       help="store directory (default: $REPRO_CACHE_DIR "
                            "or .repro-cache)")
@@ -697,15 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mappers.set_defaults(func=cmd_mappers)
 
     p_engines = sub.add_parser(
-        "engines", help="list routing/simulation engines and toolchain",
+        "engines", help="list routing/simulation engines",
         description=(
             "Show every registered routing and simulation engine with "
             "the active one marked, how the active engine was resolved "
             "(explicit call > $REPRO_ROUTING_ENGINE / $REPRO_SIM_ENGINE "
-            "> default), any pending invalid-environment error, whether "
-            "a C toolchain was found for the native backend, and the "
-            "native artifact cache location and contents.  Exit status "
-            "1 flags an invalid engine environment."
+            "> default), and any pending invalid-environment error.  "
+            "Exit status 1 flags an invalid engine environment."
         ))
     p_engines.set_defaults(func=cmd_engines)
     return parser

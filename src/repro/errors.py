@@ -34,24 +34,6 @@ class MappingError(ReproError):
     """The mapper could not produce a valid mapping."""
 
 
-class MappingCutoff(MappingError):
-    """A portfolio-race candidate abandoned its search at the incumbent
-    cutoff: every mapping it could still find is provably no better than
-    the incumbent best (see :mod:`repro.mapping.race`).  Never cached or
-    surfaced as a real mapping failure — the race driver consumes it.
-
-    ``ii`` is the II level the search was about to attempt, ``attempts``
-    and ``seconds`` the work spent before giving up.
-    """
-
-    def __init__(self, message: str, *, ii: int = 0, attempts: int = 0,
-                 seconds: float = 0.0) -> None:
-        super().__init__(message)
-        self.ii = ii
-        self.attempts = attempts
-        self.seconds = seconds
-
-
 class SimulationError(ReproError):
     """The cycle-accurate simulator detected an inconsistency."""
 

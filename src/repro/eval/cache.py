@@ -369,16 +369,15 @@ class ResultStore:
         """Every decodable :class:`KernelResult` currently stored.
 
         Pure read (no stats, no healing deletions); cached failures and
-        damaged entries are skipped.  This is the history feed for the
-        portfolio racer's :class:`~repro.mapping.race.BudgetAdvisor`.
+        damaged entries are skipped.
 
         ``on_skip(fingerprint, status)`` — when given — is called for
         every *damaged* entry the iteration drops (``status`` is
         ``'corrupt'`` or ``'stale'``), so consumers can distinguish "no
-        history" from "history I could not read": the budget advisor
-        counts them and the ``repro serve`` stats endpoint / ``repro
-        cache stats`` surface the tally.  Recorded failures and entries
-        deleted mid-iteration are healthy skips and are not reported.
+        history" from "history I could not read"; the ``repro serve``
+        stats endpoint and ``repro cache stats`` surface the tally.
+        Recorded failures and entries deleted mid-iteration are healthy
+        skips and are not reported.
         """
         for path in self._entries():
             status, payload = self._read_entry(path)

@@ -462,18 +462,9 @@ class StoreInventory:
     by_schema: dict = field(default_factory=dict)   # schema -> count
     #: Damaged entries a history reader (``ResultStore.iter_results``)
     #: silently drops: corrupt + schema-stale.  Non-zero means "no
-    #: history" answers from the budget advisor or the serve stats
-    #: endpoint may really be "unreadable history" — gc the store.
+    #: history" answers from the serve stats endpoint may really be
+    #: "unreadable history" — gc the store.
     reader_skipped: int = 0
-    # Native codegen artifact cache (the store's ``native/`` subdir):
-    # built .so modules + their .c sources at the current codegen schema,
-    # artifacts from older schemas, and build debris (locks, temp files).
-    native_modules: int = 0
-    native_sources: int = 0
-    native_stale: int = 0
-    native_debris: int = 0
-    native_other: int = 0
-    native_bytes: int = 0
 
     def render(self) -> str:
         schemas = ", ".join(
@@ -491,10 +482,6 @@ class StoreInventory:
             "(damaged entries history readers drop; gc to heal)",
             f"temp files: {self.temp_files}",
             f"size: {self.total_bytes} bytes",
-            f"native: {self.native_modules} modules, "
-            f"{self.native_sources} sources, {self.native_stale} stale, "
-            f"{self.native_debris} debris, {self.native_other} other "
-            f"({self.native_bytes} bytes)",
         ])
 
 
@@ -523,28 +510,7 @@ def inventory(store: "Path | str | ResultStore") -> StoreInventory:
             inv.failures += 1
         else:
             inv.results += 1
-    _scan_native(store.root / "native", inv)
     return inv
-
-
-def _scan_native(directory: Path, inv: StoreInventory) -> None:
-    """Fold the native artifact cache (if any) into an inventory."""
-    from repro.native import build as native_build
-
-    groups = native_build.scan_cache(directory)
-    counts = {key: len(paths) for key, paths in groups.items()}
-    inv.native_modules = counts.get("module", 0)
-    inv.native_sources = counts.get("source", 0)
-    inv.native_stale = counts.get("stale", 0)
-    inv.native_debris = counts.get("debris", 0)
-    inv.native_other = counts.get("other", 0)
-    for paths in groups.values():
-        for path in paths:
-            try:
-                inv.native_bytes += path.stat().st_size
-            except OSError:
-                pass
-    inv.total_bytes += inv.native_bytes
 
 
 @dataclass
@@ -556,25 +522,19 @@ class GcReport:
     removed_old: int = 0
     removed_temp: int = 0
     kept: int = 0
-    #: Native artifact cache: stale-schema artifacts + build debris
-    #: removed, current-schema modules/sources kept.
-    removed_native: int = 0
-    kept_native: int = 0
 
     @property
     def removed(self) -> int:
         return (self.removed_corrupt + self.removed_schema
-                + self.removed_old + self.removed_temp
-                + self.removed_native)
+                + self.removed_old + self.removed_temp)
 
     def summary(self) -> str:
         return (f"gc: removed {self.removed} "
                 f"({self.removed_corrupt} corrupt, "
                 f"{self.removed_schema} schema-mismatched, "
                 f"{self.removed_old} expired, "
-                f"{self.removed_temp} temp, "
-                f"{self.removed_native} native), "
-                f"kept {self.kept} (+{self.kept_native} native)")
+                f"{self.removed_temp} temp), "
+                f"kept {self.kept}")
 
 
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0,
@@ -646,27 +606,4 @@ def gc_store(store: "Path | str | ResultStore", *,
                 report.removed_old += 1
                 continue
         report.kept += 1
-    _gc_native(store.root / "native", report)
     return report
-
-
-def _gc_native(directory: Path, report: GcReport) -> None:
-    """Prune the native artifact cache (if any) alongside the store.
-
-    Removes artifacts from older codegen schema versions and build
-    debris (abandoned temp files, ``.lock`` files — a live builder that
-    loses its lock file just re-creates it, the flock is on the fd).
-    Current-schema modules and sources are kept; unrecognized files are
-    left alone.
-    """
-    from repro.native import build as native_build
-
-    groups = native_build.scan_cache(directory)
-    for key in ("stale", "debris"):
-        for path in groups[key]:
-            try:
-                path.unlink(missing_ok=True)
-                report.removed_native += 1
-            except OSError:
-                pass
-    report.kept_native += len(groups["module"]) + len(groups["source"])

@@ -300,8 +300,7 @@ def simulate_kernel(workload: str, arch_key: str,
     Uses the same registry dispatch and stable per-configuration seeds
     as :func:`evaluate_kernel`, so the simulated mapping is exactly the
     one the metrics pipeline prices.  ``engine`` selects the compiled
-    schedule, the vectorized ``numpy`` replay of the same tables, the
-    generated-C ``native`` replay (:mod:`repro.native`), or
+    schedule, the vectorized ``numpy`` replay of the same tables, or
     the interpreted ``reference`` loop — all bit-identical by
     invariant; ``None`` defers to the process-wide setting
     (``REPRO_SIM_ENGINE``, default compiled).  The knob exists for
@@ -386,7 +385,3 @@ def clear_caches() -> None:
     build_arch.cache_clear()
     from repro.workloads import registry
     registry.clear_dfg_caches()   # variant expansion multiplies cached DFGs
-    from repro.mapping import race
-    race.clear_advisor()    # budget history is derived from the store
-    from repro.native import build as native_build
-    native_build.clear_native_caches()   # re-resolve toolchain/cache dir

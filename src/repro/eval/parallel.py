@@ -138,26 +138,18 @@ def default_jobs() -> int:
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None, int]
+def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None]
                      ) -> tuple[int, dict | None, str | None, str | None,
                                 float, dict]:
     """Evaluate one cell in a worker process.
 
     Runs with its own memo; attaches the parent's persistent store (by
     path) so warm cells are read, cold cells written, across processes.
-    The task carries the sweep's job count so a cell whose mapper races a
-    portfolio (:mod:`repro.mapping.race`) takes only its fair CPU share
-    — N sweep workers each racing K candidates must not oversubscribe the
-    host with N x K processes (on typical hosts the racer degrades to its
-    in-process interleaved schedule; ``$REPRO_RACE_JOBS`` overrides).
     Returns plain dicts — cheaper and more version-tolerant to pickle
     than the nested dataclasses — plus the store-activity delta of this
     call, so the parent's sweep report covers worker I/O too.
     """
-    from repro.mapping import race
-
-    index, (workload, arch_key, mapper), store_root, sweep_jobs = task
-    race.configure_racing(sweep_jobs=sweep_jobs)
+    index, (workload, arch_key, mapper), store_root = task
     store = _ensure_worker_store(store_root)
     before = store.stats.as_dict() if store is not None else {}
     start = time.perf_counter()
@@ -271,7 +263,7 @@ def run_sweep(cells: list[SweepCell], jobs: int = 1,
         if first != index:
             continue                    # duplicate cell: fill in after
         pending.append((index, cell.key(),
-                        store_root if use_cache else None, jobs))
+                        store_root if use_cache else None))
 
     worker_stats: dict[str, int] = {}
     if pending:

@@ -29,8 +29,7 @@ Three layers keep traffic off the mappers:
 
 Evaluation itself reuses the sweep engine verbatim: a worker-process
 pool runs :func:`repro.eval.parallel._worker_evaluate` with the same
-task shape as ``run_sweep`` (including the sweep-jobs oversubscription
-guard for racing mappers), and the parent-side memo/failure seeding is
+task shape as ``run_sweep``, and the parent-side memo/failure seeding is
 the same code path — so served results are bit-identical to a local
 ``repro sweep`` of the same grid: same fingerprints, same store bytes,
 and a served store stays mergeable with shard stores.
@@ -231,14 +230,11 @@ class SweepServer:
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "SweepServer":
         """Bind and start serving; ``self.port`` becomes the real port."""
-        from repro.mapping import race
-
         # The server owns the harness configuration for its lifetime:
-        # the memo, the store, and the racer's fair-share guard must all
-        # agree with what the worker pool is told.
+        # the memo and the store must agree with what the worker pool is
+        # told.
         harness.configure_store(
             str(self.store.root) if self.store is not None else None)
-        race.configure_racing(sweep_jobs=self.jobs)
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._eval_slots = asyncio.Semaphore(self.jobs)
@@ -533,14 +529,14 @@ class SweepServer:
         if self._pool is None:
             return await self._dispatch_inline(cell)
         store_root = str(self.store.root) if self.store is not None else None
-        task = (0, cell.key(), store_root, self.jobs)
+        task = (0, cell.key(), store_root)
         try:
             (_index, payload, error, error_type, seconds,
              _stats_delta) = await self._loop.run_in_executor(
                 self._pool, parallel._worker_evaluate, task)
         except BrokenProcessPool:
             # A broken pool must never fail the request: degrade to
-            # in-process evaluation, exactly like run_race's fallback.
+            # in-process evaluation.
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
             return await self._dispatch_inline(cell)

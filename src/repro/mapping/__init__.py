@@ -24,12 +24,8 @@ from repro.mapping.mii import minimum_ii, resource_mii
 from repro.mapping.base import CandidateStats, Mapping, MappingStats
 from repro.mapping.engine import (
     MapperInfo, MapperStrategy, MappingEngine, MRRGLease, MRRGPool,
-    SearchProgress, available_mappers, default_engine, default_pool,
-    get_mapper, map_kernel, register_mapper,
-)
-from repro.mapping.race import (
-    BudgetAdvisor, RacePlan, configure_racing, cycles_lower_bound,
-    makespan_lower_bound, racing_workers, select_winner, shutdown_racing,
+    available_mappers, default_engine, default_pool, get_mapper, map_kernel,
+    register_mapper, select_winner,
 )
 from repro.mapping.router import (
     route_edge, route_edge_reference, min_transport_latency,
@@ -43,7 +39,6 @@ from repro.mapping.plaid_mapper import PlaidMapper
 from repro.mapping.spatial_mapper import SpatialMapper, SpatialMapping
 
 __all__ = [
-    "BudgetAdvisor",
     "CandidateStats",
     "GreedyRepairMapper",
     "MapperInfo",
@@ -55,22 +50,16 @@ __all__ = [
     "MRRGPool",
     "PathFinderMapper",
     "PlaidMapper",
-    "RacePlan",
-    "SearchProgress",
     "SimulatedAnnealingMapper",
     "SpatialMapper",
     "SpatialMapping",
     "available_mappers",
-    "configure_racing",
-    "cycles_lower_bound",
     "default_engine",
     "default_pool",
     "get_mapper",
-    "makespan_lower_bound",
     "map_kernel",
     "min_transport_latency",
     "minimum_ii",
-    "racing_workers",
     "register_mapper",
     "resource_mii",
     "route_core_for",
@@ -81,5 +70,4 @@ __all__ = [
     "routing_engine",
     "select_winner",
     "set_routing_engine",
-    "shutdown_racing",
 ]

@@ -18,16 +18,14 @@ from repro.ir.graph import DFG
 
 @dataclass
 class CandidateStats:
-    """One composite candidate's outcome (``best``/``race`` record one of
-    these per candidate on the winning mapping's stats).
+    """One composite candidate's outcome (``best`` records one of these
+    per candidate on the winning mapping's stats).
 
     ``outcome`` is ``"won"`` (selected), ``"lost"`` (completed but not
-    selected), ``"cutoff"`` (abandoned at the racing incumbent cutoff —
-    provably unable to beat the winner), or ``"failed"`` (exhausted its
-    II budget without a mapping).  ``ii``/``total_cycles`` are ``None``
-    unless the candidate completed.  ``attempts``/``seconds`` cover the
-    work actually spent, so a cutoff candidate's numbers are smaller
-    than its standalone search would report.
+    selected), or ``"failed"`` (exhausted its II budget without a
+    mapping).  ``ii``/``total_cycles`` are ``None`` unless the candidate
+    completed.  ``attempts``/``seconds`` cover the candidate's whole
+    search.
     """
 
     key: str
@@ -53,7 +51,7 @@ class MappingStats:
     routing_failures: int = 0
     seconds: float = 0.0
     #: Per-candidate outcomes when this mapping came out of a composite
-    #: (``best``/``race``); empty for a standalone mapper run.  The
+    #: (``best``); empty for a standalone mapper run.  The
     #: winner's own search fields above are untouched — they stay
     #: bit-identical to its standalone evaluation.
     candidates: "list[CandidateStats]" = field(default_factory=list)

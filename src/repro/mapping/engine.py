@@ -12,8 +12,8 @@ for every attempt.  This module owns all of that once, in three layers:
   ``repro mappers`` listing, and the mapping-time benchmark all consult
   the registry; adding a mapper is one strategy class plus one
   ``register_mapper`` call.  Composite entries (``best``) name candidate
-  keys and pick the candidate with the fewest total cycles, matching the
-  paper's baseline methodology.
+  keys, run them back to back and keep the candidate with the fewest
+  total cycles, matching the paper's baseline methodology.
 
 * **II-search driver** — :meth:`MappingEngine.search` runs a
   :class:`MapperStrategy` through the shared escalation loop:
@@ -47,19 +47,19 @@ from typing import Callable
 
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG
-from repro.errors import MappingCutoff, MappingError, ReproError
+from repro.errors import MappingError, ReproError
 from repro.ir.graph import DFG
 from repro.mapping import routecore
-from repro.mapping.base import Mapping, MappingStats
+from repro.mapping.base import CandidateStats, Mapping, MappingStats
 from repro.mapping.mii import minimum_ii
 from repro.utils.rng import make_rng
 from repro.utils.signature import arch_structural_key
 
 __all__ = [
     "MapperInfo", "MapperStrategy", "MappingEngine", "MRRGLease",
-    "MRRGPool", "PoolStats", "SearchProgress", "available_mappers",
-    "default_engine", "default_pool", "get_mapper", "map_kernel",
-    "register_mapper",
+    "MRRGPool", "PoolStats", "available_mappers", "default_engine",
+    "default_pool", "get_mapper", "map_kernel", "register_mapper",
+    "select_winner",
 ]
 
 
@@ -201,15 +201,6 @@ class MapperStrategy:
         return default_engine().search(dfg, arch, self, **prepare_kwargs)
 
 
-@dataclass(frozen=True)
-class SearchProgress:
-    """One cooperative checkpoint of :meth:`MappingEngine.search_iter` —
-    emitted after every failed restart, before the next one starts."""
-
-    ii: int                     # the II level just attempted
-    attempts: int               # restarts spent so far, across all IIs
-
-
 class MappingEngine:
     """The shared II-escalation driver all temporal mappers run through.
 
@@ -217,52 +208,15 @@ class MappingEngine:
     attempt accounting, wall-clock stats, and MRRG leasing.  Construct
     with ``pool=None`` to disable pooling (every ``lease.fresh()`` then
     reconstructs) — results are identical either way.
-
-    :meth:`search` drives the whole escalation to completion;
-    :meth:`search_iter` exposes it as a generator that yields a
-    :class:`SearchProgress` between restarts, which is what lets the
-    portfolio racer (:mod:`repro.mapping.race`) interleave several
-    candidate searches cooperatively and cancel a trailing one at a
-    provable incumbent cutoff.  Both accept an optional ``cutoff``
-    callable — ``cutoff(ii) -> bool`` is consulted before every restart,
-    and a ``True`` abandons the search with :class:`MappingCutoff`
-    (carrying the attempts/seconds spent).  The cutoff can only *skip*
-    work: a search that runs to completion is bit-identical with or
-    without one, because the cutoff never touches the RNG stream, the
-    restart budget, or the per-II attempt order.
     """
 
     def __init__(self, pool: MRRGPool | None = None) -> None:
         self.pool = pool
 
     def search(self, dfg: DFG, arch: Architecture,
-               strategy: MapperStrategy, cutoff=None,
-               **prepare_kwargs) -> Mapping:
-        steps = self.search_iter(dfg, arch, strategy, cutoff=cutoff,
-                                 **prepare_kwargs)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as done:
-                return done.value
-
-    def search_iter(self, dfg: DFG, arch: Architecture,
-                    strategy: MapperStrategy, cutoff=None,
-                    **prepare_kwargs):
-        """Generator form of :meth:`search`; ``return``s the mapping.
-
-        Yields :class:`SearchProgress` after each failed restart so a
-        driver can interleave several searches in one process.  Per-
-        search accounting (attempts, wall-clock, routing failures) is
-        tracked across suspensions: the routing-failure tally only
-        counts failures recorded while *this* generator was running, so
-        interleaved searches report exactly the numbers their standalone
-        runs would.
-        """
+               strategy: MapperStrategy, **prepare_kwargs) -> Mapping:
         start_time = time.perf_counter()
-        elapsed = 0.0                   # summed over our running spans
-        own_failures = 0                # routing failures in our spans
-        span_start = routecore.ROUTING.failures
+        failures_before = routecore.ROUTING.failures
         rng = make_rng(strategy.seed)
         context = strategy.prepare(dfg, arch, rng, **prepare_kwargs)
         mii = minimum_ii(dfg, arch)
@@ -272,22 +226,10 @@ class MappingEngine:
             lease = MRRGLease(self.pool, arch, ii)
             try:
                 for restart in range(strategy.attempts_per_ii(ii, context)):
-                    if cutoff is not None and cutoff(ii):
-                        own_failures += \
-                            routecore.ROUTING.failures - span_start
-                        raise MappingCutoff(
-                            f"{strategy.failure_label} abandoned "
-                            f"'{dfg.name}' on {arch.name} at II {ii}: "
-                            "provably cannot beat the race incumbent",
-                            ii=ii, attempts=attempts,
-                            seconds=elapsed + time.perf_counter()
-                            - start_time)
                     attempts += 1
                     mapping = strategy.attempt_ii(
                         dfg, arch, ii, restart, rng, lease, context)
                     if mapping is not None:
-                        own_failures += \
-                            routecore.ROUTING.failures - span_start
                         mapping.stats = MappingStats(
                             mapper=strategy.name,
                             attempts=attempts,
@@ -298,33 +240,25 @@ class MappingEngine:
                             transport_steps=sum(
                                 len(route.steps)
                                 for route in mapping.routes.values()),
-                            routing_failures=own_failures,
-                            seconds=elapsed + time.perf_counter()
-                            - start_time,
+                            routing_failures=routecore.ROUTING.failures
+                            - failures_before,
+                            seconds=time.perf_counter() - start_time,
                         )
                         return mapping
-                    # Suspend between restarts: close this accounting
-                    # span (another interleaved search may run while we
-                    # are parked) and reopen it on resume.
-                    own_failures += routecore.ROUTING.failures - span_start
-                    elapsed += time.perf_counter() - start_time
-                    yield SearchProgress(ii=ii, attempts=attempts)
-                    start_time = time.perf_counter()
-                    span_start = routecore.ROUTING.failures
             finally:
                 lease.release()
-        own_failures += routecore.ROUTING.failures - span_start
-        detail = f" ({own_failures} edge-routing attempts failed)" \
-            if own_failures else ""
+        failures = routecore.ROUTING.failures - failures_before
+        detail = f" ({failures} edge-routing attempts failed)" \
+            if failures else ""
         error = MappingError(
             f"{strategy.failure_label} could not map '{dfg.name}' on "
             f"{arch.name} within II <= {ii_limit}{detail}"
         )
-        # Per-candidate aggregation for composite drivers: how much work
-        # the exhausted search burned (attribute-only — the message and
-        # type are unchanged for every existing caller).
+        # Per-candidate aggregation for the composite driver: how much
+        # work the exhausted search burned (attribute-only — the message
+        # and type are unchanged for every existing caller).
         error.attempts = attempts
-        error.seconds = elapsed + time.perf_counter() - start_time
+        error.seconds = time.perf_counter() - start_time
         raise error
 
 
@@ -337,11 +271,7 @@ class MapperInfo:
 
     ``kind`` is ``"temporal"`` (modulo-scheduling strategies),
     ``"spatial"`` (phase-partitioned fabrics), or ``"composite"``
-    (selects among ``candidates`` — no factory of its own).  Composite
-    entries with ``racing=True`` run their candidates through the
-    portfolio racer (:mod:`repro.mapping.race`): concurrent or
-    interleaved schedules with a shared incumbent cutoff, selecting the
-    same winner the sequential composite would.
+    (selects among ``candidates`` — no factory of its own).
     """
 
     key: str
@@ -349,7 +279,6 @@ class MapperInfo:
     description: str
     factory: Callable[..., object] | None = None
     candidates: tuple[str, ...] = ()
-    racing: bool = False
 
     def make(self, seed: int | None = None):
         """Instantiate the mapper with a seed."""
@@ -366,16 +295,14 @@ _REGISTRY: dict[str, MapperInfo] = {}
 
 def register_mapper(key: str, factory: Callable[..., object] | None = None,
                     *, kind: str = "temporal", description: str = "",
-                    candidates: tuple[str, ...] = (),
-                    racing: bool = False) -> MapperInfo:
+                    candidates: tuple[str, ...] = ()) -> MapperInfo:
     """Register (or replace) a mapper under ``key``.
 
     Mapper modules self-register at import time, so re-registration is
     idempotent by design (module reloads must not crash).
     """
     info = MapperInfo(key=key, kind=kind, description=description,
-                      factory=factory, candidates=tuple(candidates),
-                      racing=racing)
+                      factory=factory, candidates=tuple(candidates))
     _REGISTRY[key] = info
     return info
 
@@ -399,6 +326,22 @@ def available_mappers(kind: str | None = None) -> list[MapperInfo]:
     return infos
 
 
+def select_winner(entries):
+    """The composite selection rule.
+
+    ``entries`` are ``(candidate order, Mapping)`` pairs; the winner is
+    the minimum by **(total cycles, candidate order)** — fewest total
+    cycles first, ties broken by position in the registry's candidate
+    tuple (first listed wins).  Returns ``None`` for no entries.
+    """
+    best = None
+    for order, mapping in entries:
+        rank = (mapping.total_cycles(), order)
+        if best is None or rank < best[0]:
+            best = (rank, mapping)
+    return best[1] if best is not None else None
+
+
 def map_kernel(mapper_key: str, dfg: DFG, arch: Architecture,
                seed_for: Callable[[str], int | None] = lambda key: None):
     """Map ``dfg`` with the registered mapper ``mapper_key``.
@@ -406,19 +349,51 @@ def map_kernel(mapper_key: str, dfg: DFG, arch: Architecture,
     ``seed_for(key)`` supplies the seed per mapper key — composites run
     each candidate with the seed its standalone evaluation would use, so
     ``best`` is exactly min over the individual mapper results (and
-    never worse than either of them).  The winner of a composite is the
-    candidate with the fewest total cycles, ties broken by registry
-    candidate order (first listed wins) — ``best`` and ``race`` cite the
-    same rule, see :func:`repro.mapping.race.select_winner`.
+    never worse than either of them).  The winner of a composite is
+    chosen by :func:`select_winner`.
     """
     info = get_mapper(mapper_key)
     if info.kind == "composite":
-        # The composite schedules (sequential min for ``best``, the
-        # concurrent/interleaved race for ``race``) live in their own
-        # module; imported lazily to keep registry lookups lightweight.
-        from repro.mapping import race
-        return race.run_composite(info, dfg, arch, seed_for)
+        return _run_composite(info, dfg, arch, seed_for)
     return info.make(seed=seed_for(mapper_key)).map(dfg, arch)
+
+
+def _run_composite(info: MapperInfo, dfg: DFG, arch: Architecture,
+                   seed_for) -> Mapping:
+    """Run every candidate to completion, in registry order, and keep
+    the :func:`select_winner` pick; the winner's ``stats.candidates``
+    records one :class:`CandidateStats` per candidate.
+
+    Candidates run through the module-level :func:`map_kernel` name, so
+    a wrapper patched over it sees each candidate mapping.
+    """
+    outcomes = []
+    for order, key in enumerate(info.candidates):
+        try:
+            mapping = map_kernel(key, dfg, arch, seed_for)
+        except MappingError as failure:
+            outcomes.append((order, None, CandidateStats(
+                key=key, outcome="failed",
+                attempts=getattr(failure, "attempts", 0),
+                seconds=getattr(failure, "seconds", 0.0))))
+            continue
+        outcomes.append((order, mapping, CandidateStats(
+            key=key, outcome="lost", ii=mapping.ii,
+            total_cycles=mapping.total_cycles(),
+            attempts=mapping.stats.attempts,
+            seconds=mapping.stats.seconds)))
+    winner = select_winner(
+        (order, mapping) for order, mapping, _ in outcomes
+        if mapping is not None)
+    if winner is None:
+        raise MappingError(
+            f"no baseline mapper could map '{dfg.name}' on {arch.name}"
+        )
+    for _, mapping, stats in outcomes:
+        if mapping is winner:
+            stats.outcome = "won"
+    winner.stats.candidates = [stats for _, _, stats in outcomes]
+    return winner
 
 
 #: The paper's baseline methodology for spatio-temporal fabrics: map with
@@ -428,15 +403,12 @@ register_mapper(
     description="better of pathfinder/sa (paper baseline methodology)",
 )
 
-#: The same portfolio raced instead of run back-to-back: candidates run
-#: concurrently (process pool) or cooperatively interleaved, a shared
-#: incumbent cuts trailing searches off early, and the winner is
-#: bit-identical to ``best``.  Registered here (next to ``best``) so the
-#: entry exists even before :mod:`repro.mapping.race` is imported.
+#: An alias of ``best``: result-store entries are keyed by mapper name,
+#: so existing ``race`` entries and ``--mapper race`` invocations must
+#: keep resolving.
 register_mapper(
-    "race", kind="composite", candidates=("pathfinder", "sa"), racing=True,
-    description="pathfinder/sa raced with a shared incumbent cutoff "
-                "(winner bit-identical to 'best')",
+    "race", kind="composite", candidates=("pathfinder", "sa"),
+    description="alias of 'best' (kept for existing stores and scripts)",
 )
 
 

@@ -33,19 +33,16 @@ Cores are cached per ``(arch structural key, II)`` — the same keying as
 the MRRG pool in :mod:`repro.mapping.engine`, which binds a core to every
 MRRG it leases — so structurally equal fabrics share compiled tables.
 
-Env knobs: ``REPRO_ROUTING_ENGINE=compiled|native|reference`` selects
-the router implementation process-wide (default ``compiled``; an
-invalid value raises a structured :class:`~repro.errors.ConfigError`
-naming the valid choices on first use, via :func:`active_engine`).
+Env knobs: ``REPRO_ROUTING_ENGINE=compiled|reference`` selects the
+router implementation process-wide (default ``compiled``; an invalid
+value raises a structured :class:`~repro.errors.ConfigError` naming the
+valid choices on first use, via :func:`active_engine`).
 :func:`set_routing_engine` overrides it at runtime (benchmarks and
-conformance tests flip it per run).  ``native`` runs the same search as
-generated C (:mod:`repro.native.routegen`), bit-identical to
-``compiled`` and falling back to it when no C toolchain is available.
+conformance tests flip it per run).
 """
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import os
 
@@ -59,7 +56,7 @@ from repro.utils.signature import arch_structural_key
 #: without a circular import).
 MAX_TRANSPORT_CYCLES = 64
 
-ROUTING_ENGINES = ("compiled", "native", "reference")
+ROUTING_ENGINES = ("compiled", "reference")
 
 ROUTING_ENGINE_ENV = "REPRO_ROUTING_ENGINE"
 
@@ -150,15 +147,8 @@ class RoutingHistory:
 
     def __init__(self, core: "RouteCore | None" = None) -> None:
         self.core = core
-        if core is None:
-            self.array = None
-        elif ACTIVE_ENGINE == "native":
-            # ctypes doubles read zero-copy from the generated C search;
-            # item reads/writes behave like a list, so the Python
-            # engines consume the same buffer unchanged.
-            self.array = (ctypes.c_double * (core.n_rids * core.ii))()
-        else:
-            self.array = [0.0] * (core.n_rids * core.ii)
+        self.array = None if core is None \
+            else [0.0] * (core.n_rids * core.ii)
         self.table: dict[tuple, float] = {}
 
     @classmethod
@@ -278,7 +268,7 @@ def ensure_core(mrrg: MRRG) -> RouteCore | None:
     """Bind (and return) the compiled core for ``mrrg``.
 
     Returns the already-bound core when present; binds a cached one when
-    the compiled or native engine is active; returns ``None`` under the
+    the compiled engine is active; returns ``None`` under the
     reference engine so interpreted searches pay zero array bookkeeping.
     """
     core = mrrg._core

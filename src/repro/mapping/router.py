@@ -114,15 +114,14 @@ def route_edge(mrrg: MRRG, net: int, src_fu: int, depart_cycle: int,
     ``consumer_cycle + distance * II``.  With ``commit`` the route's
     charges are applied to the MRRG immediately.
 
-    Dispatches to the compiled core (or its generated-C twin under the
-    ``native`` engine) when ``history`` is indexable by it (``None`` or
-    a :class:`~repro.mapping.routecore.RoutingHistory` bound to this
-    MRRG's core); plain-dict history always takes the reference path.
+    Dispatches to the compiled core when ``history`` is indexable by it
+    (``None`` or a :class:`~repro.mapping.routecore.RoutingHistory`
+    bound to this MRRG's core); plain-dict history always takes the
+    reference path.
     """
     ROUTING.calls += 1
-    engine = routecore.active_engine()
     route = _UNROUTED
-    if engine != "reference":
+    if routecore.active_engine() != "reference":
         core = mrrg._core
         if core is None:
             core = routecore.ensure_core(mrrg)
@@ -135,15 +134,9 @@ def route_edge(mrrg: MRRG, net: int, src_fu: int, depart_cycle: int,
             else:
                 hist = None
             if hist is not None:
-                if engine == "native":
-                    from repro.native.routegen import route_edge_native
-                    route = route_edge_native(
-                        mrrg, core, net, src_fu, depart_cycle,
-                        dst_fu, arrive_cycle, hist, commit)
-                else:
-                    route = routecore.route_edge_compiled(
-                        mrrg, core, net, src_fu, depart_cycle,
-                        dst_fu, arrive_cycle, hist, commit)
+                route = routecore.route_edge_compiled(
+                    mrrg, core, net, src_fu, depart_cycle,
+                    dst_fu, arrive_cycle, hist, commit)
     if route is _UNROUTED:
         route = route_edge_reference(mrrg, net, src_fu, depart_cycle,
                                      dst_fu, arrive_cycle, history, commit)

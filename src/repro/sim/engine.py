@@ -55,10 +55,9 @@ __all__ = [
 # Engine selection (mirrors the REPRO_ROUTING_ENGINE knob of the router)
 # ---------------------------------------------------------------------------
 #: Temporal execution engines: ``compiled`` (PR 3 table replay), ``numpy``
-#: (PR 6 vectorized replay of the same tables), ``native`` (PR 10
-#: generated-C replay of the same tables), ``reference`` (the
+#: (PR 6 vectorized replay of the same tables), ``reference`` (the
 #: interpreted oracle).
-SIM_ENGINES = ("compiled", "numpy", "native", "reference")
+SIM_ENGINES = ("compiled", "numpy", "reference")
 
 SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
 

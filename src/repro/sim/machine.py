@@ -18,12 +18,10 @@ check the paper uses its cycle-accurate simulator for.
 Execution runs through the compiled engine (:mod:`repro.sim.engine`):
 :meth:`CGRASimulator.run` compiles the mapping once into per-phase
 firing/transport tables and replays them.  ``engine=`` (or the
-process-wide ``REPRO_SIM_ENGINE`` setting) selects between four
+process-wide ``REPRO_SIM_ENGINE`` setting) selects between three
 bit-identical backends: ``compiled`` (the PR 3 table replay), ``numpy``
 (:mod:`repro.sim.vector` — the same tables evaluated as array
-operations), ``native`` (:mod:`repro.native.simgen` — the same tables
-emitted as generated C), and ``reference`` — the original interpreted
-loop, kept as
+operations), and ``reference`` — the original interpreted loop, kept as
 :meth:`CGRASimulator.run_reference`, the conformance oracle every other
 engine must match bit for bit (same report, same trace, same errors;
 ``tests/test_sim_engine.py`` and ``tests/test_sim_vector.py`` lock
@@ -61,7 +59,6 @@ class CGRASimulator:
         self.trace = trace
         self._compiled: CompiledSchedule | None = None
         self._vector: VectorSchedule | None = None
-        self._native = None
 
     # ------------------------------------------------------------------
     def compiled(self) -> CompiledSchedule:
@@ -78,24 +75,15 @@ class CGRASimulator:
             self._vector = VectorSchedule(self.compiled())
         return self._vector
 
-    def native(self):
-        """The generated-C replay of :meth:`compiled` (module built and
-        disk-cached on first use; falls back to the compiled engine when
-        no C toolchain is available)."""
-        if self._native is None:
-            from repro.native.simgen import NativeSchedule
-            self._native = NativeSchedule(self.compiled())
-        return self._native
-
     def run(self, memory: MemoryImage, iterations: int | None = None,
             verify: bool = True,
             engine: str | None = None) -> SimulationReport:
         """Simulate ``iterations`` pipelined iterations starting from
         ``memory`` (which is left untouched; the SPM gets a copy).
 
-        ``engine`` picks the backend (``compiled``/``numpy``/``native``/
+        ``engine`` picks the backend (``compiled``/``numpy``/
         ``reference``); ``None`` defers to the process-wide setting
-        (``REPRO_SIM_ENGINE`` / ``set_simulation_engine``).  All four
+        (``REPRO_SIM_ENGINE`` / ``set_simulation_engine``).  All three
         produce bit-identical reports, verify results and errors."""
         name = resolve_engine(engine)
         if name == "reference":
@@ -103,9 +91,6 @@ class CGRASimulator:
                                       verify=verify)
         if name == "numpy":
             return self.vector().execute(memory, iterations=iterations,
-                                         verify=verify, trace=self.trace)
-        if name == "native":
-            return self.native().execute(memory, iterations=iterations,
                                          verify=verify, trace=self.trace)
         return self.compiled().execute(memory, iterations=iterations,
                                        verify=verify, trace=self.trace)
@@ -138,10 +123,6 @@ class CGRASimulator:
             return reports
         if name == "numpy":
             return self.vector().execute_batch(
-                memories, iterations=iterations, verify=verify,
-                trace=batch_trace)
-        if name == "native":
-            return self.native().execute_batch(
                 memories, iterations=iterations, verify=verify,
                 trace=batch_trace)
         return self.compiled().execute_batch(memories, iterations=iterations,

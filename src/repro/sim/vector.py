@@ -74,12 +74,9 @@ def screen_schedule(cs: CompiledSchedule, total: int, end_cycle: int,
     unreadable/missing place deliveries, occupancy-before-production,
     place capacity, SPM ports, missing operands) are data-independent,
     so they are decidable from the tables alone, once per (schedule,
-    iteration count).  Both fast backends — the numpy
-    :class:`VectorSchedule` and the native C schedule
-    (:mod:`repro.native.simgen`) — gate on this screen and delegate any
-    window that fails it to the compiled engine, which raises the
-    identical error at the identical point.  Numpy-free on purpose: the
-    native backend screens without numpy installed.
+    iteration count).  :class:`VectorSchedule` gates on this screen and
+    delegates any window that fails it to the compiled engine, which
+    raises the identical error at the identical point.
     """
     ii = cs.ii
     trips = cs.dfg.trip_counts

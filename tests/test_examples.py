@@ -72,7 +72,6 @@ def test_domain_specialization_generality_check(capsys):
 def test_serve_client_demo(capsys):
     """The self-contained mode: in-process server, cold + warm stream."""
     from repro.eval.harness import clear_caches
-    from repro.mapping import race
 
     clear_caches()
     sys.path.insert(0, "examples")
@@ -82,8 +81,6 @@ def test_serve_client_demo(capsys):
     finally:
         sys.path.pop(0)
         clear_caches()
-        race.configure_racing(max_workers=0, sweep_jobs=1)
-        race.shutdown_racing()
     out = capsys.readouterr().out
     assert "cold request" in out and "warm request" in out
     assert "4 evaluated" in out         # cold: every cell computed

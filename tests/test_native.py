@@ -1,448 +1,29 @@
-"""Conformance suite for the native (generated-C) codegen backend.
+"""Engine selection without the generated-C ``native`` backend.
 
-The standing invariant (extending the engine chains of
-``tests/test_routecore.py`` and ``tests/test_sim_vector.py``): native
-execution is **bit-identical** to the compiled Python cores — the same
-:class:`Route` step streams and negotiated-cost arithmetic, the same
-:class:`SimulationReport` counters and verify tri-state, the same
-errors on the same malformed mappings — across the golden small-grid
-workloads.  And the backend must degrade gracefully: with no C
-toolchain (``REPRO_NATIVE_CC=none``) every native request falls back to
-the compiled cores with identical results, so this whole file also
-passes, unchanged, in the no-toolchain CI job.
-
-Build-cache discipline is locked too: two processes requesting the same
-module produce exactly one compiler invocation and neither loads a
-partial ``.so``; ``repro cache stats``/``gc`` account for and prune the
-artifact directory; invalid ``REPRO_ROUTING_ENGINE``/``REPRO_SIM_ENGINE``
-values surface one structured error naming the valid choices.
+The routing and simulation engine registries are ``compiled`` and
+``reference`` (plus ``numpy`` for simulation).  ``native`` is no longer
+an engine: a stale ``REPRO_ROUTING_ENGINE=native`` or
+``REPRO_SIM_ENGINE=native`` must surface the same structured
+``ConfigError`` naming the valid choices as any other invalid value —
+never a silent fallback — and a leftover ``<store>/native/`` artifact
+directory must be ignored, untouched, by ``repro cache stats``/``gc``.
 """
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.cli import main as cli_main
 from repro.errors import ReproError
-from repro.eval.harness import _seed_for, clear_caches, simulate_kernel
-from repro.ir.interpreter import DFGInterpreter
-from repro.mapping import routecore
-from repro.mapping.engine import default_pool, get_mapper
-from repro.mapping.router import (
-    RoutingHistory, min_transport_latency, route_edge_reference,
-    set_routing_engine,
-)
-from repro.native import build as native_build
-from repro.native.routegen import route_edge_native
-from repro.sim import CGRASimulator, set_simulation_engine
-from repro.workloads import get_dfg
-
-GOLDEN_WORKLOADS = ["dwconv", "conv2x2", "gesum_u2", "atax_u2", "jacobi_u2"]
-
-MAPPER_CASES = [
-    ("pathfinder", "st", lambda: make_spatio_temporal(4, 4)),
-    ("sa", "st", lambda: make_spatio_temporal(4, 4)),
-    ("plaid", "plaid", lambda: make_plaid(2, 2)),
-    ("greedy", "plaid", lambda: make_plaid(2, 2)),
-]
-
-GOLDEN_ARCHES = [("st", "pathfinder"), ("plaid", "plaid")]
+from repro.eval.harness import simulate_kernel
+from repro.mapping.routecore import set_routing_engine
+from repro.sim import set_simulation_engine
 
 ENV = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
-
-@pytest.fixture(scope="session")
-def _native_dir(tmp_path_factory):
-    """One artifact cache for the whole session so compiles amortize."""
-    return tmp_path_factory.mktemp("native-cache")
-
-
-@pytest.fixture(autouse=True)
-def _native_env(_native_dir, monkeypatch):
-    monkeypatch.setenv(native_build.NATIVE_DIR_ENV, str(_native_dir))
-    native_build.clear_native_caches()
-    clear_caches()
-    set_routing_engine("compiled")
-    set_simulation_engine("compiled")
-    default_pool().clear()
-    routecore.clear_core_cache()
-    yield
-    set_routing_engine("compiled")
-    set_simulation_engine("compiled")
-    default_pool().clear()
-    routecore.clear_core_cache()
-    native_build.clear_native_caches()
-    clear_caches()
-
-
-def _mapping(workload, arch_key, mapper_key, seed=3):
-    from repro.eval.harness import build_arch
-
-    return get_mapper(mapper_key).make(seed=seed).map(
-        get_dfg(workload), build_arch(arch_key))
-
-
-def _assert_same_route(a, b):
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert a == b
-        assert a.steps == b.steps        # step order, not just set
-
-
-# ---------------------------------------------------------------------------
-# Routing: per-route conformance under congestion + history
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 7, 23])
-@pytest.mark.parametrize("ii", [2, 4])
-@pytest.mark.parametrize("plaid", [False, True])
-def test_native_route_matches_compiled_congested(seed, ii, plaid):
-    """Random committed routes (congestion + fanout sharing + history),
-    then every further request must agree between native and compiled —
-    the occupancy snapshots after each commit too."""
-    set_routing_engine("native")
-    arch = make_plaid(2, 2) if plaid else make_spatio_temporal(4, 4)
-    mrrg_native = MRRG(arch, ii)
-    mrrg_compiled = MRRG(arch, ii)
-    routecore.ensure_core(mrrg_native)
-    routecore.ensure_core(mrrg_compiled)
-    core = mrrg_native._core
-    rng = random.Random(seed)
-    n_fus = len(arch.fus)
-    history = RoutingHistory(core)           # ctypes-backed under native
-
-    for _ in range(rng.randrange(2, 12)):
-        net = rng.randrange(3)
-        src, dst = rng.randrange(n_fus), rng.randrange(n_fus)
-        depart = rng.randrange(4)
-        arrive = depart + min_transport_latency(arch, src, dst) \
-            + rng.randrange(3)
-        got = route_edge_native(mrrg_native, core, net, src, depart, dst,
-                                arrive, history.array, True)
-        want = routecore.route_edge_compiled(
-            mrrg_compiled, core, net, src, depart, dst, arrive,
-            history.array, True)
-        _assert_same_route(got, want)
-        if rng.random() < 0.3:
-            for resource, slot, used, cap in mrrg_compiled.overuse()[:2]:
-                history.add(resource, slot, 2.0 * (used - cap))
-    assert mrrg_native.occupancy_snapshot() \
-        == mrrg_compiled.occupancy_snapshot()
-    assert mrrg_native.overuse() == mrrg_compiled.overuse()
-
-    for src in range(0, n_fus, 3):
-        for dst in range(0, n_fus, 2):
-            arrive = min_transport_latency(arch, src, dst) + 1
-            got = route_edge_native(mrrg_native, core, 9, src, 0, dst,
-                                    arrive, history.array, False)
-            want = routecore.route_edge_compiled(
-                mrrg_compiled, core, 9, src, 0, dst, arrive,
-                history.array, False)
-            _assert_same_route(got, want)
-
-
-def test_native_route_matches_reference_empty_fabric():
-    set_routing_engine("native")
-    arch = make_spatio_temporal(4, 4)
-    for ii in (2, 4):
-        mrrg = MRRG(arch, ii)
-        routecore.ensure_core(mrrg)
-        core = mrrg._core
-        reference = MRRG(arch, ii)
-        hist = RoutingHistory(core)
-        for src, dst, slack in [(0, 5, 0), (3, 12, 2), (15, 0, 1),
-                                (7, 7, 3), (2, 14, 0)]:
-            arrive = min_transport_latency(arch, src, dst) + slack
-            got = route_edge_native(mrrg, core, 1, src, 0, dst, arrive,
-                                    hist.array, False)
-            want = route_edge_reference(reference, 1, src, 0, dst, arrive,
-                                        commit=False)
-            _assert_same_route(got, want)
-
-
-# ---------------------------------------------------------------------------
-# Routing: whole-search conformance across the golden grid
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("mapper_key,arch_key,arch_factory", MAPPER_CASES)
-def test_mapper_runs_bit_identical_native_vs_compiled(mapper_key, arch_key,
-                                                      arch_factory):
-    for workload in GOLDEN_WORKLOADS:
-        seed = _seed_for(workload, arch_key, mapper_key)
-        results = {}
-        for engine in ("compiled", "native"):
-            set_routing_engine(engine)
-            default_pool().clear()
-            routecore.clear_core_cache()
-            mapper = get_mapper(mapper_key).make(seed=seed)
-            results[engine] = mapper.map(get_dfg(workload), arch_factory())
-        compiled, native = results["compiled"], results["native"]
-        assert native.ii == compiled.ii, workload
-        assert native.placement == compiled.placement, workload
-        assert native.routes == compiled.routes, workload
-        assert native.stats.attempts == compiled.stats.attempts
-        assert native.stats.routing_failures \
-            == compiled.stats.routing_failures
-        assert native.stats.transport_steps \
-            == compiled.stats.transport_steps
-    if native_build.toolchain_available():
-        built = native_build.scan_cache()["module"]
-        assert any(p.name.startswith("route-") for p in built)
-
-
-# ---------------------------------------------------------------------------
-# Simulation: bit-identical reports across the golden grid
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("arch_key,mapper_key", GOLDEN_ARCHES)
-@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
-def test_native_sim_matches_compiled_bit_for_bit(workload, arch_key,
-                                                 mapper_key):
-    mapping = _mapping(workload, arch_key, mapper_key)
-    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
-    simulator = CGRASimulator(mapping)
-    got = simulator.run(memory, iterations=6, engine="native")
-    want = simulator.run(memory, iterations=6, engine="compiled")
-    assert got == want                       # every counter, every field
-    assert got.verified is True, got.mismatches[:3]
-    if native_build.toolchain_available():
-        # The generated module actually ran (no silent delegation).
-        native = simulator.native()
-        assert native._fn is not None
-        assert native._programs
-
-
-@pytest.mark.parametrize("iterations", [1, 2, 5, None])
-def test_native_sim_conformance_across_window_sizes(iterations):
-    mapping = _mapping("conv2x2", "st", "pathfinder")
-    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=5)
-    simulator = CGRASimulator(mapping)
-    got = simulator.run(memory, iterations=iterations, engine="native")
-    want = simulator.run(memory, iterations=iterations, engine="compiled")
-    assert got == want
-    assert got.verified is True
-
-
-def test_native_batch_equals_sequential():
-    mapping = _mapping("dwconv", "plaid", "plaid")
-    simulator = CGRASimulator(mapping)
-    memories = [DFGInterpreter(mapping.dfg).prepare_memory(fill=f)
-                for f in (1, 3, 5)]
-    batched = simulator.run_batch(memories, iterations=4, engine="native")
-    sequential = [simulator.run(m.copy(), iterations=4, engine="compiled")
-                  for m in memories]
-    assert batched == sequential
-
-
-def test_native_engine_knob_round_trip():
-    previous = set_simulation_engine("native")
-    try:
-        mapping = _mapping("dwconv", "st", "pathfinder")
-        memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
-        report = CGRASimulator(mapping).run(memory, iterations=4)
-        assert report.verified is True
-    finally:
-        set_simulation_engine(previous)
-    with pytest.raises(ValueError, match="unknown simulation engine"):
-        set_simulation_engine("warp")
-
-
-# ---------------------------------------------------------------------------
-# Simulation: error conformance on malformed mappings
-# ---------------------------------------------------------------------------
-def _routed_victim(mapping):
-    index = next(i for i, route in mapping.routes.items()
-                 if route.places and not route.bypass)
-    return index, mapping.routes[index]
-
-
-def _raises_identically(mapping, iterations=4):
-    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
-    with pytest.raises(Exception) as native_err:
-        CGRASimulator(mapping).run(memory, iterations=iterations,
-                                   engine="native")
-    with pytest.raises(Exception) as compiled_err:
-        CGRASimulator(mapping).run(memory, iterations=iterations,
-                                   engine="compiled")
-    assert type(native_err.value) is type(compiled_err.value)
-    assert str(native_err.value) == str(compiled_err.value)
-    return native_err.value
-
-
-def test_native_redirected_route_raises_identical_error():
-    from dataclasses import replace
-
-    mapping = _mapping("conv2x2", "st", "sa", seed=9)
-    index, route = _routed_victim(mapping)
-    edge = mapping.dfg.edges[index]
-    consumer_fu = mapping.placement[edge.dst][0]
-    readable = set(mapping.arch.consume_places[consumer_fu])
-    other = next(p.place_id for p in mapping.arch.places
-                 if p.place_id not in readable)
-    bad = route.places[:-1] + ((other, route.places[-1][1]),)
-    mapping.routes[index] = replace(route, places=bad)
-    _raises_identically(mapping)
-
-
-def test_native_starved_consumer_raises_identical_error():
-    from dataclasses import replace
-
-    mapping = _mapping("conv2x2", "st", "sa", seed=9)
-    index, route = _routed_victim(mapping)
-    place, cycle = route.places[-1]
-    bad = route.places[:-1] + ((place, cycle + 1),)
-    mapping.routes[index] = replace(route, places=bad)
-    _raises_identically(mapping)
-
-
-def test_native_missing_route_raises_identical_error():
-    mapping = _mapping("conv2x2", "st", "sa", seed=9)
-    index, _route = _routed_victim(mapping)
-    del mapping.routes[index]
-    error = _raises_identically(mapping)
-    assert isinstance(error, KeyError)
-
-
-# ---------------------------------------------------------------------------
-# Toolchain-missing fallback
-# ---------------------------------------------------------------------------
-def test_no_toolchain_falls_back_with_identical_results(monkeypatch):
-    """``REPRO_NATIVE_CC=none`` forces the no-compiler path: every
-    native request silently runs the compiled Python cores instead, and
-    every result is identical to an explicit compiled run."""
-    monkeypatch.setenv(native_build.NATIVE_CC_ENV, "none")
-    native_build.clear_native_caches()
-    assert not native_build.toolchain_available()
-
-    # Simulation falls back.
-    got = simulate_kernel("dwconv", "plaid", iterations=4, engine="native")
-    want = simulate_kernel("dwconv", "plaid", iterations=4,
-                           engine="compiled")
-    assert got == want and got.verified is True
-
-    # Routing falls back: full mapper run, bit-identical.
-    set_routing_engine("native")
-    native_run = _mapping("conv2x2", "st", "pathfinder", seed=5)
-    set_routing_engine("compiled")
-    default_pool().clear()
-    routecore.clear_core_cache()
-    compiled_run = _mapping("conv2x2", "st", "pathfinder", seed=5)
-    assert native_run.ii == compiled_run.ii
-    assert native_run.placement == compiled_run.placement
-    assert native_run.routes == compiled_run.routes
-
-
-def test_disabled_cc_values_and_env_override(monkeypatch):
-    for value in ("none", "OFF", "disabled", "0"):
-        monkeypatch.setenv(native_build.NATIVE_CC_ENV, value)
-        native_build.clear_native_caches()
-        assert native_build.find_compiler() is None
-    monkeypatch.setenv(native_build.NATIVE_CC_ENV, "definitely-not-a-cc-xyz")
-    native_build.clear_native_caches()
-    assert native_build.find_compiler() is None   # missing binary -> None
-    monkeypatch.delenv(native_build.NATIVE_CC_ENV)
-    native_build.clear_native_caches()
-
-
-# ---------------------------------------------------------------------------
-# Build cache: concurrency, naming, stats/gc
-# ---------------------------------------------------------------------------
-_BUILD_DRIVER = """
-import sys
-from repro.native import build
-lib = build.ensure_module("sim", "cafebabe" * 8, sys.argv[1])
-print("loaded" if lib is not None else "failed")
-"""
-
-_TRIVIAL_C = "long probe(void) { return 42; }\n"
-
-
-@pytest.mark.skipif(not native_build.toolchain_available(),
-                    reason="needs a C toolchain")
-def test_concurrent_builds_compile_once(tmp_path):
-    """Two processes requesting the same module: exactly one compiler
-    invocation, both load a complete ``.so`` (the flock serializes the
-    build; the loser observes the finished artifact)."""
-    real_cc = " ".join(native_build.find_compiler())
-    count = tmp_path / "count"
-    shim = tmp_path / "shim.sh"
-    shim.write_text("#!/bin/sh\n"
-                    f"echo x >> {count}\n"
-                    "sleep 0.4\n"            # widen the race window
-                    f"exec {real_cc} \"$@\"\n")
-    shim.chmod(0o755)
-    env = dict(os.environ, **ENV)
-    env[native_build.NATIVE_DIR_ENV] = str(tmp_path / "cache")
-    env[native_build.NATIVE_CC_ENV] = str(shim)
-    procs = [subprocess.Popen(
-        [sys.executable, "-c", _BUILD_DRIVER, _TRIVIAL_C],
-        env=env, stdout=subprocess.PIPE, text=True) for _ in range(2)]
-    outputs = [p.communicate(timeout=120)[0].strip() for p in procs]
-    assert outputs == ["loaded", "loaded"]
-    assert count.read_text().count("x") == 1
-    built = list((tmp_path / "cache").glob("sim-v*-*.so"))
-    assert len(built) == 1
-
-
-def test_artifact_classification(tmp_path):
-    mk = tmp_path.joinpath
-    for name in ("route-v1-aabbccdd00112233.so",):
-        mk(name).touch()
-    version = native_build.NATIVE_SCHEMA_VERSION
-    cases = {
-        f"route-v{version}-aabbccdd00112233.so": "module",
-        f"sim-v{version}-aabbccdd00112233.c": "source",
-        f"route-v{version + 1}-ff.so": "stale",
-        "sim-v0-ff.c": "stale",
-        "route-v1-aa.lock": "debris",
-        ".tmp-route-v1-aa-123.so": "debris",
-        "README": "other",
-        "warp-v1-aa.so": "other",
-    }
-    for name, want in cases.items():
-        assert native_build.classify_artifact(Path(name)) == want, name
-
-
-def test_cache_stats_and_gc_cover_native(tmp_path, capsys):
-    store = tmp_path / "store"
-    native = store / "native"
-    native.mkdir(parents=True)
-    version = native_build.NATIVE_SCHEMA_VERSION
-    (native / f"route-v{version}-aabbccdd00112233.c").write_text("int x;")
-    (native / f"route-v{version}-aabbccdd00112233.so").write_text("elf")
-    (native / f"sim-v{version + 1}-stale.so").write_text("old")
-    (native / "route-v1-aa.lock").touch()
-    (native / ".tmp-sim-v1-bb-99.so").touch()
-    (native / "README").write_text("hands off")
-
-    from repro.eval.distributed import gc_store, inventory
-
-    inv = inventory(store)
-    assert inv.native_modules == 1 and inv.native_sources == 1
-    assert inv.native_stale == 1 and inv.native_debris == 2
-    assert inv.native_other == 1
-    assert inv.native_bytes > 0
-
-    report = gc_store(store)
-    assert report.removed_native == 3        # stale + lock + temp
-    assert report.kept_native == 2
-    survivors = sorted(p.name for p in native.iterdir())
-    assert survivors == ["README",
-                         f"route-v{version}-aabbccdd00112233.c",
-                         f"route-v{version}-aabbccdd00112233.so"]
-
-    assert cli_main(["cache", "stats", str(store)]) == 0
-    out = capsys.readouterr().out
-    assert "native: 1 modules, 1 sources, 0 stale, 0 debris" in out
-    assert cli_main(["cache", "gc", str(store)]) == 0
-    assert "0 native" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# Environment validation: one structured error, not a deep traceback
-# ---------------------------------------------------------------------------
 _SIM_ENV_PROBE = """
 from repro.errors import ConfigError
 from repro.sim.engine import resolve_engine
@@ -461,34 +42,59 @@ except ConfigError as error:
     print(f"ConfigError: {error}")
 """
 
-
-@pytest.mark.parametrize("var,probe", [
+ENV_PROBES = [
     ("REPRO_SIM_ENGINE", _SIM_ENV_PROBE),
     ("REPRO_ROUTING_ENGINE", _ROUTE_ENV_PROBE),
-])
-def test_invalid_engine_env_is_structured_error(var, probe):
+]
+
+
+def _probe_env(var, probe, value):
     env = dict(os.environ, **ENV)
-    env[var] = "warp-drive"
+    env[var] = value
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
     assert out.startswith("ConfigError:")
-    assert "warp-drive" in out and var in out
-    assert "compiled" in out and "native" in out and "reference" in out
+    assert f"{var}={value!r}" in out
+    assert "compiled" in out and "reference" in out
+    if var == "REPRO_SIM_ENGINE":
+        assert "numpy" in out
+    return out
 
 
-def test_valid_engine_env_selects_native():
-    env = dict(os.environ, **ENV)
-    env["REPRO_SIM_ENGINE"] = "native"
-    env["REPRO_ROUTING_ENGINE"] = "native"
-    probe = ("from repro.sim.engine import resolve_engine;"
-             "from repro.mapping import routecore;"
-             "print(resolve_engine(None), routecore.active_engine())")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["native", "native"]
+# ---------------------------------------------------------------------------
+# Environment validation: one structured error, not a deep traceback
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("var,probe", ENV_PROBES)
+def test_invalid_engine_env_is_structured_error(var, probe):
+    out = _probe_env(var, probe, "warp-drive")
+    assert "native" not in out
+
+
+@pytest.mark.parametrize("var,probe", ENV_PROBES)
+def test_stale_native_engine_env_is_structured_error(var, probe):
+    _probe_env(var, probe, "native")
+
+
+def test_native_engine_knob_round_trip():
+    """The runtime setters refuse ``native`` and keep the active engine;
+    a valid selection round-trips through the returned previous value."""
+    for setter, valid in ((set_simulation_engine, "numpy"),
+                          (set_routing_engine, "reference")):
+        previous = setter(valid)
+        try:
+            with pytest.raises(ValueError, match="unknown .* engine"):
+                setter("native")
+            assert setter(valid) == valid       # still the valid choice
+        finally:
+            assert setter(previous) == valid
+
+
+def test_harness_rejects_unknown_engine():
+    for engine in ("warp", "native"):
+        with pytest.raises(ReproError, match="unknown simulation engine"):
+            simulate_kernel("dwconv", "plaid", engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +104,33 @@ def test_cli_engines_lists_and_marks_active(capsys):
     assert cli_main(["engines"]) == 0
     out = capsys.readouterr().out
     assert "routing engines" in out and "simulation engines" in out
-    assert "* compiled" in out and "native" in out
-    assert "toolchain:" in out and "native cache:" in out
+    assert "* compiled" in out and "numpy" in out and "reference" in out
+    assert "native" not in out
 
 
-def test_cli_simulate_accepts_native_engine(capsys):
-    assert cli_main(["simulate", "--workload", "dwconv", "--arch", "plaid",
-                     "--iterations", "4", "--engine", "native"]) == 0
-    assert "VERIFIED" in capsys.readouterr().out
+def test_cache_stats_and_gc_cover_native(tmp_path, capsys):
+    """A leftover ``native/`` artifact directory is neither counted nor
+    pruned: stats and gc see only the store's own entries."""
+    store = tmp_path / "store"
+    native = store / "native"
+    native.mkdir(parents=True)
+    names = ["route-v1-aabbccdd00112233.c", "route-v1-aabbccdd00112233.so",
+             "route-v1-aa.lock", ".tmp-sim-v1-bb-99.so"]
+    for name in names:
+        (native / name).write_text("artifact")
 
+    from repro.eval.distributed import gc_store, inventory
 
-def test_harness_rejects_unknown_engine():
-    with pytest.raises(ReproError, match="unknown simulation engine"):
-        simulate_kernel("dwconv", "plaid", engine="warp")
+    inv = inventory(store)
+    assert inv.entries == 0 and inv.temp_files == 0
+    assert inv.total_bytes == 0
+
+    report = gc_store(store)
+    assert report.removed == 0 and report.kept == 0
+    assert sorted(p.name for p in native.iterdir()) == sorted(names)
+
+    assert cli_main(["cache", "stats", str(store)]) == 0
+    assert "native" not in capsys.readouterr().out.replace(str(store), "")
+    assert cli_main(["cache", "gc", str(store)]) == 0
+    assert "removed 0" in capsys.readouterr().out
+    assert sorted(p.name for p in native.iterdir()) == sorted(names)

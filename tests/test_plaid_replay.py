@@ -119,7 +119,7 @@ def _state_view(state: _State):
         "fu_nodes": mrrg._fu_nodes,
         "counts": mrrg._counts,
         "overused": set(mrrg._overused),
-        # A list under every engine (the native one keeps a ctypes array).
+        # Copied: the compiled core updates the array in place.
         "cost_base": None if mrrg._cost_base is None
         else list(mrrg._cost_base),
         "net_charges": mrrg._net_charges,

@@ -96,33 +96,6 @@ def test_random_dfg_maps_and_verifies_on_plaid(dfg):
     assert report.verified, report.mismatches[:3]
 
 
-@settings(deadline=None, max_examples=12,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-@given(dfg=random_dfg())
-def test_random_dfg_respects_race_cutoff_bounds(dfg):
-    """The invariant the portfolio racer's incumbent cutoff relies on
-    (:mod:`repro.mapping.race`): every legal mapping's makespan is at
-    least the distance-0 chain floor, hence its total cycles are at
-    least ``cycles_lower_bound`` at its II — so cutting a candidate off
-    once the bound loses can never discard a would-be winner."""
-    from repro.mapping import cycles_lower_bound, makespan_lower_bound
-
-    arch = make_spatio_temporal()
-    try:
-        mapping = GreedyRepairMapper(seed=5).map(dfg, arch)
-    except MappingError:
-        pytest.skip("fuzz graph exceeded the fabric (acceptable)")
-    floor = makespan_lower_bound(dfg)
-    assert mapping.makespan >= floor
-    assert mapping.total_cycles() >= cycles_lower_bound(dfg, mapping.ii,
-                                                        floor)
-    # Monotone in II: the cutoff's "loses now => loses at every higher
-    # II" step is exactly this.
-    assert cycles_lower_bound(dfg, mapping.ii + 1, floor) \
-        >= cycles_lower_bound(dfg, mapping.ii, floor)
-
-
 @settings(deadline=None, max_examples=15,
           suppress_health_check=[HealthCheck.too_slow])
 @given(dfg=random_dfg())

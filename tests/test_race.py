@@ -1,34 +1,54 @@
-"""Portfolio mapper racing: conformance with ``best``, cutoff soundness,
-tie-breaking, adaptive budgets, and oversubscription guards.
+"""The ``best`` composite and its ``race`` alias.
 
-The racer's contract (:mod:`repro.mapping.race`) is that only the
-*schedule* races — the winner must be bit-identical to the sequential
-``best`` composite, cutoffs may only skip provably losing work, and the
-budget advisor may reorder candidates but never change results.
+``best`` (the paper's baseline methodology) runs its candidate mappers
+back to back and keeps the one with the fewest total cycles, ties broken
+by registry candidate order.  ``race`` is a plain alias of ``best``: it
+must produce the same evaluation and keep the store fingerprints that
+earlier ``race`` entries were written under.
 """
 
-import os
+import dataclasses
 
 import pytest
 
-from repro.errors import MappingCutoff, MappingError
-from repro.eval import harness
-from repro.eval.harness import _seed_for, build_arch
-from repro.mapping import race
+from repro.eval import parallel
+from repro.eval.cache import result_to_dict
+from repro.eval.harness import (
+    _seed_for, build_arch, clear_caches, configure_store, evaluate_kernel,
+    evaluation_fingerprint,
+)
+from repro.mapping import common
 from repro.mapping.base import Mapping
 from repro.mapping.engine import (
-    default_engine, get_mapper, map_kernel, register_mapper,
-)
-from repro.mapping.race import (
-    BudgetAdvisor, configure_racing, cycles_lower_bound,
-    makespan_lower_bound, racing_workers, select_winner, shutdown_racing,
+    get_mapper, map_kernel, register_mapper, select_winner,
 )
 from repro.workloads import get_dfg
 
-#: The golden 5x3 grid's workloads (tests/data/golden_small_grid.json);
-#: their ``best``-mapped results on ``st`` are fixture-locked, so racing
-#: them is exactly the conformance surface the ISSUE pins down.
+#: The golden 5x3 grid's workloads (tests/data/golden_small_grid.json).
 GOLDEN_WORKLOADS = ["dwconv", "conv2x2", "gesum_u2", "atax_u2", "jacobi_u2"]
+
+#: ``evaluation_fingerprint(w, "st", "race")`` that existing store
+#: entries were written under; they must never change.
+RACE_FINGERPRINTS = {
+    "dwconv":
+        "5f455f9ede82fa9ff7980622bb245d9bd902ac69c08ceed04b735c3a9db0ba75",
+    "conv2x2":
+        "fc325557ef5f3342e663ff3971ec5bc17349ee359175849b4bdbcfd3310997df",
+    "gesum_u2":
+        "3f3137438cdb70ea4e75e1e47c36d0e9ff8014c999314f4779ea199ebec98461",
+    "atax_u2":
+        "73a45e0c7c0bbd438ab9834cb240d7cb706ab7240444fb4c0d128f90617c7d32",
+    "jacobi_u2":
+        "c657522add167ef4b2d569ab591ab534105de4baf5d1de1589ba7e9d01b2c009",
+}
+
+
+@pytest.fixture(autouse=True)
+def _fresh_harness():
+    clear_caches()
+    configure_store(None)           # results must not come from a store
+    yield
+    clear_caches()
 
 
 def _seeds(workload, arch_key="st"):
@@ -50,137 +70,6 @@ def _assert_bit_identical(raced: Mapping, best: Mapping, label: str):
     assert raced.stats.routing_failures == best.stats.routing_failures, label
 
 
-@pytest.fixture
-def reset_racing():
-    """Restore racing config (and tear down any pool) after a test."""
-    yield
-    configure_racing(max_workers=0, sweep_jobs=1)
-    shutdown_racing()
-
-
-# ---------------------------------------------------------------------------
-# Conformance: race == best, bit for bit
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
-def test_race_matches_best_interleaved(workload, reset_racing):
-    configure_racing(max_workers=1)     # force the in-process schedule
-    arch = build_arch("st")
-    best = map_kernel("best", get_dfg(workload), arch, _seeds(workload))
-    raced = map_kernel("race", get_dfg(workload), arch, _seeds(workload))
-    _assert_bit_identical(raced, best, workload)
-
-
-@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
-def test_race_matches_best_pooled(workload, reset_racing):
-    if "fork" not in __import__("multiprocessing").get_all_start_methods():
-        pytest.skip("no fork start method on this platform")
-    configure_racing(max_workers=2)     # force the process pool
-    arch = build_arch("st")
-    best = map_kernel("best", get_dfg(workload), arch, _seeds(workload))
-    raced = map_kernel("race", get_dfg(workload), arch, _seeds(workload))
-    _assert_bit_identical(raced, best, workload)
-
-
-def test_race_candidate_stats_recorded(reset_racing):
-    configure_racing(max_workers=1)
-    arch = build_arch("st")
-    raced = map_kernel("race", get_dfg("dwconv"), arch, _seeds("dwconv"))
-    info = get_mapper("race")
-    assert [c.key for c in raced.stats.candidates] == list(info.candidates)
-    outcomes = {c.key: c.outcome for c in raced.stats.candidates}
-    assert outcomes[raced.stats.mapper] == "won"
-    winner_stats = next(c for c in raced.stats.candidates
-                        if c.key == raced.stats.mapper)
-    assert winner_stats.ii == raced.ii
-    assert winner_stats.total_cycles == raced.total_cycles()
-    assert winner_stats.attempts == raced.stats.attempts
-    assert all(c.outcome in ("won", "lost", "cutoff", "failed")
-               for c in raced.stats.candidates)
-
-
-def test_best_candidate_stats_recorded():
-    arch = build_arch("st")
-    best = map_kernel("best", get_dfg("dwconv"), arch, _seeds("dwconv"))
-    assert [c.key for c in best.stats.candidates] \
-        == list(get_mapper("best").candidates)
-    outcomes = [c.outcome for c in best.stats.candidates]
-    assert outcomes.count("won") == 1
-    # The sequential composite never cuts anyone off.
-    assert "cutoff" not in outcomes
-
-
-# ---------------------------------------------------------------------------
-# Cutoff soundness
-# ---------------------------------------------------------------------------
-def test_makespan_lower_bound_holds_on_golden_mappings():
-    arch = build_arch("st")
-    for workload in GOLDEN_WORKLOADS:
-        dfg = get_dfg(workload)
-        floor = makespan_lower_bound(dfg)
-        assert floor >= 1
-        for key in get_mapper("best").candidates:
-            try:
-                mapping = map_kernel(key, get_dfg(workload), arch,
-                                     _seeds(workload))
-            except MappingError:
-                continue
-            assert mapping.makespan >= floor, (workload, key)
-            assert mapping.total_cycles() >= cycles_lower_bound(
-                mapping.dfg, mapping.ii, floor), (workload, key)
-
-
-@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
-def test_cutoff_candidates_provably_lose(workload, reset_racing):
-    """A candidate the racer cut off, run standalone to completion, must
-    never beat the declared winner under the (cycles, order) rule."""
-    configure_racing(max_workers=1)
-    arch = build_arch("st")
-    raced = map_kernel("race", get_dfg(workload), arch, _seeds(workload))
-    candidates = list(get_mapper("race").candidates)
-    winner_order = candidates.index(raced.stats.mapper)
-    winner_rank = (raced.total_cycles(), winner_order)
-    for cand in raced.stats.candidates:
-        if cand.outcome != "cutoff":
-            continue
-        try:
-            standalone = map_kernel(cand.key, get_dfg(workload), arch,
-                                    _seeds(workload))
-        except MappingError:
-            continue        # couldn't map at all: trivially no better
-        rank = (standalone.total_cycles(), candidates.index(cand.key))
-        assert rank > winner_rank, (workload, cand.key)
-
-
-def test_search_cutoff_raises_before_any_attempt():
-    dfg = get_dfg("dwconv")
-    arch = build_arch("st")
-    strategy = get_mapper("pathfinder").make(seed=7)
-    with pytest.raises(MappingCutoff) as exc:
-        default_engine().search(dfg, arch, strategy, cutoff=lambda ii: True)
-    assert exc.value.attempts == 0
-    assert exc.value.ii >= 1
-    # The cutoff is a MappingError subclass (engine plumbing) but the
-    # race driver consumes it — composites never surface it.
-    assert isinstance(exc.value, MappingError)
-
-
-def test_search_with_never_firing_cutoff_is_unchanged():
-    dfg = get_dfg("dwconv")
-    arch = build_arch("st")
-    plain = default_engine().search(
-        dfg, arch, get_mapper("pathfinder").make(seed=7))
-    gated = default_engine().search(
-        get_dfg("dwconv"), arch, get_mapper("pathfinder").make(seed=7),
-        cutoff=lambda ii: False)
-    assert gated.ii == plain.ii
-    assert gated.placement == plain.placement
-    assert gated.routes == plain.routes
-    assert gated.stats.attempts == plain.stats.attempts
-
-
-# ---------------------------------------------------------------------------
-# Tie-breaking (documented and locked)
-# ---------------------------------------------------------------------------
 def test_select_winner_breaks_ties_by_candidate_order():
     dfg = get_dfg("dwconv")
     arch = build_arch("st")
@@ -218,208 +107,89 @@ def test_best_tie_breaks_by_registry_candidate_order():
     assert reversed_best.stats.mapper == "sa"
 
 
-# ---------------------------------------------------------------------------
-# Adaptive budgets
-# ---------------------------------------------------------------------------
-def test_advisor_plan_without_history_is_neutral():
-    plan = BudgetAdvisor().plan(("pathfinder", "sa"), "ml", "sig")
-    assert plan.order == ("pathfinder", "sa")
-    assert plan.slices == {"pathfinder": 1, "sa": 1}
-
-
-def test_advisor_plan_prioritizes_historical_winner():
-    advisor = BudgetAdvisor({
-        ("ml", "sig", "sa"): [3, 3],
-        ("ml", "sig", "pathfinder"): [0, 3],
-    })
-    plan = advisor.plan(("pathfinder", "sa"), "ml", "sig")
-    assert plan.order == ("sa", "pathfinder")
-    assert plan.slices["sa"] > plan.slices["pathfinder"] == 1
-    # Other (domain, signature) pairs have no history: neutral plan.
-    neutral = advisor.plan(("pathfinder", "sa"), "image", "sig")
-    assert neutral.order == ("pathfinder", "sa")
-    assert neutral.slices == {"pathfinder": 1, "sa": 1}
-
-
-def test_advisor_from_store_counts_wins(tmp_path):
-    harness.clear_caches()
-    store = harness.configure_store(tmp_path / "store")
-    try:
-        results = {}
-        for key in ("pathfinder", "sa"):
-            results[key] = harness.evaluate_kernel("dwconv", "st", key)
-        advisor = BudgetAdvisor.from_store(store)
-        from repro.utils.signature import arch_structural_key
-        signature = arch_structural_key(build_arch("st"))
-        cheapest = min(results.values(), key=lambda r: r.cycles)
-        assert advisor.win_rate("ml", signature, cheapest.mapper) == 1.0
-        loser = "sa" if cheapest.mapper == "pathfinder" else "pathfinder"
-        if results[loser].cycles > cheapest.cycles:
-            assert advisor.win_rate("ml", signature, loser) == 0.0
-    finally:
-        harness.clear_caches()
-
-
-def test_advisor_never_changes_race_results(tmp_path, reset_racing):
-    """Warm history only reorders the schedule — winners stay identical."""
-    configure_racing(max_workers=1)
+def test_best_candidate_stats_recorded():
     arch = build_arch("st")
-    cold = {w: map_kernel("race", get_dfg(w), arch, _seeds(w))
-            for w in GOLDEN_WORKLOADS}
-    harness.clear_caches()
-    harness.configure_store(tmp_path / "store")
-    try:
-        for workload in GOLDEN_WORKLOADS:
-            for key in ("pathfinder", "sa"):
-                try:
-                    harness.evaluate_kernel(workload, "st", key)
-                except MappingError:
-                    pass
-        configure_racing(max_workers=1)
-        for workload in GOLDEN_WORKLOADS:
-            warm = map_kernel("race", get_dfg(workload), arch,
-                              _seeds(workload))
-            _assert_bit_identical(warm, cold[workload], workload)
-    finally:
-        harness.clear_caches()
-
-
-def test_clear_caches_drops_advisor_memo(tmp_path):
-    harness.clear_caches()
-    harness.configure_store(tmp_path / "store")
-    try:
-        race._active_advisor()
-        assert race._ADVISORS
-    finally:
-        harness.clear_caches()
-    assert not race._ADVISORS
-
-
-# ---------------------------------------------------------------------------
-# Oversubscription / configuration
-# ---------------------------------------------------------------------------
-def test_racing_workers_respects_sweep_share(reset_racing):
-    cpus = os.cpu_count() or 1
-    configure_racing(sweep_jobs=cpus)       # fair share collapses to 1
-    assert racing_workers(2) == 0
-    configure_racing(max_workers=2, sweep_jobs=1)
-    if "fork" in __import__("multiprocessing").get_all_start_methods():
-        assert racing_workers(2) == 2
-        assert racing_workers(3) == 2       # capped by the explicit limit
-    assert racing_workers(1) == 0           # nothing to race
-
-
-def test_racing_workers_env_override(reset_racing, monkeypatch):
-    monkeypatch.setenv(race.RACE_JOBS_ENV, "1")
-    assert racing_workers(2) == 0           # forced sequential
-    monkeypatch.setenv(race.RACE_JOBS_ENV, "not-a-number")
-    racing_workers(2)                       # falls back without raising
-
-
-def test_race_identical_under_sweep_worker_config(reset_racing):
-    """A sweep worker's configuration (fair share exhausted) must still
-    produce the bit-identical winner via the interleaved fallback."""
-    arch = build_arch("st")
-    best = map_kernel("best", get_dfg("atax_u2"), arch, _seeds("atax_u2"))
-    configure_racing(sweep_jobs=max(2, os.cpu_count() or 2))
-    raced = map_kernel("race", get_dfg("atax_u2"), arch, _seeds("atax_u2"))
-    _assert_bit_identical(raced, best, "atax_u2 under sweep_jobs cap")
+    best = map_kernel("best", get_dfg("dwconv"), arch, _seeds("dwconv"))
+    assert [c.key for c in best.stats.candidates] \
+        == list(get_mapper("best").candidates)
+    outcomes = [c.outcome for c in best.stats.candidates]
+    assert outcomes.count("won") == 1
+    assert set(outcomes) <= {"won", "lost", "failed"}
+    assert all(c.seconds > 0.0 for c in best.stats.candidates)
 
 
 def test_registry_race_entry():
     info = get_mapper("race")
     assert info.kind == "composite"
-    assert info.racing
     assert info.candidates == get_mapper("best").candidates
-    assert not get_mapper("best").racing
 
 
-# ---------------------------------------------------------------------------
-# Interrupt teardown: no orphaned workers, no poisoned pool/channel
-# ---------------------------------------------------------------------------
-def test_shutdown_retires_incumbent_channel(reset_racing):
-    """A worker of a torn-down pool may still publish into the shared
-    array it inherited; the next race must get a *fresh* channel so the
-    stale publish cannot poison its cutoffs."""
-    if "fork" not in __import__("multiprocessing").get_all_start_methods():
-        pytest.skip("no fork start method on this platform")
-    race._ensure_pool(2)
-    old_channel = race._INCUMBENT
-    assert old_channel is not None
-
-    shutdown_racing()
-    assert race._POOL is None
-    assert race._INCUMBENT is None          # channel retired with the pool
-
-    race._ensure_pool(2)
-    new_channel = race._INCUMBENT
-    assert new_channel is not None and new_channel is not old_channel
-    # A stale worker publishing into the retired channel...
-    with old_channel.get_lock():
-        old_channel[0] = 1
-        old_channel[1] = 0
-    # ...leaves the live race's incumbent untouched (no bogus cutoff).
-    with new_channel.get_lock():
-        assert new_channel[0] == race._NO_INCUMBENT
-        assert new_channel[1] == race._NO_INCUMBENT
+def test_race_candidate_stats_recorded():
+    arch = build_arch("st")
+    raced = map_kernel("race", get_dfg("dwconv"), arch, _seeds("dwconv"))
+    info = get_mapper("race")
+    assert [c.key for c in raced.stats.candidates] == list(info.candidates)
+    outcomes = {c.key: c.outcome for c in raced.stats.candidates}
+    assert outcomes[raced.stats.mapper] == "won"
+    winner_stats = next(c for c in raced.stats.candidates
+                        if c.key == raced.stats.mapper)
+    assert winner_stats.ii == raced.ii
+    assert winner_stats.total_cycles == raced.total_cycles()
+    assert winner_stats.attempts == raced.stats.attempts
+    assert all(c.outcome in ("won", "lost", "failed")
+               for c in raced.stats.candidates)
 
 
-def test_interrupted_race_tears_down_and_recovers(reset_racing,
-                                                  monkeypatch):
-    """Ctrl-C mid-race: the pool and channel are torn down before the
-    interrupt propagates, and the *next* composite mapping in the same
-    process races normally and stays bit-identical to ``best``."""
-    if "fork" not in __import__("multiprocessing").get_all_start_methods():
-        pytest.skip("no fork start method on this platform")
-    configure_racing(max_workers=2)
+def test_race_identical_under_sweep_worker_config():
+    """A sweep worker evaluates a ``race`` cell exactly as the parent
+    process evaluates ``best``, apart from the mapper name."""
+    best = evaluate_kernel("atax_u2", "st", "best")
+    clear_caches()
+    index, payload, error, _, _, _ = parallel._worker_evaluate(
+        (3, ("atax_u2", "st", "race"), None))
+    assert index == 3 and error is None
+    assert payload == result_to_dict(dataclasses.replace(best,
+                                                         mapper="race"))
+
+
+def test_interrupted_race_tears_down_and_recovers(monkeypatch):
+    """Ctrl-C inside a candidate's search propagates (it is not recorded
+    as a failed candidate), and the next composite mapping in the same
+    process is still bit-identical to ``best``."""
     arch = build_arch("st")
     dfg = get_dfg("dwconv")
-    race._ensure_pool(2)                    # a live pool to orphan
+    real = common.route_edge
+    calls = []
 
-    def interrupted(*_args, **_kwargs):
-        raise KeyboardInterrupt
+    def interrupted(*args, **kwargs):
+        # pathfinder routes dwconv's 5 edges in one attempt, so the 8th
+        # route call lands inside sa's search.
+        calls.append(None)
+        if len(calls) == 8:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(race, "_race_pooled", interrupted)
+        patch.setattr(common, "route_edge", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            race.run_race(get_mapper("race"), dfg, arch, _seeds("dwconv"))
+            map_kernel("race", dfg, arch, _seeds("dwconv"))
+    assert len(calls) == 8                  # interrupted mid-search
 
-    assert race._POOL is None               # no poisoned pool left behind
-    assert race._INCUMBENT is None          # no shared channel either
-
-    best = map_kernel("best", dfg, arch, _seeds("dwconv"))
-    raced = map_kernel("race", dfg, arch, _seeds("dwconv"))
+    best = map_kernel("best", get_dfg("dwconv"), arch, _seeds("dwconv"))
+    raced = map_kernel("race", get_dfg("dwconv"), arch, _seeds("dwconv"))
     _assert_bit_identical(raced, best, "recovery after interrupt")
 
 
-def test_broken_pool_still_falls_back_interleaved(reset_racing,
-                                                  monkeypatch):
-    """The pre-existing fallback contract survives the interrupt fix:
-    a broken pool degrades to the in-process schedule, same winner."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    configure_racing(max_workers=2)
-    arch = build_arch("st")
-    dfg = get_dfg("dwconv")
-
-    def broken(*_args, **_kwargs):
-        raise BrokenProcessPool("workers died")
-
-    best = map_kernel("best", dfg, arch, _seeds("dwconv"))
-    with monkeypatch.context() as patch:
-        patch.setattr(race, "_race_pooled", broken)
-        raced = race.run_race(get_mapper("race"), dfg, arch,
-                              _seeds("dwconv"))
-    _assert_bit_identical(raced, best, "broken-pool fallback")
+@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
+def test_race_alias_evaluates_like_best(workload):
+    assert get_mapper("race").candidates == get_mapper("best").candidates
+    best = evaluate_kernel(workload, "st", "best")
+    race = evaluate_kernel(workload, "st", "race")
+    assert race.mapper == "race"
+    assert dataclasses.replace(race, mapper="best") == best
 
 
-def test_advisor_counts_unreadable_history(tmp_path):
-    """`skipped_entries` distinguishes a cold store from corrupt
-    history (the serve /stats and `repro cache stats` surface)."""
-    from repro.eval.cache import ResultStore
-
-    store = ResultStore(tmp_path / "store")
-    (store.root / ("a" * 64 + ".json")).write_text("{ torn entry")
-    advisor = BudgetAdvisor.from_store(store)
-    assert advisor.skipped_entries == 1
-    assert BudgetAdvisor.from_store(None).skipped_entries == 0
+@pytest.mark.parametrize("workload", GOLDEN_WORKLOADS)
+def test_race_fingerprints_match_existing_stores(workload):
+    assert evaluation_fingerprint(workload, "st", "race") \
+        == RACE_FINGERPRINTS[workload]

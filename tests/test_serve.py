@@ -23,7 +23,6 @@ from repro.eval.reporting import SWEEP_HEADERS, sweep_rows
 from repro.eval.serve import (
     SERVER_BUSY, SweepServer, _parse_grid_spec,
 )
-from repro.mapping import race
 
 #: Small grid spanning both cache-relevant axes (two fabrics, distinct
 #: default mappers) without making every test pay for the full fleet.
@@ -38,8 +37,6 @@ def _fresh_harness():
     yield
     clear_caches()
     configure_store(None)
-    race.configure_racing(max_workers=0, sweep_jobs=1)
-    race.shutdown_racing()
 
 
 @pytest.fixture
