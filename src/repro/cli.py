@@ -510,18 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--iterations", type=int, default=8)
     p_sim.add_argument("--fill", type=int, default=3)
     p_sim.add_argument("--engine",
-                       choices=["compiled", "numpy", "reference"],
+                       choices=["compiled", "reference"],
                        default=None,
-                       help="simulation engine: the compiled schedule, its "
-                            "vectorized numpy replay, or the interpreted "
-                            "reference loop (all bit-identical; default "
-                            "$REPRO_SIM_ENGINE, else compiled)")
+                       help="simulation engine: the compiled schedule or "
+                            "the interpreted reference loop (bit-identical; "
+                            "default $REPRO_SIM_ENGINE, else compiled)")
     p_sim.add_argument("--trace", type=int, metavar="N", default=0,
-                       help="print the first N execution trace events "
-                            "(per-event tracing is scalar: the numpy "
-                            "engine falls back to the compiled engine; "
-                            "batch APIs trace per window when given one "
-                            "recorder per window)")
+                       help="print the first N execution trace events")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_report = sub.add_parser("report", help="print one experiment")

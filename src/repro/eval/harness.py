@@ -300,8 +300,7 @@ def simulate_kernel(workload: str, arch_key: str,
     Uses the same registry dispatch and stable per-configuration seeds
     as :func:`evaluate_kernel`, so the simulated mapping is exactly the
     one the metrics pipeline prices.  ``engine`` selects the compiled
-    schedule, the vectorized ``numpy`` replay of the same tables, or
-    the interpreted ``reference`` loop — all bit-identical by
+    schedule or the interpreted ``reference`` loop — bit-identical by
     invariant; ``None`` defers to the process-wide setting
     (``REPRO_SIM_ENGINE``, default compiled).  The knob exists for
     conformance and benchmarking.  Spatial fabrics run the phased

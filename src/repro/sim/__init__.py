@@ -10,10 +10,10 @@ purpose of the simulation is to verify the mapping and hardware design."
 Execution runs through the compiled engine (:mod:`repro.sim.engine`):
 mappings are compiled once into per-phase firing/transport tables and
 replayed with flat-list inner loops, bit-identical to the interpreted
-reference loop kept on :meth:`CGRASimulator.run_reference`.  The same
-tables also drive the vectorized numpy backend
-(:mod:`repro.sim.vector`), selected per call (``engine="numpy"``) or
-process-wide (``REPRO_SIM_ENGINE`` / :func:`set_simulation_engine`).
+reference loop kept on :meth:`CGRASimulator.run_reference`.  Those are
+the only two temporal engines (``compiled`` and ``reference``), selected
+per call (``engine=``) or process-wide (``REPRO_SIM_ENGINE`` /
+:func:`set_simulation_engine`).
 """
 
 from repro.sim.spm import Scratchpad
@@ -23,7 +23,6 @@ from repro.sim.engine import (
 )
 from repro.sim.machine import CGRASimulator
 from repro.sim.spatial_sim import SpatialSimulator
-from repro.sim.vector import VectorSchedule
 from repro.sim.config import ConfigBundle, encode_mapping
 from repro.sim.trace import TraceEvent, TraceRecorder
 
@@ -37,7 +36,6 @@ __all__ = [
     "SpatialSimulator",
     "TraceEvent",
     "TraceRecorder",
-    "VectorSchedule",
     "compile_mapping",
     "encode_mapping",
     "resolve_engine",

@@ -54,10 +54,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Engine selection (mirrors the REPRO_ROUTING_ENGINE knob of the router)
 # ---------------------------------------------------------------------------
-#: Temporal execution engines: ``compiled`` (PR 3 table replay), ``numpy``
-#: (PR 6 vectorized replay of the same tables), ``reference`` (the
-#: interpreted oracle).
-SIM_ENGINES = ("compiled", "numpy", "reference")
+#: Temporal execution engines: ``compiled`` (the table replay below, the
+#: one production engine) and ``reference`` (the interpreted oracle).
+SIM_ENGINES = ("compiled", "reference")
 
 SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
 
@@ -237,8 +236,8 @@ class CompiledSchedule:
     """A mapping compiled into per-phase firing/transport tables.
 
     Compile once (:func:`compile_mapping`), execute many windows — the
-    tables are independent of the iteration count, so batched
-    multi-window runs (:meth:`execute_batch`) pay compilation once.
+    tables are independent of the iteration count, so every
+    :meth:`execute` after the first reuses them.
     """
 
     def __init__(self, mapping) -> None:
@@ -494,39 +493,6 @@ class CompiledSchedule:
         report.bank_conflicts = spm.bank_conflicts
         final = spm.dump_image()
         return finish_verify(report, dfg, reference, final, total, verify)
-
-    def execute_batch(self, memories, iterations: int | None = None,
-                      verify: bool = True, trace=None
-                      ) -> list[SimulationReport]:
-        """Run one compiled schedule over many memory windows (compile
-        paid once; long-iteration workloads batch their windows here).
-
-        ``trace`` is either one shared :class:`TraceRecorder` or a
-        sequence of per-window recorders (``None`` entries skip a
-        window).  A shared recorder accumulates across windows — cycle
-        numbers restart per window, and a ``limit`` counts events over
-        the *whole batch*, so a limited shared recorder fills on the
-        first window; pass per-window recorders (what ``repro simulate
-        --trace`` documents) to trace every window independently."""
-        memories = list(memories)
-        traces = self._window_traces(trace, memories)
-        return [self.execute(memory, iterations=iterations, verify=verify,
-                             trace=window_trace)
-                for memory, window_trace in zip(memories, traces)]
-
-    @staticmethod
-    def _window_traces(trace, memories) -> list[TraceRecorder | None]:
-        """Normalize a batch ``trace`` argument to one recorder (or
-        ``None``) per window."""
-        if trace is None or isinstance(trace, TraceRecorder):
-            return [trace] * len(memories)
-        traces = list(trace)
-        if len(traces) != len(memories):
-            raise SimulationError(
-                f"per-window trace list has {len(traces)} recorders for "
-                f"{len(memories)} memory windows"
-            )
-        return traces
 
     # ------------------------------------------------------------------
     def _fire(self, cn: CompiledNode, k: int, cycle: int, cur, out_buf,

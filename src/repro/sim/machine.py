@@ -17,15 +17,14 @@ check the paper uses its cycle-accurate simulator for.
 
 Execution runs through the compiled engine (:mod:`repro.sim.engine`):
 :meth:`CGRASimulator.run` compiles the mapping once into per-phase
-firing/transport tables and replays them.  ``engine=`` (or the
-process-wide ``REPRO_SIM_ENGINE`` setting) selects between three
-bit-identical backends: ``compiled`` (the PR 3 table replay), ``numpy``
-(:mod:`repro.sim.vector` — the same tables evaluated as array
-operations), and ``reference`` — the original interpreted loop, kept as
-:meth:`CGRASimulator.run_reference`, the conformance oracle every other
+firing/transport tables and replays them; one simulator reuses that
+compiled schedule for every window it runs.  ``engine=`` (or the
+process-wide ``REPRO_SIM_ENGINE`` setting) selects between the two
+bit-identical backends: ``compiled`` (the table replay) and
+``reference`` — the original interpreted loop, kept as
+:meth:`CGRASimulator.run_reference`, the conformance oracle the compiled
 engine must match bit for bit (same report, same trace, same errors;
-``tests/test_sim_engine.py`` and ``tests/test_sim_vector.py`` lock
-this).
+``tests/test_sim_engine.py`` locks this).
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.sim.engine import (
 )
 from repro.sim.spm import Scratchpad
 from repro.sim.trace import TraceRecorder
-from repro.sim.vector import VectorSchedule
 
 __all__ = ["CGRASimulator", "SimulationReport"]
 
@@ -58,7 +56,6 @@ class CGRASimulator:
         self.arch = mapping.arch
         self.trace = trace
         self._compiled: CompiledSchedule | None = None
-        self._vector: VectorSchedule | None = None
 
     # ------------------------------------------------------------------
     def compiled(self) -> CompiledSchedule:
@@ -68,66 +65,23 @@ class CGRASimulator:
             self._compiled = compile_mapping(self.mapping)
         return self._compiled
 
-    def vector(self) -> VectorSchedule:
-        """The numpy replay of :meth:`compiled` (value plans cached per
-        iteration count, shared across windows and batches)."""
-        if self._vector is None:
-            self._vector = VectorSchedule(self.compiled())
-        return self._vector
-
     def run(self, memory: MemoryImage, iterations: int | None = None,
             verify: bool = True,
             engine: str | None = None) -> SimulationReport:
         """Simulate ``iterations`` pipelined iterations starting from
         ``memory`` (which is left untouched; the SPM gets a copy).
 
-        ``engine`` picks the backend (``compiled``/``numpy``/
-        ``reference``); ``None`` defers to the process-wide setting
-        (``REPRO_SIM_ENGINE`` / ``set_simulation_engine``).  All three
-        produce bit-identical reports, verify results and errors."""
-        name = resolve_engine(engine)
-        if name == "reference":
+        ``engine`` picks the backend (``compiled``/``reference``);
+        ``None`` defers to the process-wide setting
+        (``REPRO_SIM_ENGINE`` / ``set_simulation_engine``).  Both produce
+        bit-identical reports, verify results and errors.  Running
+        several windows means calling ``run`` once per window: the
+        compiled schedule is built on the first call and reused."""
+        if resolve_engine(engine) == "reference":
             return self.run_reference(memory, iterations=iterations,
                                       verify=verify)
-        if name == "numpy":
-            return self.vector().execute(memory, iterations=iterations,
-                                         verify=verify, trace=self.trace)
         return self.compiled().execute(memory, iterations=iterations,
                                        verify=verify, trace=self.trace)
-
-    def run_batch(self, memories, iterations: int | None = None,
-                  verify: bool = True, engine: str | None = None,
-                  trace=None) -> list[SimulationReport]:
-        """Run many memory windows through one compiled schedule.
-
-        ``trace`` overrides the simulator's recorder for this batch:
-        one shared :class:`TraceRecorder` (accumulates across windows —
-        a ``limit`` fills on the first window) or a sequence of
-        per-window recorders.  The ``numpy`` engine simulates the whole
-        batch in stacked array passes; traced batches fall back to the
-        compiled engine (per-event traces are inherently scalar)."""
-        batch_trace = self.trace if trace is None else trace
-        name = resolve_engine(engine)
-        if name == "reference":
-            memories = list(memories)
-            traces = CompiledSchedule._window_traces(batch_trace, memories)
-            reports = []
-            saved = self.trace
-            try:
-                for memory, window_trace in zip(memories, traces):
-                    self.trace = window_trace
-                    reports.append(self.run_reference(
-                        memory, iterations=iterations, verify=verify))
-            finally:
-                self.trace = saved
-            return reports
-        if name == "numpy":
-            return self.vector().execute_batch(
-                memories, iterations=iterations, verify=verify,
-                trace=batch_trace)
-        return self.compiled().execute_batch(memories, iterations=iterations,
-                                             verify=verify,
-                                             trace=batch_trace)
 
     # ------------------------------------------------------------------
     def run_reference(self, memory: MemoryImage,

@@ -1,9 +1,9 @@
 """Engine selection without the generated-C ``native`` backend.
 
 The routing and simulation engine registries are ``compiled`` and
-``reference`` (plus ``numpy`` for simulation).  ``native`` is no longer
-an engine: a stale ``REPRO_ROUTING_ENGINE=native`` or
-``REPRO_SIM_ENGINE=native`` must surface the same structured
+``reference``.  Neither ``native`` nor (for simulation) ``numpy`` is an
+engine any more: a stale ``REPRO_ROUTING_ENGINE=native`` or
+``REPRO_SIM_ENGINE=native|numpy`` must surface the same structured
 ``ConfigError`` naming the valid choices as any other invalid value —
 never a silent fallback — and a leftover ``<store>/native/`` artifact
 directory must be ignored, untouched, by ``repro cache stats``/``gc``.
@@ -57,9 +57,10 @@ def _probe_env(var, probe, value):
     out = proc.stdout
     assert out.startswith("ConfigError:")
     assert f"{var}={value!r}" in out
-    assert "compiled" in out and "reference" in out
-    if var == "REPRO_SIM_ENGINE":
-        assert "numpy" in out
+    # The valid-choices list names only the surviving engines.
+    choices = out.split(": valid ", 1)[1]
+    assert "compiled" in choices and "reference" in choices
+    assert "numpy" not in choices and "native" not in choices
     return out
 
 
@@ -72,15 +73,35 @@ def test_invalid_engine_env_is_structured_error(var, probe):
     assert "native" not in out
 
 
-@pytest.mark.parametrize("var,probe", ENV_PROBES)
-def test_stale_native_engine_env_is_structured_error(var, probe):
-    _probe_env(var, probe, "native")
+@pytest.mark.parametrize("var,probe,value", [
+    *((var, probe, "native") for var, probe in ENV_PROBES),
+    ("REPRO_SIM_ENGINE", _SIM_ENV_PROBE, "numpy"),
+])
+def test_stale_native_engine_env_is_structured_error(var, probe, value):
+    _probe_env(var, probe, value)
+
+
+def test_stale_numpy_sim_engine_env_fails_the_cli(tmp_path):
+    """``repro simulate`` exits 2 naming the bad value instead of
+    simulating; ``repro engines`` flags the environment with exit 1."""
+    env = dict(os.environ, **ENV, REPRO_SIM_ENGINE="numpy")
+
+    def repro(*argv):
+        return subprocess.run([sys.executable, "-m", "repro", *argv],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+
+    sim = repro("simulate", "--workload", "dwconv", "--arch", "plaid",
+                "--iterations", "4")
+    assert sim.returncode == 2
+    assert "invalid REPRO_SIM_ENGINE='numpy'" in sim.stderr
+    assert repro("engines").returncode == 1
 
 
 def test_native_engine_knob_round_trip():
     """The runtime setters refuse ``native`` and keep the active engine;
     a valid selection round-trips through the returned previous value."""
-    for setter, valid in ((set_simulation_engine, "numpy"),
+    for setter, valid in ((set_simulation_engine, "reference"),
                           (set_routing_engine, "reference")):
         previous = setter(valid)
         try:
@@ -92,7 +113,7 @@ def test_native_engine_knob_round_trip():
 
 
 def test_harness_rejects_unknown_engine():
-    for engine in ("warp", "native"):
+    for engine in ("warp", "native", "numpy"):
         with pytest.raises(ReproError, match="unknown simulation engine"):
             simulate_kernel("dwconv", "plaid", engine=engine)
 
@@ -104,8 +125,8 @@ def test_cli_engines_lists_and_marks_active(capsys):
     assert cli_main(["engines"]) == 0
     out = capsys.readouterr().out
     assert "routing engines" in out and "simulation engines" in out
-    assert "* compiled" in out and "numpy" in out and "reference" in out
-    assert "native" not in out
+    assert "* compiled" in out and "reference" in out
+    assert "native" not in out and "numpy" not in out
 
 
 def test_cache_stats_and_gc_cover_native(tmp_path, capsys):

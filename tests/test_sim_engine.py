@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ReproError, SimulationError
 from repro.eval.harness import build_arch, clear_caches, simulate_kernel
 from repro.frontend import compile_kernel
-from repro.ir.interpreter import DFGInterpreter
+from repro.ir.interpreter import DFGInterpreter, MemoryImage
 from repro.mapping.engine import get_mapper
 from repro.sim import CGRASimulator, SpatialSimulator, TraceRecorder
 from repro.sim.engine import SimulationReport
@@ -87,18 +87,33 @@ def test_conformance_across_window_sizes(iterations):
 
 
 def test_compile_once_batched_windows():
-    """run_batch reuses one compiled schedule; reports equal repeated
-    single runs."""
+    """One simulator runs several windows through one compiled schedule;
+    reports equal fresh single-window runs."""
     mapping = _small_mapping()
     simulator = CGRASimulator(mapping)
     memories = [DFGInterpreter(mapping.dfg).prepare_memory(fill=f)
                 for f in (1, 2, 3)]
-    batch = simulator.run_batch(memories, iterations=4)
-    assert simulator.compiled() is simulator.compiled()   # cached
+    schedule = simulator.compiled()
+    batch = [simulator.run(m, iterations=4) for m in memories]
+    assert simulator.compiled() is schedule                # cached
     singles = [CGRASimulator(mapping).run(m, iterations=4)
                for m in memories]
     assert batch == singles
     assert all(r.verified for r in batch)
+
+
+def test_negative_host_words_mask_like_the_scratchpad():
+    """Host images may carry signed words; both engines mask them to 16
+    bits on load (Scratchpad's to_unsigned) and agree bit for bit."""
+    mapping = _small_mapping()
+    memory = DFGInterpreter(mapping.dfg).prepare_memory(fill=3)
+    arrays = {name: list(memory.array(name)) for name in memory.names}
+    arrays["x"] = [-1, -32768, 7, 65535][:len(arrays["x"])]
+    signed = MemoryImage(arrays)
+    got = CGRASimulator(mapping).run(signed, iterations=4, verify=False)
+    want = CGRASimulator(mapping).run_reference(signed, iterations=4,
+                                                verify=False)
+    assert got == want
 
 
 def test_zero_iterations_rejected_by_both_engines():
@@ -251,6 +266,14 @@ def test_harness_simulate_kernel_temporal_and_spatial():
     spatial = simulate_kernel("dwconv", "spatial", iterations=4)
     assert spatial.verified is True
     assert isinstance(spatial, SimulationReport)
+
+
+def test_bank_conflicts_surface_on_reports_across_engines():
+    report = simulate_kernel("gesum_u2", "st", "pathfinder")
+    assert report.bank_conflicts > 0         # golden mapping has repeats
+    other = simulate_kernel("gesum_u2", "st", "pathfinder",
+                            engine="reference")
+    assert other.bank_conflicts == report.bank_conflicts
 
 
 def test_harness_simulate_kernel_rejects_unknown_engine():
