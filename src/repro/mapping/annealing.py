@@ -21,8 +21,8 @@ from repro.arch.base import Architecture
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import (
-    edge_indices_by_node, initial_placement, mapping_cost,
-    schedule_horizon, timing_feasible,
+    PlacementTables, SearchTables, edge_indices_by_node, initial_placement,
+    mapping_cost, route_all_edges,
 )
 from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
 from repro.mapping.router import route_edge
@@ -44,27 +44,31 @@ class SimulatedAnnealingMapper(MapperStrategy):
         self.seed = seed
 
     # ------------------------------------------------------------------
+    def prepare(self, dfg: DFG, arch: Architecture, rng,
+                **kwargs) -> SearchTables:
+        return SearchTables(dfg, arch)
+
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
                    restart: int, rng, lease: MRRGLease,
-                   context) -> Mapping | None:
-        return self._anneal(dfg, arch, ii, rng, lease)
+                   context: SearchTables) -> Mapping | None:
+        return self._anneal(context.at(ii), rng, lease)
 
     # ------------------------------------------------------------------
-    def _anneal(self, dfg: DFG, arch: Architecture, ii: int, rng,
+    def _anneal(self, tables: PlacementTables, rng,
                 lease: MRRGLease) -> Mapping | None:
+        dfg, arch, ii = tables.dfg, tables.arch, tables.ii
         placement = None
         for lateness in (0, 1, 2, 3):
             mrrg = lease.fresh()
-            placement = initial_placement(dfg, arch, mrrg, rng,
+            placement = initial_placement(tables, mrrg, rng,
                                           circuit_lateness=lateness)
             if placement is not None:
                 break
         if placement is None:
             return None
-        routes, failures = route_all(dfg, mrrg, placement)
+        routes, failures = route_all_edges(dfg, mrrg, placement)
         unrouted = set(failures)
         incident = edge_indices_by_node(dfg)
-        horizon = schedule_horizon(dfg, ii)
         node_ids = [node.node_id for node in dfg.nodes]
 
         cost = mapping_cost(mrrg, routes, len(unrouted))
@@ -73,8 +77,8 @@ class SimulatedAnnealingMapper(MapperStrategy):
             if not unrouted and mrrg.is_legal():
                 break
             node_id = rng.choice(node_ids)
-            candidate = self._candidate(dfg, arch, mrrg, placement,
-                                        node_id, horizon, rng)
+            candidate = self._candidate(tables, mrrg, placement, node_id,
+                                        rng)
             if candidate is None:
                 temperature *= self.cooling
                 continue
@@ -98,13 +102,12 @@ class SimulatedAnnealingMapper(MapperStrategy):
         return mapping
 
     # ------------------------------------------------------------------
-    def _candidate(self, dfg, arch, mrrg, placement, node_id, horizon, rng
-                   ) -> tuple[int, int] | None:
+    def _candidate(self, tables: PlacementTables, mrrg, placement,
+                   node_id, rng) -> tuple[int, int] | None:
         """Random compatible (fu, cycle) different from the current spot."""
-        node = dfg.node(node_id)
-        fus = arch.fus_supporting(node.op)
+        fus = tables.arch.fus_supporting(tables.ops[node_id])
+        horizon = tables.horizon
         current = placement[node_id]
-        others = {k: v for k, v in placement.items() if k != node_id}
         for _try in range(12):
             fu = rng.choice(fus)
             cycle = rng.randrange(horizon)
@@ -113,8 +116,7 @@ class SimulatedAnnealingMapper(MapperStrategy):
             occupant = mrrg.node_at(fu.fu_id, cycle)
             if occupant is not None and occupant != node_id:
                 continue
-            if not timing_feasible(dfg, arch, mrrg.ii, others,
-                                   node_id, fu.fu_id, cycle):
+            if not tables.timing_ok(placement, node_id, fu.fu_id, cycle):
                 continue
             return (fu.fu_id, cycle)
         return None
@@ -175,12 +177,6 @@ class SimulatedAnnealingMapper(MapperStrategy):
                 unrouted.add(index)
             else:
                 routes[index] = route
-
-
-def route_all(dfg, mrrg, placement):
-    """Route every data edge of a full placement (shared helper)."""
-    from repro.mapping.common import route_all_edges
-    return route_all_edges(dfg, mrrg, placement)
 
 
 register_mapper(

@@ -1,11 +1,22 @@
 """Machinery shared by the PathFinder, SA, and Plaid mappers.
 
 All mappers work with the same primitives: a *placement* (node -> (fu,
-absolute cycle)) maintained inside an MRRG, timing-feasibility checks
-against already-placed neighbours, and full or incremental edge routing.
+absolute cycle)) maintained inside an MRRG, the schedule horizon and
+modulo-ASAP times, and full or incremental edge routing.
+
+The PathFinder and SA baselines also share a list scheduler,
+:func:`initial_placement`, and the annealer's timing check.  Both read
+:class:`PlacementTables`: per-node edge tuples, neighbour lists and
+FU x FU latency and hop tables, built once per (DFG, fabric, II) in the
+strategies' ``prepare()`` (:class:`SearchTables`).  Since placed
+producers bound a node's cycle from below and placed consumers from
+above, the scheduler finds each FU's first feasible cycle with one
+:meth:`MRRG.first_free_cycle` scan of at most II slots.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -14,7 +25,7 @@ from repro.arch.mrrg import MRRG, Route
 from repro.arch.topology import manhattan
 from repro.ir.analysis import critical_path_length, topological_order
 from repro.ir.graph import DFG
-from repro.mapping.router import min_transport_latency, route_edge
+from repro.mapping.router import route_edge, transport_latency_table
 
 
 def schedule_horizon(dfg: DFG, ii: int) -> int:
@@ -62,11 +73,6 @@ def recurrence_nodes(dfg: DFG) -> set[int]:
     return members
 
 
-def placement_order(dfg: DFG) -> list[int]:
-    """Topological placement order (producers before consumers)."""
-    return topological_order(dfg)
-
-
 def edge_indices_by_node(dfg: DFG) -> dict[int, list[int]]:
     """node id -> indices (into dfg.edges) of all incident edges."""
     incident: dict[int, list[int]] = {node.node_id: [] for node in dfg.nodes}
@@ -77,105 +83,234 @@ def edge_indices_by_node(dfg: DFG) -> dict[int, list[int]]:
     return incident
 
 
-def timing_feasible(dfg: DFG, arch: Architecture, ii: int,
-                    placement: dict[int, tuple[int, int]],
-                    node_id: int, fu_id: int, cycle: int) -> bool:
-    """Can ``node_id`` sit at (fu, cycle) given its placed neighbours?
+def fu_hop_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
+    """FU x FU mesh distance between the FUs' tiles, built once per fabric
+    (cached on the architecture, like
+    :func:`~repro.mapping.router.transport_latency_table`)."""
+    table = getattr(arch, "_fu_hop_table", None)
+    if table is None:
+        tiles = [fu.tile for fu in arch.fus]
+        table = tuple(
+            tuple(manhattan(src_tile, dst_tile, arch.cols)
+                  for dst_tile in tiles)
+            for src_tile in tiles
+        )
+        arch._fu_hop_table = table
+    return table
 
-    Data edges need span >= the fabric's minimum transport latency;
-    ordering edges need span >= 1.  Spans include the modulo offset
-    ``distance * II`` for loop-carried dependences.
+
+class Window(NamedTuple):
+    """What a node's placed neighbours allow, before choosing an FU.
+
+    ``lo``/``hi`` are the FU-independent cycle bounds (ordering edges,
+    the node's ASAP time, the horizon).  Placed producers over data
+    edges add ``latency_row[fu] + offset`` to the lower bound; placed
+    consumers add ``offset - latency[fu][dst_fu]`` to the upper bound.
+    ``neighbour_fus`` are the FUs of the placed neighbours, the terms of
+    the proximity score.
     """
-    for edge in dfg.in_edges(node_id):
-        if edge.src == node_id:
-            src_fu, src_cycle = fu_id, cycle
-        elif edge.src in placement:
-            src_fu, src_cycle = placement[edge.src]
-        else:
-            continue
-        arrival = cycle + edge.distance * ii
-        needed = 1 if edge.is_ordering \
-            else min_transport_latency(arch, src_fu, fu_id)
-        if arrival - src_cycle < needed:
-            return False
-    for edge in dfg.out_edges(node_id):
-        if edge.dst == node_id:
-            continue   # handled above (self edge appears in in_edges too)
-        if edge.dst not in placement:
-            continue
-        dst_fu, dst_cycle = placement[edge.dst]
-        arrival = dst_cycle + edge.distance * ii
-        needed = 1 if edge.is_ordering \
-            else min_transport_latency(arch, fu_id, dst_fu)
-        if arrival - cycle < needed:
-            return False
-    return True
+
+    lo: int
+    lo_terms: tuple[tuple[tuple[int, ...], int], ...]
+    hi: int
+    hi_terms: tuple[tuple[int, int], ...]
+    self_edges: tuple[tuple[int, bool], ...]
+    neighbour_fus: tuple[int, ...]
 
 
-def proximity_score(arch: Architecture, placement, dfg: DFG,
-                    node_id: int, fu_id: int) -> int:
-    """Total mesh distance to placed neighbours (placement heuristic)."""
-    tile = arch.fu(fu_id).tile
-    score = 0
-    for other in set(dfg.predecessors(node_id)) | set(dfg.successors(node_id)):
-        if other in placement and other != node_id:
-            other_tile = arch.fu(placement[other][0]).tile
-            score += manhattan(tile, other_tile, arch.cols)
-    return score
+class PlacementTables:
+    """Scheduling tables of one (DFG, fabric, II), built once per search.
+
+    Edges are stored per node as ``(other, distance * II, is_ordering)``
+    tuples, split into in-edges, out-edges (both without self-edges) and
+    self-edges ``(distance * II, is_ordering)``.  A data edge needs a
+    span of at least the fabric's minimum transport latency, an ordering
+    edge a span of at least 1; spans include the modulo offset.
+
+    Because a placed producer only bounds a node's cycle from below and a
+    placed consumer only from above, the timing-feasible cycles of a node
+    on one FU form an interval (:meth:`window`, :meth:`first_cycle`).
+    """
+
+    def __init__(self, dfg: DFG, arch: Architecture, ii: int) -> None:
+        self.dfg = dfg
+        self.arch = arch
+        self.ii = ii
+        self.horizon = schedule_horizon(dfg, ii)
+        self.asap = modulo_asap(dfg, ii)
+        # Producers before consumers over intra-iteration edges.
+        self.order = topological_order(dfg)
+        self.latency = transport_latency_table(arch)
+        self.hops = fu_hop_table(arch)
+        self.ops = {node.node_id: node.op for node in dfg.nodes}
+        self.in_edges: dict[int, tuple[tuple[int, int, bool], ...]] = {}
+        self.out_edges: dict[int, tuple[tuple[int, int, bool], ...]] = {}
+        self.self_edges: dict[int, tuple[tuple[int, bool], ...]] = {}
+        self.neighbours: dict[int, tuple[int, ...]] = {}
+        for node_id in self.ops:
+            in_edges = dfg.in_edges(node_id)
+            self.in_edges[node_id] = tuple(
+                (edge.src, edge.distance * ii, edge.is_ordering)
+                for edge in in_edges if edge.src != node_id)
+            self.out_edges[node_id] = tuple(
+                (edge.dst, edge.distance * ii, edge.is_ordering)
+                for edge in dfg.out_edges(node_id) if edge.dst != node_id)
+            self.self_edges[node_id] = tuple(
+                (edge.distance * ii, edge.is_ordering)
+                for edge in in_edges if edge.src == node_id)
+            self.neighbours[node_id] = tuple(
+                other for other in sorted(
+                    set(dfg.predecessors(node_id))
+                    | set(dfg.successors(node_id)))
+                if other != node_id)
+        self._recurrence: set[int] | None = None
+
+    @property
+    def recurrence_nodes(self) -> set[int]:
+        if self._recurrence is None:
+            self._recurrence = recurrence_nodes(self.dfg)
+        return self._recurrence
+
+    def window(self, placement: dict[int, tuple[int, int]], node_id: int,
+               node_asap: int) -> Window:
+        """Bounds that the placed neighbours put on an unplaced node."""
+        latency = self.latency
+        lo = node_asap
+        lo_terms = []
+        for src, span, ordering in self.in_edges[node_id]:
+            spot = placement.get(src)
+            if spot is None:
+                continue
+            if ordering:
+                lo = max(lo, spot[1] + 1 - span)
+            else:
+                lo_terms.append((latency[spot[0]], spot[1] - span))
+        hi = self.horizon - 1
+        hi_terms = []
+        for dst, span, ordering in self.out_edges[node_id]:
+            spot = placement.get(dst)
+            if spot is None:
+                continue
+            if ordering:
+                hi = min(hi, spot[1] + span - 1)
+            else:
+                hi_terms.append((spot[0], spot[1] + span))
+        neighbour_fus = tuple(
+            placement[other][0] for other in self.neighbours[node_id]
+            if other in placement)
+        return Window(lo, tuple(lo_terms), hi, tuple(hi_terms),
+                      self.self_edges[node_id], neighbour_fus)
+
+    def first_cycle(self, mrrg: MRRG, window: Window, fu_id: int,
+                    cap: int) -> int | None:
+        """Earliest timing-feasible cycle no later than ``cap`` whose
+        modulo slot on ``fu_id`` is free; None when there is none."""
+        lo, lo_terms, hi, hi_terms, self_edges, _ = window
+        row = self.latency[fu_id]
+        for span, ordering in self_edges:
+            if span < (1 if ordering else row[fu_id]):
+                return None
+        for src_row, offset in lo_terms:
+            bound = src_row[fu_id] + offset
+            if bound > lo:
+                lo = bound
+        if cap < hi:
+            hi = cap
+        for dst_fu, offset in hi_terms:
+            bound = offset - row[dst_fu]
+            if bound < hi:
+                hi = bound
+        return mrrg.first_free_cycle(fu_id, lo if lo > 0 else 0, hi)
+
+    def proximity(self, window: Window, fu_id: int) -> int:
+        """Total mesh distance from ``fu_id`` to the placed neighbours."""
+        row = self.hops[fu_id]
+        return sum(row[other_fu] for other_fu in window.neighbour_fus)
+
+    def timing_ok(self, placement: dict[int, tuple[int, int]],
+                  node_id: int, fu_id: int, cycle: int) -> bool:
+        """Can ``node_id`` sit at (fu, cycle) given its placed neighbours?
+        (Entries for ``node_id`` itself in ``placement`` are ignored.)"""
+        latency = self.latency
+        row = latency[fu_id]
+        for span, ordering in self.self_edges[node_id]:
+            if span < (1 if ordering else row[fu_id]):
+                return False
+        for src, span, ordering in self.in_edges[node_id]:
+            spot = placement.get(src)
+            if spot is not None and cycle + span - spot[1] < (
+                    1 if ordering else latency[spot[0]][fu_id]):
+                return False
+        for dst, span, ordering in self.out_edges[node_id]:
+            spot = placement.get(dst)
+            if spot is not None and spot[1] + span - cycle < (
+                    1 if ordering else row[spot[0]]):
+                return False
+        return True
 
 
-def initial_placement(dfg: DFG, arch: Architecture, mrrg: MRRG,
-                      rng, circuit_lateness: int = 0
+class SearchTables:
+    """The :class:`PlacementTables` of one search, built lazily per II.
+
+    The baseline strategies return one from ``prepare()``, so restarts
+    and II escalations share the tables and nothing outlives the search.
+    """
+
+    def __init__(self, dfg: DFG, arch: Architecture) -> None:
+        self.dfg = dfg
+        self.arch = arch
+        self._by_ii: dict[int, PlacementTables] = {}
+
+    def at(self, ii: int) -> PlacementTables:
+        tables = self._by_ii.get(ii)
+        if tables is None:
+            tables = self._by_ii[ii] = PlacementTables(
+                self.dfg, self.arch, ii)
+        return tables
+
+
+def initial_placement(tables: PlacementTables, mrrg: MRRG, rng,
+                      circuit_lateness: int = 0
                       ) -> dict[int, tuple[int, int]] | None:
     """List-schedule every node onto the MRRG; None when stuck.
 
-    Nodes go in topological order; each picks the compatible FU / earliest
-    cycle minimizing (cycle, distance to neighbours), breaking ties
-    randomly so restarts explore different placements.
+    Nodes go in topological order; each takes the compatible FU and
+    earliest feasible cycle minimizing (cycle, distance to placed
+    neighbours).  Candidate FUs are tried in an order shuffled by
+    ``rng`` and ties go to the first of them, so restarts explore
+    different placements.
 
     ``circuit_lateness`` delays recurrence-circuit nodes past their
     modulo-ASAP time, buying transport headroom for the feed-in logic —
     mappers sweep it across restarts when circuits are hard to close.
     """
-    placement: dict[int, tuple[int, int]] = {}
-    horizon = schedule_horizon(dfg, mrrg.ii)
-    asap = modulo_asap(dfg, mrrg.ii)
+    asap = tables.asap
     if asap is None:
         return None     # II below the recurrence bound
-    late_nodes = recurrence_nodes(dfg) if circuit_lateness else set()
-    for node_id in placement_order(dfg):
-        node = dfg.node(node_id)
-        candidates = list(arch.fus_supporting(node.op))
+    late_nodes = tables.recurrence_nodes if circuit_lateness else ()
+    fus_supporting = tables.arch.fus_supporting
+    ops = tables.ops
+    placement: dict[int, tuple[int, int]] = {}
+    for node_id in tables.order:
+        candidates = list(fus_supporting(ops[node_id]))
         rng.shuffle(candidates)
-        best: tuple[int, int] | None = None
-        best_key: tuple[int, int] | None = None
         node_asap = asap[node_id]
         if node_id in late_nodes:
             node_asap += circuit_lateness
+        window = tables.window(placement, node_id, node_asap)
+        best: tuple[int, int] | None = None
+        best_score = 0
+        cap = tables.horizon - 1
         for fu in candidates:
-            earliest = node_asap
-            for edge in dfg.in_edges(node_id):
-                if edge.src not in placement or edge.src == node_id:
-                    continue
-                src_fu, src_cycle = placement[edge.src]
-                needed = 1 if edge.is_ordering \
-                    else min_transport_latency(arch, src_fu, fu.fu_id)
-                earliest = max(
-                    earliest,
-                    src_cycle + needed - edge.distance * mrrg.ii,
-                )
-            for cycle in range(max(earliest, 0), horizon):
-                if not mrrg.fu_free(fu.fu_id, cycle):
-                    continue
-                if not timing_feasible(dfg, arch, mrrg.ii, placement,
-                                       node_id, fu.fu_id, cycle):
-                    continue
-                key = (cycle, proximity_score(arch, placement, dfg,
-                                              node_id, fu.fu_id))
-                if best_key is None or key < best_key:
-                    best = (fu.fu_id, cycle)
-                    best_key = key
-                break   # first feasible cycle on this FU is its best
+            # Only a cycle <= cap can beat or tie the incumbent.
+            cycle = tables.first_cycle(mrrg, window, fu.fu_id, cap)
+            if cycle is None:
+                continue
+            score = tables.proximity(window, fu.fu_id)
+            if best is None or cycle < cap or score < best_score:
+                best = (fu.fu_id, cycle)
+                best_score = score
+                cap = cycle
         if best is None:
             return None
         placement[node_id] = best

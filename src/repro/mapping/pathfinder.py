@@ -27,7 +27,8 @@ from repro.arch.base import Architecture
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import (
-    initial_placement, route_all_edges, route_one_edge,
+    PlacementTables, SearchTables, initial_placement, route_all_edges,
+    route_one_edge,
 )
 from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
 from repro.mapping.router import RoutingHistory
@@ -49,20 +50,24 @@ class PathFinderMapper(MapperStrategy):
         self.seed = seed
         self.incremental = incremental
 
+    def prepare(self, dfg: DFG, arch: Architecture, rng,
+                **kwargs) -> SearchTables:
+        return SearchTables(dfg, arch)
+
     def attempts_per_ii(self, ii: int, context) -> int:
         return self.restarts
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
                    restart: int, rng, lease: MRRGLease,
-                   context) -> Mapping | None:
-        return self._try_ii(dfg, arch, ii, rng, lease,
+                   context: SearchTables) -> Mapping | None:
+        return self._try_ii(context.at(ii), rng, lease,
                             circuit_lateness=restart % 4)
 
-    def _try_ii(self, dfg: DFG, arch: Architecture, ii: int, rng,
-                lease: MRRGLease, circuit_lateness: int = 0
-                ) -> Mapping | None:
+    def _try_ii(self, tables: PlacementTables, rng, lease: MRRGLease,
+                circuit_lateness: int = 0) -> Mapping | None:
+        dfg, arch, ii = tables.dfg, tables.arch, tables.ii
         mrrg = lease.fresh()
-        placement = initial_placement(dfg, arch, mrrg, rng,
+        placement = initial_placement(tables, mrrg, rng,
                                       circuit_lateness=circuit_lateness)
         if placement is None:
             return None

@@ -1,0 +1,273 @@
+"""Bit-identity lock on every mapping the PathFinder and SA baselines make.
+
+``tests/data/baseline_mapping_digests.json`` holds, per (workload, arch,
+mapper) cell, the :func:`mapping_digest` of the mapping (II, placement,
+route steps) and the search's ``stats.attempts``: every registry workload
+on ``st``, ``st-ml`` and ``plaid`` under ``pathfinder`` and ``sa``.  The
+baselines' list scheduler and the annealer's move generator read
+per-search tables; any change to them must leave every digest, and so
+every RNG draw, untouched.
+
+The per-edge timing check and proximity score the tables replace live on
+here as the oracle: a property test checks, over random partial
+placements, that the table-driven first feasible cycle and proximity of
+every FU equal a brute-force scan, and that the list scheduler built on
+them places exactly like the cycle-by-cycle scan.
+
+To regenerate after an intentional change to mapper behaviour, run
+``PYTHONPATH=src python tests/test_baseline_mapper_identity.py`` and
+explain the shift in the commit message.
+"""
+
+import copy
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.arch import MRRG
+from repro.arch.topology import manhattan
+from repro.errors import MappingError
+from repro.ir.graph import ORDERING
+from repro.eval.harness import _seed_for, build_arch
+from repro.mapping import engine as mapping_engine
+from repro.mapping.common import PlacementTables, initial_placement
+from repro.mapping.router import min_transport_latency
+from repro.workloads import get_dfg
+from repro.workloads.registry import all_workloads
+
+from test_plaid_mapper_identity import mapping_digest
+
+DIGEST_PATH = Path(__file__).parent / "data" / "baseline_mapping_digests.json"
+
+WORKLOADS = tuple(spec.name for spec in all_workloads())
+CELLS = tuple(
+    (workload, arch_key, mapper_key)
+    for workload in WORKLOADS
+    for arch_key in ("st", "st-ml", "plaid")
+    for mapper_key in ("pathfinder", "sa")
+)
+
+
+def cell_record(workload: str, arch_key: str, mapper_key: str) -> dict:
+    """Digest and attempt count of one cell (or its failure)."""
+    try:
+        mapping = mapping_engine.map_kernel(
+            mapper_key, get_dfg(workload), build_arch(arch_key),
+            lambda key: _seed_for(workload, arch_key, key))
+    except MappingError as failure:
+        return {"error": str(failure),
+                "attempts": getattr(failure, "attempts", 0)}
+    return {"digest": mapping_digest(mapping),
+            "attempts": mapping.stats.attempts}
+
+
+def cell_id(cell) -> str:
+    return "/".join(cell)
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return json.loads(DIGEST_PATH.read_text())
+
+
+def test_fixture_covers_every_cell(digests):
+    assert len(CELLS) == 180
+    assert sorted(digests) == sorted(cell_id(cell) for cell in CELLS)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=cell_id)
+def test_mapping_matches_digest(cell, digests):
+    assert cell_record(*cell) == digests[cell_id(cell)], (
+        f"mapping of {cell_id(cell)} moved; if intentional, regenerate "
+        "tests/data/baseline_mapping_digests.json (see module docstring)"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-edge checks and the cycle-by-cycle list scheduler
+# ---------------------------------------------------------------------------
+def timing_feasible(dfg, arch, ii, placement, node_id, fu_id, cycle):
+    """Can ``node_id`` sit at (fu, cycle) given its placed neighbours?
+
+    Data edges need span >= the fabric's minimum transport latency;
+    ordering edges need span >= 1.  Spans include the modulo offset
+    ``distance * II`` for loop-carried dependences.
+    """
+    for edge in dfg.in_edges(node_id):
+        if edge.src == node_id:
+            src_fu, src_cycle = fu_id, cycle
+        elif edge.src in placement:
+            src_fu, src_cycle = placement[edge.src]
+        else:
+            continue
+        arrival = cycle + edge.distance * ii
+        needed = 1 if edge.is_ordering \
+            else min_transport_latency(arch, src_fu, fu_id)
+        if arrival - src_cycle < needed:
+            return False
+    for edge in dfg.out_edges(node_id):
+        if edge.dst == node_id:
+            continue   # handled above (self edge appears in in_edges too)
+        if edge.dst not in placement:
+            continue
+        dst_fu, dst_cycle = placement[edge.dst]
+        arrival = dst_cycle + edge.distance * ii
+        needed = 1 if edge.is_ordering \
+            else min_transport_latency(arch, fu_id, dst_fu)
+        if arrival - cycle < needed:
+            return False
+    return True
+
+
+def proximity_score(arch, placement, dfg, node_id, fu_id):
+    """Total mesh distance to placed neighbours (placement heuristic)."""
+    tile = arch.fu(fu_id).tile
+    score = 0
+    for other in set(dfg.predecessors(node_id)) | set(dfg.successors(node_id)):
+        if other in placement and other != node_id:
+            other_tile = arch.fu(placement[other][0]).tile
+            score += manhattan(tile, other_tile, arch.cols)
+    return score
+
+
+def scan_first_cycle(dfg, arch, mrrg, placement, node_id, fu_id,
+                     node_asap, cap):
+    """First free, timing-feasible cycle <= cap, found cycle by cycle."""
+    earliest = node_asap
+    for edge in dfg.in_edges(node_id):
+        if edge.src not in placement or edge.src == node_id:
+            continue
+        src_fu, src_cycle = placement[edge.src]
+        needed = 1 if edge.is_ordering \
+            else min_transport_latency(arch, src_fu, fu_id)
+        earliest = max(earliest, src_cycle + needed - edge.distance * mrrg.ii)
+    for cycle in range(max(earliest, 0), cap + 1):
+        if mrrg.fu_free(fu_id, cycle) and timing_feasible(
+                dfg, arch, mrrg.ii, placement, node_id, fu_id, cycle):
+            return cycle
+    return None
+
+
+def scan_initial_placement(tables, mrrg, rng, circuit_lateness=0):
+    """The list scheduler as a scan over every FU and cycle."""
+    dfg, arch = tables.dfg, tables.arch
+    if tables.asap is None:
+        return None
+    late_nodes = tables.recurrence_nodes if circuit_lateness else set()
+    placement = {}
+    for node_id in tables.order:
+        candidates = list(arch.fus_supporting(dfg.node(node_id).op))
+        rng.shuffle(candidates)
+        node_asap = tables.asap[node_id]
+        if node_id in late_nodes:
+            node_asap += circuit_lateness
+        best = best_key = None
+        for fu in candidates:
+            cycle = scan_first_cycle(dfg, arch, mrrg, placement, node_id,
+                                     fu.fu_id, node_asap, tables.horizon - 1)
+            if cycle is None:
+                continue
+            key = (cycle, proximity_score(arch, placement, dfg, node_id,
+                                          fu.fu_id))
+            if best_key is None or key < best_key:
+                best, best_key = (fu.fu_id, cycle), key
+        if best is None:
+            return None
+        placement[node_id] = best
+        mrrg.place_node(node_id, best[0], best[1])
+    return placement
+
+
+def random_partial_placement(tables, mrrg, rng, exclude=None):
+    """Place a random subset of nodes on random free (fu, cycle) spots."""
+    dfg, arch = tables.dfg, tables.arch
+    placement = {}
+    node_ids = [node.node_id for node in dfg.nodes if node.node_id != exclude]
+    for node_id in rng.sample(node_ids, rng.randrange(len(node_ids) + 1)):
+        fu = rng.choice(arch.fus_supporting(tables.ops[node_id]))
+        cycle = rng.randrange(tables.horizon)
+        if mrrg.fu_free(fu.fu_id, cycle):
+            mrrg.place_node(node_id, fu.fu_id, cycle)
+            placement[node_id] = (fu.fu_id, cycle)
+    return placement
+
+
+def with_extra_edges(dfg, rng):
+    """A copy of ``dfg`` plus a few random loop-carried ordering edges
+    (self-edges included), so that short-distance bounds get exercised."""
+    dfg = copy.deepcopy(dfg)
+    node_ids = [node.node_id for node in dfg.nodes]
+    for _ in range(rng.randrange(4)):
+        dfg.add_edge(rng.choice(node_ids), rng.choice(node_ids), ORDERING,
+                     distance=rng.randint(1, 2))
+    return dfg
+
+
+ORACLE_ARCHS = ("st", "st-ml", "plaid")
+
+
+@settings(max_examples=80, deadline=None)
+@given(workload=st.sampled_from(WORKLOADS),
+       arch_key=st.sampled_from(ORACLE_ARCHS),
+       ii=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_cycle_and_proximity_match_scan(workload, arch_key, ii, seed):
+    rng = random.Random(seed)
+    dfg, arch = with_extra_edges(get_dfg(workload), rng), build_arch(arch_key)
+    tables = PlacementTables(dfg, arch, ii)
+    mrrg = MRRG(arch, ii)
+    node_id = rng.choice([node.node_id for node in dfg.nodes])
+    placement = random_partial_placement(tables, mrrg, rng, exclude=node_id)
+    node_asap = rng.choice((0, rng.randrange(tables.horizon)))
+    cap = rng.choice((tables.horizon - 1, rng.randrange(tables.horizon)))
+    window = tables.window(placement, node_id, node_asap)
+    for fu in arch.fus_supporting(tables.ops[node_id]):
+        assert tables.first_cycle(mrrg, window, fu.fu_id, cap) == \
+            scan_first_cycle(dfg, arch, mrrg, placement, node_id, fu.fu_id,
+                             node_asap, cap)
+        assert tables.proximity(window, fu.fu_id) == \
+            proximity_score(arch, placement, dfg, node_id, fu.fu_id)
+
+
+@settings(max_examples=40, deadline=None)
+@given(workload=st.sampled_from(WORKLOADS),
+       arch_key=st.sampled_from(ORACLE_ARCHS),
+       ii=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_timing_ok_matches_oracle(workload, arch_key, ii, seed):
+    """The annealer's check, with the moving node itself placed."""
+    rng = random.Random(seed)
+    dfg, arch = with_extra_edges(get_dfg(workload), rng), build_arch(arch_key)
+    tables = PlacementTables(dfg, arch, ii)
+    placement = random_partial_placement(tables, MRRG(arch, ii), rng)
+    node_id = rng.choice([node.node_id for node in dfg.nodes])
+    others = {k: v for k, v in placement.items() if k != node_id}
+    for fu in arch.fus_supporting(tables.ops[node_id]):
+        for cycle in range(tables.horizon):
+            assert tables.timing_ok(placement, node_id, fu.fu_id, cycle) \
+                == timing_feasible(dfg, arch, ii, others, node_id,
+                                   fu.fu_id, cycle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(workload=st.sampled_from(WORKLOADS),
+       arch_key=st.sampled_from(ORACLE_ARCHS),
+       ii=st.integers(1, 6), lateness=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_initial_placement_matches_scan(workload, arch_key, ii, lateness,
+                                        seed):
+    dfg = with_extra_edges(get_dfg(workload), random.Random(seed))
+    tables = PlacementTables(dfg, build_arch(arch_key), ii)
+    rng, scan_rng = random.Random(seed), random.Random(seed)
+    arch = tables.arch
+    assert initial_placement(tables, MRRG(arch, ii), rng, lateness) == \
+        scan_initial_placement(tables, MRRG(arch, ii), scan_rng, lateness)
+    assert rng.getstate() == scan_rng.getstate()
+
+
+if __name__ == "__main__":
+    DIGEST_PATH.write_text(json.dumps(
+        {cell_id(cell): cell_record(*cell) for cell in CELLS},
+        indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(CELLS)} digests to {DIGEST_PATH}")
