@@ -13,6 +13,10 @@ standalone nodes" refinement, exactly as the paper describes:
 
 The loop also stops when the number of motifs exceeds the number of
 standalone nodes (to keep both the motif compute unit and the ALSU busy).
+Finally, motifs that close a distance-0 cycle between groups (a motif
+whose output feeds, through other groups, back into one of its own
+inputs) are dissolved: such a decomposition has no dependency order, so
+no mapper could place its motifs as units.
 """
 
 from __future__ import annotations
@@ -81,6 +85,72 @@ class MotifGenerationResult:
             raise AssertionError("motifs + standalone != compute nodes")
         if seen & set(self.standalone):
             raise AssertionError("standalone node also inside a motif")
+
+
+def group_cycle(dfg: DFG, node_to_group: dict[int, int]) -> list[int] | None:
+    """Groups on one distance-0 dependence cycle of the quotient graph.
+
+    ``node_to_group`` maps node ids to group ids; nodes it omits are
+    their own groups.  Edges follow :meth:`HierarchicalDFG.group_dependencies`
+    (distance-0 data edges between different groups).  Returns ``None``
+    when the quotient graph is acyclic.
+    """
+    def group(node_id: int) -> tuple[int, int]:
+        if node_id in node_to_group:
+            return (0, node_to_group[node_id])
+        return (1, node_id)
+
+    preds: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    succs: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for edge in dfg.data_edges:
+        src, dst = group(edge.src), group(edge.dst)
+        if edge.distance == 0 and src != dst:
+            preds.setdefault(dst, set()).add(src)
+            succs.setdefault(src, set()).add(dst)
+    # Peel groups without predecessors, then groups without successors;
+    # whatever survives both lies between cycles.
+    live = set(preds) | set(succs)
+    for incoming in (preds, succs):
+        ready = [g for g in live if not incoming.get(g, set()) & live]
+        while ready:
+            current = ready.pop()
+            live.discard(current)
+            outgoing = succs if incoming is preds else preds
+            for nxt in outgoing.get(current, ()):
+                if nxt in live and not incoming[nxt] & live:
+                    ready.append(nxt)
+    if not live:
+        return None
+    # Every survivor has a surviving predecessor: walk them to a repeat.
+    path: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int], int] = {}
+    current = min(live)
+    while current not in seen:
+        seen[current] = len(path)
+        path.append(current)
+        current = min(preds[current] & live)
+    cycle = path[seen[current]:]
+    return [gid for kind, gid in cycle if kind == 0]
+
+
+def _dissolve_cyclic_motifs(dfg: DFG, motifs: list[Motif],
+                            available: set[int]) -> None:
+    """Break distance-0 cycles between groups by dissolving motifs.
+
+    The latest-generated motif on each cycle returns its nodes to
+    ``available``; repeats until the quotient graph is acyclic.  Mutates
+    both arguments.
+    """
+    while True:
+        node_to_group = {
+            node_id: index for index, motif in enumerate(motifs)
+            for node_id in motif.nodes
+        }
+        cycle = group_cycle(dfg, node_to_group)
+        if cycle is None:
+            return
+        victim = motifs.pop(max(cycle))
+        available.update(victim.nodes)
 
 
 def _greedy_pass(dfg: DFG, available: set[int],
@@ -167,6 +237,8 @@ def generate_motifs(dfg: DFG, seed: int | random.Random | None = None,
             if pair is not None:
                 motifs.append(pair)
                 available.difference_update(pair.nodes)
+
+    _dissolve_cyclic_motifs(dfg, motifs, available)
 
     result = MotifGenerationResult(
         dfg=dfg,

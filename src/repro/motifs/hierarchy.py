@@ -13,7 +13,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import MotifError
 from repro.ir.graph import DFG, DFGEdge
-from repro.motifs.generation import MotifGenerationResult, generate_motifs
+from repro.motifs.generation import (
+    MotifGenerationResult,
+    generate_motifs,
+    group_cycle,
+)
 from repro.motifs.types import Motif, MotifKind
 
 
@@ -78,8 +82,8 @@ class HierarchicalDFG:
         while remaining:
             ready = [g for g, pre in remaining.items() if pre <= done]
             if not ready:
-                # Distance-0 cycles across groups cannot happen (DFG is a
-                # DAG on distance-0 edges), but guard anyway.
+                # validate() rejects distance-0 cycles across groups;
+                # guard anyway for hand-built hierarchies.
                 ready = sorted(remaining)
             ready.sort(key=lambda g: (-self.groups[g].size, g))
             chosen = ready[0]
@@ -107,6 +111,11 @@ class HierarchicalDFG:
             [h for h in self.inter_edges if not h.edge.is_ordering]
         ) != len(data_edges):
             raise MotifError("edge classification does not partition edges")
+        cycle = group_cycle(self.dfg, self.node_to_group)
+        if cycle is not None:
+            raise MotifError(
+                f"groups {sorted(cycle)} form a distance-0 dependence cycle"
+            )
 
 
 def build_hierarchy(dfg: DFG,

@@ -10,6 +10,8 @@ from repro.ir.ops import Opcode
 from repro.motifs import (
     Motif, MotifKind, build_hierarchy, generate_motifs, match_kind,
 )
+from repro.motifs.generation import group_cycle
+from repro.motifs.hierarchy import HierarchyEdge
 from repro.motifs.patterns import find_motif_for_node
 from repro.motifs.types import MOTIF_SIZE
 
@@ -198,9 +200,69 @@ def test_partition_property_on_chains(n, seed):
     assert len(three) <= n // 3
 
 
+def crossing_dfg():
+    """The unicast 1 -> 5 -> 6 is not convex: 1 also feeds 2, which feeds
+    5, so grouping {1, 5, 6} apart from 2 closes a group cycle."""
+    b = DFGBuilder("crossing", trip_counts=(8,))
+    x = b.load("x", coeffs=(1,))
+    n1 = b.op(Opcode.ADD, x, const=23)
+    n2 = b.op(Opcode.MUL, n1, x)
+    n3 = b.op(Opcode.MUL, n2, const=-20)
+    n4 = b.op(Opcode.AND, x, const=100)
+    n5 = b.op(Opcode.MUL, n1, n2)
+    n6 = b.op(Opcode.XOR, n5, const=82)
+    acc = b.op(Opcode.ADD, n2)
+    b.recurrence(acc, acc, operand_index=1, distance=1)
+    for index, node in enumerate((n3, n4, n6)):
+        b.store(f"y{index}", node, coeffs=(1,))
+    return b.build()
+
+
+def test_group_cycle_finds_crossing_motifs():
+    dfg = crossing_dfg()
+    crossing = {1: 0, 5: 0, 6: 0, 2: 1, 3: 1, 7: 1}
+    assert sorted(group_cycle(dfg, crossing)) == [0, 1]
+    assert group_cycle(dfg, {2: 1, 3: 1, 7: 1}) is None
+    assert group_cycle(dfg, {}) is None
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 23, 35])
+def test_generation_dissolves_cyclic_motifs(seed):
+    dfg = crossing_dfg()
+    result = generate_motifs(dfg, seed=seed)
+    node_to_group = {
+        node_id: index for index, motif in enumerate(result.motifs)
+        for node_id in motif.nodes
+    }
+    assert group_cycle(dfg, node_to_group) is None
+    result.validate()
+
+
 # ---------------------------------------------------------------------------
 # Hierarchy
 # ---------------------------------------------------------------------------
+def test_hierarchy_rejects_group_cycle():
+    dfg = crossing_dfg()
+    hierarchy = build_hierarchy(dfg, seed=0)
+    groups = [Motif(MotifKind.UNICAST, (1, 5, 6)),
+              Motif(MotifKind.FAN_OUT, (2, 3, 7))]
+    groups += [Motif(MotifKind.SINGLETON, (n,)) for n in (0, 4, 8, 9, 10)]
+    hierarchy.groups = groups
+    hierarchy.node_to_group = {
+        node_id: index for index, motif in enumerate(groups)
+        for node_id in motif.nodes
+    }
+    hierarchy.inter_edges = [
+        HierarchyEdge(hierarchy.node_to_group[e.src],
+                      hierarchy.node_to_group[e.dst], e)
+        for e in dfg.edges
+        if hierarchy.node_to_group[e.src] != hierarchy.node_to_group[e.dst]
+        or e.distance > 0
+    ]
+    with pytest.raises(MotifError, match="dependence cycle"):
+        hierarchy.validate()
+
+
 def test_hierarchy_covers_all_nodes():
     dfg = tree_dfg()
     hierarchy = build_hierarchy(dfg, seed=0)

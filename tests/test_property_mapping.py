@@ -96,6 +96,30 @@ def test_random_dfg_maps_and_verifies_on_plaid(dfg):
     assert report.verified, report.mismatches[:3]
 
 
+def test_crossing_motif_dfg_maps_and_verifies_on_plaid():
+    """A graph whose greedy motifs would form a group cycle (1 -> 2 -> 5
+    leaves and re-enters the unicast {1, 5, 6}) still maps on Plaid."""
+    builder = DFGBuilder("crossing", trip_counts=(8,))
+    x = builder.load("in0", coeffs=(1,))
+    n1 = builder.op(Opcode.ADD, x, const=23)
+    n2 = builder.op(Opcode.MUL, n1, x)
+    n3 = builder.op(Opcode.MUL, n2, const=-20)
+    n4 = builder.op(Opcode.AND, x, const=100)
+    n5 = builder.op(Opcode.MUL, n1, n2)
+    n6 = builder.op(Opcode.XOR, n5, const=82)
+    acc = builder.op(Opcode.ADD, n2)
+    builder.recurrence(acc, acc, operand_index=1, distance=1)
+    acc.annotations["init"] = 0
+    for index, node in enumerate((n3, n4, n6)):
+        builder.store(f"out{index}", node, coeffs=(1,))
+    dfg = builder.build()
+    mapping = PlaidMapper(seed=5).map(dfg, make_plaid())
+    mapping.validate()
+    memory = DFGInterpreter(dfg).prepare_memory(fill=11)
+    report = CGRASimulator(mapping).run(memory, iterations=4)
+    assert report.verified, report.mismatches[:3]
+
+
 @settings(deadline=None, max_examples=15,
           suppress_health_check=[HealthCheck.too_slow])
 @given(dfg=random_dfg())
