@@ -14,11 +14,17 @@ Resources tracked:
 * ``("fu", fu_id)`` — one executed node per cycle slot;
 * ``("place", place_id)`` — register occupancy (capacity = register count);
 * ``("res", name)`` — named wires/ports shared by moves and reads.
+
+Every routable resource (places and wires) has a dense integer id, its
+*rid*, fixed once per fabric by :func:`resource_index`.  Route occupancy
+lives in flat arrays indexed ``rid * II + slot`` plus one per-net
+``{index: {cycle: refs}}`` refcount map; the compiled router in
+:mod:`repro.mapping.routecore` reads the same arrays, so there is one
+charge path for every engine.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.arch.base import Architecture
@@ -26,10 +32,55 @@ from repro.errors import MappingError
 
 ResourceKey = tuple[str, object]
 
-#: Marker charge plan for routes the bound fast path cannot index.
-#: ``False`` rather than a fresh object(): the marker must survive
-#: pickling/deepcopy of a Route by identity, and False is a singleton.
-_NO_PLAN = False
+
+class ResourceIndex:
+    """Dense resource ids for one fabric, built once per architecture.
+
+    Places come first (``rid == place_id``), then named wires/ports in
+    first-reference order: move resources in ``arch.moves`` declaration
+    order, then consume-side read wires per consumer FU.  ``caps[rid]``
+    is the per-cycle capacity.  Immutable, so copies share it.
+    """
+
+    __slots__ = ("rid_of", "key_of", "caps", "n_places")
+
+    def __init__(self, arch: Architecture) -> None:
+        rid_of: dict[ResourceKey, int] = {}
+        key_of: list[ResourceKey] = []
+        caps: list[int] = []
+        for place in arch.places:
+            key = ("place", place.place_id)
+            rid_of[key] = len(key_of)
+            key_of.append(key)
+            caps.append(place.capacity)
+        wires = [move.resource for move in arch.moves]
+        for fu_id in range(len(arch.fus)):
+            wires.extend(read for read in arch.consume_places[fu_id].values()
+                         if read is not None)
+        for name in wires:
+            key = ("res", name)
+            if key not in rid_of:
+                rid_of[key] = len(key_of)
+                key_of.append(key)
+                caps.append(arch.resource_caps.get(name, 1))
+        self.rid_of = rid_of
+        self.key_of = tuple(key_of)
+        self.caps = tuple(caps)
+        self.n_places = len(arch.places)
+
+    def __copy__(self) -> "ResourceIndex":
+        return self
+
+    def __deepcopy__(self, memo) -> "ResourceIndex":
+        return self
+
+
+def resource_index(arch: Architecture) -> ResourceIndex:
+    """The fabric's :class:`ResourceIndex`, memoized on the instance."""
+    index = getattr(arch, "_resource_index", None)
+    if index is None:
+        index = arch._resource_index = ResourceIndex(arch)
+    return index
 
 
 @dataclass(frozen=True)
@@ -57,8 +108,8 @@ class Route:
     arrive_cycle: int               # consumer execution cycle
     places: tuple[tuple[int, int], ...] = ()   # (place_id, cycle) occupancy
     bypass: bool = False
-    #: Memoized commit plan for core-bound MRRGs (one precomputed
-    #: (key, cycle, flat index, is_res, capacity) tuple per step) — the
+    #: Memoized charge plan ``(resource index, II, entries)`` with one
+    #: ``(flat index, cycle, is_res, capacity)`` entry per step — the
     #: annealing mappers commit/uncommit the same route many times while
     #: trialing candidates.  Derived state only: excluded from equality.
     charge_plan: tuple | None = field(default=None, compare=False,
@@ -87,41 +138,30 @@ class MRRG:
             )
         self.arch = arch
         self.ii = ii
-        # usage[(resource, slot)] = {net: {absolute cycle: refcount}}.
-        # Refcounts matter because several routes of one fanout net share
-        # segments: the shared charge must survive until the LAST sharing
-        # route is uncommitted.  Capacity counts distinct (net, cycle)
-        # pairs — sharing routes occupy the wire once.
-        self._usage: dict[tuple[ResourceKey, int],
-                          dict[int, dict[int, int]]] = defaultdict(dict)
+        self._index = resource_index(arch)
         # fu occupancy: (fu, slot) -> node_id
         self._fu_nodes: dict[tuple[int, int], int] = {}
-        # Capacity-relevant usage per (resource, slot), maintained
-        # incrementally by _charge/_discharge in lock-step with _usage
-        # (same insertion and deletion order) so the congestion queries
-        # the router hammers are O(1) instead of per-net sums.
-        self._counts: dict[tuple[ResourceKey, int], int] = {}
-        # Slots currently over capacity (key -> None; a dict for its
-        # deterministic insertion order), and the total amount of
-        # overuse.  Maintained by _count_up/_count_down so overuse()
-        # and the mappers' objective terms are O(violations), not
-        # O(all charged slots) — PathFinder and the annealers poll
-        # these after every move.
-        self._overused: dict[tuple[ResourceKey, int], None] = {}
-        self._over_sum = 0
-        # Capacities derive from the immutable arch; memoized per resource.
-        self._cap_cache: dict[ResourceKey, int] = {}
-        # Compiled routing state (bind_core): the RouteCore's static
-        # tables plus two incremental views the compiled Dijkstra reads —
-        # cost_base[rid * II + slot] = 1.0 + present_factor * overuse
-        # (the history-free step cost of a non-sharing net), and
-        # net_charges[net][rid * II + slot] -> {cycle: refs}, aliasing
-        # the _usage cycle dicts (the fanout-sharing free-segment test).
-        # Both are maintained by _charge/_discharge in lock-step with
-        # _usage/_counts; unbound MRRGs pay nothing.
-        self._core = None
-        self._cost_base: list[float] | None = None
+        self._clear_routes()
+
+    def _clear_routes(self) -> None:
+        size = len(self._index.key_of) * self.ii
+        # Capacity-relevant usage per flat index rid * II + slot (see
+        # usage_count), and the history-free cost of one more charge by
+        # a non-sharing net, 1.0 + 4.0 * overuse — what the compiled
+        # router reads.
+        self._counts = [0] * size
+        self._cost_base = [1.0] * size
+        # net -> {flat index: {absolute cycle: refcount}}.  Refcounts
+        # matter because several routes of one fanout net share
+        # segments: the shared charge must survive until the LAST
+        # sharing route is uncommitted.
         self._net_charges: dict[int, dict[int, dict[int, int]]] = {}
+        # Flat indices currently over capacity (index -> None; a dict for
+        # its insertion order, i.e. when each slot first went over), and
+        # the total amount of overuse, so overuse() and the mappers'
+        # objective terms are O(violations).
+        self._overused: dict[int, None] = {}
+        self._over_sum = 0
 
     def reset(self) -> None:
         """Clear every placement and route charge in place.
@@ -129,69 +169,20 @@ class MRRG:
         A reset MRRG must be indistinguishable from a freshly constructed
         ``MRRG(arch, ii)`` — the pool in :mod:`repro.mapping.engine`
         relies on this to recycle graphs across restarts, II escalations,
-        and whole mapper runs without perturbing results.  Only occupancy
-        state is dropped; the capacity cache is arch-derived and survives.
+        and whole mapper runs without perturbing results.
         """
-        self._usage.clear()
         self._fu_nodes.clear()
-        self._counts.clear()
-        self._overused.clear()
-        self._over_sum = 0
-        if self._cost_base is not None:
-            self._cost_base[:] = self._core.ones
-            self._net_charges.clear()
+        self._clear_routes()
 
-    def bind_core(self, core) -> None:
-        """Attach a compiled :class:`~repro.mapping.routecore.RouteCore`.
-
-        Rebuilds the flat congestion arrays from the current usage dicts,
-        so binding is correct at any point in an MRRG's life (the router
-        binds lazily on first use).  From here on _charge/_discharge keep
-        the arrays in lock-step incrementally.
-        """
-        if core.ii != self.ii:
+    # ------------------------------------------------------------------
+    # Resource ids
+    # ------------------------------------------------------------------
+    def _rid(self, resource: ResourceKey) -> int:
+        rid = self._index.rid_of.get(resource)
+        if rid is None:
             raise MappingError(
-                f"route core compiled for II {core.ii}, MRRG has {self.ii}")
-        self._core = core
-        ii = self.ii
-        base = list(core.ones)
-        rid_of = core.rid_of
-        for (resource, slot), count in self._counts.items():
-            rid = rid_of.get(resource)
-            if rid is None:
-                continue
-            over = count + 1 - self.capacity(resource)
-            if over > 0:
-                base[rid * ii + slot] = 1.0 + 4.0 * over
-        self._cost_base = base
-        charges: dict[int, dict[int, dict[int, int]]] = {}
-        for (resource, slot), nets in self._usage.items():
-            rid = rid_of.get(resource)
-            if rid is None:
-                continue
-            index = rid * ii + slot
-            for net, cycles in nets.items():
-                charges.setdefault(net, {})[index] = cycles
-        self._net_charges = charges
-
-    # ------------------------------------------------------------------
-    # Capacity helpers
-    # ------------------------------------------------------------------
-    def capacity(self, resource: ResourceKey) -> int:
-        cached = self._cap_cache.get(resource)
-        if cached is not None:
-            return cached
-        kind, ident = resource
-        if kind == "fu":
-            cap = 1
-        elif kind == "place":
-            cap = self.arch.place(ident).capacity
-        elif kind == "res":
-            cap = self.arch.resource_caps.get(ident, 1)
-        else:
-            raise MappingError(f"unknown resource kind {kind}")
-        self._cap_cache[resource] = cap
-        return cap
+                f"resource {resource!r} does not exist on {self.arch.name}")
+        return rid
 
     def usage_count(self, resource: ResourceKey, slot: int) -> int:
         """Capacity-relevant usage of one modulo slot.
@@ -202,7 +193,7 @@ class MRRG:
         slot's select is programmed once per net, so a net counts once no
         matter how many iterations' values cross it.
         """
-        return self._counts.get((resource, slot), 0)
+        return self._counts[self._rid(resource) * self.ii + slot]
 
     def slot(self, cycle: int) -> int:
         return cycle % self.ii
@@ -245,236 +236,116 @@ class MRRG:
     # ------------------------------------------------------------------
     # Route accounting
     # ------------------------------------------------------------------
-    def _charge(self, net: int, resource: ResourceKey, cycle: int) -> None:
-        key = (resource, self.slot(cycle))
-        slot_usage = self._usage[key]
-        cycles = slot_usage.get(net)
-        if cycles is None:
-            cycles = slot_usage[net] = {}
-            if self._cost_base is not None:
-                rid = self._core.rid_of.get(resource)
-                if rid is not None:
-                    self._net_charges.setdefault(net, {})[
-                        rid * self.ii + key[1]] = cycles
-            if resource[0] == "res":        # wires count distinct nets
-                self._count_up(key)
-        refs = cycles.get(cycle)
-        if refs is None:
-            cycles[cycle] = 1
-            if resource[0] != "res":        # places count (net, cycle) pairs
-                self._count_up(key)
-        else:
-            cycles[cycle] = refs + 1
-
-    def _count_up(self, key: tuple[ResourceKey, int]) -> None:
-        count = self._counts.get(key, 0) + 1
-        self._counts[key] = count
-        cap = self._cap_cache.get(key[0])
-        if cap is None:
-            cap = self.capacity(key[0])
-        if count > cap:
-            self._overused[key] = None
-            self._over_sum += 1
-        if self._cost_base is not None:
-            self._refresh_cost(key, count, cap)
-
-    def _count_down(self, key: tuple[ResourceKey, int]) -> None:
-        remaining = self._counts[key] - 1
-        if remaining:
-            self._counts[key] = remaining
-        else:
-            del self._counts[key]
-        cap = self._cap_cache.get(key[0])
-        if cap is None:
-            cap = self.capacity(key[0])
-        if remaining >= cap:
-            if remaining == cap:
-                del self._overused[key]
-            self._over_sum -= 1
-        if self._cost_base is not None:
-            self._refresh_cost(key, remaining, cap)
-
-    def _refresh_cost(self, key: tuple[ResourceKey, int], count: int,
-                      cap: int) -> None:
-        """Re-derive one cost_base cell after its count changed.
-
-        Mirrors :meth:`step_cost` exactly: the stored value is the cost a
-        *non-sharing* net pays to add one more charge, history excluded.
-        """
-        rid = self._core.rid_of.get(key[0])
-        if rid is None:
-            return
-        over = count + 1 - cap
-        self._cost_base[rid * self.ii + key[1]] = \
-            1.0 + 4.0 * over if over > 0 else 1.0
-
-    def _discharge(self, net: int, resource: ResourceKey, cycle: int) -> None:
-        key = (resource, self.slot(cycle))
-        slot_usage = self._usage.get(key)
-        if not slot_usage or net not in slot_usage:
-            return
-        cycles = slot_usage[net]
-        count = cycles.get(cycle, 0)
-        if count <= 1:
-            if cycles.pop(cycle, None) is not None \
-                    and resource[0] != "res":
-                self._count_down(key)
-        else:
-            cycles[cycle] = count - 1
-        if not cycles:
-            del slot_usage[net]
-            if self._cost_base is not None:
-                net_map = self._net_charges.get(net)
-                if net_map is not None:
-                    rid = self._core.rid_of.get(resource)
-                    if rid is not None:
-                        net_map.pop(rid * self.ii + key[1], None)
-                    if not net_map:
-                        del self._net_charges[net]
-            if resource[0] == "res":
-                self._count_down(key)
-        if not slot_usage:
-            del self._usage[key]
+    def _charge_plan(self, route: Route) -> tuple:
+        """Per-step ``(flat index, cycle, is_res, capacity)`` entries,
+        memoized on the route for this fabric and II.  Resolving every
+        step first makes a route naming an unknown resource raise before
+        anything is charged."""
+        index = self._index
+        ii = self.ii
+        plan = route.charge_plan
+        if plan is not None and plan[0] is index and plan[1] == ii:
+            return plan[2]
+        n_places = index.n_places
+        caps = index.caps
+        entries = []
+        for step in route.steps:
+            rid = self._rid(step.resource)
+            entries.append((rid * ii + step.cycle % ii, step.cycle,
+                            rid >= n_places, caps[rid]))
+        entries = tuple(entries)
+        route.charge_plan = (index, ii, entries)
+        return entries
 
     def commit_route(self, route: Route) -> None:
-        if self._cost_base is not None:
-            plan = route.charge_plan
-            if plan is None:
-                plan = route.charge_plan = self._charge_plan(route)
-            if plan is not _NO_PLAN:
-                net = route.net
-                for key, cycle, index, is_res, cap in plan:
-                    self._charge_bound(net, key, cycle, index, is_res, cap)
-                return
-        for step in route.steps:
-            self._charge(route.net, step.resource, step.cycle)
+        plan = self._charge_plan(route)
+        if not plan:
+            return      # a bypass charges nothing
+        net = route.net
+        charges = self._net_charges.get(net)
+        if charges is None:
+            charges = self._net_charges[net] = {}
+        for index, cycle, is_res, cap in plan:
+            cycles = charges.get(index)
+            if cycles is None:
+                # First charge of this net on the slot: a wire counts
+                # distinct nets, a place distinct (net, cycle) pairs.
+                charges[index] = {cycle: 1}
+                self._count(index, cap, 1)
+            elif cycle in cycles:
+                cycles[cycle] += 1
+            else:
+                cycles[cycle] = 1
+                if not is_res:
+                    self._count(index, cap, 1)
 
     def uncommit_route(self, route: Route) -> None:
-        if self._cost_base is not None:
-            plan = route.charge_plan
-            if plan is None:
-                plan = route.charge_plan = self._charge_plan(route)
-            if plan is not _NO_PLAN:
-                net = route.net
-                for key, cycle, index, is_res, cap in plan:
-                    self._discharge_bound(net, key, cycle, index,
-                                          is_res, cap)
-                return
-        for step in route.steps:
-            self._discharge(route.net, step.resource, step.cycle)
-
-    def _charge_plan(self, route: Route):
-        """Precompute per-step charge state for the bound fast path.
-
-        Valid for any MRRG over a structurally equal fabric at the same
-        II (routes never outlive either).  ``_NO_PLAN`` marks routes
-        touching resources the core does not index (only possible for
-        hand-built routes) — those keep the generic path.
-        """
-        core = self._core
-        rid_of = core.rid_of
-        ii = self.ii
-        plan = []
-        for step in route.steps:
-            resource = step.resource
-            rid = rid_of.get(resource)
-            if rid is None:
-                return _NO_PLAN
-            slot = step.cycle % ii
-            plan.append(((resource, slot), step.cycle, rid * ii + slot,
-                         resource[0] == "res", self.capacity(resource)))
-        return tuple(plan)
-
-    def _charge_bound(self, net: int, key, cycle: int, index: int,
-                      is_res: bool, cap: int) -> None:
-        """:meth:`_charge` with every derived value precomputed; must
-        mutate _usage/_counts/_overused/arrays in the exact same order."""
-        slot_usage = self._usage[key]
-        cycles = slot_usage.get(net)
-        if cycles is None:
-            cycles = slot_usage[net] = {}
-            net_map = self._net_charges.get(net)
-            if net_map is None:
-                net_map = self._net_charges[net] = {}
-            net_map[index] = cycles
-            if is_res:
-                self._count_up_bound(key, index, cap)
-        refs = cycles.get(cycle)
-        if refs is None:
-            cycles[cycle] = 1
-            if not is_res:
-                self._count_up_bound(key, index, cap)
-        else:
-            cycles[cycle] = refs + 1
-
-    def _count_up_bound(self, key, index: int, cap: int) -> None:
-        count = self._counts.get(key, 0) + 1
-        self._counts[key] = count
-        if count > cap:
-            self._overused[key] = None
-            self._over_sum += 1
-        over = count + 1 - cap
-        self._cost_base[index] = 1.0 + 4.0 * over if over > 0 else 1.0
-
-    def _discharge_bound(self, net: int, key, cycle: int, index: int,
-                         is_res: bool, cap: int) -> None:
-        slot_usage = self._usage.get(key)
-        if not slot_usage or net not in slot_usage:
+        """Release a route's charges; steps never charged are no-ops."""
+        plan = self._charge_plan(route)
+        net = route.net
+        charges = self._net_charges.get(net)
+        if charges is None:
             return
-        cycles = slot_usage[net]
-        count = cycles.get(cycle, 0)
-        if count <= 1:
-            if cycles.pop(cycle, None) is not None and not is_res:
-                self._count_down_bound(key, index, cap)
-        else:
-            cycles[cycle] = count - 1
-        if not cycles:
-            del slot_usage[net]
-            net_map = self._net_charges.get(net)
-            if net_map is not None:
-                net_map.pop(index, None)
-                if not net_map:
+        for index, cycle, is_res, cap in plan:
+            cycles = charges.get(index)
+            if cycles is None:
+                continue
+            refs = cycles.get(cycle)
+            if refs is None:
+                continue
+            if refs > 1:
+                cycles[cycle] = refs - 1
+                continue
+            del cycles[cycle]
+            if not is_res:
+                self._count(index, cap, -1)
+            if not cycles:
+                del charges[index]
+                if is_res:
+                    self._count(index, cap, -1)
+                if not charges:
                     del self._net_charges[net]
-            if is_res:
-                self._count_down_bound(key, index, cap)
-        if not slot_usage:
-            del self._usage[key]
 
-    def _count_down_bound(self, key, index: int, cap: int) -> None:
-        remaining = self._counts[key] - 1
-        if remaining:
-            self._counts[key] = remaining
-        else:
-            del self._counts[key]
-        if remaining >= cap:
-            if remaining == cap:
-                del self._overused[key]
+    def _count(self, index: int, cap: int, delta: int) -> None:
+        """Move one slot's usage by ``delta`` (+1/-1), keeping the
+        overused set, the overuse total and the cost array in step."""
+        count = self._counts[index] + delta
+        self._counts[index] = count
+        if delta > 0:
+            if count > cap:
+                self._overused[index] = None
+                self._over_sum += 1
+        elif count >= cap:
+            if count == cap:
+                del self._overused[index]
             self._over_sum -= 1
-        over = remaining + 1 - cap
+        over = count + 1 - cap
         self._cost_base[index] = 1.0 + 4.0 * over if over > 0 else 1.0
 
     # ------------------------------------------------------------------
     # Congestion queries
     # ------------------------------------------------------------------
     def step_cost(self, net: int, resource: ResourceKey, cycle: int,
-                  history: dict | None = None,
-                  present_factor: float = 4.0) -> float:
+                  history=None, present_factor: float = 4.0) -> float:
         """Congestion-aware cost of charging one step.
 
         Re-charging a (net, cycle) pair already present is free (shared
         segment of a fanout net).  Otherwise cost grows with how close the
         slot is to (or beyond) capacity, PathFinder-style, with an optional
-        historical-congestion term.
+        historical-congestion term read as ``history.get((resource,
+        slot), 0.0)``.
         """
-        slot = self.slot(cycle)
-        nets = self._usage.get((resource, slot))
-        if nets and net in nets \
-                and (resource[0] == "res" or cycle in nets[net]):
-            return 0.0
-        count = self.usage_count(resource, slot)
-        cap = self.capacity(resource)
+        slot = cycle % self.ii
+        rid = self._rid(resource)
+        index = rid * self.ii + slot
+        charges = self._net_charges.get(net)
+        if charges is not None:
+            cycles = charges.get(index)
+            if cycles is not None \
+                    and (resource[0] == "res" or cycle in cycles):
+                return 0.0
         base = 1.0
-        over = count + 1 - cap
+        over = self._counts[index] + 1 - self._index.caps[rid]
         congestion = present_factor * over if over > 0 else 0.0
         hist = 0.0
         if history is not None:
@@ -482,15 +353,16 @@ class MRRG:
         return base + congestion + hist
 
     def overuse(self) -> list[tuple[ResourceKey, int, int, int]]:
-        """(resource, slot, used, capacity) for every violated slot.
-
-        O(violations): _count_up/_count_down track the overused key set
-        incrementally (ordered by when each slot first went over), so the
-        negotiation loops can poll this after every commit for free.
-        """
+        """(resource, slot, used, capacity) for every violated slot, in
+        the order the slots first went over.  O(violations), so the
+        negotiation loops can poll this after every commit for free."""
+        ii = self.ii
+        key_of = self._index.key_of
+        caps = self._index.caps
         counts = self._counts
-        return [(key[0], key[1], counts[key], self.capacity(key[0]))
-                for key in self._overused]
+        return [(key_of[index // ii], index % ii, counts[index],
+                 caps[index // ii])
+                for index in self._overused]
 
     def total_overuse(self) -> int:
         """Total charges beyond capacity, summed over every slot — the
@@ -501,30 +373,12 @@ class MRRG:
         return not self._overused
 
     def occupancy_snapshot(self) -> dict[tuple[ResourceKey, int], int]:
-        """Usage counts per (resource, slot) — the activity statistics the
-        power model consumes."""
-        return {
-            key: sum(len(times) for times in nets.values())
-            for key, nets in self._usage.items()
-        }
-
-    def utilization(self) -> dict[str, float]:
-        """Aggregate utilization statistics for the power model."""
-        fu_busy = len(self._fu_nodes)
-        fu_total = len(self.arch.fus) * self.ii
-        move_charges = 0
-        place_charges = 0
-        for (resource, _slot), nets in self._usage.items():
-            count = sum(len(times) for times in nets.values())
-            if resource[0] == "res":
-                move_charges += count
-            elif resource[0] == "place":
-                place_charges += count
-        wire_total = max(1, len(self.arch.resource_caps) * self.ii)
-        reg_total = max(
-            1, sum(p.capacity for p in self.arch.places) * self.ii)
-        return {
-            "fu": fu_busy / fu_total if fu_total else 0.0,
-            "wires": min(1.0, move_charges / wire_total),
-            "registers": min(1.0, place_charges / reg_total),
-        }
+        """Charged (net, cycle) pairs per (resource, slot)."""
+        ii = self.ii
+        key_of = self._index.key_of
+        snapshot: dict[tuple[ResourceKey, int], int] = {}
+        for charges in self._net_charges.values():
+            for index, cycles in charges.items():
+                key = (key_of[index // ii], index % ii)
+                snapshot[key] = snapshot.get(key, 0) + len(cycles)
+        return snapshot

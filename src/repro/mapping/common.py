@@ -25,7 +25,9 @@ from repro.arch.mrrg import MRRG, Route
 from repro.arch.topology import manhattan
 from repro.ir.analysis import critical_path_length, topological_order
 from repro.ir.graph import DFG
-from repro.mapping.router import route_edge, transport_latency_table
+from repro.mapping.router import (
+    RoutingHistory, route_edge, transport_latency_table,
+)
 
 
 def schedule_horizon(dfg: DFG, ii: int) -> int:
@@ -320,7 +322,7 @@ def initial_placement(tables: PlacementTables, mrrg: MRRG, rng,
 
 def route_one_edge(dfg: DFG, mrrg: MRRG,
                    placement: dict[int, tuple[int, int]], index: int,
-                   history: dict | None = None) -> Route | None:
+                   history: RoutingHistory | None = None) -> Route | None:
     """Route one data edge (by index) of a placement; None when stuck."""
     edge = dfg.edges[index]
     src_fu, src_cycle = placement[edge.src]
@@ -332,7 +334,7 @@ def route_one_edge(dfg: DFG, mrrg: MRRG,
 
 def route_all_edges(dfg: DFG, mrrg: MRRG,
                     placement: dict[int, tuple[int, int]],
-                    history: dict | None = None
+                    history: RoutingHistory | None = None
                     ) -> tuple[dict[int, Route], list[int]]:
     """Route every data edge; returns (routes, unroutable edge indices)."""
     routes: dict[int, Route] = {}

@@ -145,11 +145,6 @@ class MRRGLease:
             mrrg = self._mrrg
             mrrg.reset()
             self.pool.stats.resets += 1
-        # Compiled routing cores are pooled alongside the MRRGs, keyed by
-        # the same (arch structural signature, II): binding here keeps the
-        # core's flat cost arrays warm across restarts and rounds.  A
-        # no-op under the reference routing engine or when already bound.
-        routecore.ensure_core(mrrg)
         return mrrg
 
     def release(self) -> None:

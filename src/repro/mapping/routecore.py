@@ -8,18 +8,18 @@ module compiles everything that is invariant per *(architecture
 signature, II)* into a :class:`RouteCore` once, following the repo's
 engine pattern (PR 2 mapping engine, PR 3 compiled simulator):
 
-* every routable resource — ``("place", p)`` and ``("res", name)`` — gets
-  a dense integer id (*rid*); congestion state lives in one flat
-  ``cost_base[rid * II + slot]`` float array that
-  :meth:`MRRG._charge`/:meth:`MRRG._discharge` maintain incrementally in
-  lock-step with the authoritative usage dicts;
+* every routable resource — ``("place", p)`` and ``("res", name)`` — has
+  the dense integer id (*rid*) that :func:`repro.arch.mrrg.resource_index`
+  assigns once per fabric; the search reads the MRRG's own flat
+  ``cost_base[rid * II + slot]`` array and per-net charge map, the same
+  state :meth:`MRRG.commit_route`/:meth:`MRRG.uncommit_route` maintain
+  for every engine;
 * search states are single integers ``place * MAX_TRANSPORT_CYCLES +
   relative_cycle``; ``dist``/``parent`` are preallocated flat arrays
   reset by epoch stamping, so a search allocates nothing but its heap
   entries;
 * PathFinder's negotiated-congestion history is a
-  :class:`RoutingHistory`: a ``(resource, slot)`` dict (the reference
-  view) and a flat ``hist[rid * II + slot]`` array updated together.
+  :class:`RoutingHistory`: one flat ``hist[rid * II + slot]`` array.
 
 **Invariant:** :func:`route_edge_compiled` is bit-identical to
 :func:`repro.mapping.router.route_edge_reference` — same float
@@ -30,8 +30,8 @@ selection, same :class:`~repro.arch.mrrg.Route` steps.
 searches on the golden grid.
 
 Cores are cached per ``(arch structural key, II)`` — the same keying as
-the MRRG pool in :mod:`repro.mapping.engine`, which binds a core to every
-MRRG it leases — so structurally equal fabrics share compiled tables.
+the MRRG pool in :mod:`repro.mapping.engine` — so structurally equal
+fabrics share compiled tables.
 
 Env knobs: ``REPRO_ROUTING_ENGINE=compiled|reference`` selects the
 router implementation process-wide (default ``compiled``; an invalid
@@ -47,7 +47,7 @@ import heapq
 import os
 
 from repro.arch.base import Architecture
-from repro.arch.mrrg import MRRG, Route, RouteStep
+from repro.arch.mrrg import MRRG, Route, RouteStep, resource_index
 from repro.errors import ConfigError
 from repro.utils.signature import arch_structural_key
 
@@ -94,9 +94,9 @@ def active_engine() -> str:
 def set_routing_engine(name: str) -> str:
     """Select the router implementation; returns the previous setting.
 
-    ``reference`` also stops :func:`ensure_core` from binding cores to
-    new MRRGs, so the interpreted path pays no array bookkeeping —
-    exactly the pre-compiled-core behaviour the benchmarks time against.
+    ``reference`` routes with the interpreted oracle
+    (:func:`repro.mapping.router.route_edge_reference`); the MRRG
+    accounting is the same under either engine.
     An explicit runtime selection supersedes (and clears) a pending
     invalid-environment error.
     """
@@ -134,48 +134,42 @@ ROUTING = RoutingCounters()
 
 
 class RoutingHistory:
-    """PathFinder history kept as a dict and a flat array in lock-step.
+    """PathFinder's negotiated-congestion history, one flat array.
 
-    The reference router reads ``history.get((resource, slot), 0.0)``
-    (dict semantics); the compiled router reads ``array[rid * II +
-    slot]``.  :meth:`add` updates both, so either engine sees identical
-    values.  Without a bound core (reference engine) only the dict view
-    exists.
+    ``array[rid * II + slot]`` accumulates the history cost of each
+    modulo slot; the compiled router reads it directly, and the
+    reference router reads it through :meth:`get` (the ``(resource,
+    slot)`` view :meth:`MRRG.step_cost` consumes).
     """
 
-    __slots__ = ("core", "array", "table")
+    __slots__ = ("core", "array")
 
-    def __init__(self, core: "RouteCore | None" = None) -> None:
+    def __init__(self, core: "RouteCore") -> None:
         self.core = core
-        self.array = None if core is None \
-            else [0.0] * (core.n_rids * core.ii)
-        self.table: dict[tuple, float] = {}
+        self.array = [0.0] * (core.n_rids * core.ii)
 
     @classmethod
     def for_mrrg(cls, mrrg: MRRG) -> "RoutingHistory":
-        """History wired to ``mrrg``'s core (bound on demand)."""
-        return cls(ensure_core(mrrg))
+        """History over ``mrrg``'s fabric and II."""
+        return cls(route_core_for(mrrg.arch, mrrg.ii))
 
     def add(self, resource, slot: int, amount: float) -> None:
-        key = (resource, slot)
-        value = self.table.get(key, 0.0) + amount
-        self.table[key] = value
-        if self.array is not None:
-            rid = self.core.rid_of.get(resource)
-            if rid is not None:
-                self.array[rid * self.core.ii + slot] = value
+        self.array[self.core.rid_of[resource] * self.core.ii + slot] += amount
 
     def get(self, key, default: float = 0.0) -> float:
-        """Dict view — what :meth:`MRRG.step_cost` consumes."""
-        return self.table.get(key, default)
+        """``history.get((resource, slot), default)`` as the reference
+        router's :meth:`MRRG.step_cost` asks it; every resource it asks
+        about has a rid, so ``default`` is never needed."""
+        resource, slot = key
+        return self.array[self.core.rid_of[resource] * self.core.ii + slot]
 
 
 class RouteCore:
     """Per-(architecture signature, II) compiled routing tables.
 
     Static state only (plus per-search scratch arrays): the dynamic
-    congestion arrays live on each bound :class:`~repro.arch.mrrg.MRRG`
-    so pooled MRRGs over the same fabric can share one core.
+    congestion arrays live on each :class:`~repro.arch.mrrg.MRRG`, so
+    every MRRG over a structurally equal fabric shares one core.
     """
 
     def __init__(self, arch: Architecture, ii: int) -> None:
@@ -185,30 +179,18 @@ class RouteCore:
         self.ii = ii
         n_places = len(arch.places)
 
-        # Dense resource ids: places first (rid == place_id), then named
-        # wires/ports in first-reference order (moves, then reads).
-        rid_of: dict[tuple, int] = {}
-        key_of: list[tuple] = []
-        for place_id in range(n_places):
-            key = ("place", place_id)
-            rid_of[key] = place_id
-            key_of.append(key)
-
-        def res_rid(name: str) -> int:
-            key = ("res", name)
-            rid = rid_of.get(key)
-            if rid is None:
-                rid = len(key_of)
-                rid_of[key] = rid
-                key_of.append(key)
-            return rid
+        # Dense resource ids come from the fabric's ResourceIndex
+        # (places first, rid == place_id, then wires).
+        index = resource_index(arch)
+        rid_of = index.rid_of
 
         # Adjacency in arch.moves declaration order — the same order
         # Architecture.moves_from / router_adjacency yield, so search
         # tie-breaking matches the reference exactly.
         outgoing: list[list[tuple[int, int]]] = [[] for _ in range(n_places)]
         for move in arch.moves:
-            outgoing[move.src].append((move.dst, res_rid(move.resource)))
+            outgoing[move.src].append(
+                (move.dst, rid_of[("res", move.resource)]))
         self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(entries) for entries in outgoing)
 
@@ -222,20 +204,17 @@ class RouteCore:
         for fu_id in range(n_fus):
             row = [-1] * n_places
             for place_id, read in arch.consume_places[fu_id].items():
-                row[place_id] = -2 if read is None else res_rid(read)
+                row[place_id] = -2 if read is None else rid_of[("res", read)]
             goal_rid.append(row)
         self.goal_rid = goal_rid
         self.bypass_pairs = frozenset(arch.bypass_pairs)
 
         self.rid_of = rid_of
-        self.key_of = tuple(key_of)
-        self.n_rids = len(key_of)
+        self.key_of = index.key_of
+        self.n_rids = len(index.key_of)
 
-        flat = self.n_rids * ii
         #: Shared all-zero history for history-free callers (never written).
-        self.zero_hist = [0.0] * flat
-        #: Template for resetting a bound MRRG's cost_base in place.
-        self.ones = [1.0] * flat
+        self.zero_hist = [0.0] * (self.n_rids * ii)
 
         # Per-search scratch, reset by epoch stamping.
         size = n_places * MAX_TRANSPORT_CYCLES
@@ -262,23 +241,6 @@ def route_core_for(arch: Architecture, ii: int) -> RouteCore:
 def clear_core_cache() -> None:
     """Drop every cached core (tests that rebuild fabrics use this)."""
     _CORE_CACHE.clear()
-
-
-def ensure_core(mrrg: MRRG) -> RouteCore | None:
-    """Bind (and return) the compiled core for ``mrrg``.
-
-    Returns the already-bound core when present; binds a cached one when
-    the compiled engine is active; returns ``None`` under the
-    reference engine so interpreted searches pay zero array bookkeeping.
-    """
-    core = mrrg._core
-    if core is not None:
-        return core
-    if ACTIVE_ENGINE == "reference":
-        return None
-    core = route_core_for(mrrg.arch, mrrg.ii)
-    mrrg.bind_core(core)
-    return core
 
 
 def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,

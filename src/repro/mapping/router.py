@@ -7,15 +7,14 @@ via :meth:`MRRG.step_cost`; segments already charged by the same net are
 free, which makes fanout nets share wires naturally.
 
 :func:`route_edge` is a thin dispatcher: by default it runs the compiled
-integer-state search (:mod:`repro.mapping.routecore`), falling back to
-the interpreted loop here — kept as :func:`route_edge_reference`, the
-conformance oracle — when the reference engine is selected
-(``REPRO_ROUTING_ENGINE=reference`` / :func:`set_routing_engine`) or the
-call carries history the core cannot index.  The two implementations are
-bit-identical by invariant (``tests/test_routecore.py``).  Either way,
-failed calls (span out of range, no path) tick
-:data:`repro.mapping.routecore.ROUTING` so mapping stats and failure
-messages can surface them.
+integer-state search (:mod:`repro.mapping.routecore`); the interpreted
+loop here — kept as :func:`route_edge_reference`, the conformance
+oracle — runs instead when the reference engine is selected
+(``REPRO_ROUTING_ENGINE=reference`` / :func:`set_routing_engine`).  Both
+read and charge the same MRRG state, and they are bit-identical by
+invariant (``tests/test_routecore.py``).  Either way, failed calls (span
+out of range, no path) tick :data:`repro.mapping.routecore.ROUTING` so
+mapping stats and failure messages can surface them.
 """
 
 from __future__ import annotations
@@ -98,48 +97,29 @@ def router_adjacency(arch: Architecture
     return adjacency
 
 
-#: Sentinel distinguishing "compiled path not taken" from a routing
-#: failure (which is a legitimate None result).
-_UNROUTED = object()
-
-
 def route_edge(mrrg: MRRG, net: int, src_fu: int, depart_cycle: int,
                dst_fu: int, arrive_cycle: int,
-               history: dict | None = None,
+               history: RoutingHistory | None = None,
                commit: bool = True) -> Route | None:
     """Route a value produced at (src_fu, depart_cycle) to be consumed at
     (dst_fu, arrive_cycle); returns None when no path exists.
 
     ``arrive_cycle`` is in absolute time: inter-iteration edges pass
     ``consumer_cycle + distance * II``.  With ``commit`` the route's
-    charges are applied to the MRRG immediately.
-
-    Dispatches to the compiled core when ``history`` is indexable by it
-    (``None`` or a :class:`~repro.mapping.routecore.RoutingHistory`
-    bound to this MRRG's core); plain-dict history always takes the
-    reference path.
+    charges are applied to the MRRG immediately.  ``history`` is
+    PathFinder's :class:`~repro.mapping.routecore.RoutingHistory` over
+    this MRRG's fabric and II, or None.
     """
     ROUTING.calls += 1
-    route = _UNROUTED
-    if routecore.active_engine() != "reference":
-        core = mrrg._core
-        if core is None:
-            core = routecore.ensure_core(mrrg)
-        if core is not None:
-            if history is None:
-                hist = core.zero_hist
-            elif isinstance(history, RoutingHistory) \
-                    and history.core is core:
-                hist = history.array
-            else:
-                hist = None
-            if hist is not None:
-                route = routecore.route_edge_compiled(
-                    mrrg, core, net, src_fu, depart_cycle,
-                    dst_fu, arrive_cycle, hist, commit)
-    if route is _UNROUTED:
+    if routecore.active_engine() == "reference":
         route = route_edge_reference(mrrg, net, src_fu, depart_cycle,
                                      dst_fu, arrive_cycle, history, commit)
+    else:
+        core = routecore.route_core_for(mrrg.arch, mrrg.ii)
+        hist = core.zero_hist if history is None else history.array
+        route = routecore.route_edge_compiled(
+            mrrg, core, net, src_fu, depart_cycle, dst_fu, arrive_cycle,
+            hist, commit)
     if route is None:
         ROUTING.failures += 1
     return route

@@ -3,12 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrrg_helpers import mrrg_state, step_route
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.errors import MappingError
 from repro.mapping import routecore
-from repro.mapping.router import (
-    min_transport_latency, route_edge, route_edge_reference,
-)
+from repro.mapping.router import min_transport_latency, route_edge
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +58,14 @@ def test_charge_discharge_refcounted():
     arch = make_spatio_temporal()
     mrrg = MRRG(arch, 2)
     resource = ("res", "link[0->1]")
-    mrrg._charge(7, resource, 3)
-    mrrg._charge(7, resource, 3)      # second route of the same net
+    first = step_route(7, resource, 3)
+    second = step_route(7, resource, 3)   # second route of the same net
+    mrrg.commit_route(first)
+    mrrg.commit_route(second)
     assert mrrg.usage_count(resource, 1) == 1   # shared segment counts once
-    mrrg._discharge(7, resource, 3)
+    mrrg.uncommit_route(first)
     assert mrrg.usage_count(resource, 1) == 1   # still referenced
-    mrrg._discharge(7, resource, 3)
+    mrrg.uncommit_route(second)
     assert mrrg.usage_count(resource, 1) == 0
 
 
@@ -73,8 +74,8 @@ def test_same_net_different_cycles_counts_twice():
     arch = make_spatio_temporal()
     mrrg = MRRG(arch, 2)
     resource = ("place", 0)
-    mrrg._charge(7, resource, 1)
-    mrrg._charge(7, resource, 3)      # same slot (1), different abs cycle
+    mrrg.commit_route(step_route(7, resource, 1))
+    mrrg.commit_route(step_route(7, resource, 3))   # same slot (1)
     assert mrrg.usage_count(resource, 1) == 2
 
 
@@ -82,9 +83,9 @@ def test_overuse_detection():
     arch = make_spatio_temporal()
     mrrg = MRRG(arch, 1)
     resource = ("res", "link[0->1]")   # capacity 1
-    mrrg._charge(1, resource, 0)
+    mrrg.commit_route(step_route(1, resource, 0))
     assert mrrg.is_legal()
-    mrrg._charge(2, resource, 0)
+    mrrg.commit_route(step_route(2, resource, 0))
     violations = mrrg.overuse()
     assert violations and violations[0][2] == 2
 
@@ -93,7 +94,7 @@ def test_step_cost_free_for_shared_segment():
     arch = make_spatio_temporal()
     mrrg = MRRG(arch, 2)
     resource = ("res", "link[0->1]")
-    mrrg._charge(7, resource, 3)
+    mrrg.commit_route(step_route(7, resource, 3))
     assert mrrg.step_cost(7, resource, 3) == 0.0
     assert mrrg.step_cost(8, resource, 3) > 0.0
 
@@ -190,7 +191,7 @@ def test_congestion_forces_detour_or_failure():
     arch = make_spatio_temporal()
     mrrg = MRRG(arch, 1)
     # Saturate the direct link 5->6 with another net.
-    mrrg._charge(99, ("res", "link[5->6]"), 0)
+    mrrg.commit_route(step_route(99, ("res", "link[5->6]"), 0))
     route = route_edge(mrrg, 0, 5, 0, 6, 1)
     # Either it fails or it found another way in one cycle (impossible) —
     # so the router must still return the congested path with high cost or
@@ -304,7 +305,7 @@ def test_goal_read_charge_tie_breaking():
             # FU 6 reads FU 5's register file across link[5->6]; make
             # that read expensive so landing in FU 6's own RF wins.
             for net in (90, 91, 92):
-                mrrg._charge(net, ("res", "link[5->6]"), 2)
+                mrrg.commit_route(step_route(net, ("res", "link[5->6]"), 2))
         return route_edge(mrrg, 1, 5, 0, 6, 2, commit=False)
 
     free_c, free_r = _both_engines(lambda: run(False))
@@ -319,22 +320,8 @@ def test_goal_read_charge_tie_breaking():
 
 
 # ---------------------------------------------------------------------------
-# Route hygiene properties (satellite: guard the incremental arrays)
+# Route hygiene properties
 # ---------------------------------------------------------------------------
-def _state_snapshot(mrrg):
-    """Every piece of congestion state, deep-copied for comparison."""
-    return (
-        {key: {net: dict(cycles) for net, cycles in nets.items()}
-         for key, nets in mrrg._usage.items()},
-        dict(mrrg._counts),
-        dict(mrrg._overused),
-        mrrg._over_sum,
-        None if mrrg._cost_base is None else list(mrrg._cost_base),
-        {net: {index: dict(cycles) for index, cycles in per_net.items()}
-         for net, per_net in mrrg._net_charges.items()},
-    )
-
-
 @settings(deadline=None, max_examples=40)
 @given(src=st.integers(0, 15), dst=st.integers(0, 15),
        slack=st.integers(0, 4), ii=st.sampled_from([2, 5]),
@@ -343,21 +330,20 @@ def _state_snapshot(mrrg):
 def test_uncommitted_route_leaves_state_untouched(src, dst, slack, ii,
                                                   preload, engine):
     """route_edge(commit=False) must not move occupancy_snapshot() nor
-    any of the incremental cost arrays, under either engine."""
+    any other piece of MRRG state, under either engine."""
     previous = routecore.set_routing_engine(engine)
     try:
         arch = make_spatio_temporal()
         mrrg = MRRG(arch, ii)
-        routecore.ensure_core(mrrg)   # binds under compiled; no-op else
         if preload:  # some ambient congestion, including this net's own
             route_edge(mrrg, 1, (src + 1) % 16, 0, dst, 2 + slack)
             route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
         snapshot = mrrg.occupancy_snapshot()
-        state = _state_snapshot(mrrg)
+        state = mrrg_state(mrrg)
         arrive = min_transport_latency(arch, src, dst) + slack
         route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
         assert mrrg.occupancy_snapshot() == snapshot
-        assert _state_snapshot(mrrg) == state
+        assert mrrg_state(mrrg) == state
     finally:
         routecore.set_routing_engine(previous)
 
@@ -369,30 +355,29 @@ def test_uncommitted_route_leaves_state_untouched(src, dst, slack, ii,
        engine=st.sampled_from(["compiled", "reference"]))
 def test_commit_uncommit_roundtrips_exactly(src, dst, slack, ii, preload,
                                             engine):
-    """commit_route followed by uncommit_route restores every dict and
-    flat array bit-for-bit — the invariant the dirty-net rip-up and the
-    MRRG pool both lean on."""
+    """commit_route followed by uncommit_route restores every count,
+    cost and refcount bit-for-bit — the invariant the dirty-net rip-up
+    and the MRRG pool both lean on."""
     previous = routecore.set_routing_engine(engine)
     try:
         arch = make_spatio_temporal()
         mrrg = MRRG(arch, ii)
-        routecore.ensure_core(mrrg)
         if preload:
             route_edge(mrrg, 1, (src + 1) % 16, 0, dst, 2 + slack)
             route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
-        state = _state_snapshot(mrrg)
+        state = mrrg_state(mrrg)
         arrive = min_transport_latency(arch, src, dst) + slack
         route = route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
         if route is None:
             return
         mrrg.commit_route(route)
-        committed = _state_snapshot(mrrg)
+        committed = mrrg_state(mrrg)
         mrrg.uncommit_route(route)
-        assert _state_snapshot(mrrg) == state
+        assert mrrg_state(mrrg) == state
         # And recommitting reproduces the committed state exactly.
         mrrg.commit_route(route)
-        assert _state_snapshot(mrrg) == committed
+        assert mrrg_state(mrrg) == committed
         mrrg.uncommit_route(route)
-        assert _state_snapshot(mrrg) == state
+        assert mrrg_state(mrrg) == state
     finally:
         routecore.set_routing_engine(previous)

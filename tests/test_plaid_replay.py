@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from mrrg_helpers import mrrg_state
 from repro.arch.specialize import hardwired_motif_kinds
 from repro.eval.harness import build_arch
 from repro.mapping import plaid_mapper
@@ -32,11 +33,9 @@ SOURCES = (
 
 
 def _copy(state: _State) -> _State:
-    """Deep copy sharing the immutable fabric and compiled route core."""
+    """Deep copy sharing the immutable fabric, DFG and hierarchy."""
     memo = {id(state.arch): state.arch, id(state.dfg): state.dfg,
             id(state.hierarchy): state.hierarchy}
-    if state.mrrg._core is not None:
-        memo[id(state.mrrg._core)] = state.mrrg._core
     return copy.deepcopy(state, memo)
 
 
@@ -109,21 +108,13 @@ def _commit_by_replaying(state: _State, group, spot_lists) -> None:
 
 
 def _state_view(state: _State):
-    mrrg = state.mrrg
     return {
         "placement": state.placement,
         "routes": state.routes,
         "group_spots": state.group_spots,
         "unplaced": state.unplaced,
-        "usage": dict(mrrg._usage),
-        "fu_nodes": mrrg._fu_nodes,
-        "counts": mrrg._counts,
-        "overused": set(mrrg._overused),
-        # Copied: the compiled core updates the array in place.
-        "cost_base": None if mrrg._cost_base is None
-        else list(mrrg._cost_base),
-        "net_charges": mrrg._net_charges,
-        "total_overuse": mrrg.total_overuse(),
+        "mrrg": mrrg_state(state.mrrg),
+        "total_overuse": state.mrrg.total_overuse(),
         "cost": state.cost(),
     }
 
