@@ -8,7 +8,7 @@ invariant, so the printed numbers are the artifact):
   sampled (src FU, dst FU, slack) triple) routed under each engine;
 * **mapper-level routing stage** — the phase the compiled core
   accelerates inside every mapper: place a PathFinder placement into a
-  pooled MRRG, route every edge, rip all routes up, and route them
+  fresh MRRG, route every edge, rip all routes up, and route them
   again (the negotiation round-trip), per kernel on the 4x4 and 6x6
   spatio-temporal fabrics.  Both engines charge the same MRRG
   accounting, so the ratio prices the search alone.  The geomean
@@ -26,9 +26,7 @@ import time
 
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.eval.harness import _seed_for
-from repro.mapping import routecore
 from repro.mapping.common import route_all_edges
-from repro.mapping.engine import default_pool
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.router import (
     min_transport_latency, route_edge, set_routing_engine,
@@ -56,7 +54,6 @@ FABRICS = [
 def _throughput(arch, ii, engine, rounds=12):
     """Routes/second over the deterministic scenario sweep."""
     set_routing_engine(engine)
-    routecore.clear_core_cache()
     mrrg = MRRG(arch, ii)
     n_fus = len(arch.fus)
     cases = [(src, dst, slack)
@@ -76,13 +73,11 @@ def _throughput(arch, ii, engine, rounds=12):
 def _routing_stage(arch, dfg, placement, ii, engine, reps=20):
     """Median seconds for one place+route+ripup+reroute round-trip."""
     set_routing_engine(engine)
-    routecore.clear_core_cache()
-    mrrg = MRRG(arch, ii)
     samples = []
     routes = None
     for _ in range(reps):
         begin = time.perf_counter()
-        mrrg.reset()
+        mrrg = MRRG(arch, ii)
         for node_id, (fu_id, cycle) in placement.items():
             mrrg.place_node(node_id, fu_id, cycle)
         routes, failures = route_all_edges(dfg, mrrg, placement)
@@ -111,8 +106,6 @@ def test_routing_time(benchmark):
             arch = factory()
             for kernel in KERNELS:
                 set_routing_engine("compiled")
-                default_pool().clear()
-                routecore.clear_core_cache()
                 seed = _seed_for(kernel, "st", "pathfinder")
                 mapping = PathFinderMapper(seed=seed).map(
                     get_dfg(kernel), arch)

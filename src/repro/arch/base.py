@@ -103,10 +103,6 @@ class Architecture:
         return self.rows * self.cols
 
     @property
-    def compute_fus(self) -> list[FunctionalUnit]:
-        return [fu for fu in self.fus if not fu.is_memory]
-
-    @property
     def memory_fus(self) -> list[FunctionalUnit]:
         return [fu for fu in self.fus if fu.is_memory]
 
@@ -123,9 +119,6 @@ class Architecture:
             raise ArchitectureError(
                 f"no place {place_id} in {self.name}"
             ) from None
-
-    def fus_on_tile(self, tile: int) -> list[FunctionalUnit]:
-        return [fu for fu in self.fus if fu.tile == tile]
 
     def fus_supporting(self, op: Opcode) -> tuple[FunctionalUnit, ...]:
         """FUs that can execute ``op``, in fabric order (indexed once per

@@ -123,9 +123,9 @@ class MRRG:
     :meth:`place_node` / :meth:`unplace_node`; routed edges with
     :meth:`commit_route` / :meth:`uncommit_route`.  ``overuse()`` reports
     capacity violations (PathFinder tolerates them transiently; final
-    mappings must be violation-free).  :meth:`reset` clears all occupancy
-    in place so the mapping engine's pool can recycle instances instead
-    of reconstructing them on every restart.
+    mappings must be violation-free).  Construction is cheap — a few
+    flat arrays over the fabric's memoized :class:`ResourceIndex` — so
+    mappers build a fresh MRRG whenever they need an empty one.
     """
 
     def __init__(self, arch: Architecture, ii: int) -> None:
@@ -141,10 +141,7 @@ class MRRG:
         self._index = resource_index(arch)
         # fu occupancy: (fu, slot) -> node_id
         self._fu_nodes: dict[tuple[int, int], int] = {}
-        self._clear_routes()
-
-    def _clear_routes(self) -> None:
-        size = len(self._index.key_of) * self.ii
+        size = len(self._index.key_of) * ii
         # Capacity-relevant usage per flat index rid * II + slot (see
         # usage_count), and the history-free cost of one more charge by
         # a non-sharing net, 1.0 + 4.0 * overuse — what the compiled
@@ -162,17 +159,6 @@ class MRRG:
         # objective terms are O(violations).
         self._overused: dict[int, None] = {}
         self._over_sum = 0
-
-    def reset(self) -> None:
-        """Clear every placement and route charge in place.
-
-        A reset MRRG must be indistinguishable from a freshly constructed
-        ``MRRG(arch, ii)`` — the pool in :mod:`repro.mapping.engine`
-        relies on this to recycle graphs across restarts, II escalations,
-        and whole mapper runs without perturbing results.
-        """
-        self._fu_nodes.clear()
-        self._clear_routes()
 
     # ------------------------------------------------------------------
     # Resource ids

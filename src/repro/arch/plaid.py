@@ -152,13 +152,3 @@ def make_plaid(rows: int = 2, cols: int = 2,
             arch.resource_caps[resource] = GLINK_CAPACITY
     arch.validate()
     return arch
-
-
-def pcu_of_fu(arch: Architecture, fu_id: int) -> int:
-    """PCU (tile) index of a functional unit."""
-    return arch.fu(fu_id).tile
-
-
-def alu_slot(arch: Architecture, fu_id: int) -> int:
-    """ALU column of an FU within its PCU (3 = ALSU)."""
-    return arch.fu(fu_id).slot

@@ -66,8 +66,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 # Fingerprinting
 # ---------------------------------------------------------------------------
 # The value/architecture canonicalization lives in
-# :mod:`repro.utils.signature` (the mapping engine's MRRG pool keys by
-# the same structural summary); ``arch_signature`` is re-exported here
+# :mod:`repro.utils.signature` (the distributed sweep's shard assignment
+# hashes the same canonical JSON); ``arch_signature`` is re-exported here
 # because it is part of this module's fingerprint format.
 
 

@@ -15,9 +15,7 @@ Evaluations are deterministic (stable seeds, see
 produce bit-identical metrics — the regression suite in
 ``tests/test_parallel_sweep.py`` locks that down.  Mapping inside each
 worker runs through the unified :mod:`repro.mapping.engine`: mapper keys
-resolve via its registry (``--mapper`` accepts any registered key), and
-every worker process warms its own MRRG pool, which pooling keeps
-bit-identical to unpooled evaluation by construction.
+resolve via its registry (``--mapper`` accepts any registered key).
 """
 
 from __future__ import annotations

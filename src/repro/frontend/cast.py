@@ -127,14 +127,6 @@ def walk_loops(root: Kernel | ForLoop) -> Iterator[ForLoop]:
                                if isinstance(c, ForLoop)]))
 
 
-def find_loop(kernel: Kernel, var: str) -> ForLoop | None:
-    """The loop introducing ``var``, or None."""
-    for loop in walk_loops(kernel):
-        if loop.var == var:
-            return loop
-    return None
-
-
 def loop_vars(kernel: Kernel) -> list[str]:
     """All loop variables, pre-order."""
     return [loop.var for loop in walk_loops(kernel)]

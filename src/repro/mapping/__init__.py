@@ -14,8 +14,8 @@ The spatial CGRA uses :class:`~repro.mapping.spatial_mapper.SpatialMapper`,
 which partitions the DFG into fixed-configuration phases with SPM spills.
 
 All temporal mappers are per-II strategies run by the shared
-:class:`~repro.mapping.engine.MappingEngine` (II escalation, restart
-budgeting, attempt accounting, MRRG pooling); every mapper self-registers
+:func:`~repro.mapping.engine.search` driver (II escalation, restart
+budgeting, attempt accounting); every mapper self-registers
 with the :mod:`repro.mapping.engine` registry, which is the single source
 of truth for mapper keys across the harness, CLI, and benchmarks.
 """
@@ -23,8 +23,7 @@ of truth for mapper keys across the harness, CLI, and benchmarks.
 from repro.mapping.mii import minimum_ii, resource_mii
 from repro.mapping.base import CandidateStats, Mapping, MappingStats
 from repro.mapping.engine import (
-    MapperInfo, MapperStrategy, MappingEngine, MRRGLease, MRRGPool,
-    available_mappers, default_engine, default_pool, get_mapper, map_kernel,
+    MapperInfo, MapperStrategy, available_mappers, get_mapper, map_kernel,
     register_mapper, select_winner,
 )
 from repro.mapping.router import (
@@ -44,18 +43,13 @@ __all__ = [
     "MapperInfo",
     "MapperStrategy",
     "Mapping",
-    "MappingEngine",
     "MappingStats",
-    "MRRGLease",
-    "MRRGPool",
     "PathFinderMapper",
     "PlaidMapper",
     "SimulatedAnnealingMapper",
     "SpatialMapper",
     "SpatialMapping",
     "available_mappers",
-    "default_engine",
-    "default_pool",
     "get_mapper",
     "map_kernel",
     "min_transport_latency",

@@ -9,7 +9,7 @@ from CGRA-ME / Morpher).  The library's stronger search engine lives in
 :mod:`repro.mapping.greedy`.
 
 The II escalation and stats live in the shared
-:class:`~repro.mapping.engine.MappingEngine`; this class is the per-II
+:func:`~repro.mapping.engine.search` driver; this class is the per-II
 strategy (one anneal per II).
 """
 
@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 
 from repro.arch.base import Architecture
+from repro.arch.mrrg import MRRG
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import (
     PlacementTables, SearchTables, edge_indices_by_node, initial_placement,
     mapping_cost, route_all_edges,
 )
-from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
+from repro.mapping.engine import MapperStrategy, register_mapper
 from repro.mapping.router import route_edge
 
 
@@ -49,17 +50,16 @@ class SimulatedAnnealingMapper(MapperStrategy):
         return SearchTables(dfg, arch)
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
-                   restart: int, rng, lease: MRRGLease,
+                   restart: int, rng,
                    context: SearchTables) -> Mapping | None:
-        return self._anneal(context.at(ii), rng, lease)
+        return self._anneal(context.at(ii), rng)
 
     # ------------------------------------------------------------------
-    def _anneal(self, tables: PlacementTables, rng,
-                lease: MRRGLease) -> Mapping | None:
+    def _anneal(self, tables: PlacementTables, rng) -> Mapping | None:
         dfg, arch, ii = tables.dfg, tables.arch, tables.ii
         placement = None
         for lateness in (0, 1, 2, 3):
-            mrrg = lease.fresh()
+            mrrg = MRRG(arch, ii)
             placement = initial_placement(tables, mrrg, rng,
                                           circuit_lateness=lateness)
             if placement is not None:

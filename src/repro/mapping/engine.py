@@ -1,10 +1,10 @@
-"""The unified mapping engine: registry, II-search driver, MRRG pool.
+"""The unified mapping engine: registry and II-search driver.
 
 Every temporal mapper in this package used to hand-roll the same outer
 machinery: create an RNG from its seed, compute the minimum II, escalate
 ``ii`` towards the config-memory limit with a per-II restart budget,
-count attempts, time the whole search, and rebuild an MRRG from scratch
-for every attempt.  This module owns all of that once, in three layers:
+count attempts, and time the whole search.  This module owns all of that
+once, in two layers:
 
 * **Mapper registry** — :func:`register_mapper` / :func:`get_mapper` /
   :func:`available_mappers` are the single source of truth for mapper
@@ -15,147 +15,40 @@ for every attempt.  This module owns all of that once, in three layers:
   keys, run them back to back and keep the candidate with the fewest
   total cycles, matching the paper's baseline methodology.
 
-* **II-search driver** — :meth:`MappingEngine.search` runs a
-  :class:`MapperStrategy` through the shared escalation loop:
-  ``minimum_ii -> ii_limit`` outer loop, a strategy-declared number of
-  restarts per II, attempt accounting, and wall-clock stats.  Mapper
-  classes shrink to per-II strategies (:meth:`MapperStrategy.attempt_ii`)
-  and inherit ``map()`` from the base class.
+* **II-search driver** — :func:`search` runs a :class:`MapperStrategy`
+  through the shared escalation loop: ``minimum_ii -> ii_limit`` outer
+  loop, a strategy-declared number of restarts per II, attempt
+  accounting, and wall-clock stats.  Mapper classes shrink to per-II
+  strategies (:meth:`MapperStrategy.attempt_ii`) and inherit ``map()``
+  from the base class.
 
-* **MRRG pool** — :class:`MRRGPool` recycles
-  :class:`~repro.arch.mrrg.MRRG` instances keyed by
-  ``(architecture structural signature, II)``.  Strategies draw "fresh"
-  graphs from an :class:`MRRGLease`; the pool satisfies each request by
-  resetting a pooled instance in place instead of reconstructing it.
-  The contract (enforced by ``tests/test_mapping_engine.py``) is that a
-  reset MRRG is *indistinguishable from a reconstruction*: pooled and
-  unpooled searches produce bit-identical placements, routes, IIs, and
-  stats.  The pool also benefits from the per-fabric flattened
-  adjacency/latency tables (:func:`repro.mapping.router.router_adjacency`,
-  :func:`repro.mapping.router.transport_latency_table`) that keep the
-  router hot path allocation-free.
-
-The pool is per-process (sweep workers each build their own) and not
-thread-safe; all mapping in this package is process-parallel only.
+Strategies build each :class:`~repro.arch.mrrg.MRRG` they need with
+``MRRG(arch, ii)``: a graph is a handful of flat arrays, and everything
+invariant per fabric (resource ids, router adjacency, transport
+latencies, compiled route cores) is memoized on the architecture
+instance, so construction is cheap.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from repro.arch.base import Architecture
-from repro.arch.mrrg import MRRG
 from repro.errors import MappingError, ReproError
 from repro.ir.graph import DFG
 from repro.mapping import routecore
 from repro.mapping.base import CandidateStats, Mapping, MappingStats
 from repro.mapping.mii import minimum_ii
 from repro.utils.rng import make_rng
-from repro.utils.signature import arch_structural_key
 
 __all__ = [
-    "MapperInfo", "MapperStrategy", "MappingEngine", "MRRGLease",
-    "MRRGPool", "PoolStats", "available_mappers", "default_engine",
-    "default_pool", "get_mapper", "map_kernel", "register_mapper",
+    "MapperInfo", "MapperStrategy", "available_mappers", "default_pool",
+    "get_mapper", "map_kernel", "register_mapper", "search",
     "select_winner",
 ]
-
-
-# ---------------------------------------------------------------------------
-# MRRG pool
-# ---------------------------------------------------------------------------
-@dataclass
-class PoolStats:
-    """Reuse accounting for one :class:`MRRGPool`."""
-
-    created: int = 0            # MRRGs constructed from scratch
-    adopted: int = 0            # pooled instances picked up by a lease
-    resets: int = 0             # in-place resets serving a fresh() call
-
-    def reset(self) -> None:
-        self.created = self.adopted = self.resets = 0
-
-
-class MRRGPool:
-    """Recycles MRRG instances keyed by (arch structural signature, II).
-
-    Structural keying (:func:`repro.utils.signature.arch_structural_key`)
-    makes two separately built but identical fabrics share a pool slot: a
-    pooled MRRG may reference an older — structurally equal — arch
-    instance, which is observationally identical for mapping.  Instances
-    handed back by a lease are reset before reuse; ``max_free_per_key``
-    bounds retained memory.
-    """
-
-    def __init__(self, max_free_per_key: int = 2) -> None:
-        self._free: dict[tuple[str, int], list[MRRG]] = {}
-        self.max_free_per_key = max_free_per_key
-        self.stats = PoolStats()
-
-    def acquire(self, arch: Architecture, ii: int) -> MRRG:
-        """A reset MRRG for (arch, ii) — pooled when available."""
-        key = (arch_structural_key(arch), ii)
-        free = self._free.get(key)
-        if free:
-            mrrg = free.pop()
-            mrrg.reset()
-            self.stats.adopted += 1
-            return mrrg
-        self.stats.created += 1
-        return MRRG(arch, ii)
-
-    def release(self, arch: Architecture, ii: int, mrrg: MRRG) -> None:
-        """Return an MRRG for later reuse (dropped beyond the bound)."""
-        key = (arch_structural_key(arch), ii)
-        free = self._free.setdefault(key, [])
-        if len(free) < self.max_free_per_key:
-            free.append(mrrg)
-
-    def clear(self) -> None:
-        self._free.clear()
-        self.stats.reset()
-
-
-class MRRGLease:
-    """Hands a strategy "fresh" MRRGs for one (arch, II) search window.
-
-    ``fresh()`` replaces every ``MRRG(arch, ii)`` construction inside a
-    mapper: with a pool it reuses one instance, resetting it in place per
-    request; without a pool (``pool=None``) it constructs a brand-new
-    MRRG every time — the reference behaviour the pooled path must match
-    bit for bit.  Strategies never need two live MRRGs at once, so a
-    single recycled instance per lease suffices.
-    """
-
-    def __init__(self, pool: MRRGPool | None, arch: Architecture,
-                 ii: int) -> None:
-        self.pool = pool
-        self.arch = arch
-        self.ii = ii
-        self._mrrg: MRRG | None = None
-
-    def fresh(self) -> MRRG:
-        if self.pool is None:
-            mrrg = MRRG(self.arch, self.ii)
-        elif self._mrrg is None:
-            mrrg = self._mrrg = self.pool.acquire(self.arch, self.ii)
-        else:
-            mrrg = self._mrrg
-            mrrg.reset()
-            self.pool.stats.resets += 1
-        return mrrg
-
-    def release(self) -> None:
-        """Hand the recycled instance back to the pool (lease is done).
-
-        Safe because a finished :class:`~repro.mapping.base.Mapping`
-        copies its placement/route dicts and never references the MRRG.
-        """
-        if self.pool is not None and self._mrrg is not None:
-            self.pool.release(self.arch, self.ii, self._mrrg)
-            self._mrrg = None
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +57,11 @@ class MRRGLease:
 class MapperStrategy:
     """Base class for per-II mapping strategies.
 
-    Subclasses provide :meth:`attempt_ii` (one restart at one II, drawing
-    MRRGs from the lease) and may override :meth:`prepare` (per-search
-    setup such as Plaid's hierarchy decomposition — runs *before* the II
-    loop) and :meth:`attempts_per_ii` (the restart budget).  ``map()`` is
-    inherited: it routes through the shared :func:`default_engine`.
+    Subclasses provide :meth:`attempt_ii` (one restart at one II) and may
+    override :meth:`prepare` (per-search setup such as Plaid's hierarchy
+    decomposition — runs *before* the II loop) and
+    :meth:`attempts_per_ii` (the restart budget).  ``map()`` is
+    inherited: it runs the shared :func:`search`.
     """
 
     name = "mapper"
@@ -186,75 +79,66 @@ class MapperStrategy:
         return 1
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
-                   restart: int, rng, lease: MRRGLease,
-                   context) -> Mapping | None:
+                   restart: int, rng, context) -> Mapping | None:
         raise NotImplementedError
 
     def map(self, dfg: DFG, arch: Architecture, **prepare_kwargs) -> Mapping:
         """Map ``dfg`` onto ``arch``; raises :class:`MappingError` when no
         II up to the config-memory limit admits a mapping."""
-        return default_engine().search(dfg, arch, self, **prepare_kwargs)
+        return search(dfg, arch, self, **prepare_kwargs)
 
 
-class MappingEngine:
-    """The shared II-escalation driver all temporal mappers run through.
+def search(dfg: DFG, arch: Architecture, strategy: MapperStrategy,
+           **prepare_kwargs) -> Mapping:
+    """The shared II escalation all temporal mappers run through.
 
-    Owns the ``minimum_ii -> ii_limit`` loop, per-II restart budgeting,
-    attempt accounting, wall-clock stats, and MRRG leasing.  Construct
-    with ``pool=None`` to disable pooling (every ``lease.fresh()`` then
-    reconstructs) — results are identical either way.
+    Tries ``strategy.attempts_per_ii(ii)`` restarts at each II from the
+    minimum II up to the config-memory depth (or ``strategy.max_ii``,
+    whichever is lower), and stamps the first mapping found with
+    :class:`MappingStats`.
     """
-
-    def __init__(self, pool: MRRGPool | None = None) -> None:
-        self.pool = pool
-
-    def search(self, dfg: DFG, arch: Architecture,
-               strategy: MapperStrategy, **prepare_kwargs) -> Mapping:
-        start_time = time.perf_counter()
-        failures_before = routecore.ROUTING.failures
-        rng = make_rng(strategy.seed)
-        context = strategy.prepare(dfg, arch, rng, **prepare_kwargs)
-        mii = minimum_ii(dfg, arch)
-        ii_limit = strategy.max_ii or arch.config_entries
-        attempts = 0
-        for ii in range(mii, ii_limit + 1):
-            lease = MRRGLease(self.pool, arch, ii)
-            try:
-                for restart in range(strategy.attempts_per_ii(ii, context)):
-                    attempts += 1
-                    mapping = strategy.attempt_ii(
-                        dfg, arch, ii, restart, rng, lease, context)
-                    if mapping is not None:
-                        mapping.stats = MappingStats(
-                            mapper=strategy.name,
-                            attempts=attempts,
-                            routed_edges=len(mapping.routes),
-                            bypass_edges=sum(
-                                1 for route in mapping.routes.values()
-                                if route.bypass),
-                            transport_steps=sum(
-                                len(route.steps)
-                                for route in mapping.routes.values()),
-                            routing_failures=routecore.ROUTING.failures
-                            - failures_before,
-                            seconds=time.perf_counter() - start_time,
-                        )
-                        return mapping
-            finally:
-                lease.release()
-        failures = routecore.ROUTING.failures - failures_before
-        detail = f" ({failures} edge-routing attempts failed)" \
-            if failures else ""
-        error = MappingError(
-            f"{strategy.failure_label} could not map '{dfg.name}' on "
-            f"{arch.name} within II <= {ii_limit}{detail}"
-        )
-        # Per-candidate aggregation for the composite driver: how much
-        # work the exhausted search burned (attribute-only — the message
-        # and type are unchanged for every existing caller).
-        error.attempts = attempts
-        error.seconds = time.perf_counter() - start_time
-        raise error
+    start_time = time.perf_counter()
+    failures_before = routecore.ROUTING.failures
+    rng = make_rng(strategy.seed)
+    context = strategy.prepare(dfg, arch, rng, **prepare_kwargs)
+    mii = minimum_ii(dfg, arch)
+    ii_limit = min(strategy.max_ii or arch.config_entries,
+                   arch.config_entries)
+    attempts = 0
+    for ii in range(mii, ii_limit + 1):
+        for restart in range(strategy.attempts_per_ii(ii, context)):
+            attempts += 1
+            mapping = strategy.attempt_ii(dfg, arch, ii, restart, rng,
+                                          context)
+            if mapping is not None:
+                mapping.stats = MappingStats(
+                    mapper=strategy.name,
+                    attempts=attempts,
+                    routed_edges=len(mapping.routes),
+                    bypass_edges=sum(
+                        1 for route in mapping.routes.values()
+                        if route.bypass),
+                    transport_steps=sum(
+                        len(route.steps)
+                        for route in mapping.routes.values()),
+                    routing_failures=routecore.ROUTING.failures
+                    - failures_before,
+                    seconds=time.perf_counter() - start_time,
+                )
+                return mapping
+    failures = routecore.ROUTING.failures - failures_before
+    detail = f" ({failures} edge-routing attempts failed)" \
+        if failures else ""
+    error = MappingError(
+        f"{strategy.failure_label} could not map '{dfg.name}' on "
+        f"{arch.name} within II <= {ii_limit}{detail}"
+    )
+    # Per-candidate aggregation for the composite driver: how much
+    # work the exhausted search burned (attribute-only — the message
+    # and type are unchanged for every existing caller).
+    error.attempts = attempts
+    error.seconds = time.perf_counter() - start_time
+    raise error
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +292,13 @@ register_mapper(
 
 
 # ---------------------------------------------------------------------------
-# Process-wide default engine
+# Benchmark compatibility
 # ---------------------------------------------------------------------------
-_DEFAULT_POOL = MRRGPool()
-_DEFAULT_ENGINE = MappingEngine(pool=_DEFAULT_POOL)
+_NO_POOL = SimpleNamespace(clear=lambda: None)
 
 
-def default_engine() -> MappingEngine:
-    """The pooled engine ``MapperStrategy.map`` routes through."""
-    return _DEFAULT_ENGINE
-
-
-def default_pool() -> MRRGPool:
-    """The process-wide MRRG pool (benchmarks read its stats)."""
-    return _DEFAULT_POOL
+def default_pool() -> SimpleNamespace:
+    """A no-op stub kept for ``perfbench/worker.py``, which calls
+    ``engine.default_pool().clear()`` before every grid pass.  Mapping
+    keeps no pooled state, so ``clear()`` does nothing."""
+    return _NO_POOL

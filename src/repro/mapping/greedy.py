@@ -8,7 +8,7 @@ non-Plaid fabrics; the paper-faithful baselines remain
 :class:`~repro.mapping.annealing.SimulatedAnnealingMapper`.
 
 The II escalation, restart budgeting, and stats live in the shared
-:class:`~repro.mapping.engine.MappingEngine`.
+:func:`~repro.mapping.engine.search` driver.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.arch.base import Architecture
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
-from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
+from repro.mapping.engine import MapperStrategy, register_mapper
 
 
 class GreedyRepairMapper(MapperStrategy):
@@ -44,12 +44,10 @@ class GreedyRepairMapper(MapperStrategy):
         return self.restarts
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
-                   restart: int, rng, lease: MRRGLease,
-                   context) -> Mapping | None:
+                   restart: int, rng, context) -> Mapping | None:
         from repro.mapping.plaid_mapper import _State, solve_state
 
-        state = _State(dfg, arch, context, ii, None, rng,
-                       mrrg=lease.fresh())
+        state = _State(dfg, arch, context, ii, None, rng)
         return solve_state(state, self.moves_per_ii, self.start_temp,
                            self.cooling)
 

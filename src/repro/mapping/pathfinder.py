@@ -16,7 +16,7 @@ negotiation oracle: ``tests/test_routecore.py`` locks that both modes
 produce bit-identical mappings across the golden-grid seeds.
 
 The II escalation, restart budgeting, and stats live in the shared
-:class:`~repro.mapping.engine.MappingEngine`; this class is the per-II
+:func:`~repro.mapping.engine.search` driver; this class is the per-II
 strategy (one restart = one list-scheduled placement negotiated over
 ``max_rounds`` rip-up rounds).
 """
@@ -24,13 +24,14 @@ strategy (one restart = one list-scheduled placement negotiated over
 from __future__ import annotations
 
 from repro.arch.base import Architecture
+from repro.arch.mrrg import MRRG
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import (
     PlacementTables, SearchTables, initial_placement, route_all_edges,
     route_one_edge,
 )
-from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
+from repro.mapping.engine import MapperStrategy, register_mapper
 from repro.mapping.router import RoutingHistory
 
 
@@ -58,15 +59,15 @@ class PathFinderMapper(MapperStrategy):
         return self.restarts
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
-                   restart: int, rng, lease: MRRGLease,
+                   restart: int, rng,
                    context: SearchTables) -> Mapping | None:
-        return self._try_ii(context.at(ii), rng, lease,
+        return self._try_ii(context.at(ii), rng,
                             circuit_lateness=restart % 4)
 
-    def _try_ii(self, tables: PlacementTables, rng, lease: MRRGLease,
+    def _try_ii(self, tables: PlacementTables, rng,
                 circuit_lateness: int = 0) -> Mapping | None:
         dfg, arch, ii = tables.dfg, tables.arch, tables.ii
-        mrrg = lease.fresh()
+        mrrg = MRRG(arch, ii)
         placement = initial_placement(tables, mrrg, rng,
                                       circuit_lateness=circuit_lateness)
         if placement is None:
@@ -75,8 +76,7 @@ class PathFinderMapper(MapperStrategy):
         if self.incremental:
             return self._negotiate_incremental(dfg, arch, ii, mrrg,
                                                placement, history)
-        return self._negotiate_full(dfg, arch, ii, lease, placement,
-                                    history)
+        return self._negotiate_full(dfg, arch, ii, placement, history)
 
     # ------------------------------------------------------------------
     def _negotiate_incremental(self, dfg: DFG, arch: Architecture, ii: int,
@@ -125,12 +125,12 @@ class PathFinderMapper(MapperStrategy):
 
     # ------------------------------------------------------------------
     def _negotiate_full(self, dfg: DFG, arch: Architecture, ii: int,
-                        lease: MRRGLease, placement,
-                        history: RoutingHistory) -> Mapping | None:
+                        placement, history: RoutingHistory
+                        ) -> Mapping | None:
         """The pre-incremental oracle: rip up every net each round."""
         for _round in range(self.max_rounds):
             # Rip up: fresh MRRG with only the placement committed.
-            mrrg = lease.fresh()
+            mrrg = MRRG(arch, ii)
             for node_id, (fu_id, cycle) in placement.items():
                 mrrg.place_node(node_id, fu_id, cycle)
             routes, failures = route_all_edges(dfg, mrrg, placement,

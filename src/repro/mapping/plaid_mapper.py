@@ -17,7 +17,7 @@ on PCUs hardwired for their kind — pattern edges there are free wires —
 while general PCUs accept anything.
 
 The II escalation (step 4) and stats live in the shared
-:class:`~repro.mapping.engine.MappingEngine`; this class is the per-II
+:func:`~repro.mapping.engine.search` driver; this class is the per-II
 strategy, with one restart per candidate motif decomposition.
 """
 
@@ -32,7 +32,7 @@ from repro.errors import MappingError
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import mapping_cost, modulo_asap, schedule_horizon
-from repro.mapping.engine import MapperStrategy, MRRGLease, register_mapper
+from repro.mapping.engine import MapperStrategy, register_mapper
 from repro.mapping.router import route_edge, transport_latency_table
 from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
 from repro.motifs.schedules import schedule_templates
@@ -94,11 +94,10 @@ class PlaidMapper(MapperStrategy):
         return len(hierarchies)
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
-                   restart: int, rng, lease: MRRGLease,
-                   context) -> Mapping | None:
+                   restart: int, rng, context) -> Mapping | None:
         hierarchies, hardwired = context
         state = _State(dfg, arch, hierarchies[restart], ii,
-                       hardwired, rng, mrrg=lease.fresh())
+                       hardwired, rng)
         return self._solve(state)
 
     # ------------------------------------------------------------------
@@ -238,15 +237,14 @@ class _State:
 
     def __init__(self, dfg: DFG, arch: Architecture,
                  hierarchy: HierarchicalDFG, ii: int,
-                 hardwired: dict[int, MotifKind] | None, rng,
-                 mrrg: MRRG | None = None) -> None:
+                 hardwired: dict[int, MotifKind] | None, rng) -> None:
         self.dfg = dfg
         self.arch = arch
         self.hierarchy = hierarchy
         self.ii = ii
         self.hardwired = hardwired
         self.rng = rng
-        self.mrrg = mrrg if mrrg is not None else MRRG(arch, ii)
+        self.mrrg = MRRG(arch, ii)
         self.placement: dict[int, tuple[int, int]] = {}
         self.routes: dict[int, Route] = {}
         self.unplaced: set[int] = set()
@@ -308,9 +306,6 @@ class _State:
     # ------------------------------------------------------------------
     def _alu_fu(self, pcu: int, slot: int) -> int:
         return pcu * _FUS_PER_PCU + slot
-
-    def _alsu_fu(self, pcu: int) -> int:
-        return pcu * _FUS_PER_PCU + 3
 
     def _pcus_for_kind(self, kind: MotifKind) -> list[int]:
         if self.hardwired is None:

@@ -4,8 +4,8 @@
 mapper: the interpreted search walks ``(place, cycle)`` tuple keys and
 pays two :meth:`~repro.arch.mrrg.MRRG.step_cost` calls — each a tuple
 construction plus several dict probes — per relaxed transition.  This
-module compiles everything that is invariant per *(architecture
-signature, II)* into a :class:`RouteCore` once, following the repo's
+module compiles everything that is invariant per *(architecture, II)*
+into a :class:`RouteCore` once, following the repo's
 engine pattern (PR 2 mapping engine, PR 3 compiled simulator):
 
 * every routable resource — ``("place", p)`` and ``("res", name)`` — has
@@ -29,9 +29,9 @@ selection, same :class:`~repro.arch.mrrg.Route` steps.
 ``tests/test_routecore.py`` locks this per-route and across whole mapper
 searches on the golden grid.
 
-Cores are cached per ``(arch structural key, II)`` — the same keying as
-the MRRG pool in :mod:`repro.mapping.engine` — so structurally equal
-fabrics share compiled tables.
+Cores are memoized on the architecture instance, one per II, like the
+fabric's :func:`~repro.arch.mrrg.resource_index` and the router's
+adjacency and latency tables.
 
 Env knobs: ``REPRO_ROUTING_ENGINE=compiled|reference`` selects the
 router implementation process-wide (default ``compiled``; an invalid
@@ -49,7 +49,6 @@ import os
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route, RouteStep, resource_index
 from repro.errors import ConfigError
-from repro.utils.signature import arch_structural_key
 
 #: Routing gives up beyond this many cycles of transport (the router
 #: re-exports it; defined here so the core can size its state arrays
@@ -165,17 +164,17 @@ class RoutingHistory:
 
 
 class RouteCore:
-    """Per-(architecture signature, II) compiled routing tables.
+    """Per-(architecture, II) compiled routing tables.
 
     Static state only (plus per-search scratch arrays): the dynamic
     congestion arrays live on each :class:`~repro.arch.mrrg.MRRG`, so
-    every MRRG over a structurally equal fabric shares one core.
+    every MRRG over one fabric and II shares one core.
     """
 
     def __init__(self, arch: Architecture, ii: int) -> None:
-        # Deliberately no reference to ``arch`` is kept: cores live in a
-        # process-global cache, and the tables below already carry
-        # everything the search needs.
+        # No reference to ``arch`` is kept: the core is memoized on the
+        # architecture, and the tables below already carry everything
+        # the search needs.
         self.ii = ii
         n_places = len(arch.places)
 
@@ -225,22 +224,15 @@ class RouteCore:
         self._epoch = 0
 
 
-#: Core cache keyed like the MRRG pool: (arch structural key, II).
-_CORE_CACHE: dict[tuple[str, int], RouteCore] = {}
-
-
 def route_core_for(arch: Architecture, ii: int) -> RouteCore:
-    """The compiled core for (arch, ii) — cached per structural key."""
-    key = (arch_structural_key(arch), ii)
-    core = _CORE_CACHE.get(key)
+    """The compiled core for (arch, ii), memoized on the instance."""
+    cores = getattr(arch, "_route_cores", None)
+    if cores is None:
+        cores = arch._route_cores = {}
+    core = cores.get(ii)
     if core is None:
-        core = _CORE_CACHE[key] = RouteCore(arch, ii)
+        core = cores[ii] = RouteCore(arch, ii)
     return core
-
-
-def clear_core_cache() -> None:
-    """Drop every cached core (tests that rebuild fabrics use this)."""
-    _CORE_CACHE.clear()
 
 
 def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,

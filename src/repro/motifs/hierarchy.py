@@ -39,14 +39,6 @@ class HierarchicalDFG:
     node_to_group: dict[int, int] = field(default_factory=dict)
     inter_edges: list[HierarchyEdge] = field(default_factory=list)
 
-    @property
-    def collective_groups(self) -> list[int]:
-        """Indices of groups that occupy a motif compute unit."""
-        return [
-            index for index, motif in enumerate(self.groups)
-            if motif.is_collective
-        ]
-
     def group_of(self, node_id: int) -> int:
         try:
             return self.node_to_group[node_id]

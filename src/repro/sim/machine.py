@@ -37,8 +37,8 @@ from repro.ir.interpreter import MemoryImage
 from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
 from repro.mapping.base import Mapping
 from repro.sim.engine import (
-    CompiledSchedule, SimulationReport, compare_images, compile_mapping,
-    finish_verify, resolve_engine,
+    CompiledSchedule, SimulationReport, compile_mapping, finish_verify,
+    resolve_engine,
 )
 from repro.sim.spm import Scratchpad
 from repro.sim.trace import TraceRecorder
@@ -254,8 +254,3 @@ class CGRASimulator:
                     f"'{node.name}' missing operand {slot} at execution"
                 )
         return evaluate(node.op, args)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _compare(expected: MemoryImage, actual: MemoryImage) -> list[str]:
-        return compare_images(expected, actual)

@@ -129,7 +129,3 @@ class Scratchpad:
         offset = self._offset(array, index)
         self._charge_bank(offset)
         self._data[offset] = to_unsigned(value)
-
-    def bank_of(self, array: str, index: int) -> int:
-        """Interleaved bank number of one word (diagnostics)."""
-        return self._offset(array, index) % self.banks

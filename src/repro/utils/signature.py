@@ -1,10 +1,10 @@
 """Canonical structural signatures for configuration objects.
 
-Shared by the persistent result store (fingerprint keys) and the mapping
-engine's MRRG pool (pool keys): both need a deterministic, process-stable
-summary of an :class:`~repro.arch.base.Architecture` instance so that two
-structurally identical fabrics — whether or not they are the same Python
-object — hash to the same key.
+Used by the persistent result store's fingerprint keys, which need a
+deterministic, process-stable summary of an
+:class:`~repro.arch.base.Architecture` instance so that two structurally
+identical fabrics — whether or not they are the same Python object —
+hash to the same key.
 
 ``encode_value`` canonicalizes arbitrary config values (dataclasses,
 enums, sets, nested containers) into JSON-serializable structures with a
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 from typing import TYPE_CHECKING
 
@@ -31,8 +30,8 @@ def canonical_json(payload) -> str:
 
     Sorted keys, no whitespace: two structurally equal payloads always
     serialize to the same bytes, on any host.  The result-store
-    fingerprints, the MRRG pool keys, and the distributed sweep's shard
-    assignment all hash this text — which is why a shard computed on one
+    fingerprints and the distributed sweep's shard assignment both hash
+    this text — which is why a shard computed on one
     machine matches the shard the merge step expects on another.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -72,18 +71,3 @@ def arch_signature(arch: "Architecture") -> dict:
     return {f.name: encode_value(getattr(arch, f.name))
             for f in dataclasses.fields(arch)}
 
-
-def arch_structural_key(arch: "Architecture") -> str:
-    """Compact digest of :func:`arch_signature`, memoized per instance.
-
-    Two architecture objects with equal structural keys are
-    interchangeable for mapping: every id, capacity, wire, and parameter
-    the mappers and the MRRG read is identical.  The MRRG pool keys its
-    reusable graphs by this digest (plus the II).
-    """
-    cached = getattr(arch, "_structural_key", None)
-    if cached is None:
-        canonical = canonical_json(arch_signature(arch))
-        cached = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        arch._structural_key = cached
-    return cached

@@ -1,31 +1,18 @@
 """Tests for the unified mapping engine: registry, II-search driver, and
-the MRRG pool's "reset is indistinguishable from reconstruction" contract.
-"""
+MRRG charge accounting."""
 
 import pytest
 
 from mrrg_helpers import step_route
-from repro.arch import make_plaid, make_spatio_temporal
+from repro.arch import make_spatio_temporal
 from repro.arch.mrrg import MRRG
 from repro.errors import MappingError, ReproError
 from repro.eval.harness import _seed_for
 from repro.mapping import (
-    MapperStrategy, MappingEngine, MRRGPool, PathFinderMapper, PlaidMapper,
-    SimulatedAnnealingMapper, available_mappers, get_mapper, map_kernel,
-    register_mapper,
+    MapperStrategy, PathFinderMapper, available_mappers, get_mapper,
+    map_kernel, minimum_ii, register_mapper,
 )
 from repro.workloads import get_dfg
-
-#: The golden 5x3 grid's workloads (tests/data/golden_small_grid.json).
-GOLDEN_WORKLOADS = ["dwconv", "conv2x2", "gesum_u2", "atax_u2", "jacobi_u2"]
-
-#: (mapper key, mapper class, arch key, arch factory): each temporal
-#: mapper on the fabric the golden grid evaluates it on.
-MAPPER_CASES = [
-    ("pathfinder", PathFinderMapper, "st", lambda: make_spatio_temporal(4, 4)),
-    ("sa", SimulatedAnnealingMapper, "st", lambda: make_spatio_temporal(4, 4)),
-    ("plaid", PlaidMapper, "plaid", lambda: make_plaid(2, 2)),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -90,34 +77,8 @@ def test_map_kernel_best_is_min_of_candidates():
 
 
 # ---------------------------------------------------------------------------
-# MRRG reset contract
+# MRRG charge accounting
 # ---------------------------------------------------------------------------
-def test_mrrg_reset_matches_reconstruction():
-    dfg = get_dfg("dwconv")
-    arch = make_spatio_temporal(4, 4)
-    mapping = PathFinderMapper(seed=3).map(dfg, arch)
-
-    used = mapping.rebuild_mrrg()       # holds placements + route charges
-    assert used.occupancy_snapshot()    # non-trivial state to clear
-    used.reset()
-
-    fresh = MRRG(arch, mapping.ii)
-    assert used.occupancy_snapshot() == fresh.occupancy_snapshot() == {}
-    assert used.overuse() == fresh.overuse() == []
-    for fu in arch.fus:
-        for cycle in range(mapping.ii):
-            assert used.fu_free(fu.fu_id, cycle)
-    # A reset graph must replay the full mapping exactly like a fresh one.
-    for node_id, (fu_id, cycle) in mapping.placement.items():
-        used.place_node(node_id, fu_id, cycle)
-        fresh.place_node(node_id, fu_id, cycle)
-    for route in mapping.routes.values():
-        used.commit_route(route)
-        fresh.commit_route(route)
-    assert used.occupancy_snapshot() == fresh.occupancy_snapshot()
-    assert used.overuse() == fresh.overuse() == []
-
-
 def test_mrrg_usage_counts_survive_charge_discharge_cycles():
     arch = make_spatio_temporal(4, 4)
     mrrg = MRRG(arch, 2)
@@ -136,56 +97,9 @@ def test_mrrg_usage_counts_survive_charge_discharge_cycles():
 
 
 # ---------------------------------------------------------------------------
-# Pooled vs fresh searches are bit-identical (the tentpole invariant)
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("mapper_key,mapper_cls,arch_key,arch_factory",
-                         MAPPER_CASES)
-def test_pooled_search_bit_identical_to_fresh(mapper_key, mapper_cls,
-                                              arch_key, arch_factory):
-    """Fresh-vs-pooled MRRGs produce bit-identical mappings (placement,
-    routes, II, stats) for all three mappers across the golden grid
-    seeds."""
-    arch = arch_factory()
-    pool = MRRGPool()
-    pooled = MappingEngine(pool=pool)
-    fresh = MappingEngine(pool=None)
-    for workload in GOLDEN_WORKLOADS:
-        dfg = get_dfg(workload)
-        seed = _seed_for(workload, arch_key, mapper_key)
-        with_pool = pooled.search(dfg, arch, mapper_cls(seed=seed))
-        without = fresh.search(dfg, arch, mapper_cls(seed=seed))
-        assert with_pool.ii == without.ii
-        assert with_pool.placement == without.placement
-        assert with_pool.routes == without.routes
-        assert with_pool.stats.attempts == without.stats.attempts
-        assert with_pool.stats.routed_edges == without.stats.routed_edges
-        assert with_pool.stats.bypass_edges == without.stats.bypass_edges
-        assert with_pool.stats.transport_steps \
-            == without.stats.transport_steps
-    # The pooled engine actually pooled: instances were recycled either
-    # within a search (in-place resets) or across searches (adoptions).
-    assert pool.stats.resets > 0 or pool.stats.adopted > 0
-    assert pool.stats.created > 0
-
-
-def test_pool_recycles_across_searches():
-    arch = make_spatio_temporal(4, 4)
-    pool = MRRGPool()
-    engine = MappingEngine(pool=pool)
-    dfg = get_dfg("dwconv")
-    engine.search(dfg, arch, PathFinderMapper(seed=1))
-    created_first = pool.stats.created
-    engine.search(dfg, arch, PathFinderMapper(seed=1))
-    assert pool.stats.adopted > 0
-    assert pool.stats.created == created_first   # nothing rebuilt
-
-
-# ---------------------------------------------------------------------------
 # II-search driver behaviour
 # ---------------------------------------------------------------------------
 def test_engine_failure_message_and_attempt_budget():
-    from repro.mapping import minimum_ii
-
     dfg = get_dfg("atax_u2")
     arch = make_spatio_temporal(4, 4)
     mii = minimum_ii(dfg, arch)
@@ -194,6 +108,23 @@ def test_engine_failure_message_and_attempt_budget():
     with pytest.raises(MappingError,
                        match=rf"PathFinder could not map .* II <= {mii - 1}"):
         mapper.map(dfg, arch)
+
+
+def test_max_ii_beyond_config_memory_is_clamped():
+    """A ``max_ii`` deeper than the config memory stops the II search at
+    the config depth with the standard failure, not an MRRG error."""
+    dfg = get_dfg("atax_u2")
+    arch = make_spatio_temporal(4, 4)
+    arch.config_entries = minimum_ii(dfg, arch)
+    mapper = PathFinderMapper(seed=1, max_ii=arch.config_entries + 1,
+                              restarts=2)
+    with pytest.raises(
+            MappingError,
+            match=rf"PathFinder could not map .* II <= {arch.config_entries}"
+    ) as failure:
+        mapper.map(dfg, arch)
+    assert failure.value.attempts == 2
+    assert failure.value.seconds > 0
 
 
 def test_strategy_base_requires_attempt_ii():

@@ -357,7 +357,7 @@ def test_commit_uncommit_roundtrips_exactly(src, dst, slack, ii, preload,
                                             engine):
     """commit_route followed by uncommit_route restores every count,
     cost and refcount bit-for-bit — the invariant the dirty-net rip-up
-    and the MRRG pool both lean on."""
+    and the annealers' trial moves lean on."""
     previous = routecore.set_routing_engine(engine)
     try:
         arch = make_spatio_temporal()

@@ -25,13 +25,12 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mrrg_helpers import mrrg_state
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.arch.mrrg import Route, RouteStep, resource_index
 from repro.errors import MappingError
 from repro.eval.harness import _seed_for
 from repro.mapping import routecore
-from repro.mapping.engine import MappingEngine, default_pool, get_mapper
+from repro.mapping.engine import get_mapper
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.router import (
     ROUTING, RoutingHistory, min_transport_latency, route_edge,
@@ -51,14 +50,10 @@ MAPPER_CASES = [
 
 @pytest.fixture(autouse=True)
 def _compiled_engine():
-    """Every test starts from the default engine and clean pools."""
+    """Every test starts from the default engine."""
     previous = set_routing_engine("compiled")
-    default_pool().clear()
-    routecore.clear_core_cache()
     yield
     set_routing_engine(previous)
-    default_pool().clear()
-    routecore.clear_core_cache()
 
 
 def _assert_same_route(a, b):
@@ -151,8 +146,6 @@ def test_mapper_runs_bit_identical_across_engines(mapper_key, arch_key,
         results = {}
         for engine in ("reference", "compiled"):
             set_routing_engine(engine)
-            default_pool().clear()
-            routecore.clear_core_cache()
             mapper = get_mapper(mapper_key).make(seed=seed)
             results[engine] = mapper.map(get_dfg(workload), arch_factory())
         reference, compiled = results["reference"], results["compiled"]
@@ -180,18 +173,6 @@ def test_pathfinder_incremental_matches_full_ripup():
         assert incremental.placement == full.placement, workload
         assert incremental.routes == full.routes, workload
         assert incremental.stats.attempts == full.stats.attempts
-
-
-def test_pooled_and_unpooled_compiled_searches_agree():
-    """The PR 2 pool invariant holds with the compiled core bound."""
-    dfg = get_dfg("conv2x2")
-    arch = make_spatio_temporal(4, 4)
-    pooled = MappingEngine(pool=default_pool()).search(
-        dfg, arch, PathFinderMapper(seed=11))
-    unpooled = MappingEngine(pool=None).search(
-        dfg, arch, PathFinderMapper(seed=11))
-    assert pooled.placement == unpooled.placement
-    assert pooled.routes == unpooled.routes
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +353,6 @@ def test_validate_rejects_route_steps_on_missing_resources(resource):
     assert not mapping.is_valid()
 
 
-def test_reset_restores_fresh_arrays():
-    arch = make_spatio_temporal(4, 4)
-    mrrg = MRRG(arch, 2)
-    route = route_edge(mrrg, 3, 0, 0, 5, 3)
-    assert route is not None and mrrg.occupancy_snapshot()
-    mrrg.reset()
-    assert mrrg_state(mrrg) == mrrg_state(MRRG(arch, 2))
-    assert mrrg.occupancy_snapshot() == {}
-    assert mrrg.total_overuse() == 0
-
-
 def test_resource_ids_are_fixed_per_fabric():
     """Places first (rid == place id), then wires in first-reference
     order; the route core reads the same numbering."""
@@ -401,13 +371,18 @@ def test_resource_ids_are_fixed_per_fabric():
             for move in arch.moves_from(place_id))
 
 
-def test_cores_are_pooled_per_structural_key():
+def test_cores_are_memoized_per_arch_and_ii():
     arch_a = make_spatio_temporal(4, 4)
     arch_b = make_spatio_temporal(4, 4)      # equal structure, new object
-    assert routecore.route_core_for(arch_a, 4) \
-        is routecore.route_core_for(arch_b, 4)
-    assert routecore.route_core_for(arch_a, 4) \
-        is not routecore.route_core_for(arch_a, 5)
+    core = routecore.route_core_for(arch_a, 4)
+    assert routecore.route_core_for(arch_a, 4) is core
+    assert routecore.route_core_for(arch_a, 5) is not core
+    other = routecore.route_core_for(arch_b, 4)
+    assert other is not core
+    # Separately built equal fabrics compile to equal tables.
+    assert other.adj == core.adj
+    assert other.goal_rid == core.goal_rid
+    assert other.key_of == core.key_of
 
 
 # ---------------------------------------------------------------------------
