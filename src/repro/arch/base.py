@@ -20,9 +20,12 @@ Every capacity is per cycle; the MRRG folds cycles modulo II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.errors import ArchitectureError
 from repro.ir.ops import COMPUTE_OPS, MEMORY_OPS, Opcode
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,15 @@ class Move:
 @dataclass
 class Architecture:
     """A complete fabric description consumed by MRRG, mapper, simulator,
-    and the power model."""
+    and the power model.
+
+    Fabrics are immutable after construction: derived tables (resource
+    index, route cores, latency tables, the store signature, ...) are
+    memoized on the instance through :meth:`memo`.  To vary a fabric,
+    edit a ``copy.copy``/``copy.deepcopy`` of it — copies (and pickles)
+    start with no memos, so they derive every table from their own
+    fields.
+    """
 
     name: str
     style: str                      # 'spatio-temporal' | 'spatial' | 'plaid'
@@ -94,6 +105,26 @@ class Architecture:
     #: Free-form parameters the power model and mappers read (crossbar
     #: sizes, pruning scales, hardwired motif kinds, ...).
     params: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Deliberately not a field: the store signature walks every field.
+        self._memos: dict[object, object] = {}
+
+    def __getstate__(self) -> dict:
+        # copy.copy, copy.deepcopy and pickle all take the state from
+        # here, so a copy never inherits tables derived from the original.
+        state = self.__dict__.copy()
+        state["_memos"] = {}
+        return state
+
+    def memo(self, key: object, build: Callable[[], T]) -> T:
+        """The value memoized under ``key``, built by ``build()`` on first
+        use.  The one home of every per-fabric derived table."""
+        memos = self._memos
+        value = memos.get(key)
+        if value is None:
+            value = memos[key] = build()
+        return value
 
     # ------------------------------------------------------------------
     # Queries
@@ -125,10 +156,7 @@ class Architecture:
         opcode; fabrics are immutable after construction).  The mappers'
         candidate-enumeration hot paths call this per node per restart —
         callers that shuffle must copy the returned tuple."""
-        index = getattr(self, "_op_index", None)
-        if index is None:
-            index = {}
-            self._op_index = index
+        index = self.memo("op_index", dict)
         cached = index.get(op)
         if cached is None:
             cached = tuple(fu for fu in self.fus if fu.supports(op))
@@ -138,13 +166,13 @@ class Architecture:
     def moves_from(self, place_id: int) -> list[Move]:
         """Outgoing moves of a place (indexed once; fabrics are immutable
         after construction)."""
-        index = getattr(self, "_moves_from_index", None)
-        if index is None:
-            index = {}
-            for move in self.moves:
-                index.setdefault(move.src, []).append(move)
-            object.__setattr__(self, "_moves_from_index", index)
-        return index.get(place_id, [])
+        return self.memo("moves_from", self._index_moves).get(place_id, [])
+
+    def _index_moves(self) -> dict[int, list[Move]]:
+        index: dict[int, list[Move]] = {}
+        for move in self.moves:
+            index.setdefault(move.src, []).append(move)
+        return index
 
     def validate(self) -> None:
         """Structural sanity: ids dense, references valid, capacities > 0."""

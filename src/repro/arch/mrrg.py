@@ -77,10 +77,7 @@ class ResourceIndex:
 
 def resource_index(arch: Architecture) -> ResourceIndex:
     """The fabric's :class:`ResourceIndex`, memoized on the instance."""
-    index = getattr(arch, "_resource_index", None)
-    if index is None:
-        index = arch._resource_index = ResourceIndex(arch)
-    return index
+    return arch.memo("resource_index", lambda: ResourceIndex(arch))
 
 
 @dataclass(frozen=True)

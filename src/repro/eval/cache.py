@@ -35,7 +35,9 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ReproError
 from repro.utils.atomicio import atomic_write_text, is_temp_file
-from repro.utils.signature import arch_signature, canonical_json
+from repro.utils.signature import (
+    arch_signature, arch_signature_text, canonical_json,
+)
 
 __all__ = [
     "CACHE_DIR_ENV", "CachedFailure", "RawEntry", "ResultStore",
@@ -92,15 +94,24 @@ def workload_signature(spec: "WorkloadSpec") -> dict:
 
 def fingerprint(spec: "WorkloadSpec", arch: "Architecture",
                 mapper_key: str, seed: int) -> str:
-    """Stable hex digest identifying one evaluation configuration."""
-    payload = {
+    """Stable hex digest identifying one evaluation configuration.
+
+    The digest is over ``canonical_json`` of ``{"schema", "workload",
+    "arch": arch_signature(arch), "mapper", "seed"}``.  The arch part is
+    the text :func:`arch_signature_text` memoizes per fabric instance
+    (copies drop it; fabrics are immutable after construction, so edit a
+    copy), spliced in as the first key — ``arch`` sorts before
+    ``mapper, schema, seed, workload`` — so the bytes hashed are exactly
+    those of the whole payload.
+    """
+    rest = canonical_json({
         "schema": SCHEMA_VERSION,
         "workload": workload_signature(spec),
-        "arch": arch_signature(arch),
         "mapper": mapper_key,
         "seed": seed,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    })
+    text = '{"arch":' + arch_signature_text(arch) + "," + rest[1:]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

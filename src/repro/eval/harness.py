@@ -133,8 +133,9 @@ EVAL_STATS = EvalStats()
 
 #: Fingerprint memo: configs are immutable between clear_caches() calls
 #: (build_arch is cached the same way), and sharding/manifest checks
-#: fingerprint whole grids at once — no point re-walking the arch
-#: signature per call.
+#: fingerprint whole grids at once.  The fabric's signature text is
+#: already memoized on its instance; this saves the workload signature
+#: and the hashing on repeat lookups of one cell.
 _FP_MEMO: dict[tuple[str, str, str], str] = {}
 
 

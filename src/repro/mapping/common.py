@@ -89,16 +89,15 @@ def fu_hop_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
     """FU x FU mesh distance between the FUs' tiles, built once per fabric
     (cached on the architecture, like
     :func:`~repro.mapping.router.transport_latency_table`)."""
-    table = getattr(arch, "_fu_hop_table", None)
-    if table is None:
+    def build() -> tuple[tuple[int, ...], ...]:
         tiles = [fu.tile for fu in arch.fus]
-        table = tuple(
+        return tuple(
             tuple(manhattan(src_tile, dst_tile, arch.cols)
                   for dst_tile in tiles)
             for src_tile in tiles
         )
-        arch._fu_hop_table = table
-    return table
+
+    return arch.memo("fu_hop_table", build)
 
 
 class Window(NamedTuple):

@@ -226,9 +226,7 @@ class RouteCore:
 
 def route_core_for(arch: Architecture, ii: int) -> RouteCore:
     """The compiled core for (arch, ii), memoized on the instance."""
-    cores = getattr(arch, "_route_cores", None)
-    if cores is None:
-        cores = arch._route_cores = {}
+    cores = arch.memo("route_cores", dict)
     core = cores.get(ii)
     if core is None:
         core = cores[ii] = RouteCore(arch, ii)

@@ -46,8 +46,7 @@ def transport_latency_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
     precomputed table turns each call into two index lookups without
     changing a single value.
     """
-    table = getattr(arch, "_transport_latency_table", None)
-    if table is None:
+    def build() -> tuple[tuple[int, ...], ...]:
         tiles = [fu.tile for fu in arch.fus]
         cols = arch.cols
         if arch.style == "plaid":
@@ -56,13 +55,13 @@ def transport_latency_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
         else:
             def latency(hops: int) -> int:
                 return max(1, hops)
-        table = tuple(
+        return tuple(
             tuple(latency(manhattan(src_tile, dst_tile, cols))
                   for dst_tile in tiles)
             for src_tile in tiles
         )
-        arch._transport_latency_table = table
-    return table
+
+    return arch.memo("transport_latency_table", build)
 
 
 def min_transport_latency(arch: Architecture, src_fu: int,
@@ -85,16 +84,15 @@ def router_adjacency(arch: Architecture
     :meth:`Architecture.moves_from` yields, so search tie-breaking is
     unchanged.  Built once per fabric and shared by every MRRG over it.
     """
-    adjacency = getattr(arch, "_router_adjacency", None)
-    if adjacency is None:
+    def build() -> tuple[tuple[tuple[int, tuple[str, str]], ...], ...]:
         outgoing: list[list[tuple[int, tuple[str, str]]]] = [
             [] for _ in arch.places
         ]
         for move in arch.moves:
             outgoing[move.src].append((move.dst, ("res", move.resource)))
-        adjacency = tuple(tuple(entries) for entries in outgoing)
-        arch._router_adjacency = adjacency
-    return adjacency
+        return tuple(tuple(entries) for entries in outgoing)
+
+    return arch.memo("router_adjacency", build)
 
 
 def route_edge(mrrg: MRRG, net: int, src_fu: int, depart_cycle: int,

@@ -12,6 +12,13 @@ deterministic ordering; ``arch_signature`` applies it to every dataclass
 field of an architecture.  The encodings here are part of the persistent
 cache's fingerprint format: changing them orphans existing cache entries
 (they degrade to misses, never to wrong numbers).
+
+``arch_signature_text`` is the canonical JSON text of that signature,
+memoized per instance (:meth:`Architecture.memo`): a fabric is walked
+once, however many cells it is fingerprinted for.  Fabrics are immutable
+after construction, so the memo never goes stale; to vary one, edit a
+``copy.copy``/``copy.deepcopy`` of it — copies drop every memo and
+derive their own text.
 """
 
 from __future__ import annotations
@@ -37,12 +44,32 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_SEQUENCE_TYPES = frozenset((list, tuple))
+
+#: Dataclass type -> its field names, in declaration order.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def encode_value(value) -> object:
     """Deterministic, JSON-serializable encoding of a config value."""
+    # Exact-type dispatch first: the common shapes skip the isinstance
+    # chain below, and each dataclass's field names are looked up once.
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return value
+    if kind in _SEQUENCE_TYPES:
+        return [encode_value(item) for item in value]
+    names = _FIELD_NAMES.get(kind)
+    if names is not None:
+        return [kind.__name__] + [encode_value(getattr(value, name))
+                                  for name in names]
+    # Everything else — subclasses (IntEnum, str subclasses, namedtuples)
+    # included — keeps this order, which decides their encoding.
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
+        return f"{kind.__name__}.{value.name}"
     if isinstance(value, (list, tuple)):
         return [encode_value(item) for item in value]
     if isinstance(value, (set, frozenset)):
@@ -51,10 +78,13 @@ def encode_value(value) -> object:
         return sorted(([repr(key), encode_value(item)]
                        for key, item in value.items()), key=repr)
     if dataclasses.is_dataclass(value):
-        return [type(value).__name__] + [
-            encode_value(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        ]
+        names = tuple(f.name for f in dataclasses.fields(value))
+        # A dataclass *class* has its metaclass as ``kind``, which other
+        # classes share: only instances key the cache.
+        if not isinstance(value, type):
+            _FIELD_NAMES[kind] = names
+        return [kind.__name__] + [encode_value(getattr(value, name))
+                                  for name in names]
     return repr(value)
 
 
@@ -71,3 +101,8 @@ def arch_signature(arch: "Architecture") -> dict:
     return {f.name: encode_value(getattr(arch, f.name))
             for f in dataclasses.fields(arch)}
 
+
+def arch_signature_text(arch: "Architecture") -> str:
+    """``canonical_json(arch_signature(arch))``, memoized on the instance."""
+    return arch.memo("signature_text",
+                     lambda: canonical_json(arch_signature(arch)))

@@ -1,16 +1,24 @@
 """Tests for architecture models: structure, provisioning, invariants."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.arch import (
     make_plaid, make_plaid_ml, make_spatial, make_spatio_temporal, make_st_ml,
 )
 from repro.arch.base import ALL_COMPUTE
+from repro.arch.mrrg import resource_index
 from repro.arch.specialize import hardwired_motif_kinds
 from repro.arch.topology import manhattan, mesh_neighbors, tile_coords, tile_index
 from repro.errors import ArchitectureError
 from repro.ir.ops import Opcode
+from repro.mapping.routecore import route_core_for
 from repro.motifs.types import MotifKind
+from repro.utils.signature import (
+    arch_signature, arch_signature_text, canonical_json,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -160,3 +168,58 @@ def test_spatial_is_st_shaped_with_gated_config():
     assert spatial.style == "spatial"
     assert len(spatial.fus) == 16
     assert "reconfig_cycles" in spatial.params
+
+
+# ---------------------------------------------------------------------------
+# Per-fabric memos
+# ---------------------------------------------------------------------------
+def test_fabric_memos_are_per_instance():
+    plaid = make_plaid()
+    assert resource_index(plaid) is resource_index(plaid)
+    assert route_core_for(plaid, 2) is route_core_for(plaid, 2)
+    assert arch_signature_text(plaid) is arch_signature_text(plaid)
+    assert arch_signature_text(plaid) == canonical_json(arch_signature(plaid))
+
+
+def test_deep_copied_fabric_derives_fresh_memos():
+    """Regression: a deep copy used to inherit the original's resource
+    index and route cores, so edits to the copy went unseen."""
+    plaid = make_plaid()
+    index = resource_index(plaid)
+    core = route_core_for(plaid, 2)
+    text = arch_signature_text(plaid)
+    wire = plaid.moves[0].resource
+    rid = index.rid_of[("res", wire)]
+
+    edited = copy.deepcopy(plaid)
+    edited.resource_caps[wire] = index.caps[rid] + 5
+    edited.bypass_pairs.clear()
+
+    edited_index = resource_index(edited)
+    assert edited_index is not index
+    assert edited_index.caps[rid] == index.caps[rid] + 5
+    edited_core = route_core_for(edited, 2)
+    assert edited_core is not core
+    assert not edited_core.bypass_pairs and core.bypass_pairs
+    assert arch_signature_text(edited) != text
+    assert arch_signature_text(edited) == \
+        canonical_json(arch_signature(edited))
+    # The original keeps its own memos.
+    assert resource_index(plaid) is index
+    assert route_core_for(plaid, 2) is core
+    assert arch_signature_text(plaid) is text
+
+
+def test_shallow_copies_and_pickles_drop_memos():
+    plaid = make_plaid()
+    text = arch_signature_text(plaid)
+    index = resource_index(plaid)
+
+    shallow = copy.copy(plaid)
+    shallow.config_entries += 1
+    assert arch_signature_text(shallow) != text
+    assert resource_index(shallow) is not index
+
+    restored = pickle.loads(pickle.dumps(plaid))
+    assert resource_index(restored) is not index
+    assert arch_signature_text(restored) == text
