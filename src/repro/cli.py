@@ -180,13 +180,22 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     from repro.eval import experiments
     from repro.eval.landscape import landscape_table
-    from repro.eval.reporting import render_scorecard
+    from repro.eval.reporting import (
+        render_scorecard, render_scorecard_spread, scorecard_spread,
+    )
 
+    if args.seeds is not None and (args.experiment != "scorecard"
+                                   or args.seeds < 1):
+        raise ReproError("--seeds takes a positive count and applies to "
+                         "the scorecard only")
     if args.experiment == "table1":
         print(landscape_table())
         return 0
     if args.experiment == "scorecard":
-        print(render_scorecard())
+        if args.seeds is None:
+            print(render_scorecard())
+        else:
+            print(render_scorecard_spread(scorecard_spread(args.seeds)))
         return 0
     try:
         func = getattr(experiments, args.experiment)
@@ -522,6 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="print one experiment")
     p_report.add_argument("experiment",
                           help="table1|table2|fig2|fig12..fig19|scorecard")
+    p_report.add_argument("--seeds", type=int, metavar="K",
+                          help="scorecard only: each claim's salt-0 value "
+                               "with its median and min-max over seed "
+                               "salts 0..K-1, plus each Plaid column's "
+                               "cycles geomean")
     p_report.set_defaults(func=cmd_report)
 
     p_sweep = sub.add_parser(

@@ -84,15 +84,20 @@ class KernelResult:
         return perf_per_area(self.cycles, self.area)
 
 
-def _seed_for(workload: str, arch_key: str, mapper_key: str) -> int:
+def _seed_for(workload: str, arch_key: str, mapper_key: str,
+              salt: int = 0) -> int:
     """Stable mapper seed for one configuration.
 
     Deliberately *not* the builtin ``hash``: string hashing is salted per
     process (``PYTHONHASHSEED``), which would give every run and every
     sweep worker a different seed and make results uncacheable.  CRC-32
-    of the key string is identical everywhere, forever.
+    of the key string is identical everywhere, forever.  A nonzero
+    ``salt`` appends itself to the key, drawing an independent seed for
+    seed-spread studies; salt 0 is the published seed.
     """
     key = f"{workload}\x1f{arch_key}\x1f{mapper_key}"
+    if salt:
+        key += f"\x1f{salt}"
     return (zlib.crc32(key.encode("utf-8")) & 0x7FFFFFFF) or 1
 
 
@@ -131,12 +136,38 @@ _STORE_RESOLVED = False
 
 EVAL_STATS = EvalStats()
 
+#: Seed salt of this process's evaluations (see :func:`set_seed_salt`).
+_SALT = 0
+
 #: Fingerprint memo: configs are immutable between clear_caches() calls
 #: (build_arch is cached the same way), and sharding/manifest checks
 #: fingerprint whole grids at once.  The fabric's signature text is
 #: already memoized on its instance; this saves the workload signature
 #: and the hashing on repeat lookups of one cell.
 _FP_MEMO: dict[tuple[str, str, str], str] = {}
+
+
+def seed_salt() -> int:
+    """The seed salt evaluations in this process use (0 by default)."""
+    return _SALT
+
+
+def set_seed_salt(salt: int) -> int:
+    """Evaluate with seeds drawn under ``salt`` from now on; returns the
+    previous salt.
+
+    The in-process memos hold one salt's results, so a change drops
+    them.  The persistent store needs nothing: the seed is part of every
+    fingerprint, so salted results never collide with published ones.
+    """
+    global _SALT
+    previous = _SALT
+    if salt != previous:
+        _MEMO.clear()
+        _FAILED.clear()
+        _FP_MEMO.clear()
+        _SALT = salt
+    return previous
 
 
 def configure_store(store: result_cache.ResultStore | str | None
@@ -177,7 +208,7 @@ def evaluation_fingerprint(workload: str, arch_key: str,
     cached = _FP_MEMO.get(key)
     if cached is not None:
         return cached
-    seed = _seed_for(workload, arch_key, mapper_key)
+    seed = _seed_for(workload, arch_key, mapper_key, _SALT)
     fp = result_cache.fingerprint(
         get_workload(workload), build_arch(arch_key), mapper_key, seed)
     _FP_MEMO[key] = fp
@@ -262,7 +293,7 @@ def _evaluate_uncached(workload: str, arch_key: str,
         # Composites ("best") run each candidate with the seed its
         # standalone evaluation would use, so their result is exactly
         # min over the individual mapper results.
-        return _seed_for(workload, arch_key, key)
+        return _seed_for(workload, arch_key, key, _SALT)
 
     mapping = mapping_engine.map_kernel(mapper_key, dfg, arch, seed_for)
     if mapper_key == "spatial":
@@ -319,7 +350,7 @@ def simulate_kernel(workload: str, arch_key: str,
     arch = build_arch(arch_key)
 
     def seed_for(key: str) -> int:
-        return _seed_for(workload, arch_key, key)
+        return _seed_for(workload, arch_key, key, _SALT)
 
     mapping = mapping_engine.map_kernel(mapper_key, dfg, arch, seed_for)
     memory = DFGInterpreter(dfg).prepare_memory(fill=fill)
@@ -372,13 +403,14 @@ def memo_lookup(workload: str, arch_key: str,
 def clear_caches() -> None:
     """Drop memoized evaluations (tests that tweak parameters use this).
 
-    Also detaches any configured persistent store so tests can't leak a
-    tmpdir store into each other.
+    Also detaches any configured persistent store and resets the seed
+    salt, so tests can't leak a tmpdir store or a salt into each other.
     """
-    global _STORE, _STORE_RESOLVED
+    global _STORE, _STORE_RESOLVED, _SALT
     _MEMO.clear()
     _FAILED.clear()
     _FP_MEMO.clear()
+    _SALT = 0
     _STORE = None
     _STORE_RESOLVED = False
     EVAL_STATS.reset()

@@ -136,18 +136,21 @@ def default_jobs() -> int:
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None]
+def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None,
+                                 int]
                      ) -> tuple[int, dict | None, str | None, str | None,
                                 float, dict]:
     """Evaluate one cell in a worker process.
 
-    Runs with its own memo; attaches the parent's persistent store (by
-    path) so warm cells are read, cold cells written, across processes.
+    Runs with its own memo under the parent's seed salt; attaches the
+    parent's persistent store (by path) so warm cells are read, cold
+    cells written, across processes.
     Returns plain dicts — cheaper and more version-tolerant to pickle
     than the nested dataclasses — plus the store-activity delta of this
     call, so the parent's sweep report covers worker I/O too.
     """
-    index, (workload, arch_key, mapper), store_root = task
+    index, (workload, arch_key, mapper), store_root, salt = task
+    harness.set_seed_salt(salt)
     store = _ensure_worker_store(store_root)
     before = store.stats.as_dict() if store is not None else {}
     start = time.perf_counter()
@@ -261,7 +264,8 @@ def run_sweep(cells: list[SweepCell], jobs: int = 1,
         if first != index:
             continue                    # duplicate cell: fill in after
         pending.append((index, cell.key(),
-                        store_root if use_cache else None))
+                        store_root if use_cache else None,
+                        harness.seed_salt()))
 
     worker_stats: dict[str, int] = {}
     if pending:

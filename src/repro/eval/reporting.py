@@ -7,9 +7,12 @@ the headline-claims scorecard comparing this reproduction to the paper.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
-from repro.eval import experiments
+from repro.errors import ReproError
+from repro.eval import experiments, harness
+from repro.eval.parallel import build_grid, prewarm
 from repro.utils.tables import format_table
 
 #: The paper's headline numbers, used by :func:`scorecard`.
@@ -93,6 +96,79 @@ def render_scorecard(results: list[ClaimResult] | None = None) -> str:
         ["claim", "paper", "measured", "measured/paper", "within 25%"],
         rows,
         title="Reproduction scorecard",
+    )
+
+
+#: The Plaid columns whose cycles geomeans judge a result-moving change
+#: to the Plaid mapper.
+PLAID_COLUMNS = ("plaid", "plaid-ml", "plaid3x3")
+
+
+def plaid_column_geomeans() -> dict[str, float]:
+    """Cycles geomean of each Plaid column over the Table-2 workloads.
+
+    A column with an unmapped cell has no comparable geomean, so any
+    failure raises instead of averaging over fewer cells.
+    """
+    report = prewarm(build_grid(arch_keys=list(PLAID_COLUMNS)))
+    if report.failures:
+        cells = ", ".join("/".join(o.cell.key()) for o in report.failures)
+        raise ReproError(f"unmapped Plaid cells: {cells}")
+    return {
+        column: statistics.geometric_mean([
+            o.result.cycles for o in report.outcomes
+            if o.cell.arch_key == column
+        ])
+        for column in PLAID_COLUMNS
+    }
+
+
+@dataclass(frozen=True)
+class SeedSpread:
+    """One headline number measured under seed salts ``0..K-1``."""
+
+    name: str
+    paper: float | None
+    values: tuple[float, ...]       # indexed by salt
+
+    @property
+    def median(self) -> float:
+        return statistics.median(self.values)
+
+
+def scorecard_spread(seeds: int) -> list[SeedSpread]:
+    """Every headline claim, then each Plaid column's cycles geomean,
+    under seed salts ``0..seeds-1`` (salt 0 is the published seed)."""
+    per_salt = []
+    previous = harness.set_seed_salt(0)
+    try:
+        for salt in range(seeds):
+            harness.set_seed_salt(salt)
+            values = measure_claims()
+            for column, value in plaid_column_geomeans().items():
+                values[f"{column} cycles geomean"] = value
+            per_salt.append(values)
+    finally:
+        harness.set_seed_salt(previous)
+    return [
+        SeedSpread(name, PAPER_CLAIMS.get(name),
+                   tuple(values[name] for values in per_salt))
+        for name in per_salt[0]
+    ]
+
+
+def render_scorecard_spread(spreads: list[SeedSpread]) -> str:
+    """Seed-spread scorecard: salt-0 value, median and min-max."""
+    rows = [
+        [s.name, "" if s.paper is None else s.paper, s.values[0],
+         s.median, min(s.values), max(s.values)]
+        for s in spreads
+    ]
+    seeds = len(spreads[0].values) if spreads else 0
+    return format_table(
+        ["claim", "paper", "salt 0", "median", "min", "max"],
+        rows,
+        title=f"Reproduction scorecard over seed salts 0..{seeds - 1}",
     )
 
 

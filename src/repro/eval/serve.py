@@ -529,7 +529,7 @@ class SweepServer:
         if self._pool is None:
             return await self._dispatch_inline(cell)
         store_root = str(self.store.root) if self.store is not None else None
-        task = (0, cell.key(), store_root)
+        task = (0, cell.key(), store_root, harness.seed_salt())
         try:
             (_index, payload, error, error_type, seconds,
              _stats_delta) = await self._loop.run_in_executor(

@@ -134,7 +134,7 @@ def test_worker_returns_structured_failure_for_unexpected_exception(
     monkeypatch.setattr(harness, "evaluate_kernel", boom)
     index, payload, error, error_type, seconds, stats = \
         parallel._worker_evaluate(
-            (5, ("dwconv", "plaid", "plaid"), None))
+            (5, ("dwconv", "plaid", "plaid"), None, 0))
     assert index == 5
     assert payload is None
     assert error_type == "ValueError" and "worker bug" in error

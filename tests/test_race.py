@@ -146,7 +146,7 @@ def test_race_identical_under_sweep_worker_config():
     best = evaluate_kernel("atax_u2", "st", "best")
     clear_caches()
     index, payload, error, _, _, _ = parallel._worker_evaluate(
-        (3, ("atax_u2", "st", "race"), None))
+        (3, ("atax_u2", "st", "race"), None, 0))
     assert index == 3 and error is None
     assert payload == result_to_dict(dataclasses.replace(best,
                                                          mapper="race"))
