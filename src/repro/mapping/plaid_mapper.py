@@ -5,12 +5,19 @@ PCUs using flexible schedule templates (Section 5.2), singleton nodes onto
 individual FUs.  The flow follows the paper:
 
 1. motifs are sorted by data dependency (critical groups first);
-2. each is greedily placed on the candidate with the least routing cost;
+2. each is greedily placed on the candidate with the least routing cost:
+   candidates are ranked by a routing-free estimate, and the first one
+   whose operands all route with Dijkstra is committed;
 3. if the mapping is not valid, a simulated-annealing loop repeatedly
-   unmaps one group, picks a random placement candidate, evaluates every
-   schedule template with Dijkstra-routed operands, and keeps the best —
+   unmaps one group, picks a random placement candidate, ranks every
+   schedule template the same way, and commits the first that routes —
    occasionally accepting a worse state to escape local minima;
 4. the II is incremented when the time budget runs out.
+
+Trying a candidate is pure: one that fails to route is rolled back
+before anything else is touched, so the next is tried against the
+state as it was.  Only a committed candidate negotiates congestion,
+which may re-route other groups' routes.
 
 On Plaid-ML fabrics (hardwired motif PCUs) collective groups may only land
 on PCUs hardwired for their kind — pattern edges there are free wires —
@@ -326,9 +333,9 @@ class _State:
     # ------------------------------------------------------------------
     def place_group_best(self, group: int) -> bool:
         """Greedy (Algorithm 2 lines 3-4): rank candidates by a cheap
-        routing estimate, then commit the best candidate that actually
-        routes; candidates are (PCU, template, start) for motifs and
-        (FU, cycle) for singletons."""
+        routing estimate, then commit the first of the best six whose
+        edges all route; candidates are (PCU, template, start) for
+        motifs and (FU, cycle) for singletons."""
         motif = self.hierarchy.groups[group]
         asap = self._group_asap[group]
         if motif.is_collective:
@@ -415,7 +422,8 @@ class _State:
 
     def place_group_random(self) -> bool:
         """Lines 7-11: random placement candidate for the unmapped victim,
-        evaluating every schedule template and keeping the best."""
+        ranking every schedule template and committing the first of the
+        best four that routes."""
         if self._last_failed is None:
             return False
         group = self._last_failed
@@ -442,39 +450,14 @@ class _State:
                                  [c[1] for c in candidates[:4]])   # line 11
 
     def _commit_best(self, group: int, spot_lists) -> bool:
-        """Trial-route each candidate, then commit the one with the lowest
-        full cost — congestion included, so repair moves actually relieve
-        overused wires.
+        """Commit the first candidate, in the given (estimate) order,
+        whose every edge routes — Algorithm 2 lines 3-4 taken literally.
 
-        A trial rolls back its own placements and routes, but its
-        negotiation may have re-routed other groups' committed routes
-        (residue).  When neither the winner's trial nor any later one left
-        residue, the state is exactly as it was before the winner's trial,
-        so the winner's spots are re-placed and its trial routes replayed;
-        otherwise the winner is placed and routed again from scratch.
+        Each trial is pure: a candidate that fails to route is rolled
+        back exactly by :meth:`_commit_spots`, so the next candidate is
+        tried against the state as it was before the call.
         """
-        best = None
-        best_total = float("inf")
-        replayable = False
-        for spots in spot_lists:
-            total, routes, residue = self._commit_spots(group, spots,
-                                                        keep=False)
-            if total is not None and total < best_total:
-                best_total = total
-                best = (spots, routes)
-                replayable = not residue
-            elif residue:
-                replayable = False
-        if best is None:
-            return False
-        spots, routes = best
-        if not replayable:
-            return self._commit_spots(group, spots, keep=True)[0] is not None
-        self._place_spots(spots)
-        for route in routes.values():
-            self.mrrg.commit_route(route)
-        self._adopt(group, spots, routes)
-        return True
+        return any(self._commit_spots(group, spots) for spots in spot_lists)
 
     # ------------------------------------------------------------------
     def _collective_spots(self, group, pcu, template, start):
@@ -538,58 +521,51 @@ class _State:
     # ------------------------------------------------------------------
     # Committing (place + route or roll back)
     # ------------------------------------------------------------------
-    def _commit_spots(self, group: int, spots, keep: bool = True
-                      ) -> tuple[float | None, dict[int, Route], bool]:
-        """Place nodes, route ready edges, score; roll back unless keep.
+    def _commit_spots(self, group: int, spots) -> bool:
+        """Place the group's nodes and route its ready edges; keep the
+        group when every edge routed, else roll back.
 
-        Returns ``(total, new_routes, residue)``: the full cost (None when
-        an edge failed to route), the group's routes after negotiation,
-        and whether negotiation re-routed committed routes of other
-        groups — changes a rollback does not undo.
+        The rollback is exact: routing stops at the first failed edge,
+        before any negotiation, so undoing the trial's own routes and
+        placements restores the state as it was.  A kept group's
+        negotiation — which may re-route other groups' routes — is part
+        of the commit.
         """
         self._place_spots(spots)
         new_routes: dict[int, Route] = {}
-        failed = 0
+        routed = True
         for index in self._incident_groups[group]:
             edge = self._edge_list[index]
             if edge.is_ordering:
                 if not self._ordering_ok(edge):
-                    failed += 1
+                    routed = False
+                    break
                 continue
             if edge.src not in self.placement \
                     or edge.dst not in self.placement:
                 continue
             route = self._route_index(index)
             if route is None:
-                failed += 1
-            else:
-                new_routes[index] = route
-        residue = failed == 0 and self._negotiate(new_routes)
-        cost = sum(len(route.steps) for route in new_routes.values())
-        total = 1000.0 * failed + 100.0 * self.mrrg.total_overuse() + cost
-        if keep and failed == 0:
-            self._adopt(group, spots, new_routes)
-            return total, new_routes, residue
-        # Roll back.
+                routed = False
+                break
+            new_routes[index] = route
+        if routed:
+            self._negotiate(new_routes)
+            self.group_spots[group] = list(spots)
+            self.routes.update(new_routes)
+            self.unplaced.discard(group)
+            return True
         for route in new_routes.values():
             self.mrrg.uncommit_route(route)
         for node_id, fu_id, cycle in spots:
             self.mrrg.unplace_node(node_id, fu_id, cycle)
             del self.placement[node_id]
-        if keep or failed:
-            return None, new_routes, residue
-        return total, new_routes, residue
+        return False
 
     def _place_spots(self, spots) -> None:
         for node_id, fu_id, cycle in spots:
             self.placement[node_id] = (fu_id, cycle)
             self.mrrg.place_node(node_id, fu_id, cycle)
-
-    def _adopt(self, group: int, spots, routes: dict[int, Route]) -> None:
-        """Record a placed, routed group as mapped."""
-        self.group_spots[group] = list(spots)
-        self.routes.update(routes)
-        self.unplaced.discard(group)
 
     def _route_index(self, index: int) -> Route | None:
         edge = self._edge_list[index]
@@ -600,20 +576,17 @@ class _State:
                           dst_fu, arrival)
 
     def _negotiate(self, new_routes: dict[int, Route],
-                   rounds: int = 2) -> bool:
-        """Mini rip-up-and-reroute: slack-rich routes committed early can
-        squat on wires that later, tighter routes have no alternative to.
-        Every committed route touching an overused slot — whichever group
-        it belongs to — is rerouted against the now-visible congestion.
-
-        Returns True when a route of ``self.routes`` (not one of
-        ``new_routes``) was ripped up: residue a trial rollback leaves.
+                   rounds: int = 2) -> None:
+        """Mini rip-up-and-reroute for a group being committed:
+        slack-rich routes committed early can squat on wires that later,
+        tighter routes have no alternative to.  Every committed route
+        touching an overused slot — whichever group it belongs to — is
+        rerouted against the now-visible congestion.
         """
-        residue = False
         for _round in range(rounds):
             violations = self.mrrg.overuse()
             if not violations:
-                return residue
+                return
             hot = {(res, slot) for res, slot, _u, _c in violations}
             candidates = list(new_routes.items()) + [
                 (index, route) for index, route in self.routes.items()
@@ -624,8 +597,6 @@ class _State:
                            for s in route.steps):
                     continue
                 self.mrrg.uncommit_route(route)
-                if index not in new_routes:
-                    residue = True
                 redone = self._route_index(index)
                 if redone is None:
                     self.mrrg.commit_route(route)
@@ -634,7 +605,6 @@ class _State:
                     new_routes[index] = redone
                 else:
                     self.routes[index] = redone
-        return residue
 
     def _ordering_ok(self, edge) -> bool:
         if edge.src not in self.placement or edge.dst not in self.placement:
@@ -711,9 +681,7 @@ class _State:
         ok = all(self.mrrg.fu_free(fu, cyc) for _n, fu, cyc in saved_spots)
         if not ok:
             return    # stays unplaced; annealing continues
-        for node_id, fu_id, cycle in saved_spots:
-            self.placement[node_id] = (fu_id, cycle)
-            self.mrrg.place_node(node_id, fu_id, cycle)
+        self._place_spots(saved_spots)
         for index, route in saved_routes.items():
             edge = self._edge_list[index]
             if edge.src in self.placement and edge.dst in self.placement:

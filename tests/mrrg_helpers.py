@@ -20,8 +20,9 @@ def mrrg_state(mrrg) -> dict:
     """Every piece of MRRG occupancy state, copied for comparison.
 
     The overused slots compare as a set: tests that reach one state by
-    two routes (replay vs reroute) may cross capacity in another order.
-    ``overuse()`` order has its own oracle in ``tests/test_routecore.py``.
+    two paths (a rolled-back trial, say) may cross capacity in another
+    order.  ``overuse()`` order has its own oracle in
+    ``tests/test_routecore.py``.
     """
     return {
         "fu_nodes": dict(mrrg._fu_nodes),

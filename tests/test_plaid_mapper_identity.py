@@ -9,6 +9,10 @@ golden fixture, which locks II/cycles/energy, a digest moves when any
 single placement or route step moves — so speed-ups of the mapper's
 search must leave it untouched.
 
+Next to each digest the fixture locks the search's route calls
+(``routecore.ROUTING.calls``), equal under both routers: a rise in
+trial routing fails here, and a fall is committed with the fixture.
+
 To regenerate after an intentional change to mapper behaviour, run
 ``PYTHONPATH=src python tests/test_plaid_mapper_identity.py`` and
 explain the shift in the commit message.
@@ -22,6 +26,7 @@ import pytest
 
 from repro.eval.harness import _seed_for, build_arch
 from repro.mapping import engine as mapping_engine
+from repro.mapping.routecore import ROUTING
 from repro.workloads import get_dfg
 
 DIGEST_PATH = Path(__file__).parent / "data" / "plaid_mapping_digests.json"
@@ -47,11 +52,14 @@ def mapping_digest(mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def cell_digest(workload: str, arch_key: str, mapper_key: str) -> str:
+def cell_record(workload: str, arch_key: str, mapper_key: str) -> dict:
+    """The cell's mapping digest and the route calls its search made."""
+    dfg, arch = get_dfg(workload), build_arch(arch_key)
+    calls = ROUTING.calls
     mapping = mapping_engine.map_kernel(
-        mapper_key, get_dfg(workload), build_arch(arch_key),
-        lambda key: _seed_for(workload, arch_key, key))
-    return mapping_digest(mapping)
+        mapper_key, dfg, arch, lambda key: _seed_for(workload, arch_key, key))
+    return {"digest": mapping_digest(mapping),
+            "route_calls": ROUTING.calls - calls}
 
 
 def cell_id(cell) -> str:
@@ -69,14 +77,24 @@ def test_fixture_covers_every_cell(digests):
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_mapping_matches_digest(cell, digests):
-    assert cell_digest(*cell) == digests[cell_id(cell)], (
+    got = cell_record(*cell)
+    want = digests[cell_id(cell)]
+    assert got["digest"] == want["digest"], (
         f"mapping of {cell_id(cell)} moved; if intentional, regenerate "
         "tests/data/plaid_mapping_digests.json (see module docstring)"
+    )
+    assert got["route_calls"] <= want["route_calls"], (
+        f"{cell_id(cell)} routes more: {got['route_calls']} calls against "
+        f"{want['route_calls']} locked"
+    )
+    assert got["route_calls"] == want["route_calls"], (
+        f"{cell_id(cell)} routes less: {got['route_calls']} calls against "
+        f"{want['route_calls']} locked; regenerate the fixture to keep it"
     )
 
 
 if __name__ == "__main__":
     DIGEST_PATH.write_text(json.dumps(
-        {cell_id(cell): cell_digest(*cell) for cell in CELLS},
+        {cell_id(cell): cell_record(*cell) for cell in CELLS},
         indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(CELLS)} digests to {DIGEST_PATH}")
