@@ -140,7 +140,7 @@ def scorecard_spread(seeds: int) -> list[SeedSpread]:
     """Every headline claim, then each Plaid column's cycles geomean,
     under seed salts ``0..seeds-1`` (salt 0 is the published seed)."""
     per_salt = []
-    previous = harness.set_seed_salt(0)
+    previous = harness.seed_salt()
     try:
         for salt in range(seeds):
             harness.set_seed_salt(salt)
@@ -164,11 +164,11 @@ def render_scorecard_spread(spreads: list[SeedSpread]) -> str:
          s.median, min(s.values), max(s.values)]
         for s in spreads
     ]
-    seeds = len(spreads[0].values) if spreads else 0
     return format_table(
         ["claim", "paper", "salt 0", "median", "min", "max"],
         rows,
-        title=f"Reproduction scorecard over seed salts 0..{seeds - 1}",
+        title=("Reproduction scorecard over seed salts "
+               f"0..{len(spreads[0].values) - 1}"),
     )
 
 

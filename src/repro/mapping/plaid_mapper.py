@@ -15,9 +15,9 @@ individual FUs.  The flow follows the paper:
 4. the II is incremented when the time budget runs out.
 
 Trying a candidate is pure: one that fails to route is rolled back
-before anything else is touched, so the next is tried against the
-state as it was.  Only a committed candidate negotiates congestion,
-which may re-route other groups' routes.
+before it negotiates, so the next is tried against the state as it
+was.  Only a committed candidate negotiates congestion, which may
+re-route other groups' routes.
 
 On Plaid-ML fabrics (hardwired motif PCUs) collective groups may only land
 on PCUs hardwired for their kind — pattern edges there are free wires —
