@@ -190,17 +190,6 @@ class MRRG:
     def node_at(self, fu_id: int, cycle: int) -> int | None:
         return self._fu_nodes.get((fu_id, self.slot(cycle)))
 
-    def first_free_cycle(self, fu_id: int, lo: int, hi: int) -> int | None:
-        """First cycle in ``[lo, hi]`` whose modulo slot on ``fu_id`` is
-        free, or None.  Occupancy repeats every II cycles, so at most II
-        cycles are scanned."""
-        fu_nodes = self._fu_nodes
-        ii = self.ii
-        for cycle in range(lo, min(hi, lo + ii - 1) + 1):
-            if (fu_id, cycle % ii) not in fu_nodes:
-                return cycle
-        return None
-
     def place_node(self, node_id: int, fu_id: int, cycle: int) -> None:
         key = (fu_id, self.slot(cycle))
         if key in self._fu_nodes:

@@ -11,6 +11,14 @@ from CGRA-ME / Morpher).  The library's stronger search engine lives in
 The II escalation and stats live in the shared
 :func:`~repro.mapping.engine.search` driver; this class is the per-II
 strategy (one anneal per II).
+
+Most moves reject all of their (FU, cycle) draws, so the draw loop is
+the annealer's hot path.  It calls ``rng.getrandbits`` in exactly the
+loop of ``random.Random._randbelow_with_getrandbits`` (what ``choice``
+and ``randrange(n)`` use) over the node's FU-id tuple from
+:class:`~repro.mapping.common.PlacementTables`, and reads FU occupancy
+straight from the MRRG slot table: the same draws, and so the same
+mappings, as the stdlib calls without their per-draw wrappers.
 """
 
 from __future__ import annotations
@@ -71,12 +79,20 @@ class SimulatedAnnealingMapper(MapperStrategy):
         incident = edge_indices_by_node(dfg)
         node_ids = [node.node_id for node in dfg.nodes]
 
+        n_nodes = len(node_ids)
+        node_bits = n_nodes.bit_length()
+        getrandbits = rng.getrandbits
+
         cost = mapping_cost(mrrg, routes, len(unrouted))
         temperature = self.start_temp
         for _move in range(self.moves_per_ii):
             if not unrouted and mrrg.is_legal():
                 break
-            node_id = rng.choice(node_ids)
+            # rng.choice(node_ids), draw for draw.
+            r = getrandbits(node_bits)
+            while r >= n_nodes:
+                r = getrandbits(node_bits)
+            node_id = node_ids[r]
             candidate = self._candidate(tables, mrrg, placement, node_id,
                                         rng)
             if candidate is None:
@@ -104,21 +120,40 @@ class SimulatedAnnealingMapper(MapperStrategy):
     # ------------------------------------------------------------------
     def _candidate(self, tables: PlacementTables, mrrg, placement,
                    node_id, rng) -> tuple[int, int] | None:
-        """Random compatible (fu, cycle) different from the current spot."""
-        fus = tables.arch.fus_supporting(tables.ops[node_id])
+        """Random compatible (fu, cycle) different from the current spot.
+
+        Up to 12 tries, each one ``rng.choice`` over the node's FU ids and
+        one ``rng.randrange(horizon)``, drawn inline; None when every try
+        lands on the current spot, an occupied slot or a timing
+        violation, or when no FU supports the node (no draw then).
+        """
+        fu_ids = tables.fu_ids[node_id]
+        n_fus = len(fu_ids)
+        if not n_fus:
+            return None
+        fu_bits = n_fus.bit_length()
         horizon = tables.horizon
+        cycle_bits = horizon.bit_length()
+        getrandbits = rng.getrandbits
+        fu_nodes = mrrg._fu_nodes
+        ii = mrrg.ii
         current = placement[node_id]
         for _try in range(12):
-            fu = rng.choice(fus)
-            cycle = rng.randrange(horizon)
-            if (fu.fu_id, cycle) == current:
+            r = getrandbits(fu_bits)
+            while r >= n_fus:
+                r = getrandbits(fu_bits)
+            fu_id = fu_ids[r]
+            cycle = getrandbits(cycle_bits)
+            while cycle >= horizon:
+                cycle = getrandbits(cycle_bits)
+            if (fu_id, cycle) == current:
                 continue
-            occupant = mrrg.node_at(fu.fu_id, cycle)
+            occupant = fu_nodes.get((fu_id, cycle % ii))
             if occupant is not None and occupant != node_id:
                 continue
-            if not tables.timing_ok(placement, node_id, fu.fu_id, cycle):
+            if not tables.timing_ok(placement, node_id, fu_id, cycle):
                 continue
-            return (fu.fu_id, cycle)
+            return (fu_id, cycle)
         return None
 
     def _displace(self, dfg, mrrg, placement, routes, unrouted, incident,

@@ -6,17 +6,21 @@ modulo-ASAP times, and full or incremental edge routing.
 
 The PathFinder and SA baselines also share a list scheduler,
 :func:`initial_placement`, and the annealer's timing check.  Both read
-:class:`PlacementTables`: per-node edge tuples, neighbour lists and
-FU x FU latency and hop tables, built once per (DFG, fabric, II) in the
-strategies' ``prepare()`` (:class:`SearchTables`).  Since placed
-producers bound a node's cycle from below and placed consumers from
-above, the scheduler finds each FU's first feasible cycle with one
-:meth:`MRRG.first_free_cycle` scan of at most II slots.
+:class:`PlacementTables`: per-node edge tuples, candidate FU ids,
+neighbour lists and FU x FU latency and hop tables, built once per
+(DFG, fabric, II) in the strategies' ``prepare()`` (:class:`SearchTables`).
+Since placed producers bound a node's cycle from below and placed
+consumers from above, :meth:`PlacementTables.best_spot` picks a node's
+spot in one pass over its shuffled candidate FUs, probing at most II
+modulo slots per FU.
+
+The baselines' RNG draws are inlined: ``rng.getrandbits`` is called in
+exactly the loop of ``random.Random._randbelow_with_getrandbits`` (what
+``choice``, ``randrange(n)`` and ``shuffle`` use), so every draw, and so
+every mapping, matches the stdlib calls while skipping their wrappers.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import networkx as nx
 
@@ -100,25 +104,6 @@ def fu_hop_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
     return arch.memo("fu_hop_table", build)
 
 
-class Window(NamedTuple):
-    """What a node's placed neighbours allow, before choosing an FU.
-
-    ``lo``/``hi`` are the FU-independent cycle bounds (ordering edges,
-    the node's ASAP time, the horizon).  Placed producers over data
-    edges add ``latency_row[fu] + offset`` to the lower bound; placed
-    consumers add ``offset - latency[fu][dst_fu]`` to the upper bound.
-    ``neighbour_fus`` are the FUs of the placed neighbours, the terms of
-    the proximity score.
-    """
-
-    lo: int
-    lo_terms: tuple[tuple[tuple[int, ...], int], ...]
-    hi: int
-    hi_terms: tuple[tuple[int, int], ...]
-    self_edges: tuple[tuple[int, bool], ...]
-    neighbour_fus: tuple[int, ...]
-
-
 class PlacementTables:
     """Scheduling tables of one (DFG, fabric, II), built once per search.
 
@@ -128,9 +113,12 @@ class PlacementTables:
     span of at least the fabric's minimum transport latency, an ordering
     edge a span of at least 1; spans include the modulo offset.
 
+    ``fu_ids[node]`` is the tuple of FU ids that support the node's op,
+    the list the scheduler shuffles and the annealer draws moves from.
+
     Because a placed producer only bounds a node's cycle from below and a
     placed consumer only from above, the timing-feasible cycles of a node
-    on one FU form an interval (:meth:`window`, :meth:`first_cycle`).
+    on one FU form an interval (:meth:`best_spot`).
     """
 
     def __init__(self, dfg: DFG, arch: Architecture, ii: int) -> None:
@@ -144,6 +132,9 @@ class PlacementTables:
         self.latency = transport_latency_table(arch)
         self.hops = fu_hop_table(arch)
         self.ops = {node.node_id: node.op for node in dfg.nodes}
+        self.fu_ids = {
+            node_id: tuple(fu.fu_id for fu in arch.fus_supporting(op))
+            for node_id, op in self.ops.items()}
         self.in_edges: dict[int, tuple[tuple[int, int, bool], ...]] = {}
         self.out_edges: dict[int, tuple[tuple[int, int, bool], ...]] = {}
         self.self_edges: dict[int, tuple[tuple[int, bool], ...]] = {}
@@ -172,9 +163,20 @@ class PlacementTables:
             self._recurrence = recurrence_nodes(self.dfg)
         return self._recurrence
 
-    def window(self, placement: dict[int, tuple[int, int]], node_id: int,
-               node_asap: int) -> Window:
-        """Bounds that the placed neighbours put on an unplaced node."""
+    def best_spot(self, mrrg: MRRG, placement: dict[int, tuple[int, int]],
+                  node_id: int, node_asap: int, fu_ids: list[int]
+                  ) -> tuple[int, int] | None:
+        """The list scheduler's (fu, cycle) for an unplaced node, or None.
+
+        Over ``fu_ids`` in order, each FU's earliest timing-feasible cycle
+        (at or after ``node_asap`` and 0) whose modulo slot is free; the
+        spot minimizing (cycle, mesh distance to the placed neighbours)
+        wins, ties going to the earlier FU.  Placed producers over data
+        edges raise the lower bound to ``latency[src_fu][fu] + offset``,
+        placed consumers lower the upper bound to ``offset -
+        latency[fu][dst_fu]``; ordering edges and the horizon bound the
+        cycle for every FU alike.
+        """
         latency = self.latency
         lo = node_asap
         lo_terms = []
@@ -183,50 +185,70 @@ class PlacementTables:
             if spot is None:
                 continue
             if ordering:
-                lo = max(lo, spot[1] + 1 - span)
+                bound = spot[1] + 1 - span
+                if bound > lo:
+                    lo = bound
             else:
                 lo_terms.append((latency[spot[0]], spot[1] - span))
-        hi = self.horizon - 1
+        if lo < 0:
+            lo = 0
+        # The FU-independent upper bound, then the incumbent's cycle:
+        # only a cycle <= cap can beat or tie the incumbent.
+        cap = self.horizon - 1
         hi_terms = []
         for dst, span, ordering in self.out_edges[node_id]:
             spot = placement.get(dst)
             if spot is None:
                 continue
             if ordering:
-                hi = min(hi, spot[1] + span - 1)
+                bound = spot[1] + span - 1
+                if bound < cap:
+                    cap = bound
             else:
                 hi_terms.append((spot[0], spot[1] + span))
-        neighbour_fus = tuple(
-            placement[other][0] for other in self.neighbours[node_id]
-            if other in placement)
-        return Window(lo, tuple(lo_terms), hi, tuple(hi_terms),
-                      self.self_edges[node_id], neighbour_fus)
-
-    def first_cycle(self, mrrg: MRRG, window: Window, fu_id: int,
-                    cap: int) -> int | None:
-        """Earliest timing-feasible cycle no later than ``cap`` whose
-        modulo slot on ``fu_id`` is free; None when there is none."""
-        lo, lo_terms, hi, hi_terms, self_edges, _ = window
-        row = self.latency[fu_id]
-        for span, ordering in self_edges:
-            if span < (1 if ordering else row[fu_id]):
-                return None
-        for src_row, offset in lo_terms:
-            bound = src_row[fu_id] + offset
-            if bound > lo:
-                lo = bound
-        if cap < hi:
-            hi = cap
-        for dst_fu, offset in hi_terms:
-            bound = offset - row[dst_fu]
-            if bound < hi:
-                hi = bound
-        return mrrg.first_free_cycle(fu_id, lo if lo > 0 else 0, hi)
-
-    def proximity(self, window: Window, fu_id: int) -> int:
-        """Total mesh distance from ``fu_id`` to the placed neighbours."""
-        row = self.hops[fu_id]
-        return sum(row[other_fu] for other_fu in window.neighbour_fus)
+        neighbour_fus = [placement[other][0]
+                         for other in self.neighbours[node_id]
+                         if other in placement]
+        self_edges = self.self_edges[node_id]
+        hops = self.hops
+        fu_nodes = mrrg._fu_nodes
+        ii = mrrg.ii
+        best = None
+        best_score = 0
+        for fu_id in fu_ids:
+            row = latency[fu_id]
+            if self_edges and any(
+                    span < (1 if ordering else row[fu_id])
+                    for span, ordering in self_edges):
+                continue
+            fu_lo = lo
+            for src_row, offset in lo_terms:
+                bound = src_row[fu_id] + offset
+                if bound > fu_lo:
+                    fu_lo = bound
+            end = fu_lo + ii - 1
+            if cap < end:
+                end = cap
+            for dst_fu, offset in hi_terms:
+                bound = offset - row[dst_fu]
+                if bound < end:
+                    end = bound
+            cycle = fu_lo
+            while cycle <= end:
+                if (fu_id, cycle % ii) not in fu_nodes:
+                    break
+                cycle += 1
+            else:
+                continue
+            hop_row = hops[fu_id]
+            score = 0
+            for other_fu in neighbour_fus:
+                score += hop_row[other_fu]
+            if best is None or cycle < cap or score < best_score:
+                best = (fu_id, cycle)
+                best_score = score
+                cap = cycle
+        return best
 
     def timing_ok(self, placement: dict[int, tuple[int, int]],
                   node_id: int, fu_id: int, cycle: int) -> bool:
@@ -289,29 +311,24 @@ def initial_placement(tables: PlacementTables, mrrg: MRRG, rng,
     if asap is None:
         return None     # II below the recurrence bound
     late_nodes = tables.recurrence_nodes if circuit_lateness else ()
-    fus_supporting = tables.arch.fus_supporting
-    ops = tables.ops
+    fu_ids = tables.fu_ids
+    best_spot = tables.best_spot
+    getrandbits = rng.getrandbits
     placement: dict[int, tuple[int, int]] = {}
     for node_id in tables.order:
-        candidates = list(fus_supporting(ops[node_id]))
-        rng.shuffle(candidates)
+        candidates = list(fu_ids[node_id])
+        # rng.shuffle(candidates), draw for draw.
+        for i in range(len(candidates) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            candidates[i], candidates[j] = candidates[j], candidates[i]
         node_asap = asap[node_id]
         if node_id in late_nodes:
             node_asap += circuit_lateness
-        window = tables.window(placement, node_id, node_asap)
-        best: tuple[int, int] | None = None
-        best_score = 0
-        cap = tables.horizon - 1
-        for fu in candidates:
-            # Only a cycle <= cap can beat or tie the incumbent.
-            cycle = tables.first_cycle(mrrg, window, fu.fu_id, cap)
-            if cycle is None:
-                continue
-            score = tables.proximity(window, fu.fu_id)
-            if best is None or cycle < cap or score < best_score:
-                best = (fu.fu_id, cycle)
-                best_score = score
-                cap = cycle
+        best = best_spot(mrrg, placement, node_id, node_asap, candidates)
         if best is None:
             return None
         placement[node_id] = best

@@ -5,14 +5,24 @@ mapper) cell, the :func:`mapping_digest` of the mapping (II, placement,
 route steps) and the search's ``stats.attempts``: every registry workload
 on ``st``, ``st-ml`` and ``plaid`` under ``pathfinder`` and ``sa``.  The
 baselines' list scheduler and the annealer's move generator read
-per-search tables; any change to them must leave every digest, and so
-every RNG draw, untouched.
+per-search tables and draw from the RNG inline; any change to them must
+leave every digest, and so every RNG draw, untouched.
 
-The per-edge timing check and proximity score the tables replace live on
-here as the oracle: a property test checks, over random partial
-placements, that the table-driven first feasible cycle and proximity of
-every FU equal a brute-force scan, and that the list scheduler built on
-them places exactly like the cycle-by-cycle scan.
+What the tables and the inlined draws replace lives on here as oracles:
+
+* the per-edge timing check, proximity score and cycle-by-cycle scan:
+  property tests check, over random partial placements, that
+  :meth:`PlacementTables.best_spot` picks the spot a brute-force scan of
+  every candidate FU picks, and that the list scheduler built on it
+  places exactly like the scan scheduler and leaves the RNG in the same
+  state;
+* the annealer's move draw through ``rng.choice``/``rng.randrange``/
+  ``MRRG.node_at``: a property test checks that the inlined draw returns
+  the same spot and leaves the same RNG state;
+* the stdlib itself: the inlined draws copy the loop of
+  ``random.Random._randbelow_with_getrandbits``, and a test checks that
+  ``choice``, ``randrange(n)`` and ``shuffle`` still consume the RNG
+  exactly that way on the running Python.
 
 To regenerate after an intentional change to mapper behaviour, run
 ``PYTHONPATH=src python tests/test_baseline_mapper_identity.py`` and
@@ -30,9 +40,11 @@ from hypothesis import given, settings, strategies as st
 from repro.arch import MRRG
 from repro.arch.topology import manhattan
 from repro.errors import MappingError
-from repro.ir.graph import ORDERING
+from repro.ir.graph import DFG, ORDERING
+from repro.ir.ops import Opcode
 from repro.eval.harness import _seed_for, build_arch
 from repro.mapping import engine as mapping_engine
+from repro.mapping.annealing import SimulatedAnnealingMapper
 from repro.mapping.common import PlacementTables, initial_placement
 from repro.mapping.router import min_transport_latency
 from repro.workloads import get_dfg
@@ -151,6 +163,21 @@ def scan_first_cycle(dfg, arch, mrrg, placement, node_id, fu_id,
     return None
 
 
+def scan_best_spot(tables, mrrg, placement, node_id, node_asap, fu_ids):
+    """The scan scheduler's choice for one node over ``fu_ids`` in order."""
+    dfg, arch = tables.dfg, tables.arch
+    best = best_key = None
+    for fu_id in fu_ids:
+        cycle = scan_first_cycle(dfg, arch, mrrg, placement, node_id, fu_id,
+                                 node_asap, tables.horizon - 1)
+        if cycle is None:
+            continue
+        key = (cycle, proximity_score(arch, placement, dfg, node_id, fu_id))
+        if best_key is None or key < best_key:
+            best, best_key = (fu_id, cycle), key
+    return best
+
+
 def scan_initial_placement(tables, mrrg, rng, circuit_lateness=0):
     """The list scheduler as a scan over every FU and cycle."""
     dfg, arch = tables.dfg, tables.arch
@@ -159,21 +186,14 @@ def scan_initial_placement(tables, mrrg, rng, circuit_lateness=0):
     late_nodes = tables.recurrence_nodes if circuit_lateness else set()
     placement = {}
     for node_id in tables.order:
-        candidates = list(arch.fus_supporting(dfg.node(node_id).op))
+        candidates = [fu.fu_id
+                      for fu in arch.fus_supporting(dfg.node(node_id).op)]
         rng.shuffle(candidates)
         node_asap = tables.asap[node_id]
         if node_id in late_nodes:
             node_asap += circuit_lateness
-        best = best_key = None
-        for fu in candidates:
-            cycle = scan_first_cycle(dfg, arch, mrrg, placement, node_id,
-                                     fu.fu_id, node_asap, tables.horizon - 1)
-            if cycle is None:
-                continue
-            key = (cycle, proximity_score(arch, placement, dfg, node_id,
-                                          fu.fu_id))
-            if best_key is None or key < best_key:
-                best, best_key = (fu.fu_id, cycle), key
+        best = scan_best_spot(tables, mrrg, placement, node_id, node_asap,
+                              candidates)
         if best is None:
             return None
         placement[node_id] = best
@@ -213,7 +233,7 @@ ORACLE_ARCHS = ("st", "st-ml", "plaid")
 @given(workload=st.sampled_from(WORKLOADS),
        arch_key=st.sampled_from(ORACLE_ARCHS),
        ii=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
-def test_first_cycle_and_proximity_match_scan(workload, arch_key, ii, seed):
+def test_best_spot_matches_scan(workload, arch_key, ii, seed):
     rng = random.Random(seed)
     dfg, arch = with_extra_edges(get_dfg(workload), rng), build_arch(arch_key)
     tables = PlacementTables(dfg, arch, ii)
@@ -221,14 +241,57 @@ def test_first_cycle_and_proximity_match_scan(workload, arch_key, ii, seed):
     node_id = rng.choice([node.node_id for node in dfg.nodes])
     placement = random_partial_placement(tables, mrrg, rng, exclude=node_id)
     node_asap = rng.choice((0, rng.randrange(tables.horizon)))
-    cap = rng.choice((tables.horizon - 1, rng.randrange(tables.horizon)))
-    window = tables.window(placement, node_id, node_asap)
-    for fu in arch.fus_supporting(tables.ops[node_id]):
-        assert tables.first_cycle(mrrg, window, fu.fu_id, cap) == \
-            scan_first_cycle(dfg, arch, mrrg, placement, node_id, fu.fu_id,
-                             node_asap, cap)
-        assert tables.proximity(window, fu.fu_id) == \
-            proximity_score(arch, placement, dfg, node_id, fu.fu_id)
+    fu_ids = list(tables.fu_ids[node_id])
+    # Each FU alone: its first feasible cycle.
+    for fu_id in fu_ids:
+        assert tables.best_spot(mrrg, placement, node_id, node_asap,
+                                [fu_id]) == \
+            scan_best_spot(tables, mrrg, placement, node_id, node_asap,
+                           [fu_id])
+    # All of them in a shuffled order: the (cycle, proximity) winner.
+    rng.shuffle(fu_ids)
+    assert tables.best_spot(mrrg, placement, node_id, node_asap, fu_ids) == \
+        scan_best_spot(tables, mrrg, placement, node_id, node_asap, fu_ids)
+
+
+def test_best_spot_edge_cases():
+    """Slot wrap-around, empty and negative cycle ranges, a full FU."""
+    dfg = DFG("edges")
+    producer, node, consumer = (dfg.add_node(Opcode.ADD) for _ in range(3))
+    dfg.add_edge(producer, node, ORDERING)
+    dfg.add_edge(node, consumer, ORDERING)
+    arch = build_arch("st")
+    tables = PlacementTables(dfg, arch, 3)
+    mrrg = MRRG(arch, 3)
+    mrrg.place_node(100, 5, 0)
+    mrrg.place_node(101, 5, 1)
+    node_id = node.node_id
+
+    def spot(node_asap, fu_ids, producer_at=None, consumer_at=None):
+        placement = {}
+        if producer_at is not None:
+            placement[producer.node_id] = (0, producer_at)
+        if consumer_at is not None:
+            placement[consumer.node_id] = (0, consumer_at)
+        return tables.best_spot(mrrg, placement, node_id, node_asap, fu_ids)
+
+    # Wraps past II: cycles 3 and 4 fold onto the taken slots 0 and 1.
+    assert spot(3, [5]) == (5, 5)
+    assert spot(3, [5], consumer_at=5) is None       # cycles 3..4 only
+    assert spot(2, [5], consumer_at=3) == (5, 2)     # cycle 2 only
+    # A producer's bound works like the node's own earliest time.
+    assert spot(0, [5], producer_at=2) == (5, 5)
+    # An empty range, even on a free FU.
+    assert spot(4, [6], consumer_at=4) is None
+    # Negative lower bounds clamp to cycle 0.
+    assert spot(-3, [5]) == (5, 2)
+    assert spot(-2, [6]) == (6, 0)
+    assert spot(0, [6], producer_at=-5) == (6, 0)
+    # A full FU has no free cycle, however wide the range; the next
+    # candidate wins.
+    mrrg.place_node(102, 5, 2)
+    assert spot(0, [5]) is None
+    assert spot(-7, [5, 6]) == (6, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,6 +327,105 @@ def test_initial_placement_matches_scan(workload, arch_key, ii, lateness,
     assert initial_placement(tables, MRRG(arch, ii), rng, lateness) == \
         scan_initial_placement(tables, MRRG(arch, ii), scan_rng, lateness)
     assert rng.getstate() == scan_rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the annealer's move draw through the stdlib RNG calls
+# ---------------------------------------------------------------------------
+def oracle_candidate(tables, mrrg, placement, node_id, rng):
+    """Random compatible (fu, cycle) different from the current spot."""
+    fus = tables.arch.fus_supporting(tables.ops[node_id])
+    horizon = tables.horizon
+    current = placement[node_id]
+    for _try in range(12):
+        fu = rng.choice(fus)
+        cycle = rng.randrange(horizon)
+        if (fu.fu_id, cycle) == current:
+            continue
+        occupant = mrrg.node_at(fu.fu_id, cycle)
+        if occupant is not None and occupant != node_id:
+            continue
+        if not tables.timing_ok(placement, node_id, fu.fu_id, cycle):
+            continue
+        return (fu.fu_id, cycle)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(workload=st.sampled_from(WORKLOADS),
+       arch_key=st.sampled_from(ORACLE_ARCHS),
+       ii=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_candidate_matches_oracle(workload, arch_key, ii, seed):
+    rng = random.Random(seed)
+    dfg, arch = with_extra_edges(get_dfg(workload), rng), build_arch(arch_key)
+    tables = PlacementTables(dfg, arch, ii)
+    mrrg = MRRG(arch, ii)
+    placement = random_partial_placement(tables, mrrg, rng)
+    mapper = SimulatedAnnealingMapper()
+    for _draw in range(8 if placement else 0):
+        node_id = rng.choice(sorted(placement))
+        draw_seed = rng.getrandbits(32)
+        new_rng, oracle_rng = random.Random(draw_seed), \
+            random.Random(draw_seed)
+        assert mapper._candidate(tables, mrrg, placement, node_id,
+                                 new_rng) == \
+            oracle_candidate(tables, mrrg, placement, node_id, oracle_rng)
+        assert new_rng.getstate() == oracle_rng.getstate()
+
+
+class NoEmptyDraws(random.Random):
+    """An RNG that refuses ``getrandbits(0)``, on which an inlined draw
+    over an empty range would spin forever."""
+
+    def getrandbits(self, k):
+        assert k > 0, "draw over an empty range"
+        return super().getrandbits(k)
+
+
+def test_candidate_without_fus_returns_none():
+    dfg, arch = get_dfg(WORKLOADS[0]), build_arch("st")
+    tables = PlacementTables(dfg, arch, 2)
+    node_id = dfg.nodes[0].node_id
+    tables.fu_ids[node_id] = ()
+    rng = NoEmptyDraws(7)
+    state = rng.getstate()
+    assert SimulatedAnnealingMapper()._candidate(
+        tables, MRRG(arch, 2), {node_id: (0, 0)}, node_id, rng) is None
+    assert rng.getstate() == state
+
+
+# ---------------------------------------------------------------------------
+# The stdlib draw code the inlined loops copy
+# ---------------------------------------------------------------------------
+def draw_below(rng, n):
+    """``rng._randbelow(n)`` as the mappers inline it."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def test_inlined_draws_match_stdlib():
+    recheck = ("random.Random draws differently on this Python; the "
+               "inlined draws in repro.mapping.annealing and "
+               "repro.mapping.common.initial_placement must be re-checked")
+    assert random.Random._randbelow is \
+        random.Random._randbelow_with_getrandbits, recheck
+    for n in range(1, 41):
+        items = list(range(n))
+        stdlib, inlined = random.Random(n), random.Random(n)
+        for _draw in range(5):
+            assert stdlib.choice(items) == items[draw_below(inlined, n)], \
+                recheck
+            assert stdlib.randrange(n) == draw_below(inlined, n), recheck
+        shuffled = list(items)
+        stdlib.shuffle(items)
+        for i in range(n - 1, 0, -1):
+            j = draw_below(inlined, i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        assert items == shuffled, recheck
+        assert stdlib.getstate() == inlined.getstate(), recheck
 
 
 if __name__ == "__main__":

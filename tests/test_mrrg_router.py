@@ -34,26 +34,6 @@ def test_fu_exclusivity_per_modulo_slot():
     assert mrrg.fu_free(5, 2)
 
 
-def test_first_free_cycle_edge_cases():
-    arch = make_spatio_temporal()
-    mrrg = MRRG(arch, 3)
-    mrrg.place_node(0, 5, 0)
-    mrrg.place_node(1, 5, 1)
-    # Wraps past II: cycles 3 and 4 fold onto the taken slots 0 and 1.
-    assert mrrg.first_free_cycle(5, 3, 20) == 5
-    assert mrrg.first_free_cycle(5, 3, 4) is None
-    assert mrrg.first_free_cycle(5, 2, 2) == 2
-    # lo > hi is an empty range, even on a free FU.
-    assert mrrg.first_free_cycle(6, 4, 3) is None
-    # Negative cycles fold onto slots like any other cycle.
-    assert mrrg.first_free_cycle(5, -3, 10) == -1
-    assert mrrg.first_free_cycle(6, -2, 0) == -2
-    # A full FU has no free cycle, however wide the range.
-    mrrg.place_node(2, 5, 2)
-    assert mrrg.first_free_cycle(5, 0, 1000) is None
-    assert mrrg.first_free_cycle(5, -7, 7) is None
-
-
 def test_charge_discharge_refcounted():
     arch = make_spatio_temporal()
     mrrg = MRRG(arch, 2)
