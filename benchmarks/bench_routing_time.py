@@ -5,7 +5,7 @@ bit-identical to :func:`~repro.mapping.router.route_edge_reference` by
 invariant, so the printed numbers are the artifact):
 
 * **routes/second per fabric** — a deterministic scenario sweep (every
-  sampled (src FU, dst FU, slack) triple) routed under each engine;
+  sampled (src FU, dst FU, slack) triple) routed by each router;
 * **mapper-level routing stage** — the phase the compiled core
   accelerates inside every mapper: place a PathFinder placement into a
   fresh MRRG, route every edge, rip all routes up, and route them
@@ -24,12 +24,14 @@ import os
 import statistics
 import time
 
+import pytest
+
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.eval.harness import _seed_for
-from repro.mapping.common import route_all_edges
+from repro.mapping import common
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.router import (
-    min_transport_latency, route_edge, set_routing_engine,
+    min_transport_latency, route_edge, route_edge_reference,
 )
 from repro.workloads import get_dfg
 
@@ -50,10 +52,13 @@ FABRICS = [
     ("plaid", lambda: make_plaid(2, 2)),
 ]
 
+#: The production router (the compiled core) and its interpreted oracle.
+ROUTERS = {"compiled": route_edge, "reference": route_edge_reference}
+
 
 def _throughput(arch, ii, engine, rounds=12):
     """Routes/second over the deterministic scenario sweep."""
-    set_routing_engine(engine)
+    route = ROUTERS[engine]
     mrrg = MRRG(arch, ii)
     n_fus = len(arch.fus)
     cases = [(src, dst, slack)
@@ -65,28 +70,30 @@ def _throughput(arch, ii, engine, rounds=12):
     for _ in range(rounds):
         for src, dst, slack in cases:
             arrive = min_transport_latency(arch, src, dst) + slack
-            route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
+            route(mrrg, 1, src, 0, dst, arrive, commit=False)
             count += 1
     return count / (time.perf_counter() - start), time.perf_counter() - start
 
 
 def _routing_stage(arch, dfg, placement, ii, engine, reps=20):
     """Median seconds for one place+route+ripup+reroute round-trip."""
-    set_routing_engine(engine)
     samples = []
     routes = None
-    for _ in range(reps):
-        begin = time.perf_counter()
-        mrrg = MRRG(arch, ii)
-        for node_id, (fu_id, cycle) in placement.items():
-            mrrg.place_node(node_id, fu_id, cycle)
-        routes, failures = route_all_edges(dfg, mrrg, placement)
-        assert not failures
-        for route in routes.values():
-            mrrg.uncommit_route(route)
-        routes, failures = route_all_edges(dfg, mrrg, placement)
-        assert not failures
-        samples.append(time.perf_counter() - begin)
+    with pytest.MonkeyPatch.context() as patch:
+        # The mappers' edge router, swapped for this stage only.
+        patch.setattr(common, "route_edge", ROUTERS[engine])
+        for _ in range(reps):
+            begin = time.perf_counter()
+            mrrg = MRRG(arch, ii)
+            for node_id, (fu_id, cycle) in placement.items():
+                mrrg.place_node(node_id, fu_id, cycle)
+            routes, failures = common.route_all_edges(dfg, mrrg, placement)
+            assert not failures
+            for route in routes.values():
+                mrrg.uncommit_route(route)
+            routes, failures = common.route_all_edges(dfg, mrrg, placement)
+            assert not failures
+            samples.append(time.perf_counter() - begin)
     return statistics.median(samples), routes
 
 
@@ -105,7 +112,6 @@ def test_routing_time(benchmark):
         for fab_name, factory in FABRICS[:2]:       # st meshes
             arch = factory()
             for kernel in KERNELS:
-                set_routing_engine("compiled")
                 seed = _seed_for(kernel, "st", "pathfinder")
                 mapping = PathFinderMapper(seed=seed).map(
                     get_dfg(kernel), arch)
@@ -118,7 +124,6 @@ def test_routing_time(benchmark):
                 assert comp_routes == ref_routes, (fab_name, kernel)
                 results["stage"].append(
                     (fab_name, kernel, ref_s, comp_s))
-        set_routing_engine("compiled")
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

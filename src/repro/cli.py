@@ -20,8 +20,6 @@ Commands:
   shard stores (byte-preserving, deterministic conflict policy),
   ``stats`` inventories one, ``gc`` prunes corrupt/stale/expired
   entries;
-* ``engines``  — list routing/simulation engines, the active ones and
-  how they were resolved;
 * ``serve``    — run the long-running sweep/result service: an HTTP
   server in front of one result store; clients POST grid specs to
   ``/sweep`` and stream per-cell results as NDJSON, concurrent
@@ -137,14 +135,11 @@ def cmd_map(args) -> int:
           f"bypass edges: {mapping.stats.bypass_edges}, "
           f"mapping time: {mapping.stats.seconds:.2f}s")
     if args.verbose:
-        from repro.mapping.router import routing_engine
-
         stats = mapping.stats
         print(f"search: {stats.attempts} placement attempts, "
               f"{stats.routed_edges} edges routed "
               f"({stats.transport_steps} transport steps), "
-              f"{stats.routing_failures} routing failures, "
-              f"routing engine: {routing_engine()}")
+              f"{stats.routing_failures} routing failures")
         for cand in stats.candidates:
             metrics = (f"II={cand.ii}, cycles={cand.total_cycles}"
                        if cand.ii is not None else "no mapping")
@@ -165,12 +160,11 @@ def cmd_simulate(args) -> int:
     if arch.style == "spatial":
         mapping = get_mapper("spatial").make(seed=args.seed).map(dfg, arch)
         report = SpatialSimulator(mapping, trace=trace).simulate(
-            memory, iterations=args.iterations, engine=args.engine)
+            memory, iterations=args.iterations)
     else:
         mapping = _make_mapper(args, arch).map(dfg, arch)
-        simulator = CGRASimulator(mapping, trace=trace)
-        report = simulator.run(memory, iterations=args.iterations,
-                               engine=args.engine)
+        report = CGRASimulator(mapping, trace=trace).run(
+            memory, iterations=args.iterations)
     print(f"{dfg.name} on {arch.name}: {report.summary()}")
     if trace is not None and trace.events:
         print(trace.render())
@@ -425,42 +419,6 @@ def cmd_workloads(args) -> int:
     return 0
 
 
-def cmd_engines(_args) -> int:
-    import os
-
-    from repro.mapping import routecore
-    from repro.sim import engine as sim_engine
-
-    def describe(title, engines, env_var, env_error, active) -> None:
-        env = os.environ.get(env_var, "").strip()
-        shown = f"{env_var}={env}" if env else f"{env_var} unset"
-        print(f"{title} engines ({shown}):")
-        if env_error is not None:
-            print(f"  ! {env_error}")
-        for name in engines:
-            marker = "*" if name == active else " "
-            print(f"  {marker} {name}")
-
-    # Resolution order everywhere an engine is picked: an explicit
-    # argument (--engine / set_*_engine) beats the environment variable,
-    # which beats the built-in default ('compiled').
-    print("resolution order: explicit --engine / set_*_engine call "
-          "> environment variable > default 'compiled'")
-    routing_active = (None if routecore.ENV_ERROR is not None
-                      else routecore.active_engine())
-    describe("routing", routecore.ROUTING_ENGINES,
-             routecore.ROUTING_ENGINE_ENV, routecore.ENV_ERROR,
-             routing_active)
-    sim_active = (None if sim_engine.ENV_ERROR is not None
-                  else sim_engine.resolve_engine(None))
-    describe("simulation", sim_engine.SIM_ENGINES,
-             sim_engine.SIM_ENGINE_ENV, sim_engine.ENV_ERROR, sim_active)
-    # Exit 1 flags a broken engine environment so CI setup scripts can
-    # assert a clean configuration before launching a sweep.
-    return 0 if (routecore.ENV_ERROR is None
-                 and sim_engine.ENV_ERROR is None) else 1
-
-
 def cmd_mappers(_args) -> int:
     from repro.mapping.engine import available_mappers
     from repro.utils.tables import format_table
@@ -518,12 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="temporal mapper key (see 'repro mappers')")
     p_sim.add_argument("--iterations", type=int, default=8)
     p_sim.add_argument("--fill", type=int, default=3)
-    p_sim.add_argument("--engine",
-                       choices=["compiled", "reference"],
-                       default=None,
-                       help="simulation engine: the compiled schedule or "
-                            "the interpreted reference loop (bit-identical; "
-                            "default $REPRO_SIM_ENGINE, else compiled)")
     p_sim.add_argument("--trace", type=int, metavar="N", default=0,
                        help="print the first N execution trace events")
     p_sim.set_defaults(func=cmd_simulate)
@@ -682,16 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "--mapper flags accept these keys.")
     p_mappers.set_defaults(func=cmd_mappers)
 
-    p_engines = sub.add_parser(
-        "engines", help="list routing/simulation engines",
-        description=(
-            "Show every registered routing and simulation engine with "
-            "the active one marked, how the active engine was resolved "
-            "(explicit call > $REPRO_ROUTING_ENGINE / $REPRO_SIM_ENGINE "
-            "> default), and any pending invalid-environment error.  "
-            "Exit status 1 flags an invalid engine environment."
-        ))
-    p_engines.set_defaults(func=cmd_engines)
     return parser
 
 

@@ -326,25 +326,19 @@ def _evaluate_uncached(workload: str, arch_key: str,
 def simulate_kernel(workload: str, arch_key: str,
                     mapper_key: str | None = None, *,
                     iterations: int | None = 8, fill: int = 3,
-                    engine: str | None = None, trace=None):
+                    trace=None):
     """Map one configuration and run the cycle-accurate simulator.
 
     Uses the same registry dispatch and stable per-configuration seeds
     as :func:`evaluate_kernel`, so the simulated mapping is exactly the
-    one the metrics pipeline prices.  ``engine`` selects the compiled
-    schedule or the interpreted ``reference`` loop — bit-identical by
-    invariant; ``None`` defers to the process-wide setting
-    (``REPRO_SIM_ENGINE``, default compiled).  The knob exists for
-    conformance and benchmarking.  Spatial fabrics run the phased
-    functional simulator; every style returns the shared
+    one the metrics pipeline prices.  Temporal fabrics replay the
+    compiled schedule; spatial fabrics run the phased functional
+    simulator.  Every style returns the shared
     :class:`~repro.sim.engine.SimulationReport`.
     """
     from repro.ir.interpreter import DFGInterpreter
-    from repro.sim import CGRASimulator, SIM_ENGINES, SpatialSimulator
+    from repro.sim import CGRASimulator, SpatialSimulator
 
-    if engine is not None and engine not in SIM_ENGINES:
-        raise ReproError(f"unknown simulation engine '{engine}' "
-                         f"({', '.join(SIM_ENGINES)})")
     mapper_key = resolve_mapper(arch_key, mapper_key)
     dfg = get_dfg(workload)
     arch = build_arch(arch_key)
@@ -356,9 +350,9 @@ def simulate_kernel(workload: str, arch_key: str,
     memory = DFGInterpreter(dfg).prepare_memory(fill=fill)
     if mapper_key == "spatial":
         return SpatialSimulator(mapping, trace=trace).simulate(
-            memory, iterations=iterations, engine=engine)
-    simulator = CGRASimulator(mapping, trace=trace)
-    return simulator.run(memory, iterations=iterations, engine=engine)
+            memory, iterations=iterations)
+    return CGRASimulator(mapping, trace=trace).run(
+        memory, iterations=iterations)
 
 
 def seed_memo(result: KernelResult) -> None:

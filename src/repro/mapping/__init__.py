@@ -28,7 +28,6 @@ from repro.mapping.engine import (
 )
 from repro.mapping.router import (
     route_edge, route_edge_reference, min_transport_latency,
-    routing_engine, set_routing_engine,
 )
 from repro.mapping.routecore import RouteCore, RoutingHistory, route_core_for
 from repro.mapping.pathfinder import PathFinderMapper
@@ -61,7 +60,5 @@ __all__ = [
     "route_edge_reference",
     "RouteCore",
     "RoutingHistory",
-    "routing_engine",
     "select_winner",
-    "set_routing_engine",
 ]

@@ -33,80 +33,30 @@ Cores are memoized on the architecture instance, one per II, like the
 fabric's :func:`~repro.arch.mrrg.resource_index` and the router's
 adjacency and latency tables.
 
-Env knobs: ``REPRO_ROUTING_ENGINE=compiled|reference`` selects the
-router implementation process-wide (default ``compiled``; an invalid
-value raises a structured :class:`~repro.errors.ConfigError` naming the
-valid choices on first use, via :func:`active_engine`).
-:func:`set_routing_engine` overrides it at runtime (benchmarks and
-conformance tests flip it per run).
+The interpreted oracle stays out of production: tests and benchmarks
+call :func:`~repro.mapping.router.route_edge_reference` directly.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route, RouteStep, resource_index
-from repro.errors import ConfigError
 
 #: Routing gives up beyond this many cycles of transport (the router
 #: re-exports it; defined here so the core can size its state arrays
 #: without a circular import).
 MAX_TRANSPORT_CYCLES = 64
 
-ROUTING_ENGINES = ("compiled", "reference")
-
-ROUTING_ENGINE_ENV = "REPRO_ROUTING_ENGINE"
-
-_env_engine = os.environ.get(ROUTING_ENGINE_ENV, "compiled").strip()
-#: The active router implementation; read by the route_edge wrapper on
-#: every call so tests/benchmarks can flip it mid-process.
-ACTIVE_ENGINE = _env_engine if _env_engine in ROUTING_ENGINES else "compiled"
-#: Deferred $REPRO_ROUTING_ENGINE validation: importing with a bad value
-#: must not explode (the CLI may be running ``repro engines`` to debug
-#: it), but the first actual routing call raises a structured error
-#: naming the valid choices instead of silently routing with the default.
-ENV_ERROR = None if _env_engine in ROUTING_ENGINES else (
-    f"invalid {ROUTING_ENGINE_ENV}={_env_engine!r}: "
-    f"valid routing engines are {', '.join(ROUTING_ENGINES)}")
-
-
-def routing_engine() -> str:
-    """The router implementation in effect (no env validation)."""
-    return ACTIVE_ENGINE
-
 
 def active_engine() -> str:
-    """The router implementation for this call, validating the env knob.
+    """Always ``"compiled"``: routing has one production engine.
 
-    Raises :class:`~repro.errors.ConfigError` when
-    ``$REPRO_ROUTING_ENGINE`` holds an invalid value — at first use, so
-    a bad environment surfaces as one structured message instead of a
-    deep traceback (or a silent default) mid-sweep.
+    Exists only for ``perfbench/worker.py``, which prints the engine
+    names in its output header.
     """
-    if ENV_ERROR is not None:
-        raise ConfigError(ENV_ERROR)
-    return ACTIVE_ENGINE
-
-
-def set_routing_engine(name: str) -> str:
-    """Select the router implementation; returns the previous setting.
-
-    ``reference`` routes with the interpreted oracle
-    (:func:`repro.mapping.router.route_edge_reference`); the MRRG
-    accounting is the same under either engine.
-    An explicit runtime selection supersedes (and clears) a pending
-    invalid-environment error.
-    """
-    global ACTIVE_ENGINE, ENV_ERROR
-    if name not in ROUTING_ENGINES:
-        raise ValueError(
-            f"unknown routing engine '{name}' (one of {ROUTING_ENGINES})")
-    previous = ACTIVE_ENGINE
-    ACTIVE_ENGINE = name
-    ENV_ERROR = None
-    return previous
+    return "compiled"
 
 
 class RoutingCounters:

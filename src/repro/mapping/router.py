@@ -6,15 +6,14 @@ consumer's execution cycle through places (register sites) and moves
 via :meth:`MRRG.step_cost`; segments already charged by the same net are
 free, which makes fanout nets share wires naturally.
 
-:func:`route_edge` is a thin dispatcher: by default it runs the compiled
-integer-state search (:mod:`repro.mapping.routecore`); the interpreted
-loop here — kept as :func:`route_edge_reference`, the conformance
-oracle — runs instead when the reference engine is selected
-(``REPRO_ROUTING_ENGINE=reference`` / :func:`set_routing_engine`).  Both
-read and charge the same MRRG state, and they are bit-identical by
-invariant (``tests/test_routecore.py``).  Either way, failed calls (span
-out of range, no path) tick :data:`repro.mapping.routecore.ROUTING` so
-mapping stats and failure messages can surface them.
+:func:`route_edge` runs the compiled integer-state search
+(:mod:`repro.mapping.routecore`).  The interpreted loop here is kept as
+:func:`route_edge_reference`, the conformance oracle that tests and
+benchmarks call directly.  Both read and charge the same MRRG state,
+and they are bit-identical by invariant (``tests/test_routecore.py``).
+Every :func:`route_edge` call, and every failure (span out of range, no
+path), ticks :data:`repro.mapping.routecore.ROUTING` so mapping stats
+and failure messages can surface them.
 """
 
 from __future__ import annotations
@@ -26,15 +25,13 @@ from repro.arch.mrrg import MRRG, Route, RouteStep
 from repro.arch.topology import manhattan
 from repro.mapping import routecore
 from repro.mapping.routecore import (
-    MAX_TRANSPORT_CYCLES, ROUTING, RoutingHistory, routing_engine,
-    set_routing_engine,
+    MAX_TRANSPORT_CYCLES, ROUTING, RoutingHistory,
 )
 
 __all__ = [
     "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory",
     "min_transport_latency", "route_cost", "route_edge",
-    "route_edge_reference", "router_adjacency", "routing_engine",
-    "set_routing_engine", "transport_latency_table",
+    "route_edge_reference", "router_adjacency", "transport_latency_table",
 ]
 
 
@@ -109,15 +106,11 @@ def route_edge(mrrg: MRRG, net: int, src_fu: int, depart_cycle: int,
     this MRRG's fabric and II, or None.
     """
     ROUTING.calls += 1
-    if routecore.active_engine() == "reference":
-        route = route_edge_reference(mrrg, net, src_fu, depart_cycle,
-                                     dst_fu, arrive_cycle, history, commit)
-    else:
-        core = routecore.route_core_for(mrrg.arch, mrrg.ii)
-        hist = core.zero_hist if history is None else history.array
-        route = routecore.route_edge_compiled(
-            mrrg, core, net, src_fu, depart_cycle, dst_fu, arrive_cycle,
-            hist, commit)
+    core = routecore.route_core_for(mrrg.arch, mrrg.ii)
+    hist = core.zero_hist if history is None else history.array
+    route = routecore.route_edge_compiled(
+        mrrg, core, net, src_fu, depart_cycle, dst_fu, arrive_cycle,
+        hist, commit)
     if route is None:
         ROUTING.failures += 1
     return route
@@ -130,8 +123,9 @@ def route_edge_reference(mrrg: MRRG, net: int, src_fu: int,
     """The interpreted Dijkstra — the compiled core's conformance oracle.
 
     Bit-identical to :func:`routecore.route_edge_compiled` by invariant;
-    benchmarks and conformance tests call it (or select it process-wide
-    via :func:`set_routing_engine`) to check and price the compiled path.
+    benchmarks and conformance tests call it directly to check and price
+    the compiled path.  Unlike :func:`route_edge` it does not tick
+    :data:`~repro.mapping.routecore.ROUTING`.
     """
     arch = mrrg.arch
     span = arrive_cycle - depart_cycle

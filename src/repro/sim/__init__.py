@@ -10,16 +10,13 @@ purpose of the simulation is to verify the mapping and hardware design."
 Execution runs through the compiled engine (:mod:`repro.sim.engine`):
 mappings are compiled once into per-phase firing/transport tables and
 replayed with flat-list inner loops, bit-identical to the interpreted
-reference loop kept on :meth:`CGRASimulator.run_reference`.  Those are
-the only two temporal engines (``compiled`` and ``reference``), selected
-per call (``engine=``) or process-wide (``REPRO_SIM_ENGINE`` /
-:func:`set_simulation_engine`).
+reference loop kept on :meth:`CGRASimulator.run_reference`, the
+conformance oracle that tests and benchmarks call directly.
 """
 
 from repro.sim.spm import Scratchpad
 from repro.sim.engine import (
-    CompiledSchedule, SIM_ENGINES, SimulationReport, compile_mapping,
-    resolve_engine, set_simulation_engine, simulation_engine,
+    CompiledSchedule, SimulationReport, compile_mapping, simulation_engine,
 )
 from repro.sim.machine import CGRASimulator
 from repro.sim.spatial_sim import SpatialSimulator
@@ -30,7 +27,6 @@ __all__ = [
     "CGRASimulator",
     "CompiledSchedule",
     "ConfigBundle",
-    "SIM_ENGINES",
     "Scratchpad",
     "SimulationReport",
     "SpatialSimulator",
@@ -38,7 +34,5 @@ __all__ = [
     "TraceRecorder",
     "compile_mapping",
     "encode_mapping",
-    "resolve_engine",
-    "set_simulation_engine",
     "simulation_engine",
 ]

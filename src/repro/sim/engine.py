@@ -26,91 +26,38 @@ schedule and executes it with flat-list inner loops:
 
 The engine is the execution core behind both
 :class:`~repro.sim.machine.CGRASimulator` (which keeps the interpreted
-loop as ``run_reference`` — the conformance oracle) and the spatial
-simulator's report accounting.  **Invariant:** compiled execution is
-bit-identical to the interpreted simulator — same
-:class:`SimulationReport` counters, same verify results, same errors on
-the same malformed mappings — locked by ``tests/test_sim_engine.py``.
+loop as ``run_reference`` — the conformance oracle, which only tests
+and benchmarks call) and the spatial simulator's report accounting.
+**Invariant:** compiled execution is bit-identical to the interpreted
+simulator — same :class:`SimulationReport` counters, same verify
+results, same errors on the same malformed mappings — locked by
+``tests/test_sim_engine.py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.ir.interpreter import DFGInterpreter, MemoryImage
 from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
 from repro.sim.spm import Scratchpad
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
-    "CompiledSchedule", "SIM_ENGINES", "SimulationReport", "compare_images",
-    "compile_mapping", "finish_verify", "resolve_engine",
-    "set_simulation_engine", "simulation_engine",
+    "CompiledSchedule", "SimulationReport", "compare_images",
+    "compile_mapping", "finish_verify", "simulation_engine",
 ]
 
 
-# ---------------------------------------------------------------------------
-# Engine selection (mirrors the REPRO_ROUTING_ENGINE knob of the router)
-# ---------------------------------------------------------------------------
-#: Temporal execution engines: ``compiled`` (the table replay below, the
-#: one production engine) and ``reference`` (the interpreted oracle).
-SIM_ENGINES = ("compiled", "reference")
-
-SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
-
-_env_engine = os.environ.get(SIM_ENGINE_ENV, "compiled").strip()
-#: The engine in effect when callers pass ``engine=None``; read on every
-#: dispatch so tests/benchmarks can flip it mid-process.
-ACTIVE_SIM_ENGINE = _env_engine if _env_engine in SIM_ENGINES else "compiled"
-#: Deferred $REPRO_SIM_ENGINE validation: a bad value must not explode at
-#: import time (``repro engines`` may be diagnosing it), but the first
-#: dispatch raises a structured error naming the valid choices instead
-#: of silently simulating with the default.
-ENV_ERROR = None if _env_engine in SIM_ENGINES else (
-    f"invalid {SIM_ENGINE_ENV}={_env_engine!r}: "
-    f"valid simulation engines are {', '.join(SIM_ENGINES)}")
-
-
 def simulation_engine() -> str:
-    """The temporal engine in effect (no env validation)."""
-    return ACTIVE_SIM_ENGINE
+    """Always ``"compiled"``: temporal simulation has one production
+    engine.
 
-
-def set_simulation_engine(name: str) -> str:
-    """Select the temporal engine; returns the previous setting.
-
-    An explicit runtime selection supersedes (and clears) a pending
-    invalid-environment error.
+    Exists only for ``perfbench/worker.py``, which prints the engine
+    names in its output header.
     """
-    global ACTIVE_SIM_ENGINE, ENV_ERROR
-    if name not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown simulation engine '{name}' (one of {SIM_ENGINES})")
-    previous = ACTIVE_SIM_ENGINE
-    ACTIVE_SIM_ENGINE = name
-    ENV_ERROR = None
-    return previous
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Resolve an explicit engine choice, falling back to the process-wide
-    setting (``REPRO_SIM_ENGINE`` / :func:`set_simulation_engine`).
-
-    Raises :class:`~repro.errors.ConfigError` when the fallback is an
-    invalid ``$REPRO_SIM_ENGINE`` value — at first use, so a bad
-    environment is one structured message, not a deep traceback (or a
-    silently wrong engine) mid-sweep.
-    """
-    if engine is None:
-        if ENV_ERROR is not None:
-            raise ConfigError(ENV_ERROR)
-        return ACTIVE_SIM_ENGINE
-    if engine not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown simulation engine '{engine}' (one of {SIM_ENGINES})")
-    return engine
+    return "compiled"
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,11 @@ check the paper uses its cycle-accurate simulator for.
 Execution runs through the compiled engine (:mod:`repro.sim.engine`):
 :meth:`CGRASimulator.run` compiles the mapping once into per-phase
 firing/transport tables and replays them; one simulator reuses that
-compiled schedule for every window it runs.  ``engine=`` (or the
-process-wide ``REPRO_SIM_ENGINE`` setting) selects between the two
-bit-identical backends: ``compiled`` (the table replay) and
-``reference`` — the original interpreted loop, kept as
-:meth:`CGRASimulator.run_reference`, the conformance oracle the compiled
-engine must match bit for bit (same report, same trace, same errors;
-``tests/test_sim_engine.py`` locks this).
+compiled schedule for every window it runs.  The original interpreted
+loop is kept as :meth:`CGRASimulator.run_reference`: the conformance
+oracle the compiled engine must match bit for bit (same report, same
+trace, same errors; ``tests/test_sim_engine.py`` locks this).  Only
+tests and benchmarks call it.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
 from repro.mapping.base import Mapping
 from repro.sim.engine import (
     CompiledSchedule, SimulationReport, compile_mapping, finish_verify,
-    resolve_engine,
 )
 from repro.sim.spm import Scratchpad
 from repro.sim.trace import TraceRecorder
@@ -67,19 +64,16 @@ class CGRASimulator:
 
     def run(self, memory: MemoryImage, iterations: int | None = None,
             verify: bool = True,
-            engine: str | None = None) -> SimulationReport:
+            engine: str = "compiled") -> SimulationReport:
         """Simulate ``iterations`` pipelined iterations starting from
         ``memory`` (which is left untouched; the SPM gets a copy).
 
-        ``engine`` picks the backend (``compiled``/``reference``);
-        ``None`` defers to the process-wide setting
-        (``REPRO_SIM_ENGINE`` / ``set_simulation_engine``).  Both produce
-        bit-identical reports, verify results and errors.  Running
-        several windows means calling ``run`` once per window: the
-        compiled schedule is built on the first call and reused."""
-        if resolve_engine(engine) == "reference":
-            return self.run_reference(memory, iterations=iterations,
-                                      verify=verify)
+        Running several windows means calling ``run`` once per window:
+        the compiled schedule is built on the first call and reused.
+        ``engine`` exists only for ``perfbench/worker.py``, which passes
+        ``"compiled"``; any other value raises :class:`ValueError`."""
+        if engine != "compiled":
+            raise ValueError(f"unknown simulation engine {engine!r}")
         return self.compiled().execute(memory, iterations=iterations,
                                        verify=verify, trace=self.trace)
 

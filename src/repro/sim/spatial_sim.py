@@ -24,7 +24,7 @@ from repro.ir.graph import DFG
 from repro.ir.interpreter import MemoryImage
 from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
 from repro.mapping.spatial_mapper import SpatialMapping
-from repro.sim.engine import SimulationReport, finish_verify, resolve_engine
+from repro.sim.engine import SimulationReport, finish_verify
 from repro.sim.trace import TraceRecorder
 
 
@@ -49,14 +49,13 @@ class SpatialSimulator:
 
     def simulate(self, memory: MemoryImage, iterations: int | None = None,
                  verify: bool = True,
-                 engine: str | None = None) -> SimulationReport:
+                 engine: str = "compiled") -> SimulationReport:
         """Run all phases and return the shared simulation report.
 
-        ``engine`` is accepted for harness/CLI symmetry with the
-        temporal simulator and validated against the engine registry,
-        but the spatial functional model has a single implementation —
-        every engine name executes the same phased replay."""
-        resolve_engine(engine)
+        ``engine`` exists only for ``perfbench/worker.py``, which passes
+        ``"compiled"``; any other value raises :class:`ValueError`."""
+        if engine != "compiled":
+            raise ValueError(f"unknown simulation engine {engine!r}")
         dfg = self.dfg
         total_iters = dfg.iterations if iterations is None else iterations
         if total_iters < 1:

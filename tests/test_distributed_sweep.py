@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import ReproError
 from repro.eval import parallel
 from repro.eval.cache import SCHEMA_VERSION, ResultStore, result_to_dict
@@ -579,6 +580,34 @@ def test_cli_cache_gc(tmp_path, capsys):
     inv = inventory(store.root)
     assert inv.entries == entries - 1
     assert inv.corrupt == 0 and inv.stale == 0 and inv.temp_files == 0
+
+
+def test_cache_stats_and_gc_cover_native(tmp_path, capsys):
+    """A leftover ``native/`` artifact directory is neither counted nor
+    pruned: stats and gc see only the store's own entries."""
+    store = tmp_path / "store"
+    native = store / "native"
+    native.mkdir(parents=True)
+    names = ["route-v1-aabbccdd00112233.c", "route-v1-aabbccdd00112233.so",
+             "route-v1-aa.lock", ".tmp-sim-v1-bb-99.so"]
+    for name in names:
+        (native / name).write_text("artifact")
+
+    from repro.eval.distributed import gc_store, inventory
+
+    inv = inventory(store)
+    assert inv.entries == 0 and inv.temp_files == 0
+    assert inv.total_bytes == 0
+
+    report = gc_store(store)
+    assert report.removed == 0 and report.kept == 0
+    assert sorted(p.name for p in native.iterdir()) == sorted(names)
+
+    assert cli_main(["cache", "stats", str(store)]) == 0
+    assert "native" not in capsys.readouterr().out.replace(str(store), "")
+    assert cli_main(["cache", "gc", str(store)]) == 0
+    assert "removed 0" in capsys.readouterr().out
+    assert sorted(p.name for p in native.iterdir()) == sorted(names)
 
 
 def test_gc_older_than_removes_expired_entries(tmp_path):

@@ -6,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 from mrrg_helpers import mrrg_state, step_route
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.errors import MappingError
-from repro.mapping import routecore
-from repro.mapping.router import min_transport_latency, route_edge
+from repro.mapping.router import (
+    min_transport_latency, route_edge, route_edge_reference,
+)
+
+#: Production router (the compiled core) and its interpreted oracle;
+#: both take the same arguments and charge the same MRRG state.
+ROUTERS = {"compiled": route_edge, "reference": route_edge_reference}
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +207,15 @@ def test_route_arrival_exact_property(src, dst, slack):
 # ---------------------------------------------------------------------------
 # Router edge cases (compiled fast paths + reference agreement)
 # ---------------------------------------------------------------------------
-def _both_engines(run):
-    """Run a scenario under each routing engine; return both results."""
-    results = []
-    for engine in ("compiled", "reference"):
-        previous = routecore.set_routing_engine(engine)
-        try:
-            results.append(run())
-        finally:
-            routecore.set_routing_engine(previous)
-    return results
+def _both_routers(run):
+    """Run a scenario with each router passed in; return both results."""
+    return [run(ROUTERS["compiled"]), run(ROUTERS["reference"])]
 
 
 def test_bypass_fast_path_both_engines():
     """The Plaid bypass pair takes the zero-step fast path identically:
     free (no steps, nothing charged) and only at exactly span 1."""
-    def run():
+    def run(route_edge):
         arch = make_plaid()
         mrrg = MRRG(arch, 4)
         route = route_edge(mrrg, 0, 0, 0, 1, 1)
@@ -226,14 +224,14 @@ def test_bypass_fast_path_both_engines():
         late = route_edge(mrrg, 0, 0, 2, 1, 4)   # span 3: not a bypass
         assert late is not None and not late.bypass
         return route, late
-    compiled, reference = _both_engines(run)
+    compiled, reference = _both_routers(run)
     assert compiled == reference
 
 
 def test_fanout_wire_sharing_charged_once():
     """Two sinks of one net share segments: the shared wire slot counts
     one net, and uncommitting one sink keeps the shared charge alive."""
-    def run():
+    def run(route_edge):
         arch = make_spatio_temporal()
         mrrg = MRRG(arch, 4)
         first = route_edge(mrrg, net=7, src_fu=0, depart_cycle=0,
@@ -253,12 +251,12 @@ def test_fanout_wire_sharing_charged_once():
         mrrg.uncommit_route(first)
         assert mrrg.occupancy_snapshot() == {}
         return first, second
-    compiled, reference = _both_engines(run)
+    compiled, reference = _both_routers(run)
     assert compiled == reference
 
 
 def test_unroutable_and_inverted_spans_fail_in_both_engines():
-    def run():
+    def run(route_edge):
         arch = make_spatio_temporal()
         mrrg = MRRG(arch, 4)
         outcomes = (
@@ -270,7 +268,7 @@ def test_unroutable_and_inverted_spans_fail_in_both_engines():
         assert outcomes == (None, None, None, None)
         assert mrrg.occupancy_snapshot() == {}   # failures charge nothing
         return outcomes
-    _both_engines(run)
+    _both_routers(run)
 
 
 def test_goal_read_charge_tie_breaking():
@@ -279,7 +277,7 @@ def test_goal_read_charge_tie_breaking():
     — identically in both engines."""
     arch = make_spatio_temporal()
 
-    def run(congest):
+    def run(route_edge, congest):
         mrrg = MRRG(arch, 4)
         if congest:
             # FU 6 reads FU 5's register file across link[5->6]; make
@@ -288,8 +286,8 @@ def test_goal_read_charge_tie_breaking():
                 mrrg.commit_route(step_route(net, ("res", "link[5->6]"), 2))
         return route_edge(mrrg, 1, 5, 0, 6, 2, commit=False)
 
-    free_c, free_r = _both_engines(lambda: run(False))
-    congested_c, congested_r = _both_engines(lambda: run(True))
+    free_c, free_r = _both_routers(lambda route: run(route, False))
+    congested_c, congested_r = _both_routers(lambda route: run(route, True))
     assert free_c == free_r
     assert congested_c == congested_r
     # Uncongested: hold in 5's RF, read across at arrival (span 2 allows
@@ -310,22 +308,19 @@ def test_goal_read_charge_tie_breaking():
 def test_uncommitted_route_leaves_state_untouched(src, dst, slack, ii,
                                                   preload, engine):
     """route_edge(commit=False) must not move occupancy_snapshot() nor
-    any other piece of MRRG state, under either engine."""
-    previous = routecore.set_routing_engine(engine)
-    try:
-        arch = make_spatio_temporal()
-        mrrg = MRRG(arch, ii)
-        if preload:  # some ambient congestion, including this net's own
-            route_edge(mrrg, 1, (src + 1) % 16, 0, dst, 2 + slack)
-            route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
-        snapshot = mrrg.occupancy_snapshot()
-        state = mrrg_state(mrrg)
-        arrive = min_transport_latency(arch, src, dst) + slack
-        route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
-        assert mrrg.occupancy_snapshot() == snapshot
-        assert mrrg_state(mrrg) == state
-    finally:
-        routecore.set_routing_engine(previous)
+    any other piece of MRRG state, with either router."""
+    route_edge = ROUTERS[engine]
+    arch = make_spatio_temporal()
+    mrrg = MRRG(arch, ii)
+    if preload:  # some ambient congestion, including this net's own
+        route_edge(mrrg, 1, (src + 1) % 16, 0, dst, 2 + slack)
+        route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
+    snapshot = mrrg.occupancy_snapshot()
+    state = mrrg_state(mrrg)
+    arrive = min_transport_latency(arch, src, dst) + slack
+    route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
+    assert mrrg.occupancy_snapshot() == snapshot
+    assert mrrg_state(mrrg) == state
 
 
 @settings(deadline=None, max_examples=40)
@@ -338,26 +333,23 @@ def test_commit_uncommit_roundtrips_exactly(src, dst, slack, ii, preload,
     """commit_route followed by uncommit_route restores every count,
     cost and refcount bit-for-bit — the invariant the dirty-net rip-up
     and the annealers' trial moves lean on."""
-    previous = routecore.set_routing_engine(engine)
-    try:
-        arch = make_spatio_temporal()
-        mrrg = MRRG(arch, ii)
-        if preload:
-            route_edge(mrrg, 1, (src + 1) % 16, 0, dst, 2 + slack)
-            route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
-        state = mrrg_state(mrrg)
-        arrive = min_transport_latency(arch, src, dst) + slack
-        route = route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
-        if route is None:
-            return
-        mrrg.commit_route(route)
-        committed = mrrg_state(mrrg)
-        mrrg.uncommit_route(route)
-        assert mrrg_state(mrrg) == state
-        # And recommitting reproduces the committed state exactly.
-        mrrg.commit_route(route)
-        assert mrrg_state(mrrg) == committed
-        mrrg.uncommit_route(route)
-        assert mrrg_state(mrrg) == state
-    finally:
-        routecore.set_routing_engine(previous)
+    route_edge = ROUTERS[engine]
+    arch = make_spatio_temporal()
+    mrrg = MRRG(arch, ii)
+    if preload:
+        route_edge(mrrg, 1, (src + 1) % 16, 0, dst, 2 + slack)
+        route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
+    state = mrrg_state(mrrg)
+    arrive = min_transport_latency(arch, src, dst) + slack
+    route = route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
+    if route is None:
+        return
+    mrrg.commit_route(route)
+    committed = mrrg_state(mrrg)
+    mrrg.uncommit_route(route)
+    assert mrrg_state(mrrg) == state
+    # And recommitting reproduces the committed state exactly.
+    mrrg.commit_route(route)
+    assert mrrg_state(mrrg) == committed
+    mrrg.uncommit_route(route)
+    assert mrrg_state(mrrg) == state

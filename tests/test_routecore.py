@@ -6,10 +6,11 @@ Three invariants, mirroring the PR 2/PR 3 engine pattern:
   the same :class:`Route` (steps, order, places, endpoints) as
   :func:`router.route_edge_reference` for any scenario — empty fabrics,
   congested fabrics, fanout sharing, negotiation history.
-* **Per-search:** whole mapper runs under the compiled engine are
-  bit-identical to runs under the reference engine (placements, routes,
-  IIs, attempt counts) across the golden-grid workloads, for every
-  temporal mapper.
+* **Per-search:** whole mapper runs on the compiled router are
+  bit-identical to runs with the reference router swapped in
+  (:func:`mrrg_helpers.reference_router`): placements, routes, IIs,
+  attempt counts, across the golden-grid workloads, for every temporal
+  mapper.
 * **Negotiation:** PathFinder's incremental dirty-net negotiation
   produces bit-identical mappings to the full rip-up oracle
   (``incremental=False``) across the same grid.
@@ -34,9 +35,11 @@ from repro.mapping.engine import get_mapper
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.router import (
     ROUTING, RoutingHistory, min_transport_latency, route_edge,
-    route_edge_reference, set_routing_engine,
+    route_edge_reference,
 )
 from repro.workloads import get_dfg
+
+from mrrg_helpers import reference_router
 
 GOLDEN_WORKLOADS = ["dwconv", "conv2x2", "gesum_u2", "atax_u2", "jacobi_u2"]
 
@@ -46,14 +49,6 @@ MAPPER_CASES = [
     ("plaid", "plaid", lambda: make_plaid(2, 2)),
     ("greedy", "plaid", lambda: make_plaid(2, 2)),
 ]
-
-
-@pytest.fixture(autouse=True)
-def _compiled_engine():
-    """Every test starts from the default engine."""
-    previous = set_routing_engine("compiled")
-    yield
-    set_routing_engine(previous)
 
 
 def _assert_same_route(a, b):
@@ -136,19 +131,18 @@ def test_compiled_matches_reference_congested(seed, ii, plaid):
 
 
 # ---------------------------------------------------------------------------
-# Whole-search conformance: compiled engine vs reference engine
+# Whole-search conformance: compiled router vs reference router
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("mapper_key,arch_key,arch_factory", MAPPER_CASES)
 def test_mapper_runs_bit_identical_across_engines(mapper_key, arch_key,
                                                   arch_factory):
     for workload in GOLDEN_WORKLOADS:
         seed = _seed_for(workload, arch_key, mapper_key)
-        results = {}
-        for engine in ("reference", "compiled"):
-            set_routing_engine(engine)
-            mapper = get_mapper(mapper_key).make(seed=seed)
-            results[engine] = mapper.map(get_dfg(workload), arch_factory())
-        reference, compiled = results["reference"], results["compiled"]
+        with reference_router():
+            reference = get_mapper(mapper_key).make(seed=seed).map(
+                get_dfg(workload), arch_factory())
+        compiled = get_mapper(mapper_key).make(seed=seed).map(
+            get_dfg(workload), arch_factory())
         assert compiled.ii == reference.ii, workload
         assert compiled.placement == reference.placement, workload
         assert compiled.routes == reference.routes, workload
@@ -412,13 +406,3 @@ def test_mapping_stats_surface_routing_failures():
     # carries the routing-failure tally whenever routing was the blocker.
     with pytest.raises(MappingError, match="could not map"):
         PathFinderMapper(seed=7, max_ii=1).map(get_dfg("seidel"), arch)
-
-
-def test_engine_knob_roundtrip():
-    assert routecore.routing_engine() == "compiled"
-    previous = set_routing_engine("reference")
-    assert previous == "compiled"
-    assert routecore.routing_engine() == "reference"
-    with pytest.raises(ValueError, match="unknown routing engine"):
-        set_routing_engine("interpretive-dance")
-    set_routing_engine("compiled")

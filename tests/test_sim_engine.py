@@ -11,11 +11,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import ReproError, SimulationError
-from repro.eval.harness import build_arch, clear_caches, simulate_kernel
+from repro.errors import SimulationError
+from repro.eval.harness import (
+    _seed_for, build_arch, clear_caches, resolve_mapper, simulate_kernel,
+)
 from repro.frontend import compile_kernel
 from repro.ir.interpreter import DFGInterpreter, MemoryImage
-from repro.mapping.engine import get_mapper
+from repro.mapping.engine import get_mapper, map_kernel
 from repro.sim import CGRASimulator, SpatialSimulator, TraceRecorder
 from repro.sim.engine import SimulationReport
 from repro.workloads import get_dfg
@@ -257,11 +259,22 @@ def test_spatial_trace_records_executions():
     assert len(trace) <= 20
 
 
+def _harness_reference(workload, arch_key, mapper_key=None, iterations=8):
+    """The interpreted simulator's report on the mapping
+    :func:`simulate_kernel` simulates (same dispatch, seeds and fill)."""
+    mapper_key = resolve_mapper(arch_key, mapper_key)
+    dfg = get_dfg(workload)
+    mapping = map_kernel(mapper_key, dfg, build_arch(arch_key),
+                         lambda key: _seed_for(workload, arch_key, key))
+    memory = DFGInterpreter(dfg).prepare_memory(fill=3)
+    return CGRASimulator(mapping).run_reference(memory,
+                                                iterations=iterations)
+
+
 def test_harness_simulate_kernel_temporal_and_spatial():
     temporal = simulate_kernel("dwconv", "plaid", iterations=4)
     assert temporal.verified is True
-    reference = simulate_kernel("dwconv", "plaid", iterations=4,
-                                engine="reference")
+    reference = _harness_reference("dwconv", "plaid", iterations=4)
     assert reference == temporal                 # bit-identical engines
     spatial = simulate_kernel("dwconv", "spatial", iterations=4)
     assert spatial.verified is True
@@ -271,14 +284,9 @@ def test_harness_simulate_kernel_temporal_and_spatial():
 def test_bank_conflicts_surface_on_reports_across_engines():
     report = simulate_kernel("gesum_u2", "st", "pathfinder")
     assert report.bank_conflicts > 0         # golden mapping has repeats
-    other = simulate_kernel("gesum_u2", "st", "pathfinder",
-                            engine="reference")
+    other = _harness_reference("gesum_u2", "st", "pathfinder")
     assert other.bank_conflicts == report.bank_conflicts
-
-
-def test_harness_simulate_kernel_rejects_unknown_engine():
-    with pytest.raises(ReproError, match="unknown simulation engine"):
-        simulate_kernel("dwconv", "plaid", engine="warp")
+    assert other == report
 
 
 def test_report_summary_tri_state():
