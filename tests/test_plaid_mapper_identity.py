@@ -3,8 +3,10 @@
 ``tests/data/plaid_mapping_digests.json`` holds one SHA-256 digest of
 (II, sorted placement, sorted route steps) per (workload, arch, mapper)
 cell: the golden-grid workloads on ``plaid``, ``plaid-ml`` and
-``plaid3x3`` under the ``plaid`` mapper, plus the motif-blind ``greedy``
-mapper (which runs the same ``_State`` search) on ``st``.  Unlike the
+``plaid3x3`` under the ``plaid`` mapper, the motif-blind ``greedy``
+mapper (which runs the same ``_State`` search) on ``st``, and every
+other Table-2 workload on ``plaid`` — with the golden-grid cells, the
+whole ``plaid`` column of the paper's default grid.  Unlike the
 golden fixture, which locks II/cycles/energy, a digest moves when any
 single placement or route step moves — so speed-ups of the mapper's
 search must leave it untouched.
@@ -28,6 +30,7 @@ from repro.eval.harness import _seed_for, build_arch
 from repro.mapping import engine as mapping_engine
 from repro.mapping.routecore import ROUTING
 from repro.workloads import get_dfg
+from repro.workloads.registry import all_workloads
 
 DIGEST_PATH = Path(__file__).parent / "data" / "plaid_mapping_digests.json"
 
@@ -36,7 +39,10 @@ CELLS = tuple(
     (workload, arch_key, "plaid")
     for workload in WORKLOADS
     for arch_key in ("plaid", "plaid-ml", "plaid3x3")
-) + tuple((workload, "st", "greedy") for workload in WORKLOADS)
+) + tuple((workload, "st", "greedy") for workload in WORKLOADS) + tuple(
+    (spec.name, "plaid", "plaid") for spec in all_workloads()
+    if spec.name not in WORKLOADS
+)
 
 
 def mapping_digest(mapping) -> str:
