@@ -336,6 +336,19 @@ class MRRG:
                  caps[index // ii])
                 for index in self._overused]
 
+    def overused_indices(self) -> set[int]:
+        """Flat indices (``resource id * II + slot``) of the slots over
+        capacity now: a snapshot that later charges leave unchanged."""
+        return set(self._overused)
+
+    def route_touches(self, route: Route, indices: set[int]) -> bool:
+        """Whether any step of a committed route charges one of the flat
+        slot ``indices``, read from its memoized charge plan."""
+        for entry in self._charge_plan(route):
+            if entry[0] in indices:
+                return True
+        return False
+
     def total_overuse(self) -> int:
         """Total charges beyond capacity, summed over every slot — the
         mappers' congestion objective term, maintained incrementally."""

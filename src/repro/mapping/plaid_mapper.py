@@ -31,6 +31,7 @@ strategy, with one restart per candidate motif decomposition.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route
@@ -38,7 +39,7 @@ from repro.arch.specialize import hardwired_motif_kinds
 from repro.errors import MappingError
 from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
-from repro.mapping.common import mapping_cost, modulo_asap, schedule_horizon
+from repro.mapping.common import modulo_asap, schedule_horizon
 from repro.mapping.engine import MapperStrategy, register_mapper
 from repro.mapping.router import route_edge, transport_latency_table
 from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
@@ -80,21 +81,16 @@ class PlaidMapper(MapperStrategy):
             )
         hardwired = hardwired_motif_kinds(arch)
         if hierarchy is not None:
-            hierarchies = [hierarchy]
-        else:
-            # Algorithm 1 is stochastic; a different decomposition often
-            # relieves structural congestion, so failures retry with fresh
-            # motif seeds before giving up.
-            base = self.motif_seed if self.motif_seed is not None else 11
-            hierarchies = [
-                build_hierarchy(dfg, seed=base + 12 * offset)
-                for offset in range(3)
-            ]
-        if hardwired is not None:
-            hierarchies = [
-                demote_for_hardwired(h, hardwired) for h in hierarchies
-            ]
-        return (hierarchies, hardwired)
+            if hardwired is not None:
+                hierarchy = demote_for_hardwired(hierarchy, hardwired)
+            return ([hierarchy], hardwired)
+        # Algorithm 1 is stochastic; a different decomposition often
+        # relieves structural congestion, so failures retry with fresh
+        # motif seeds before giving up.
+        base = self.motif_seed if self.motif_seed is not None else 11
+        return (_Decompositions(dfg, [base + 12 * offset
+                                      for offset in range(3)], hardwired),
+                hardwired)
 
     def attempts_per_ii(self, ii: int, context) -> int:
         hierarchies, _hardwired = context
@@ -111,6 +107,31 @@ class PlaidMapper(MapperStrategy):
     def _solve(self, state: "_State") -> Mapping | None:
         return solve_state(state, self.moves_per_ii, self.start_temp,
                            self.cooling)
+
+
+class _Decompositions:
+    """The restarts' motif decompositions, one per motif seed, each
+    built (and demoted for a hardwired fabric) the first time a restart
+    asks for it: most searches map at their first restart."""
+
+    def __init__(self, dfg: DFG, seeds: list[int],
+                 hardwired: dict[int, MotifKind] | None) -> None:
+        self._dfg = dfg
+        self._seeds = seeds
+        self._hardwired = hardwired
+        self._built: dict[int, HierarchicalDFG] = {}
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, restart: int) -> HierarchicalDFG:
+        hierarchy = self._built.get(restart)
+        if hierarchy is None:
+            hierarchy = build_hierarchy(self._dfg, seed=self._seeds[restart])
+            if self._hardwired is not None:
+                hierarchy = demote_for_hardwired(hierarchy, self._hardwired)
+            self._built[restart] = hierarchy
+        return hierarchy
 
 
 def solve_state(state: "_State", moves: int, start_temp: float,
@@ -240,7 +261,25 @@ def singleton_hierarchy(dfg: DFG) -> HierarchicalDFG:
 
 
 class _State:
-    """Mutable mapping state for one II attempt."""
+    """Mutable mapping state for one II attempt.
+
+    Candidate ranking reads tables instead of the DFG:
+
+    - ``_group_edges[g]``: each edge incident to group ``g``, in
+      incidence order, as ``(src_role, dst_role, src, dst,
+      distance * II, is_ordering)``; a role is the endpoint's index in
+      the group's nodes, or -1 for a node of another group.  Built once
+      per state.
+    - :meth:`_placed_links`: the same edges resolved against the current
+      placement, built once per placement call.  Every span of a
+      candidate is then ``const + sign * start`` (see :meth:`_span_terms`),
+      so scoring a candidate is arithmetic over a few tuples.
+    - ``_fu_ids``: each node's candidate FU ids, built on first use.
+
+    The objective's wirelength term (``_wirelength``, the route steps of
+    ``routes``) is kept up to date by :meth:`_put_route` and
+    :meth:`_pop_route`, the only writers of ``routes``.
+    """
 
     def __init__(self, dfg: DFG, arch: Architecture,
                  hierarchy: HierarchicalDFG, ii: int,
@@ -254,6 +293,7 @@ class _State:
         self.mrrg = MRRG(arch, ii)
         self.placement: dict[int, tuple[int, int]] = {}
         self.routes: dict[int, Route] = {}
+        self._wirelength = 0
         self.unplaced: set[int] = set()
         self.group_of_edge: dict[int, tuple[int, int]] = {}
         self.order = hierarchy.dependency_order()
@@ -276,29 +316,19 @@ class _State:
             self._incident_groups[sg].append(index)
             if dg != sg:
                 self._incident_groups[dg].append(index)
-        # Static per-group views the candidate scorers read instead of
-        # DFGEdge objects: incident edges as (src, dst, distance * II,
-        # is_ordering) in incidence order, and the in-edges arriving from
-        # other groups as (src, distance * II, is_ordering).
-        edge_rows = [(edge.src, edge.dst, edge.distance * ii,
-                      edge.is_ordering) for edge in self._edge_list]
-        self._group_edges = {
-            g: tuple(edge_rows[index] for index in indices)
-            for g, indices in self._incident_groups.items()
-        }
-        self._group_in_edges = {
-            g: tuple(
-                (edge.src, edge.distance * ii, edge.is_ordering)
-                for node_id in hierarchy.groups[g].nodes
-                for edge in dfg.in_edges(node_id)
-                if hierarchy.group_of(edge.src) != g
+        self._group_edges = {}
+        for g, indices in self._incident_groups.items():
+            role = {nid: r for r, nid in enumerate(hierarchy.groups[g].nodes)}
+            self._group_edges[g] = tuple(
+                (role.get(edge.src, -1), role.get(edge.dst, -1), edge.src,
+                 edge.dst, edge.distance * ii, edge.is_ordering)
+                for edge in (self._edge_list[index] for index in indices)
             )
-            for g in range(num_groups)
-        }
         self._group_asap = [
             max((self.asap.get(nid, 0) for nid in motif.nodes), default=0)
             for motif in hierarchy.groups
         ]
+        self._fu_ids: dict[int, tuple[int, ...]] = {}
         # self.routes only ever holds data-edge indices, so completeness
         # needs a count plus the ordering edges' timing.
         self._ordering_edges = tuple(
@@ -311,9 +341,6 @@ class _State:
     # ------------------------------------------------------------------
     # Candidate enumeration
     # ------------------------------------------------------------------
-    def _alu_fu(self, pcu: int, slot: int) -> int:
-        return pcu * _FUS_PER_PCU + slot
-
     def _pcus_for_kind(self, kind: MotifKind) -> list[int]:
         if self.hardwired is None:
             return list(range(self.num_pcus))
@@ -322,89 +349,193 @@ class _State:
             return matching or list(range(self.num_pcus))
         return list(range(self.num_pcus))
 
-    def _singleton_candidates(self, group: int):
-        node = self.dfg.node(self.hierarchy.groups[group].nodes[0])
-        fus = [fu.fu_id for fu in self.arch.fus_supporting(node.op)]
+    def _singleton_candidates(self, group: int) -> list[int]:
+        """The node's candidate FU ids in a fresh random order."""
+        node_id = self.hierarchy.groups[group].nodes[0]
+        fu_ids = self._fu_ids.get(node_id)
+        if fu_ids is None:
+            fu_ids = self._fu_ids[node_id] = tuple(
+                fu.fu_id for fu in
+                self.arch.fus_supporting(self.dfg.node(node_id).op))
+        fus = list(fu_ids)
         self.rng.shuffle(fus)
         return fus
+
+    def _placed_links(self, group: int) -> list[tuple]:
+        """The group's incident edges against the current placement.
+
+        One ``(src_role, dst_role, fu, const, is_ordering)`` row per edge
+        whose endpoints are all in the group or placed, in incidence
+        order.  An edge from a placed producer has ``src_role`` -1,
+        ``fu`` the producer's FU and ``const = distance * II - cycle``;
+        one to a placed consumer has ``dst_role`` -1 and ``const = cycle
+        + distance * II``; an edge inside the group keeps ``const =
+        distance * II``.
+        """
+        placement = self.placement
+        links = []
+        for src_role, dst_role, src, dst, dist_ii, is_ordering \
+                in self._group_edges[group]:
+            if src_role < 0:
+                spot = placement.get(src)
+                if spot is not None:
+                    links.append((-1, dst_role, spot[0], dist_ii - spot[1],
+                                  is_ordering))
+            elif dst_role < 0:
+                spot = placement.get(dst)
+                if spot is not None:
+                    links.append((src_role, -1, spot[0], spot[1] + dist_ii,
+                                  is_ordering))
+            else:
+                links.append((src_role, dst_role, -1, dist_ii, is_ordering))
+        return links
+
+    def _earliest(self, links, fu_id: int) -> int:
+        """Earliest cycle ``fu_id`` can consume every value arriving from
+        placed nodes of other groups."""
+        latency = self._latency
+        earliest = 0
+        for src_role, _dst_role, src_fu, const, is_ordering in links:
+            if src_role < 0:
+                need = 1 if is_ordering else latency[src_fu][fu_id]
+                if need - const > earliest:
+                    earliest = need - const
+        return earliest
+
+    def _span_terms(self, links, fus, offsets):
+        """Resolve ``links`` for one placement shape: role ``r`` on FU
+        ``fus[r]`` at cycle ``start + offsets[r]``.
+
+        Returns ``(lo, stop, terms)``: every start in ``[lo, stop)`` is
+        at or after cycle 0, keeps the shape inside the horizon and
+        meets every edge's timing (a data edge needs a span of its
+        transport latency, an ordering edge of 1); ``terms`` holds
+        ``(lat, const, sign)`` per data edge, in link order, with span
+        ``const + sign * start``.  None when an edge inside the group
+        cannot meet its timing at any start.
+        """
+        latency = self._latency
+        lo = 0
+        stop = self.horizon - max(offsets)
+        terms = []
+        for src_role, dst_role, fu, const, is_ordering in links:
+            if src_role < 0:                    # placed producer -> group
+                lat = latency[fu][fus[dst_role]]
+                const += offsets[dst_role]
+                sign = 1
+                need = 1 if is_ordering else lat
+                if need - const > lo:
+                    lo = need - const
+            elif dst_role < 0:                  # group -> placed consumer
+                lat = latency[fus[src_role]][fu]
+                const -= offsets[src_role]
+                sign = -1
+                need = 1 if is_ordering else lat
+                if const - need + 1 < stop:
+                    stop = const - need + 1
+            else:                               # inside the group
+                lat = latency[fus[src_role]][fus[dst_role]]
+                const += offsets[dst_role] - offsets[src_role]
+                sign = 0
+                if const < (1 if is_ordering else lat):
+                    return None
+            if not is_ordering:
+                terms.append((lat, const, sign))
+        return lo, stop, terms
 
     # ------------------------------------------------------------------
     # Group placement
     # ------------------------------------------------------------------
     def place_group_best(self, group: int) -> bool:
         """Greedy (Algorithm 2 lines 3-4): rank candidates by a cheap
-        routing estimate, then commit the first of the best six whose
-        edges all route; candidates are (PCU, template, start) for
-        motifs and (FU, cycle) for singletons."""
-        motif = self.hierarchy.groups[group]
-        asap = self._group_asap[group]
-        if motif.is_collective:
-            candidates = []
-            templates = schedule_templates(motif.kind)[:8]
-            for pcu in self._pcus_for_kind(motif.kind):
-                earliest = max(self._earliest_start(group, pcu), asap)
-                window = min(self.ii, 4)
-                for template in templates:
-                    for start in range(earliest,
-                                       min(earliest + window, self.horizon)):
-                        spots = self._collective_spots(group, pcu, template,
-                                                       start)
-                        if spots is None:
-                            continue
-                        estimate = self._estimate(group, spots)
-                        if estimate == float("inf"):
-                            continue
-                        candidates.append((estimate + 0.05 * start, spots))
-        else:
-            candidates = self._scored_singletons(group, asap)
-        candidates.sort(key=lambda c: c[0])
+        routing estimate (:meth:`_best_candidates`), then commit the
+        first of the best six whose edges all route."""
+        candidates = self._best_candidates(group)
+        candidates.sort(key=_score)
         return self._commit_best(group, [c[1] for c in candidates[:6]])
 
-    def _scored_singletons(self, group: int, asap: int):
-        """(score, spots) for the first three free, timing-feasible cycles
-        of each candidate FU, scored exactly like :meth:`_estimate`.
+    def _best_candidates(self, group: int) -> list:
+        """(score, spots) of every greedy candidate: (PCU, template,
+        start) for motifs, (FU, cycle) for singletons.
 
-        Against placed neighbours every incident edge's span is
-        ``const + sign * cycle``, so each FU's latencies and feasible
-        cycle window are worked out once and the cycle loop only checks
-        the FU slot and sums the same terms in the same edge order.
+        The group's links are resolved once; a motif's earliest start
+        per PCU (from its slot-0 FU) opens a window of up to four starts
+        tried under each of the kind's first eight templates.
+        """
+        motif = self.hierarchy.groups[group]
+        asap = self._group_asap[group]
+        links = self._placed_links(group)
+        if not motif.is_collective:
+            return self._scored_singletons(group, links, asap)
+        candidates = []
+        templates = schedule_templates(motif.kind)[:8]
+        window = min(self.ii, 4)
+        for pcu in self._pcus_for_kind(motif.kind):
+            earliest = max(self._earliest(links, pcu * _FUS_PER_PCU), asap)
+            starts = range(earliest, min(earliest + window, self.horizon))
+            candidates += self._collective_candidates(
+                group, links, pcu, templates, starts, 0.05)
+        return candidates
+
+    def _collective_candidates(self, group: int, links, pcu: int,
+                               templates, starts, start_weight: float):
+        """(score, spots) for each template, then each start, whose FU
+        slots are free and whose timing holds; the score is the
+        routing-free estimate (transport slack and wire length to placed
+        neighbours) plus ``start_weight * start``.
+
+        Per template the links become span terms once
+        (:meth:`_span_terms`), so the start loop only checks FU slots
+        and sums the same terms in the same edge order.
+        """
+        nodes = self.hierarchy.groups[group].nodes
+        fu_nodes = self.mrrg._fu_nodes
+        ii = self.ii
+        base = pcu * _FUS_PER_PCU
+        candidates = []
+        for template in templates:
+            fus = [base + slot for slot in template.slots]
+            offsets = template.offsets
+            resolved = self._span_terms(links, fus, offsets)
+            if resolved is None:
+                continue
+            lo, stop, terms = resolved
+            roles = tuple(zip(nodes, fus, offsets))
+            for start in starts:
+                if start < lo or start >= stop:
+                    continue
+                for _node_id, fu_id, offset in roles:
+                    if (fu_id, (start + offset) % ii) in fu_nodes:
+                        break
+                else:
+                    score = 0.0
+                    for lat, const, sign in terms:
+                        # Prefer short wires and tight schedules.
+                        score += 2.0 * lat + 0.5 * (const + sign * start - lat)
+                    candidates.append((
+                        score + start_weight * start,
+                        [(node_id, fu_id, start + offset)
+                         for node_id, fu_id, offset in roles]))
+        return candidates
+
+    def _scored_singletons(self, group: int, links, asap: int):
+        """(score, spots) for the first three free, timing-feasible cycles
+        of each candidate FU, scored like a one-node motif.
+
+        The cycle window opens at the FU's earliest start (or the ASAP
+        time) and spans 2 * II cycles, cut by placed consumers.
         """
         node_id = self.hierarchy.groups[group].nodes[0]
-        placement = self.placement
-        latency = self._latency
-        ii = self.ii
         fu_nodes = self.mrrg._fu_nodes
-        edges = self._group_edges[group]
+        ii = self.ii
         candidates = []
         for fu_id in self._singleton_candidates(group):
-            lo = max(self._earliest_start_fu(group, fu_id), asap)
-            stop = min(lo + 2 * ii, self.horizon)
-            terms = []      # (lat, const, sign) of each data edge
-            for src, dst, dist_ii, is_ordering in edges:
-                if src != node_id:              # placed producer -> node
-                    spot = placement.get(src)
-                    if spot is None:
-                        continue
-                    lat = latency[spot[0]][fu_id]
-                    const, sign = dist_ii - spot[1], 1
-                elif dst != node_id:            # node -> placed consumer
-                    spot = placement.get(dst)
-                    if spot is None:
-                        continue
-                    lat = latency[fu_id][spot[0]]
-                    const, sign = spot[1] + dist_ii, -1
-                else:                           # self recurrence
-                    lat = latency[fu_id][fu_id]
-                    const, sign = dist_ii, 0
-                need = 1 if is_ordering else lat
-                if sign > 0:
-                    lo = max(lo, need - const)
-                elif sign < 0:
-                    stop = min(stop, const - need + 1)
-                elif const < need:
-                    stop = lo
-                if not is_ordering:
-                    terms.append((lat, const, sign))
+            resolved = self._span_terms(links, (fu_id,), _ONE_ROLE)
+            if resolved is None:
+                continue
+            lo, stop, terms = resolved
+            lo = max(lo, asap)
+            stop = min(stop, lo + 2 * ii)
             found = 0
             for cycle in range(lo, stop):
                 if (fu_id, cycle % ii) in fu_nodes:
@@ -421,33 +552,33 @@ class _State:
         return candidates
 
     def place_group_random(self) -> bool:
-        """Lines 7-11: random placement candidate for the unmapped victim,
-        ranking every schedule template and committing the first of the
-        best four that routes."""
+        """Lines 7-11: random placement candidate for the unmapped victim
+        (:meth:`_random_candidates`), committing the first of the best
+        four that routes."""
         if self._last_failed is None:
             return False
         group = self._last_failed
-        motif = self.hierarchy.groups[group]
-        if not motif.is_collective:
+        if not self.hierarchy.groups[group].is_collective:
             return self.place_group_best(group)
-        pcus = self._pcus_for_kind(motif.kind)
-        pcu = self.rng.choice(pcus)              # line 7: random candidate
-        earliest = max(self._earliest_start(group, pcu),
+        candidates = self._random_candidates(group)
+        candidates.sort(key=_score)
+        return self._commit_best(group,
+                                 [c[1] for c in candidates[:4]])   # line 11
+
+    def _random_candidates(self, group: int) -> list:
+        """(estimate, spots) of a motif at one random PCU (line 7) under
+        every schedule template (line 9), at a random start, the cycle
+        after it, and the earliest start."""
+        motif = self.hierarchy.groups[group]
+        links = self._placed_links(group)
+        pcu = self.rng.choice(self._pcus_for_kind(motif.kind))
+        earliest = max(self._earliest(links, pcu * _FUS_PER_PCU),
                        self._group_asap[group])
         span = max(1, min(2 * self.ii, self.horizon - earliest))
         start0 = earliest + self.rng.randrange(span)
-        candidates = []
-        for template in schedule_templates(motif.kind):   # line 9
-            for start in (start0, start0 + 1, earliest):
-                spots = self._collective_spots(group, pcu, template, start)
-                if spots is None:
-                    continue
-                estimate = self._estimate(group, spots)
-                if estimate != float("inf"):
-                    candidates.append((estimate, spots))
-        candidates.sort(key=lambda c: c[0])
-        return self._commit_best(group,
-                                 [c[1] for c in candidates[:4]])   # line 11
+        return self._collective_candidates(
+            group, links, pcu, schedule_templates(motif.kind),
+            (start0, start0 + 1, earliest), 0.0)
 
     def _commit_best(self, group: int, spot_lists) -> bool:
         """Commit the first candidate, in the given (estimate) order,
@@ -458,65 +589,6 @@ class _State:
         tried against the state as it was before the call.
         """
         return any(self._commit_spots(group, spots) for spots in spot_lists)
-
-    # ------------------------------------------------------------------
-    def _collective_spots(self, group, pcu, template, start):
-        motif = self.hierarchy.groups[group]
-        spots = []
-        for role, node_id in enumerate(motif.nodes):
-            fu_id = self._alu_fu(pcu, template.slots[role])
-            cycle = start + template.offsets[role]
-            if cycle >= self.horizon or start < 0:
-                return None
-            if not self.mrrg.fu_free(fu_id, cycle):
-                return None
-            spots.append((node_id, fu_id, cycle))
-        return spots
-
-    def _estimate(self, group: int, spots) -> float:
-        """Routing-free candidate score: transport slack and wire length
-        to already-placed neighbours; infinity when timing-infeasible."""
-        trial = {node_id: (fu, cyc) for node_id, fu, cyc in spots}
-        placement = self.placement
-        latency = self._latency
-        score = 0.0
-        for src, dst, dist_ii, is_ordering in self._group_edges[group]:
-            src_spot = trial.get(src) or placement.get(src)
-            dst_spot = trial.get(dst) or placement.get(dst)
-            if src_spot is None or dst_spot is None:
-                continue
-            src_fu, src_cycle = src_spot
-            dst_fu, dst_cycle = dst_spot
-            span = dst_cycle + dist_ii - src_cycle
-            if is_ordering:
-                if span < 1:
-                    return float("inf")
-                continue
-            lat = latency[src_fu][dst_fu]
-            if span < lat:
-                return float("inf")
-            # Prefer short wires and tight schedules.
-            score += 2.0 * lat + 0.5 * (span - lat)
-        return score
-
-    # ------------------------------------------------------------------
-    def _earliest_start(self, group: int, pcu: int) -> int:
-        """Earliest start cycle given placed predecessors of the group."""
-        return self._earliest_start_fu(group, self._alu_fu(pcu, 0))
-
-    def _earliest_start_fu(self, group: int, fu_id: int) -> int:
-        """Earliest cycle ``fu_id`` can consume every value arriving from
-        placed nodes of other groups."""
-        earliest = 0
-        placement = self.placement
-        latency = self._latency
-        for src, dist_ii, is_ordering in self._group_in_edges[group]:
-            spot = placement.get(src)
-            if spot is not None:
-                src_fu, src_cycle = spot
-                lat = 1 if is_ordering else latency[src_fu][fu_id]
-                earliest = max(earliest, src_cycle + lat - dist_ii)
-        return earliest
 
     # ------------------------------------------------------------------
     # Committing (place + route or roll back)
@@ -552,7 +624,8 @@ class _State:
         if routed:
             self._negotiate(new_routes)
             self.group_spots[group] = list(spots)
-            self.routes.update(new_routes)
+            for index, route in new_routes.items():
+                self._put_route(index, route)
             self.unplaced.discard(group)
             return True
         for route in new_routes.values():
@@ -567,6 +640,22 @@ class _State:
             self.placement[node_id] = (fu_id, cycle)
             self.mrrg.place_node(node_id, fu_id, cycle)
 
+    def _put_route(self, index: int, route: Route) -> None:
+        """Set ``routes[index]``, keeping the wirelength total."""
+        old = self.routes.get(index)
+        if old is not None:
+            self._wirelength -= len(old.steps)
+        self.routes[index] = route
+        self._wirelength += len(route.steps)
+
+    def _pop_route(self, index: int) -> Route | None:
+        """Remove ``routes[index]`` if present, keeping the wirelength
+        total."""
+        route = self.routes.pop(index, None)
+        if route is not None:
+            self._wirelength -= len(route.steps)
+        return route
+
     def _route_index(self, index: int) -> Route | None:
         edge = self._edge_list[index]
         src_fu, src_cycle = self.placement[edge.src]
@@ -580,31 +669,31 @@ class _State:
         """Mini rip-up-and-reroute for a group being committed:
         slack-rich routes committed early can squat on wires that later,
         tighter routes have no alternative to.  Every committed route
-        touching an overused slot — whichever group it belongs to — is
-        rerouted against the now-visible congestion.
+        touching a slot that was overused when the round began —
+        whichever group it belongs to — is rerouted against the
+        now-visible congestion.
         """
+        mrrg = self.mrrg
         for _round in range(rounds):
-            violations = self.mrrg.overuse()
-            if not violations:
+            hot = mrrg.overused_indices()
+            if not hot:
                 return
-            hot = {(res, slot) for res, slot, _u, _c in violations}
             candidates = list(new_routes.items()) + [
                 (index, route) for index, route in self.routes.items()
                 if index not in new_routes
             ]
             for index, route in candidates:
-                if not any((s.resource, self.mrrg.slot(s.cycle)) in hot
-                           for s in route.steps):
+                if not mrrg.route_touches(route, hot):
                     continue
-                self.mrrg.uncommit_route(route)
+                mrrg.uncommit_route(route)
                 redone = self._route_index(index)
                 if redone is None:
-                    self.mrrg.commit_route(route)
+                    mrrg.commit_route(route)
                     continue
                 if index in new_routes or index not in self.routes:
                     new_routes[index] = redone
                 else:
-                    self.routes[index] = redone
+                    self._put_route(index, redone)
 
     def _ordering_ok(self, edge) -> bool:
         if edge.src not in self.placement or edge.dst not in self.placement:
@@ -638,16 +727,13 @@ class _State:
         return victim
 
     def _congested_groups(self) -> list[int]:
-        hot = {
-            (resource, slot)
-            for resource, slot, _u, _c in self.mrrg.overuse()
-        }
+        mrrg = self.mrrg
+        hot = mrrg.overused_indices()
         if not hot:
             return []
         groups: set[int] = set()
         for index, route in self.routes.items():
-            if any((step.resource, self.mrrg.slot(step.cycle)) in hot
-                   for step in route.steps):
+            if mrrg.route_touches(route, hot):
                 src_group, dst_group = self.group_of_edge[index]
                 if src_group in self.group_spots:
                     groups.add(src_group)
@@ -660,7 +746,7 @@ class _State:
         saved_spots = self.group_spots.pop(group, [])
         saved_routes: dict[int, Route] = {}
         for index in self._incident_groups[group]:
-            route = self.routes.pop(index, None)
+            route = self._pop_route(index)
             if route is not None:
                 saved_routes[index] = route
                 self.mrrg.uncommit_route(route)
@@ -685,7 +771,7 @@ class _State:
         for index, route in saved_routes.items():
             edge = self._edge_list[index]
             if edge.src in self.placement and edge.dst in self.placement:
-                self.routes[index] = route
+                self._put_route(index, route)
                 self.mrrg.commit_route(route)
         self.group_spots[group] = saved_spots
         self.unplaced.discard(group)
@@ -697,9 +783,18 @@ class _State:
         return all(self._ordering_ok(edge) for edge in self._ordering_edges)
 
     def cost(self) -> float:
+        """:func:`~repro.mapping.common.mapping_cost` of the state, from
+        the kept wirelength total, plus 500 per unplaced group."""
         missing = self._num_data_edges - len(self.routes)
-        return mapping_cost(self.mrrg, self.routes, missing) \
-            + 500.0 * len(self.unplaced)
+        return 1000.0 * missing + 100.0 * self.mrrg.total_overuse() \
+            + 1.0 * self._wirelength + 500.0 * len(self.unplaced)
+
+
+#: Sort key of a (score, spots) candidate.
+_score = itemgetter(0)
+
+#: The one role of a singleton "shape": offset 0 from its cycle.
+_ONE_ROLE = (0,)
 
 
 register_mapper(

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.ir.analysis import topological_order
 from repro.ir.graph import DFG
-from repro.motifs.patterns import find_motif_for_node, find_pair_for_node
+from repro.motifs.patterns import (
+    Adjacency, find_motif_for_node, find_pair_for_node,
+)
 from repro.motifs.types import Motif, MotifKind
 from repro.utils.rng import make_rng
 
@@ -153,14 +155,14 @@ def _dissolve_cyclic_motifs(dfg: DFG, motifs: list[Motif],
         available.update(victim.nodes)
 
 
-def _greedy_pass(dfg: DFG, available: set[int],
+def _greedy_pass(dfg: DFG, adjacency: Adjacency, available: set[int],
                  order: list[int]) -> list[Motif]:
     """Claim three-node motifs walking ``order``; mutates ``available``."""
     found: list[Motif] = []
     for node_id in order:
         if node_id not in available:
             continue
-        motif = find_motif_for_node(dfg, node_id, available)
+        motif = find_motif_for_node(dfg, node_id, available, adjacency)
         if motif is not None:
             found.append(motif)
             available.difference_update(motif.nodes)
@@ -182,11 +184,13 @@ def generate_motifs(dfg: DFG, seed: int | random.Random | None = None,
     """
     rng = make_rng(seed)
     compute_ids = [node.node_id for node in dfg.compute_nodes]
-    topo = [nid for nid in topological_order(dfg) if nid in set(compute_ids)]
+    is_compute = set(compute_ids)
+    topo = [nid for nid in topological_order(dfg) if nid in is_compute]
+    adjacency = Adjacency(dfg)
 
     # Line 1: greedy initial generation in topological order.
     available = set(compute_ids)
-    motifs = _greedy_pass(dfg, available, topo)
+    motifs = _greedy_pass(dfg, adjacency, available, topo)
 
     best_motifs = list(motifs)
     best_available = set(available)
@@ -207,7 +211,8 @@ def generate_motifs(dfg: DFG, seed: int | random.Random | None = None,
         standalone = list(working_available)
         rng.shuffle(standalone)
         # Lines 5-7: regrow from standalone seeds.
-        working.extend(_greedy_pass(dfg, working_available, standalone))
+        working.extend(
+            _greedy_pass(dfg, adjacency, working_available, standalone))
         improved = (
             len(working) > len(best_motifs)
             or (len(working) == len(best_motifs)
@@ -233,7 +238,7 @@ def generate_motifs(dfg: DFG, seed: int | random.Random | None = None,
         for node_id in sorted(available):
             if node_id not in available:
                 continue
-            pair = find_pair_for_node(dfg, node_id, available)
+            pair = find_pair_for_node(dfg, node_id, available, adjacency)
             if pair is not None:
                 motifs.append(pair)
                 available.difference_update(pair.nodes)

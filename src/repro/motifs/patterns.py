@@ -14,20 +14,50 @@ from repro.ir.graph import DFG
 from repro.motifs.types import Motif, MotifKind
 
 
-def _adjacency(dfg: DFG, available: set[int]):
-    """Distance-0 data adjacency restricted to available compute nodes."""
-    succs: dict[int, list[int]] = {nid: [] for nid in available}
-    preds: dict[int, list[int]] = {nid: [] for nid in available}
-    for edge in dfg.data_edges:
-        if edge.distance != 0:
-            continue
-        if edge.src in available and edge.dst in available \
-                and edge.src != edge.dst:
-            if edge.dst not in succs[edge.src]:
-                succs[edge.src].append(edge.dst)
-            if edge.src not in preds[edge.dst]:
-                preds[edge.dst].append(edge.src)
-    return succs, preds
+class Adjacency:
+    """Distance-0 data adjacency between distinct nodes of a DFG, built
+    once and read through :meth:`restrict`.
+
+    Each node's successors and predecessors are listed once, in the
+    order of their first edge; restricting a list to ``available`` keeps
+    that order, so a restricted view equals the adjacency scanned from
+    the available nodes' edges alone.
+    """
+
+    def __init__(self, dfg: DFG) -> None:
+        self.succs: dict[int, list[int]] = {}
+        self.preds: dict[int, list[int]] = {}
+        for edge in dfg.data_edges:
+            if edge.distance != 0 or edge.src == edge.dst:
+                continue
+            succs = self.succs.setdefault(edge.src, [])
+            if edge.dst not in succs:
+                succs.append(edge.dst)
+            preds = self.preds.setdefault(edge.dst, [])
+            if edge.src not in preds:
+                preds.append(edge.src)
+
+    def restrict(self, available: set[int]):
+        """(succs, preds) over ``available`` nodes: indexing either with
+        a node gives its available neighbours, filtered on lookup."""
+        return (_Restricted(self.succs, available),
+                _Restricted(self.preds, available))
+
+
+class _Restricted:
+    """One direction of an :class:`Adjacency` seen through a node set."""
+
+    __slots__ = ("_lists", "_available")
+
+    def __init__(self, lists: dict[int, list[int]],
+                 available: set[int]) -> None:
+        self._lists = lists
+        self._available = available
+
+    def __getitem__(self, node_id: int) -> list[int]:
+        available = self._available
+        return [other for other in self._lists.get(node_id, ())
+                if other in available]
 
 
 def _try_unicast(node: int, succs, preds) -> Motif | None:
@@ -80,13 +110,14 @@ def _try_fan_out(node: int, succs, preds) -> Motif | None:
 _MATCHERS: tuple[Callable, ...] = (_try_unicast, _try_fan_in, _try_fan_out)
 
 
-def find_motif_for_node(dfg: DFG, node_id: int,
-                        available: set[int]) -> Motif | None:
+def find_motif_for_node(dfg: DFG, node_id: int, available: set[int],
+                        adjacency: Adjacency | None = None) -> Motif | None:
     """Find any three-node motif containing ``node_id`` whose members are
-    all in ``available``; None when no pattern matches."""
+    all in ``available``; None when no pattern matches.  ``adjacency``
+    is ``dfg``'s :class:`Adjacency`, built here when omitted."""
     if node_id not in available:
         return None
-    succs, preds = _adjacency(dfg, available)
+    succs, preds = (adjacency or Adjacency(dfg)).restrict(available)
     for matcher in _MATCHERS:
         motif = matcher(node_id, succs, preds)
         if motif is not None:
@@ -94,12 +125,12 @@ def find_motif_for_node(dfg: DFG, node_id: int,
     return None
 
 
-def find_pair_for_node(dfg: DFG, node_id: int,
-                       available: set[int]) -> Motif | None:
+def find_pair_for_node(dfg: DFG, node_id: int, available: set[int],
+                       adjacency: Adjacency | None = None) -> Motif | None:
     """Find a two-node motif (single edge) containing ``node_id``."""
     if node_id not in available:
         return None
-    succs, preds = _adjacency(dfg, available)
+    succs, preds = (adjacency or Adjacency(dfg)).restrict(available)
     for dst in succs[node_id]:
         return Motif(MotifKind.PAIR, (node_id, dst))
     for src in preds[node_id]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import make_plaid, make_plaid_ml, make_spatio_temporal
 from repro.errors import MappingError
+from repro.eval.harness import _seed_for, build_arch
 from repro.frontend import compile_kernel
 from repro.ir.builder import DFGBuilder
 from repro.ir.ops import Opcode
@@ -11,8 +12,11 @@ from repro.mapping import (
     Mapping, PathFinderMapper, PlaidMapper, SimulatedAnnealingMapper,
     minimum_ii, resource_mii,
 )
+from repro.mapping import plaid_mapper
 from repro.mapping.common import modulo_asap
+from repro.mapping.plaid_mapper import demote_for_hardwired
 from repro.motifs import build_hierarchy
+from repro.workloads import get_dfg
 
 GEMV = """
 #pragma plaid
@@ -114,6 +118,42 @@ def test_plaid_mapper_on_plaid():
     mapping = PlaidMapper(seed=5).map(dfg, plaid)
     mapping.validate()
     assert mapping.ii >= minimum_ii(dfg, plaid)
+
+
+@pytest.mark.parametrize("arch_key", ["plaid", "plaid-ml"])
+@pytest.mark.parametrize("workload", ["dwconv", "conv2x2", "jacobi_u2"])
+def test_plaid_decompositions_equal_eager_builds(workload, arch_key):
+    """Each restart's decomposition, built on first use, equals building
+    Algorithm 1 eagerly with motif seeds 11/23/35 (and demoting it on a
+    hardwired fabric).  conv2x2 is one of the workloads whose seeds give
+    different decompositions."""
+    dfg, arch = get_dfg(workload), build_arch(arch_key)
+    hierarchies, hardwired = PlaidMapper().prepare(dfg, arch, None)
+    assert len(hierarchies) == 3
+    for restart, seed in enumerate((11, 23, 35)):
+        want = build_hierarchy(dfg, seed=seed)
+        if hardwired is not None:
+            want = demote_for_hardwired(want, hardwired)
+        got = hierarchies[restart]
+        assert got.groups == want.groups
+        assert got.node_to_group == want.node_to_group
+        assert got.inter_edges == want.inter_edges
+        assert hierarchies[restart] is got
+
+
+def test_plaid_mapper_builds_only_the_decompositions_it_tries(monkeypatch):
+    """A cell that maps at its first restart runs Algorithm 1 once."""
+    built = []
+
+    def counting(dfg, seed=None):
+        built.append(seed)
+        return build_hierarchy(dfg, seed=seed)
+
+    monkeypatch.setattr(plaid_mapper, "build_hierarchy", counting)
+    mapping = PlaidMapper(seed=_seed_for("dwconv", "plaid", "plaid")).map(
+        get_dfg("dwconv"), build_arch("plaid"))
+    assert mapping.stats.attempts == 1
+    assert built == [11]
 
 
 def test_plaid_mapper_rejects_non_plaid():

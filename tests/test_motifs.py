@@ -1,5 +1,7 @@
 """Tests for motif types, pattern matching, and Algorithm 1."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,10 +12,13 @@ from repro.ir.ops import Opcode
 from repro.motifs import (
     Motif, MotifKind, build_hierarchy, generate_motifs, match_kind,
 )
+from repro.motifs import generation
 from repro.motifs.generation import group_cycle
 from repro.motifs.hierarchy import HierarchyEdge
-from repro.motifs.patterns import find_motif_for_node
+from repro.motifs.patterns import Adjacency, find_motif_for_node
 from repro.motifs.types import MOTIF_SIZE
+from repro.workloads import get_dfg
+from repro.workloads.registry import all_workloads
 
 
 def chain_dfg(n_compute=6):
@@ -296,3 +301,67 @@ def test_memory_nodes_are_singletons():
     for node in dfg.memory_nodes:
         group = hierarchy.groups[hierarchy.group_of(node.node_id)]
         assert group.kind is MotifKind.SINGLETON
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 1's adjacency against a per-lookup scan
+# ---------------------------------------------------------------------------
+def _scan_adjacency(dfg, available):
+    """Oracle: the distance-0 adjacency scanned from the DFG's edges with
+    both ends in ``available``, for every available node."""
+    succs = {nid: [] for nid in available}
+    preds = {nid: [] for nid in available}
+    for edge in dfg.data_edges:
+        if edge.distance != 0:
+            continue
+        if edge.src in available and edge.dst in available \
+                and edge.src != edge.dst:
+            if edge.dst not in succs[edge.src]:
+                succs[edge.src].append(edge.dst)
+            if edge.src not in preds[edge.dst]:
+                preds[edge.dst].append(edge.src)
+    return succs, preds
+
+
+class _ScanAdjacency:
+    """:class:`Adjacency` stand-in that rescans the DFG on each view."""
+
+    def __init__(self, dfg):
+        self.dfg = dfg
+
+    def restrict(self, available):
+        return _scan_adjacency(self.dfg, available)
+
+
+TABLE2 = tuple(spec.name for spec in all_workloads())
+
+
+@pytest.mark.parametrize("workload", TABLE2)
+def test_adjacency_views_match_scan(workload):
+    """Restricted views of the once-built adjacency list every available
+    node's neighbours exactly as the scan does, on random subsets."""
+    dfg = get_dfg(workload)
+    compute = [node.node_id for node in dfg.compute_nodes]
+    adjacency = Adjacency(dfg)
+    rng = random.Random(workload)
+    for size in (len(compute), len(compute) // 2, len(compute) // 4, 3):
+        available = set(rng.sample(compute, min(size, len(compute))))
+        succs, preds = adjacency.restrict(available)
+        want_succs, want_preds = _scan_adjacency(dfg, available)
+        for node_id in available:
+            assert succs[node_id] == want_succs[node_id], node_id
+            assert preds[node_id] == want_preds[node_id], node_id
+
+
+@pytest.mark.parametrize("workload", TABLE2)
+def test_generation_matches_scanned_adjacency(workload, monkeypatch):
+    """Algorithm 1 finds the same motifs with the once-built adjacency
+    as with a rescan per matcher call, for the mappers' motif seeds."""
+    dfg = get_dfg(workload)
+    got = [generate_motifs(dfg, seed=seed) for seed in (11, 23, 35)]
+    monkeypatch.setattr(generation, "Adjacency", _ScanAdjacency)
+    want = [generate_motifs(dfg, seed=seed) for seed in (11, 23, 35)]
+    for got_result, want_result in zip(got, want):
+        assert got_result.motifs == want_result.motifs
+        assert got_result.standalone == want_result.standalone
+        assert got_result.rounds == want_result.rounds

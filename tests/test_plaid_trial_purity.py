@@ -17,6 +17,13 @@ Real candidates almost always route at the first try, so each call is
 also replayed with the router refusing the last edge of the first
 candidate, and then of every candidate: trials that fail after some of
 their edges were committed.
+
+The same snapshots check the candidate scorers: ``_best_candidates`` and
+``_random_candidates`` read per-call link tables, and must list exactly
+what building each spot list and scoring it with the plain
+:func:`_estimate` oracle below lists, in the same order and with the
+same RNG draws.  Each snapshot also checks the state's kept wirelength
+total against a re-sum of its routes.
 """
 
 import copy
@@ -27,8 +34,10 @@ import pytest
 from mrrg_helpers import mrrg_state
 from repro.eval.harness import _seed_for, build_arch
 from repro.mapping import plaid_mapper
+from repro.mapping.common import mapping_cost
 from repro.mapping.mii import minimum_ii
 from repro.mapping.plaid_mapper import PlaidMapper, _State, singleton_hierarchy
+from repro.motifs.schedules import schedule_templates
 from repro.workloads import get_dfg
 
 WORKLOADS = ("dwconv", "conv2x2", "gesum_u2", "atax_u2", "jacobi_u2")
@@ -87,6 +96,7 @@ def _view(state: _State) -> dict:
         "routes": state.routes,
         "group_spots": state.group_spots,
         "unplaced": state.unplaced,
+        "wirelength": state._wirelength,
         "mrrg": mrrg_state(state.mrrg),
     }
 
@@ -172,32 +182,182 @@ def test_refused_trials_fail_after_committing_routes(snapshots):
         ), source
 
 
+def test_kept_wirelength_matches_routes(snapshots):
+    """``cost()`` reads a kept wirelength total; at every snapshot (after
+    commits, negotiation re-routes, unmaps and restores) it equals the
+    step count of the routes, and ``cost()`` equals ``mapping_cost``."""
+    for source, captured in snapshots.items():
+        for snap, _group, _spots in captured:
+            steps = sum(len(route.steps) for route in snap.routes.values())
+            assert snap._wirelength == steps, source
+            missing = snap._num_data_edges - len(snap.routes)
+            assert snap.cost() == mapping_cost(
+                snap.mrrg, snap.routes, missing) \
+                + 500.0 * len(snap.unplaced), source
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the candidate scorers as plain per-candidate loops
+# ---------------------------------------------------------------------------
+def _estimate(state: _State, group, spots) -> float:
+    """Routing-free candidate score: transport slack and wire length
+    to already-placed neighbours; infinity when timing-infeasible."""
+    trial = {node_id: (fu, cyc) for node_id, fu, cyc in spots}
+    score = 0.0
+    for index in state._incident_groups[group]:
+        edge = state._edge_list[index]
+        src_spot = trial.get(edge.src) or state.placement.get(edge.src)
+        dst_spot = trial.get(edge.dst) or state.placement.get(edge.dst)
+        if src_spot is None or dst_spot is None:
+            continue
+        src_fu, src_cycle = src_spot
+        dst_fu, dst_cycle = dst_spot
+        span = dst_cycle + edge.distance * state.ii - src_cycle
+        if edge.is_ordering:
+            if span < 1:
+                return float("inf")
+            continue
+        lat = state._latency[src_fu][dst_fu]
+        if span < lat:
+            return float("inf")
+        score += 2.0 * lat + 0.5 * (span - lat)
+    return score
+
+
+def _collective_spots(state: _State, group, pcu, template, start):
+    """A motif's spot list at (PCU, template, start), or None when a
+    role's FU slot is taken or falls outside the horizon."""
+    spots = []
+    for role, node_id in enumerate(state.hierarchy.groups[group].nodes):
+        fu_id = pcu * plaid_mapper._FUS_PER_PCU + template.slots[role]
+        cycle = start + template.offsets[role]
+        if cycle >= state.horizon or start < 0:
+            return None
+        if not state.mrrg.fu_free(fu_id, cycle):
+            return None
+        spots.append((node_id, fu_id, cycle))
+    return spots
+
+
+def _earliest_start_fu(state: _State, group, fu_id) -> int:
+    """Earliest cycle ``fu_id`` can consume every value arriving from
+    placed nodes of other groups."""
+    earliest = 0
+    for node_id in state.hierarchy.groups[group].nodes:
+        for edge in state.dfg.in_edges(node_id):
+            spot = state.placement.get(edge.src)
+            if state.hierarchy.group_of(edge.src) == group or spot is None:
+                continue
+            src_fu, src_cycle = spot
+            lat = 1 if edge.is_ordering else state._latency[src_fu][fu_id]
+            earliest = max(earliest,
+                           src_cycle + lat - edge.distance * state.ii)
+    return earliest
+
+
+def _scored(state: _State, group, pcu, templates, starts, start_weight):
+    candidates = []
+    for template in templates:
+        for start in starts:
+            spots = _collective_spots(state, group, pcu, template, start)
+            if spots is None:
+                continue
+            estimate = _estimate(state, group, spots)
+            if estimate != float("inf"):
+                candidates.append((estimate + start_weight * start, spots))
+    return candidates
+
+
+def _oracle_best_candidates(state: _State, group):
+    motif = state.hierarchy.groups[group]
+    asap = state._group_asap[group]
+    candidates = []
+    if motif.is_collective:
+        for pcu in state._pcus_for_kind(motif.kind):
+            earliest = max(_earliest_start_fu(
+                state, group, pcu * plaid_mapper._FUS_PER_PCU), asap)
+            window = min(state.ii, 4)
+            candidates += _scored(
+                state, group, pcu, schedule_templates(motif.kind)[:8],
+                range(earliest, min(earliest + window, state.horizon)),
+                0.05)
+        return candidates
+    node_id = motif.nodes[0]
+    fus = [fu.fu_id for fu in
+           state.arch.fus_supporting(state.dfg.node(node_id).op)]
+    state.rng.shuffle(fus)
+    for fu_id in fus:
+        earliest = max(_earliest_start_fu(state, group, fu_id), asap)
+        found = 0
+        for cycle in range(earliest, min(earliest + 2 * state.ii,
+                                         state.horizon)):
+            if not state.mrrg.fu_free(fu_id, cycle):
+                continue
+            spots = [(node_id, fu_id, cycle)]
+            estimate = _estimate(state, group, spots)
+            if estimate == float("inf"):
+                continue
+            candidates.append((estimate + 0.05 * cycle, spots))
+            found += 1
+            if found >= 3:
+                break
+    return candidates
+
+
+def _oracle_random_candidates(state: _State, group):
+    kind = state.hierarchy.groups[group].kind
+    pcu = state.rng.choice(state._pcus_for_kind(kind))
+    earliest = max(_earliest_start_fu(
+        state, group, pcu * plaid_mapper._FUS_PER_PCU),
+        state._group_asap[group])
+    span = max(1, min(2 * state.ii, state.horizon - earliest))
+    start0 = earliest + state.rng.randrange(span)
+    return _scored(state, group, pcu, schedule_templates(kind),
+                   (start0, start0 + 1, earliest), 0.0)
+
+
+def _same_draws(snap: _State, got, want):
+    """(got(), rng state after) == (want(), rng state after), both run
+    from the snapshot's RNG state."""
+    before = snap.rng.getstate()
+    got_list = got()
+    got_state = snap.rng.getstate()
+    snap.rng.setstate(before)
+    want_list = want()
+    want_state = snap.rng.getstate()
+    snap.rng.setstate(before)
+    return got_list == want_list and got_state == want_state, got_list
+
+
 def test_singleton_scores_match_estimate(snapshots):
-    """The hoisted singleton scorer ranks exactly like building each
-    (FU, cycle) spot list and scoring it with ``_estimate``."""
+    """The singleton scorer ranks exactly like building each (FU, cycle)
+    spot list and scoring it with ``_estimate``."""
     for source, captured in snapshots.items():
         for snap, group, _spots in captured:
             if snap.hierarchy.groups[group].is_collective:
                 continue
-            asap = snap._group_asap[group]
-            rng_state = snap.rng.getstate()
-            got = snap._scored_singletons(group, asap)
-            snap.rng.setstate(rng_state)
-            want = []
-            node_id = snap.hierarchy.groups[group].nodes[0]
-            for fu_id in snap._singleton_candidates(group):
-                earliest = max(snap._earliest_start_fu(group, fu_id), asap)
-                found = 0
-                for cycle in range(earliest, min(earliest + 2 * snap.ii,
-                                                 snap.horizon)):
-                    if not snap.mrrg.fu_free(fu_id, cycle):
-                        continue
-                    spots = [(node_id, fu_id, cycle)]
-                    estimate = snap._estimate(group, spots)
-                    if estimate == float("inf"):
-                        continue
-                    want.append((estimate + 0.05 * cycle, spots))
-                    found += 1
-                    if found >= 3:
-                        break
-            assert got == want, (source, group)
+            same, _got = _same_draws(
+                snap, lambda: snap._best_candidates(group),
+                lambda: _oracle_best_candidates(snap, group))
+            assert same, (source, group)
+
+
+def test_collective_candidates_match_estimate(snapshots):
+    """``place_group_best``'s and ``place_group_random``'s motif
+    candidates equal the (PCU, template, start) enumeration scored with
+    ``_estimate``: same entries, same order, same RNG state after."""
+    checked = 0
+    for source, captured in snapshots.items():
+        for snap, group, _spots in captured:
+            if not snap.hierarchy.groups[group].is_collective:
+                continue
+            same, got = _same_draws(
+                snap, lambda: snap._best_candidates(group),
+                lambda: _oracle_best_candidates(snap, group))
+            assert same, (source, group, "best")
+            checked += bool(got)
+            same, _got = _same_draws(
+                snap, lambda: snap._random_candidates(group),
+                lambda: _oracle_random_candidates(snap, group))
+            assert same, (source, group, "random")
+    assert checked
