@@ -3,9 +3,12 @@ capture, determinism across worker counts, and cache interplay."""
 
 import pytest
 
-from repro.eval import harness, parallel
-from repro.eval.cache import result_to_dict
+from repro.errors import MappingError
+from repro.eval import client, harness, parallel
+from repro.eval.cache import ResultStore, result_to_dict
 from repro.eval.harness import clear_caches, configure_store
+from repro.eval.reporting import SWEEP_HEADERS, sweep_rows
+from repro.eval.serve import SweepServer
 
 #: A small but representative grid: two domains, one recurrence-heavy
 #: kernel, both baseline fabrics and Plaid.
@@ -237,3 +240,161 @@ def test_failed_cells_memoized_not_reattempted():
     with pytest.raises(ReproError):
         harness.evaluate_kernel("no-such-kernel", "plaid")
     assert harness.EVAL_STATS.computed == computed
+
+
+# ---------------------------------------------------------------------------
+# One answer per cell, whichever path asks for it
+# ---------------------------------------------------------------------------
+#: Two cells, so ``jobs=2`` takes the pooled path (one cell runs serially).
+CONFORMANCE_WORKLOADS = ["dwconv", "conv2x2"]
+
+
+def _prepare_nothing(cells, root):
+    pass
+
+
+def _prepare_memo(cells, root):
+    for cell in cells:
+        harness.evaluate_kernel(*cell.key(), use_store=False)
+
+
+def _prepare_failure_memo(cells, root):
+    for cell in cells:
+        harness.seed_failure(*cell.key(),
+                             MappingError("seeded failure memo"))
+
+
+def _prepare_stored_result(cells, root):
+    store = ResultStore(root)
+    for cell in cells:
+        result = harness.evaluate_kernel(*cell.key(), use_store=False)
+        store.put(harness.evaluation_fingerprint(*cell.key()), result)
+    clear_caches()
+
+
+def _prepare_stored_failure(cells, root):
+    store = ResultStore(root)
+    for cell in cells:
+        store.put_failure(harness.evaluation_fingerprint(*cell.key()),
+                          MappingError("stored failure"))
+
+
+#: case -> (workloads, prepare(cells, store root), every cell ok,
+#: every cell answered from a cache layer without evaluating).
+CONFORMANCE_CASES = {
+    "cold": (CONFORMANCE_WORKLOADS, _prepare_nothing, True, False),
+    "memo-hit": (CONFORMANCE_WORKLOADS, _prepare_memo, True, True),
+    "failure-memo-hit": (CONFORMANCE_WORKLOADS, _prepare_failure_memo,
+                         False, True),
+    "stored-result": (CONFORMANCE_WORKLOADS, _prepare_stored_result,
+                      True, True),
+    "stored-failure": (CONFORMANCE_WORKLOADS, _prepare_stored_failure,
+                       False, True),
+    "unknown-workload": (["no-such-a", "no-such-b"], _prepare_nothing,
+                         False, True),
+}
+
+
+def _count_store_calls(monkeypatch) -> dict:
+    """Hits, misses and writes of every ResultStore in this process."""
+    counts = {"hits": 0, "misses": 0, "writes": 0}
+
+    def counting_get(original):
+        def get(self, fp):
+            stored = original(self, fp)
+            counts["hits" if stored is not None else "misses"] += 1
+            return stored
+        return get
+
+    def counting_put(original):
+        def put(self, fp, payload):
+            counts["writes"] += 1
+            return original(self, fp, payload)
+        return put
+
+    monkeypatch.setattr(ResultStore, "get", counting_get(ResultStore.get))
+    for name in ("put", "put_failure"):
+        monkeypatch.setattr(ResultStore, name,
+                            counting_put(getattr(ResultStore, name)))
+    return counts
+
+
+def _store_bytes(root):
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+def _answer(path, cells, root, counts):
+    """(rows without 'cached', cached flags, (evaluated, cached),
+    store hits/misses/writes) of one path over ``cells``."""
+    if path == "serve":
+        srv = SweepServer(store=root, jobs=2,
+                          use_processes=False).start_background()
+        try:
+            for key in counts:
+                counts[key] = 0
+            rows, summary = client.sweep(
+                srv.host, srv.port,
+                workloads=[cell.workload for cell in cells],
+                archs=["plaid"])
+        finally:
+            srv.shutdown_background()
+        flags = [row["cached"] for row in rows]
+        rows = [{key: row[key] for key in SWEEP_HEADERS if key != "cached"}
+                for row in rows]
+        return (rows, flags, (summary["evaluated"], summary["cached"]),
+                dict(counts))
+    configure_store(root)
+    report = parallel.run_sweep(cells, jobs=2 if path == "jobs2" else 1)
+    rows = [{key: value for key, value in zip(SWEEP_HEADERS, row)
+             if key != "cached"} for row in sweep_rows(report)]
+    stats = {key: report.store_stats.get(key, 0) for key in counts}
+    return (rows, [o.from_cache for o in report.outcomes],
+            (report.evaluated, report.cached), stats)
+
+
+@pytest.mark.parametrize("case", sorted(CONFORMANCE_CASES))
+def test_every_path_answers_a_cell_alike(tmp_path, monkeypatch, case):
+    """Serial sweeps, pooled sweeps and ``repro serve`` answer each cell
+    state with the same row, the same cache attribution and the same
+    store activity, and leave byte-identical stores behind."""
+    workloads, prepare, ok, answered = CONFORMANCE_CASES[case]
+    counts = _count_store_calls(monkeypatch)
+    cells = parallel.build_grid(workloads, ["plaid"])
+    answers = {}
+    for path in ("jobs1", "jobs2", "serve"):
+        root = tmp_path / path
+        clear_caches()
+        configure_store(None)
+        prepare(cells, root)
+        answers[path] = _answer(path, cells, root, counts) \
+            + (_store_bytes(root),)
+
+    rows, flags, tallies, stats, stored = answers["jobs1"]
+    assert [row["status"] == "ok" for row in rows] == [ok] * len(cells)
+    # A sweep credits the cache only for results; a served row says
+    # whether this request had to dispatch an evaluation at all.
+    sweep_cached = ok and answered
+    assert flags == [sweep_cached] * len(cells)
+    assert tallies == (len(cells) if ok and not answered else 0,
+                       len(cells) if sweep_cached else 0)
+    assert answers["serve"][1] == [answered] * len(cells)
+    assert answers["serve"][2] == (0 if answered else len(cells),
+                                   len(cells) if answered else 0)
+    assert stats["writes"] == (0 if answered else len(cells))
+    assert stats["hits"] == (len(cells) if "stored" in case else 0)
+
+    def store_view(activity):
+        # Paths that answer from cache before they dispatch (the pool,
+        # serve) read a cold cell's entry again where they evaluate it,
+        # so misses on cold cells depend on the path.
+        return {key: value for key, value in activity.items()
+                if answered or key != "misses"}
+
+    for path in ("jobs2", "serve"):
+        other_rows, other_flags, other_tallies, other_stats, other_stored \
+            = answers[path]
+        assert other_rows == rows, path
+        assert store_view(other_stats) == store_view(stats), path
+        assert other_stored == stored, path
+    assert answers["jobs2"][1] == flags
+    assert answers["jobs2"][2] == tallies
