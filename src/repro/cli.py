@@ -215,20 +215,7 @@ def cmd_sweep(args) -> int:
     from repro.utils.atomicio import atomic_write_text
     import os
 
-    if args.mapper:
-        # Fail fast on a typo'd key (with the registered-keys list)
-        # instead of reporting every grid cell as failed.
-        from repro.mapping.engine import get_mapper
-        get_mapper(args.mapper)
     shard = distributed.parse_shard(args.shard) if args.shard else None
-
-    if args.no_cache:
-        store = harness.configure_store(None)
-    else:
-        cache_dir = args.cache_dir \
-            or os.environ.get(CACHE_DIR_ENV, "").strip() \
-            or ".repro-cache"
-        store = harness.configure_store(cache_dir)
 
     workloads = None
     if args.workloads:
@@ -267,6 +254,17 @@ def cmd_sweep(args) -> int:
             manifest = distributed.SweepManifest.from_cells(
                 cells, shards=shard.count if shard else 1)
             manifest.save(manifest_path)
+
+    # Configured once the grid is known good: build_grid rejects a
+    # typo'd arch or mapper key (with the registered-keys list) before
+    # any store directory is created.
+    if args.no_cache:
+        store = harness.configure_store(None)
+    else:
+        cache_dir = args.cache_dir \
+            or os.environ.get(CACHE_DIR_ENV, "").strip() \
+            or ".repro-cache"
+        store = harness.configure_store(cache_dir)
 
     if manifest is not None:
         # Resume semantics: only cells neither marked done nor already
@@ -434,6 +432,8 @@ def cmd_mappers(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.eval.harness import ARCH_KEYS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Plaid CGRA reproduction toolchain")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -457,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="map a DFG onto a fabric")
     add_dfg_args(p_map)
     p_map.add_argument("--arch", default="plaid",
-                       choices=["st", "spatial", "plaid", "plaid3x3",
-                                "st-ml", "plaid-ml"])
+                       choices=ARCH_KEYS)
     p_map.add_argument("--mapper", metavar="KEY",
                        help="temporal mapper key (see 'repro mappers')")
     p_map.add_argument("--verbose", action="store_true",
@@ -470,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="map + cycle-accurate verify")
     add_dfg_args(p_sim)
     p_sim.add_argument("--arch", default="plaid",
-                       choices=["st", "spatial", "plaid", "plaid3x3",
-                                "st-ml", "plaid-ml"])
+                       choices=ARCH_KEYS)
     p_sim.add_argument("--mapper", metavar="KEY",
                        help="temporal mapper key (see 'repro mappers')")
     p_sim.add_argument("--iterations", type=int, default=8)
@@ -513,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "and report the best variant per (family, "
                               "architecture)")
     p_sweep.add_argument("--arch", action="append",
-                         choices=["st", "spatial", "plaid", "plaid3x3",
-                                  "st-ml", "plaid-ml"],
+                         choices=ARCH_KEYS,
                          help="architecture key, repeatable (default: "
                               "st spatial plaid)")
     p_sweep.add_argument("--mapper", metavar="KEY",

@@ -308,9 +308,6 @@ class ResultStore:
         """Where the entry for ``fp`` lives (whether or not it exists)."""
         return self.root / f"{fp}.json"
 
-    # Historical internal name, kept for callers/tests that grew around it.
-    _entry_path = entry_path
-
     # -- read -----------------------------------------------------------
     def get(self, fp: str) -> "KernelResult | CachedFailure | None":
         """The stored result (or recorded failure) for ``fp``;
@@ -320,7 +317,7 @@ class ResultStore:
         misses — a damaged cache degrades to recomputation, never to a
         crash or a wrong number.
         """
-        path = self._entry_path(fp)
+        path = self.entry_path(fp)
         status, result = self._read_entry(path)
         if status == "missing":
             self.stats.misses += 1
@@ -357,23 +354,21 @@ class ResultStore:
         corrupt entries read as absent (``get`` would treat them as
         misses), but — unlike ``get`` — the probe neither counts stats
         nor deletes the damaged file."""
-        return self._read_entry(self._entry_path(fp))[0] == "ok"
+        return self._read_entry(self.entry_path(fp))[0] == "ok"
 
-    def _entries(self) -> Iterator[Path]:
+    def entry_files(self) -> Iterator[Path]:
+        """Every entry file, sorted (the merge/stats/gc tooling)."""
         # Path.glob("*.json") also matches dot-prefixed names, so filter
         # out ".tmp-*" files a killed writer may have left behind.
         for path in sorted(self.root.glob("*.json")):
             if not is_temp_file(path):
                 yield path
 
-    #: Public iteration for the merge/stats/gc tooling.
-    entry_files = _entries
-
     def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
+        return sum(1 for _ in self.entry_files())
 
     def fingerprints(self) -> Iterator[str]:
-        for path in self._entries():
+        for path in self.entry_files():
             yield path.stem
 
     def iter_results(self, on_skip=None) -> "Iterator[KernelResult]":
@@ -390,7 +385,7 @@ class ResultStore:
         Recorded failures and entries deleted mid-iteration are healthy
         skips and are not reported.
         """
-        for path in self._entries():
+        for path in self.entry_files():
             status, payload = self._read_entry(path)
             if status == "ok" and not isinstance(payload, CachedFailure):
                 yield payload

@@ -7,7 +7,9 @@ prices power/energy/area.  Results are memoized per process and — when a
 persistent store is active (``configure_store`` or ``$REPRO_CACHE_DIR``)
 — shared across processes and runs through
 :class:`repro.eval.cache.ResultStore`, so every benchmark, experiment and
-sweep worker pays for each configuration exactly once.
+sweep worker pays for each configuration exactly once.  :func:`lookup`
+is the one cache cascade: serial sweeps, pooled sweeps and the result
+service all answer cached cells through it.
 
 Baseline methodology follows the paper: the spatio-temporal baselines are
 mapped with both PathFinder and simulated annealing and the better result
@@ -45,23 +47,32 @@ from repro.workloads.registry import get_dfg, get_workload
 #: Architecture keys the experiments use.
 ARCH_KEYS = ("st", "spatial", "plaid", "plaid3x3", "st-ml", "plaid-ml")
 
+#: Fabric builder per architecture key.  The lambdas look the ``make_*``
+#: builders up at call time, so wrapping them on this module wraps
+#: every build.
+_ARCH_BUILDERS = {
+    "st": lambda: make_spatio_temporal(4, 4),
+    "st6x6": lambda: make_spatio_temporal(6, 6),
+    "spatial": lambda: make_spatial(4, 4),
+    "plaid": lambda: make_plaid(2, 2),
+    "plaid3x3": lambda: make_plaid(3, 3),
+    "st-ml": lambda: make_st_ml(4, 4),
+    "plaid-ml": lambda: make_plaid_ml(2, 2),
+}
+
+
+def check_arch_key(key: str) -> str:
+    """``key`` itself if :func:`build_arch` knows it; raises
+    :class:`ReproError` otherwise."""
+    if key not in _ARCH_BUILDERS:
+        raise ReproError(f"unknown architecture key '{key}'")
+    return key
+
 
 @lru_cache(maxsize=None)
 def build_arch(key: str) -> Architecture:
     """Architecture instance per key (cached: fabrics are immutable)."""
-    builders = {
-        "st": lambda: make_spatio_temporal(4, 4),
-        "st6x6": lambda: make_spatio_temporal(6, 6),
-        "spatial": lambda: make_spatial(4, 4),
-        "plaid": lambda: make_plaid(2, 2),
-        "plaid3x3": lambda: make_plaid(3, 3),
-        "st-ml": lambda: make_st_ml(4, 4),
-        "plaid-ml": lambda: make_plaid_ml(2, 2),
-    }
-    try:
-        return builders[key]()
-    except KeyError:
-        raise ReproError(f"unknown architecture key '{key}'") from None
+    return _ARCH_BUILDERS[check_arch_key(key)]()
 
 
 @dataclass(frozen=True)
@@ -115,11 +126,10 @@ class EvalStats:
     """Where results came from this process (sweeps report these)."""
 
     computed: int = 0           # full map+price evaluations run here
-    memo_hits: int = 0          # served from the in-process memo
     store_hits: int = 0         # served from the persistent store
 
     def reset(self) -> None:
-        self.computed = self.memo_hits = self.store_hits = 0
+        self.computed = self.store_hits = 0
 
 
 #: In-process memo: (workload, arch_key, resolved mapper_key) -> result.
@@ -231,61 +241,80 @@ def try_fingerprint(workload: str, arch_key: str,
         return None
 
 
-def evaluate_kernel(workload: str, arch_key: str,
-                    mapper_key: str | None = None, *,
-                    use_store: bool = True) -> KernelResult:
-    """Map + price one workload on one architecture.
+def lookup(workload: str, arch_key: str, mapper_key: str | None = None,
+           *, use_store: bool = True) -> "KernelResult | None":
+    """The cached answer for one configuration, or ``None`` on a miss.
 
-    Lookup order: in-process memo, then the persistent store (when one
-    is active and ``use_store`` holds), then a full evaluation — which
-    is written back to every enabled layer.  Identical calls in one
-    process return the same object.  ``use_store=False`` (the sweep
-    engine's ``--no-cache``) bypasses the persistent store both ways
-    while keeping in-process memoization.
+    The one cache cascade every evaluation path shares: the in-process
+    memo, then the failure memo, then the persistent store (when one is
+    active and ``use_store`` holds).  A stored result is also memoized.
+    A memoized or stored failure is raised (a stored one is memoized
+    first), as is the :class:`ReproError` of fingerprinting a cell whose
+    workload or architecture is unknown, which is memoized the same way.
     """
     mapper_key = resolve_mapper(arch_key, mapper_key)
     key = (workload, arch_key, mapper_key)
     cached = _MEMO.get(key)
     if cached is not None:
-        EVAL_STATS.memo_hits += 1
         return cached
     failed = _FAILED.get(key)
     if failed is not None:
-        EVAL_STATS.memo_hits += 1
         raise failed
-
     store = active_store() if use_store else None
-    fp = None
-    if store is not None:
-        fp = evaluation_fingerprint(workload, arch_key, mapper_key)
-        stored = store.get(fp)
-        if isinstance(stored, result_cache.CachedFailure):
-            error = stored.to_error()
-            EVAL_STATS.store_hits += 1
-            _FAILED[key] = error
-            raise error
-        if stored is not None:
-            EVAL_STATS.store_hits += 1
-            _MEMO[key] = stored
-            return stored
-
+    if store is None:
+        return None
     try:
-        result = _evaluate_uncached(workload, arch_key, mapper_key)
+        stored = store.get(evaluation_fingerprint(*key))
+    except ReproError as error:         # e.g. an unknown workload name
+        _FAILED[key] = error
+        raise
+    if isinstance(stored, result_cache.CachedFailure):
+        error = stored.to_error()
+        EVAL_STATS.store_hits += 1
+        _FAILED[key] = error
+        raise error
+    if stored is not None:
+        EVAL_STATS.store_hits += 1
+        _MEMO[key] = stored
+    return stored
+
+
+def evaluate_kernel(workload: str, arch_key: str,
+                    mapper_key: str | None = None, *,
+                    use_store: bool = True) -> KernelResult:
+    """Map + price one workload on one architecture.
+
+    :func:`lookup` first; on a miss, a full evaluation whose result (or
+    deterministic failure) is written back to every enabled layer.
+    Identical calls in one process return the same object.
+    ``use_store=False`` (the sweep engine's ``--no-cache``) bypasses
+    the persistent store both ways while keeping in-process
+    memoization.
+    """
+    result = lookup(workload, arch_key, mapper_key, use_store=use_store)
+    if result is not None:
+        return result
+    mapper_key = resolve_mapper(arch_key, mapper_key)
+    key = (workload, arch_key, mapper_key)
+    store = active_store() if use_store else None
+    fp = evaluation_fingerprint(*key) if store is not None else None
+    try:
+        result = _evaluate_uncached(*key)
     except ReproError as error:
         _FAILED[key] = error
-        if store is not None and fp is not None:
+        if store is not None:
             store.put_failure(fp, error)
         raise
     EVAL_STATS.computed += 1
     _MEMO[key] = result
-    if store is not None and fp is not None:
+    if store is not None:
         store.put(fp, result)
     return result
 
 
-def _evaluate_uncached(workload: str, arch_key: str,
-                       mapper_key: str) -> KernelResult:
-    """The actual pipeline: map, derive cycles, price power/energy/area."""
+def _map_cell(workload: str, arch_key: str, mapper_key: str):
+    """``(dfg, arch, mapping)`` of one configuration, mapped through the
+    registry with its stable per-configuration seeds."""
     dfg = get_dfg(workload)
     arch = build_arch(arch_key)
 
@@ -295,14 +324,20 @@ def _evaluate_uncached(workload: str, arch_key: str,
         # min over the individual mapper results.
         return _seed_for(workload, arch_key, key, _SALT)
 
-    mapping = mapping_engine.map_kernel(mapper_key, dfg, arch, seed_for)
+    return dfg, arch, mapping_engine.map_kernel(mapper_key, dfg, arch,
+                                                seed_for)
+
+
+def _evaluate_uncached(workload: str, arch_key: str,
+                       mapper_key: str) -> KernelResult:
+    """The actual pipeline: map, derive cycles, price power/energy/area."""
+    _dfg, arch, mapping = _map_cell(workload, arch_key, mapper_key)
+    cycles = mapping.total_cycles()
     if mapper_key == "spatial":
-        cycles = mapping.total_cycles()
         ii = mapping.ii_sum
         makespan = max((phase.depth for phase in mapping.phases), default=0)
         activity = activity_from_spatial(mapping)
     else:
-        cycles = mapping.total_cycles()
         ii = mapping.ii
         makespan = mapping.makespan
         activity = activity_from_mapping(mapping)
@@ -340,13 +375,7 @@ def simulate_kernel(workload: str, arch_key: str,
     from repro.sim import CGRASimulator, SpatialSimulator
 
     mapper_key = resolve_mapper(arch_key, mapper_key)
-    dfg = get_dfg(workload)
-    arch = build_arch(arch_key)
-
-    def seed_for(key: str) -> int:
-        return _seed_for(workload, arch_key, key, _SALT)
-
-    mapping = mapping_engine.map_kernel(mapper_key, dfg, arch, seed_for)
+    dfg, _arch, mapping = _map_cell(workload, arch_key, mapper_key)
     memory = DFGInterpreter(dfg).prepare_memory(fill=fill)
     if mapper_key == "spatial":
         return SpatialSimulator(mapping, trace=trace).simulate(
@@ -365,33 +394,6 @@ def seed_failure(workload: str, arch_key: str, mapper_key: str,
                  error: ReproError) -> None:
     """Record a deterministic failure observed in a sweep worker."""
     _FAILED[(workload, arch_key, mapper_key)] = error
-
-
-def failure_for(workload: str, arch_key: str,
-                mapper_key: str | None = None) -> ReproError | None:
-    """The memoized failure for this configuration, if any."""
-    return _FAILED.get((workload, arch_key,
-                        resolve_mapper(arch_key, mapper_key)))
-
-
-def memo_contains(workload: str, arch_key: str,
-                  mapper_key: str | None = None) -> bool:
-    """Whether the in-process memo already holds this configuration."""
-    return (workload, arch_key,
-            resolve_mapper(arch_key, mapper_key)) in _MEMO
-
-
-def memo_lookup(workload: str, arch_key: str,
-                mapper_key: str | None = None) -> "KernelResult | None":
-    """The memoized result for this configuration, or ``None``.
-
-    A read-only peek: unlike :func:`evaluate_kernel` it can never
-    trigger an evaluation, so callers that must account for cache hits
-    themselves (the result service's admission path) stay side-effect
-    free.
-    """
-    return _MEMO.get((workload, arch_key,
-                      resolve_mapper(arch_key, mapper_key)))
 
 
 def clear_caches() -> None:

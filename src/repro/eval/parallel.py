@@ -8,7 +8,8 @@ regardless of worker scheduling.  Workers share the persistent
 :class:`~repro.eval.cache.ResultStore` when one is active, so a sweep
 both *uses* and *fills* the cross-process cache; results are also handed
 back to the parent's in-process memo, which is how the experiment and
-benchmark drivers pre-warm their grids.
+benchmark drivers pre-warm their grids.  Cached cells are answered
+through :func:`repro.eval.harness.lookup` on every path.
 
 Evaluations are deterministic (stable seeds, see
 :func:`repro.eval.harness._seed_for`), so serial and parallel sweeps
@@ -99,16 +100,23 @@ def build_grid(workloads: "list[str] | None" = None,
     """The cross-product grid, in deterministic registry order.
 
     ``mapper=None`` resolves each architecture's paper-default mapper.
-    Unknown workload names are kept in the grid — the sweep reports them
-    as per-cell failures instead of refusing the whole run — but known
-    names are listed in registry order for reproducible output.
+    An unknown architecture or mapper key raises :class:`ReproError`:
+    no cell of such a grid could evaluate.  Unknown workload names are
+    kept in the grid — the sweep reports them as per-cell failures
+    instead of refusing the whole run — but known names are listed in
+    registry order for reproducible output.
     """
+    from repro.mapping.engine import get_mapper
     from repro.workloads.registry import all_workloads
 
     if workloads is None:
         workloads = [spec.name for spec in all_workloads()]
     if arch_keys is None:
         arch_keys = list(DEFAULT_ARCH_KEYS)
+    for arch_key in arch_keys:
+        harness.check_arch_key(arch_key)
+    if mapper:
+        get_mapper(mapper)
     return [
         SweepCell(workload=w, arch_key=a,
                   mapper=mapper or harness.default_mapper(a))
@@ -140,7 +148,7 @@ def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None,
                                  int]
                      ) -> tuple[int, dict | None, str | None, str | None,
                                 float, dict]:
-    """Evaluate one cell in a worker process.
+    """Evaluate one cell in a worker process (see :func:`absorb_reply`).
 
     Runs with its own memo under the parent's seed salt; attaches the
     parent's persistent store (by path) so warm cells are read, cold
@@ -149,22 +157,32 @@ def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None,
     than the nested dataclasses — plus the store-activity delta of this
     call, so the parent's sweep report covers worker I/O too.
     """
-    index, (workload, arch_key, mapper), store_root, salt = task
+    index, key, store_root, salt = task
     harness.set_seed_salt(salt)
     store = _ensure_worker_store(store_root)
     before = store.stats.as_dict() if store is not None else {}
-    start = time.perf_counter()
-    try:
-        result = harness.evaluate_kernel(workload, arch_key, mapper)
-    except Exception as error:      # noqa: BLE001 — the sweep contract:
-        # one failing cell (ReproError or an unexpected bug in one
-        # evaluation) must never kill the whole pool.map; it becomes a
-        # structured per-cell failure outcome instead.
-        return (index, None, str(error), type(error).__name__,
-                time.perf_counter() - start,
-                _stats_delta(store, before))
-    return (index, result_to_dict(result), None, None,
-            time.perf_counter() - start, _stats_delta(store, before))
+    outcome = _run_cell_local(SweepCell(*key), use_cache=True)
+    payload = result_to_dict(outcome.result) if outcome.ok else None
+    return (index, payload, outcome.error, outcome.error_type,
+            outcome.seconds, _stats_delta(store, before))
+
+
+def absorb_reply(cell: SweepCell, reply: tuple) -> CellOutcome:
+    """Install one :func:`_worker_evaluate` reply in this process's
+    memos and return the cell's outcome."""
+    _index, payload, error, error_type, seconds, _stats = reply
+    if payload is None:
+        # Memoize only faithfully reconstructed ReproErrors; unexpected
+        # exception types (a worker bug) are reported but not treated
+        # as deterministic.
+        failure = CachedFailure(error_type, error).to_error()
+        if type(failure).__name__ == error_type:
+            harness.seed_failure(*cell.key(), failure)
+        return CellOutcome(cell=cell, error=error, error_type=error_type,
+                           seconds=seconds)
+    result = result_from_dict(payload)
+    harness.seed_memo(result)
+    return CellOutcome(cell=cell, result=result, seconds=seconds)
 
 
 def _stats_delta(store, before: dict) -> dict:
@@ -208,93 +226,34 @@ def run_sweep(cells: list[SweepCell], jobs: int = 1,
     start = time.perf_counter()
     store = harness.active_store() if use_cache else None
     store_before = store.stats.as_dict() if store is not None else {}
-    evaluated_before = harness.EVAL_STATS.computed
-    cached = 0
-    outcomes: list[CellOutcome] = []
 
     if jobs <= 1 or len(cells) <= 1:
-        for cell in cells:
-            outcomes.append(_run_cell_local(cell, use_cache))
-        cached = sum(1 for o in outcomes if o.from_cache)
-        return _finish_report(outcomes, 1, start, evaluated_before,
-                              cached, store, store_before)
+        outcomes = [_run_cell_local(cell, use_cache) for cell in cells]
+        return _finish_report(outcomes, 1, start, store, store_before)
 
-    # Resolve cache hits in the parent (cheap, no process round-trip);
+    # Answer cache hits in the parent (cheap, no process round-trip);
     # fan only the cold cells out to the pool.
+    slots = [answer_from_cache(cell, use_cache) for cell in cells]
     pending: list[tuple[int, tuple[str, str, str], str | None, int]] = []
-    slots: list[CellOutcome | None] = [None] * len(cells)
     seen: dict[tuple[str, str, str], int] = {}
     store_root = str(store.root) if store is not None else None
     for index, cell in enumerate(cells):
-        if harness.memo_contains(*cell.key()):
-            slots[index] = _run_cell_local(cell, use_cache)
-            cached += 1
-            continue
-        failed = harness.failure_for(*cell.key())
-        if failed is not None:          # known-doomed: don't re-dispatch
-            slots[index] = CellOutcome(cell=cell, error=str(failed),
-                                       error_type=type(failed).__name__)
-            continue
-        if store is not None:
-            try:
-                stored = store.get(
-                    harness.evaluation_fingerprint(*cell.key()))
-            except ReproError as error:     # e.g. unknown workload name
-                harness.seed_failure(*cell.key(), error)
-                slots[index] = CellOutcome(
-                    cell=cell, error=str(error),
-                    error_type=type(error).__name__)
-                continue
-            if isinstance(stored, CachedFailure):
-                error = stored.to_error()
-                harness.seed_failure(*cell.key(), error)
-                harness.EVAL_STATS.store_hits += 1
-                slots[index] = CellOutcome(
-                    cell=cell, error=str(error),
-                    error_type=type(error).__name__)
-                continue
-            if stored is not None:
-                harness.seed_memo(stored)
-                harness.EVAL_STATS.store_hits += 1
-                slots[index] = CellOutcome(cell=cell, result=stored,
-                                           from_cache=True)
-                cached += 1
-                continue
-        first = seen.setdefault(cell.key(), index)
-        if first != index:
-            continue                    # duplicate cell: fill in after
-        pending.append((index, cell.key(),
-                        store_root if use_cache else None,
-                        harness.seed_salt()))
+        if slots[index] is None and \
+                seen.setdefault(cell.key(), index) == index:
+            pending.append((index, cell.key(), store_root,
+                            harness.seed_salt()))
 
     worker_stats: dict[str, int] = {}
     if pending:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = chunk_size or _chunk_size(len(pending), jobs)
-            for (index, payload, error, error_type, seconds,
-                 stats_delta) in pool.map(
-                    _worker_evaluate, pending, chunksize=chunk):
-                for stat_key, value in stats_delta.items():
+            for reply in pool.map(_worker_evaluate, pending,
+                                  chunksize=chunk):
+                for stat_key, value in reply[-1].items():
                     worker_stats[stat_key] = \
                         worker_stats.get(stat_key, 0) + value
-                cell = cells[index]
-                if payload is None:
-                    slots[index] = CellOutcome(
-                        cell=cell, error=error, error_type=error_type,
-                        seconds=seconds)
-                    failure = CachedFailure(error_type or "",
-                                            error or "").to_error()
-                    # Memoize only faithfully reconstructed ReproErrors;
-                    # unexpected exception types (a worker bug) are
-                    # reported but not treated as deterministic.
-                    if type(failure).__name__ == (error_type or ""):
-                        harness.seed_failure(*cell.key(), failure)
-                    continue
-                result = result_from_dict(payload)
-                harness.seed_memo(result)
-                harness.EVAL_STATS.computed += 1
-                slots[index] = CellOutcome(cell=cell, result=result,
-                                           seconds=seconds)
+                index = reply[0]
+                slots[index] = absorb_reply(cells[index], reply)
 
     for index, slot in enumerate(slots):
         if slot is None:                # duplicate of an earlier cell
@@ -303,21 +262,34 @@ def run_sweep(cells: list[SweepCell], jobs: int = 1,
                 cell=cells[index], result=primary.result,
                 error=primary.error, error_type=primary.error_type,
                 from_cache=primary.ok)
-            if primary.ok:
-                cached += 1
-    return _finish_report([s for s in slots if s is not None], jobs,
-                          start, evaluated_before, cached, store,
-                          store_before, worker_stats)
+    return _finish_report(slots, jobs, start, store, store_before,
+                          worker_stats)
+
+
+def answer_from_cache(cell: SweepCell, use_cache: bool
+                      ) -> CellOutcome | None:
+    """The cell's outcome from :func:`harness.lookup`'s cache layers
+    (a cached failure included), or ``None`` when it must be evaluated.
+    ``use_cache=False`` skips the persistent store."""
+    try:
+        result = harness.lookup(*cell.key(), use_store=use_cache)
+    except ReproError as error:
+        return CellOutcome(cell=cell, error=str(error),
+                           error_type=type(error).__name__)
+    if result is None:
+        return None
+    return CellOutcome(cell=cell, result=result, from_cache=True)
 
 
 def _run_cell_local(cell: SweepCell, use_cache: bool) -> CellOutcome:
-    """Serial-path evaluation of one cell with failure capture.
+    """Evaluate one cell in this process, with failure capture.
 
-    The lookup cascade (memo -> failure memo -> store -> compute) lives
-    in :func:`harness.evaluate_kernel`; this wrapper only captures
-    :class:`ReproError`s per cell — including errors raised while
-    fingerprinting an unknown workload — and attributes ``from_cache``
-    by whether the call had to compute anything.
+    The cache cascade lives in :func:`harness.lookup`, which
+    :func:`harness.evaluate_kernel` runs before it computes; this
+    wrapper captures per-cell failures — a :class:`ReproError`
+    (memoized: evaluation is deterministic) or any unexpected exception
+    (not memoized) — and attributes ``from_cache`` by whether the call
+    had to compute anything.
     """
     key = cell.key()
     start = time.perf_counter()
@@ -342,8 +314,8 @@ def _run_cell_local(cell: SweepCell, use_cache: bool) -> CellOutcome:
         seconds=time.perf_counter() - start)
 
 
-def _finish_report(outcomes, jobs, start, evaluated_before, cached,
-                   store, store_before, worker_stats=None) -> SweepReport:
+def _finish_report(outcomes, jobs, start, store, store_before,
+                   worker_stats=None) -> SweepReport:
     # Per-sweep store activity: the parent's delta over this run (the
     # store object may have served earlier sweeps) plus what the
     # workers did — on a cold parallel sweep the parent only records
@@ -355,8 +327,8 @@ def _finish_report(outcomes, jobs, start, evaluated_before, cached,
         outcomes=outcomes,
         jobs=jobs,
         seconds=time.perf_counter() - start,
-        evaluated=harness.EVAL_STATS.computed - evaluated_before,
-        cached=cached,
+        evaluated=sum(1 for o in outcomes if o.ok and not o.from_cache),
+        cached=sum(1 for o in outcomes if o.from_cache),
         store_stats=stats,
     )
 

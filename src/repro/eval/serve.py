@@ -11,10 +11,10 @@ gets it for the price of a store read.
 
 Three layers keep traffic off the mappers:
 
-* **Store front.**  Every cell first walks the same parent-side lookup
-  cascade as :func:`repro.eval.parallel.run_sweep` — in-process memo,
-  failure memo, persistent store — and cache hits are served without
-  touching admission control at all.
+* **Store front.**  Every cell is first looked up through
+  :func:`repro.eval.harness.lookup` — in-process memo, failure memo,
+  persistent store — the one cache cascade every sweep path shares;
+  cache hits are served without touching admission control at all.
 * **In-flight dedupe.**  Cold cells enter ``_inflight``, a table of
   evaluation tasks keyed by the cell's store fingerprint.  N concurrent
   requests for the same cell join the one task, so identical concurrent
@@ -27,12 +27,13 @@ Three layers keep traffic off the mappers:
   is answered immediately with a structured ``ServerBusy`` error row —
   heavy cold traffic degrades loudly instead of queueing unboundedly.
 
-Evaluation itself reuses the sweep engine verbatim: a worker-process
-pool runs :func:`repro.eval.parallel._worker_evaluate` with the same
-task shape as ``run_sweep``, and the parent-side memo/failure seeding is
-the same code path — so served results are bit-identical to a local
-``repro sweep`` of the same grid: same fingerprints, same store bytes,
-and a served store stays mergeable with shard stores.
+Evaluation goes through the sweep engine's own functions: a
+worker-process pool runs :func:`repro.eval.parallel._worker_evaluate`
+with the same task shape as ``run_sweep``, and
+:func:`repro.eval.parallel.absorb_reply` installs each reply in the
+memos — so served results are bit-identical to a local ``repro sweep``
+of the same grid: same fingerprints, same store bytes, and a served
+store stays mergeable with shard stores.
 
 Wire format: ``POST /sweep`` answers ``200`` with chunked
 ``application/x-ndjson`` — one JSON object per cell (the
@@ -56,7 +57,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.eval import harness, parallel
-from repro.eval.cache import CachedFailure, ResultStore, result_from_dict
+from repro.eval.cache import ResultStore
 from repro.eval.parallel import CellOutcome, SweepCell
 from repro.eval.reporting import SWEEP_HEADERS, cell_row
 
@@ -185,8 +186,8 @@ def _parse_grid_spec(body: bytes) -> list[SweepCell]:
     mapper = spec.get("mapper")
     if mapper is not None and not isinstance(mapper, str):
         raise ReproError("grid spec key 'mapper' must be a string")
-    # build_grid resolves default mappers, so an unknown arch key
-    # surfaces here as a ReproError -> 400, same words as `repro sweep`.
+    # build_grid rejects unknown arch and mapper keys with a ReproError
+    # -> 400, in the same words as `repro sweep`.
     return parallel.build_grid(name_list("workloads"), name_list("archs"),
                                mapper)
 
@@ -233,8 +234,7 @@ class SweepServer:
         # The server owns the harness configuration for its lifetime:
         # the memo and the store must agree with what the worker pool is
         # told.
-        harness.configure_store(
-            str(self.store.root) if self.store is not None else None)
+        harness.configure_store(self.store)
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._eval_slots = asyncio.Semaphore(self.jobs)
@@ -258,10 +258,10 @@ class SweepServer:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    async def _serve_until_stopped(self, ready=None) -> None:
+    async def _serve_until_stopped(self, on_ready) -> None:
+        """Start, call ``on_ready()`` once bound, serve until stopped."""
         await self.start()
-        if ready is not None:
-            ready.set()
+        on_ready()
         try:
             await self._stop_event.wait()
         finally:
@@ -274,17 +274,12 @@ class SweepServer:
         CLI prints the banner there, so ``--port 0`` announces the real
         ephemeral port.
         """
-        async def main() -> None:
-            await self.start()
+        def ready() -> None:
             if announce is not None:
                 announce(self)
-            try:
-                await self._stop_event.wait()
-            finally:
-                await self.stop()
 
         try:
-            asyncio.run(main())
+            asyncio.run(self._serve_until_stopped(ready))
         except KeyboardInterrupt:
             pass
 
@@ -301,7 +296,7 @@ class SweepServer:
 
         def runner() -> None:
             try:
-                asyncio.run(self._serve_until_stopped(ready))
+                asyncio.run(self._serve_until_stopped(ready.set))
             except BaseException as error:      # noqa: BLE001 — report
                 startup_error.append(error)     # startup failures to the
                 ready.set()                     # waiting foreground thread
@@ -450,7 +445,7 @@ class SweepServer:
 
     async def _resolve_cell(self, cell: SweepCell
                             ) -> tuple[CellOutcome, str]:
-        hit = self._lookup(cell)
+        hit = parallel.answer_from_cache(cell, self.store is not None)
         if hit is not None:
             return hit, "cached"
         key = cell.key()
@@ -465,41 +460,6 @@ class SweepServer:
             self._inflight[dedupe_key] = task
             return await task, "evaluated"
         return await task, "coalesced"
-
-    def _lookup(self, cell: SweepCell) -> "CellOutcome | None":
-        """The parent-side cache cascade of ``run_sweep``, verbatim:
-        memo -> failure memo -> store (results, cached failures, and the
-        unknown-workload fingerprint error)."""
-        key = cell.key()
-        result = harness.memo_lookup(*key)
-        if result is not None:
-            harness.EVAL_STATS.memo_hits += 1
-            return CellOutcome(cell=cell, result=result, from_cache=True)
-        failed = harness.failure_for(*key)
-        if failed is not None:
-            harness.EVAL_STATS.memo_hits += 1
-            return CellOutcome(cell=cell, error=str(failed),
-                               error_type=type(failed).__name__)
-        if self.store is not None:
-            try:
-                stored = self.store.get(
-                    harness.evaluation_fingerprint(*key))
-            except ReproError as error:     # e.g. unknown workload name
-                harness.seed_failure(*key, error)
-                return CellOutcome(cell=cell, error=str(error),
-                                   error_type=type(error).__name__)
-            if isinstance(stored, CachedFailure):
-                error = stored.to_error()
-                harness.seed_failure(*key, error)
-                harness.EVAL_STATS.store_hits += 1
-                return CellOutcome(cell=cell, error=str(error),
-                                   error_type=type(error).__name__)
-            if stored is not None:
-                harness.seed_memo(stored)
-                harness.EVAL_STATS.store_hits += 1
-                return CellOutcome(cell=cell, result=stored,
-                                   from_cache=True)
-        return None
 
     async def _evaluate_admitted(self, cell: SweepCell, dedupe_key
                                  ) -> CellOutcome:
@@ -531,8 +491,7 @@ class SweepServer:
         store_root = str(self.store.root) if self.store is not None else None
         task = (0, cell.key(), store_root, harness.seed_salt())
         try:
-            (_index, payload, error, error_type, seconds,
-             _stats_delta) = await self._loop.run_in_executor(
+            reply = await self._loop.run_in_executor(
                 self._pool, parallel._worker_evaluate, task)
         except BrokenProcessPool:
             # A broken pool must never fail the request: degrade to
@@ -540,18 +499,7 @@ class SweepServer:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
             return await self._dispatch_inline(cell)
-        # Parent-side seeding identical to run_sweep's pool drain.
-        if payload is None:
-            outcome = CellOutcome(cell=cell, error=error,
-                                  error_type=error_type, seconds=seconds)
-            failure = CachedFailure(error_type or "", error or "").to_error()
-            if type(failure).__name__ == (error_type or ""):
-                harness.seed_failure(*cell.key(), failure)
-            return outcome
-        result = result_from_dict(payload)
-        harness.seed_memo(result)
-        harness.EVAL_STATS.computed += 1
-        return CellOutcome(cell=cell, result=result, seconds=seconds)
+        return parallel.absorb_reply(cell, reply)
 
     async def _dispatch_inline(self, cell: SweepCell) -> CellOutcome:
         return await self._loop.run_in_executor(

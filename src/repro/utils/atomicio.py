@@ -25,7 +25,7 @@ Two distinct failure modes are covered:
   to open directories) afterwards so the rename itself is durable.
 
 Temp files are dot-prefixed so directory scans that enumerate entries
-(:meth:`repro.eval.cache.ResultStore._entries`) can skip debris a killed
+(:meth:`repro.eval.cache.ResultStore.entry_files`) can skip debris a killed
 writer left behind; :func:`is_temp_file` names the convention once.
 """
 

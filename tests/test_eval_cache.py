@@ -157,7 +157,7 @@ def test_corrupt_entries_recovered_not_crashed(store, damage):
     result = _result()
     fp = evaluation_fingerprint("dwconv", "plaid")
     store.put(fp, result)
-    store._entry_path(fp).write_text(damage)
+    store.entry_path(fp).write_text(damage)
 
     assert store.get(fp) is None                # miss, no exception
     assert store.stats.corrupt + store.stats.stale >= 1
@@ -171,7 +171,7 @@ def test_binary_garbage_entry_recovered(store):
     result = _result()
     fp = evaluation_fingerprint("dwconv", "plaid")
     store.put(fp, result)
-    store._entry_path(fp).write_bytes(b"\xff\xfe\x00garbage\x80")
+    store.entry_path(fp).write_bytes(b"\xff\xfe\x00garbage\x80")
 
     assert store.get(fp) is None
     assert store.stats.corrupt == 1
@@ -192,7 +192,7 @@ def test_contains_is_false_for_stale_entries(store):
     # Membership probed BEFORE any get(): must already read as absent.
     assert fp not in newer
     # The probe is read-only: no deletion, no stats mutation.
-    assert newer._entry_path(fp).exists()
+    assert newer.entry_path(fp).exists()
     assert newer.stats.stale == 0 and newer.stats.misses == 0
     # And get() agrees (and heals the slot as usual).
     assert newer.get(fp) is None
@@ -202,7 +202,7 @@ def test_contains_is_false_for_stale_entries(store):
 def test_contains_is_false_for_corrupt_entries(store):
     """Regression: ``in`` once reported True for corrupt entries."""
     fp = evaluation_fingerprint("dwconv", "plaid")
-    path = store._entry_path(fp)
+    path = store.entry_path(fp)
     path.write_text("garbage{{{")
     assert fp not in store                  # no get() call first
     assert path.exists()                    # probe did not delete
@@ -258,7 +258,7 @@ def test_put_killed_before_rename_keeps_previous_entry(store, monkeypatch):
     result = _result()
     fp = evaluation_fingerprint("dwconv", "plaid")
     store.put(fp, result)
-    before = store._entry_path(fp).read_bytes()
+    before = store.entry_path(fp).read_bytes()
 
     from repro.utils import atomicio
 
@@ -270,7 +270,7 @@ def test_put_killed_before_rename_keeps_previous_entry(store, monkeypatch):
     assert store.stats.write_errors == 1
     monkeypatch.undo()
 
-    assert store._entry_path(fp).read_bytes() == before
+    assert store.entry_path(fp).read_bytes() == before
     assert store.get(fp) == result
     # The interrupted write left no temp debris in the entry listing.
     assert list(store.fingerprints()) == [fp]
@@ -367,7 +367,7 @@ def test_fsync_failure_keeps_previous_entry(store, monkeypatch):
     result = _result()
     fp = evaluation_fingerprint("dwconv", "plaid")
     store.put(fp, result)
-    before = store._entry_path(fp).read_bytes()
+    before = store.entry_path(fp).read_bytes()
 
     def refuse(fd):
         raise OSError(5, "fsync refused")
@@ -377,7 +377,7 @@ def test_fsync_failure_keeps_previous_entry(store, monkeypatch):
     assert store.stats.write_errors == 1
     monkeypatch.undo()
 
-    assert store._entry_path(fp).read_bytes() == before
+    assert store.entry_path(fp).read_bytes() == before
     assert store.get(fp) == result
     assert list(store.fingerprints()) == [fp]
 
@@ -411,7 +411,7 @@ def test_iter_results_reports_damaged_entries(store):
     result = _result()
     fp = evaluation_fingerprint("dwconv", "plaid")
     store.put(fp, result)
-    healthy_text = store._entry_path(fp).read_text()
+    healthy_text = store.entry_path(fp).read_text()
     # A recorded failure: skipped by iter_results but *healthy*.
     store.put_failure(evaluation_fingerprint("dwconv", "st"),
                       _ReproError("doomed"))

@@ -124,7 +124,7 @@ def test_poisoned_cell_reported_not_fatal(monkeypatch):
     assert failure.error_type == "RuntimeError"
     assert "poisoned cell" in failure.error
     # Unexpected exceptions are not memoized as deterministic failures.
-    assert harness.failure_for("conv2x2", "plaid") is None
+    assert harness.lookup("conv2x2", "plaid", use_store=False) is None
 
 
 def test_worker_returns_structured_failure_for_unexpected_exception(
@@ -226,7 +226,7 @@ def test_no_cache_bypasses_store(tmp_path):
 def test_prewarm_populates_memo():
     cells = parallel.build_grid(["dwconv"], ["plaid"])
     parallel.prewarm(cells)
-    assert harness.memo_contains("dwconv", "plaid")
+    assert harness.lookup("dwconv", "plaid", use_store=False) is not None
     before = harness.EVAL_STATS.computed
     harness.evaluate_kernel("dwconv", "plaid")
     assert harness.EVAL_STATS.computed == before

@@ -15,7 +15,7 @@ from repro.cli import main
 from repro.eval import harness, parallel, reporting
 from repro.eval.harness import (
     _seed_for, clear_caches, configure_store, evaluate_kernel,
-    evaluation_fingerprint, memo_lookup, seed_salt, set_seed_salt,
+    evaluation_fingerprint, lookup, seed_salt, set_seed_salt,
 )
 
 FIXTURE = Path(__file__).parent / "data" / "store_fingerprints.json"
@@ -54,10 +54,10 @@ def test_changing_the_salt_drops_the_memo():
     result = evaluate_kernel("dwconv", "plaid")
     assert set_seed_salt(2) == 0
     assert seed_salt() == 2
-    assert memo_lookup("dwconv", "plaid") is None
+    assert lookup("dwconv", "plaid", use_store=False) is None
     set_seed_salt(2)                        # same salt: memo kept
     salted = evaluate_kernel("dwconv", "plaid")
-    assert memo_lookup("dwconv", "plaid") is salted
+    assert lookup("dwconv", "plaid", use_store=False) is salted
     clear_caches()
     assert seed_salt() == 0
     assert evaluate_kernel("dwconv", "plaid") == result

@@ -70,6 +70,9 @@ def test_grid_spec_matches_sweep_vocabulary():
     b'{"workloads": "dwconv"}',
     b'{"mapper": 3}',
     b'{"grid": ["dwconv"]}',
+    b'{"mapper": "bogus"}',
+    b'{"archs": ["nope"]}',
+    b'{"archs": ["plaid", "nope"], "workloads": ["dwconv"]}',
 ])
 def test_malformed_grid_specs_are_repro_errors(body):
     with pytest.raises(ReproError):
@@ -79,6 +82,14 @@ def test_malformed_grid_specs_are_repro_errors(body):
 def test_bad_spec_answers_400(server):
     with pytest.raises(ReproError, match="400"):
         list(client.stream_sweep(server.host, server.port, workloads=[]))
+
+
+def test_unknown_mapper_answers_400_and_stores_nothing(server):
+    with pytest.raises(ReproError, match="400.*unknown mapper key 'bogus'"):
+        list(client.stream_sweep(server.host, server.port,
+                                 workloads=["dwconv"], mapper="bogus"))
+    assert len(server.store) == 0
+    assert server.counters.cells == 0
 
 
 # ---------------------------------------------------------------------------
