@@ -123,7 +123,7 @@ def default_mapper(arch_key: str) -> str:
 
 @dataclass
 class EvalStats:
-    """Where results came from this process (sweeps report these)."""
+    """Where this process's results came from."""
 
     computed: int = 0           # full map+price evaluations run here
     store_hits: int = 0         # served from the persistent store
