@@ -75,24 +75,22 @@ def critical_path_length(dfg: DFG) -> int:
     )
 
 
-def _feasible_at_ii(dfg: DFG, ii: int) -> bool:
+def _feasible_at_ii(ids: list[int], edges: list[tuple[int, int, int, int]],
+                    ii: int) -> bool:
     """Bellman-Ford feasibility of constraints sigma(dst) >= sigma(src)
-    + latency - II * distance for every edge.
+    + latency - II * distance for every ``(src, dst, latency, distance)``
+    edge.
 
     Infeasible iff the constraint graph has a positive-weight cycle, which
     happens exactly when some recurrence circuit needs more than ``ii``
     cycles per iteration of slack.
     """
-    ids = [node.node_id for node in dfg.nodes]
-    sigma = {node_id: 0 for node_id in ids}
-    edges = [
-        (edge.src, edge.dst,
-         OP_LATENCY[dfg.node(edge.src).op] - ii * edge.distance)
-        for edge in dfg.edges
-    ]
+    sigma = dict.fromkeys(ids, 0)
+    weighted = [(src, dst, latency - ii * distance)
+                for src, dst, latency, distance in edges]
     for _ in range(len(ids)):
         changed = False
-        for src, dst, weight in edges:
+        for src, dst, weight in weighted:
             candidate = sigma[src] + weight
             if candidate > sigma[dst]:
                 sigma[dst] = candidate
@@ -100,27 +98,39 @@ def _feasible_at_ii(dfg: DFG, ii: int) -> bool:
         if not changed:
             return True
     # One more relaxation round still changing => positive cycle.
-    for src, dst, weight in edges:
+    for src, dst, weight in weighted:
         if sigma[src] + weight > sigma[dst]:
             return False
     return True
 
 
-def recurrence_mii(dfg: DFG, max_ii: int = 64) -> int:
+def recurrence_mii(dfg: DFG, max_ii: int = 64,
+                   members: "set[int] | None" = None) -> int:
     """Smallest II for which every recurrence circuit is schedulable.
 
-    Returns 1 when the graph has no loop-carried cycles.  Raises
-    :class:`DFGError` if no II up to ``max_ii`` works (which indicates a
-    malformed graph, e.g. a distance-0 cycle).
+    ``members`` restricts the check to the circuits of the subgraph
+    those nodes induce (a spatial phase).  Returns 1 when the graph has
+    no loop-carried cycles.  Raises :class:`DFGError` if no II up to
+    ``max_ii`` works (which indicates a malformed graph, e.g. a
+    distance-0 cycle).
     """
+    if members is None:
+        ids = [node.node_id for node in dfg.nodes]
+        inside = dfg.edges
+    else:
+        ids = list(members)
+        inside = [edge for edge in dfg.edges
+                  if edge.src in members and edge.dst in members]
+    edges = [(edge.src, edge.dst, OP_LATENCY[dfg.node(edge.src).op],
+              edge.distance) for edge in inside]
     low, high = 1, max_ii
-    if not _feasible_at_ii(dfg, high):
+    if not _feasible_at_ii(ids, edges, high):
         raise DFGError(f"'{dfg.name}' unschedulable even at II={max_ii}")
-    if not any(edge.distance > 0 for edge in dfg.edges):
+    if not any(distance > 0 for _s, _d, _l, distance in edges):
         return 1
     while low < high:
         mid = (low + high) // 2
-        if _feasible_at_ii(dfg, mid):
+        if _feasible_at_ii(ids, edges, mid):
             high = mid
         else:
             low = mid + 1

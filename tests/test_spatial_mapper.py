@@ -123,3 +123,58 @@ def test_in_place_stencil_spatial_verifies():
     mapping = SpatialMapper(seed=1).map(dfg, make_spatial())
     memory = DFGInterpreter(dfg).prepare_memory(fill=9)
     assert SpatialSimulator(mapping).run(memory) == []
+
+
+# ---------------------------------------------------------------------------
+# Phase RecMII: the shared Bellman-Ford against the mapper's old search
+# ---------------------------------------------------------------------------
+def _recurrence_mii_subset(dfg, members: set[int]) -> int:
+    """The spatial mapper's former phase RecMII, kept as the oracle:
+    Bellman-Ford over the circuits inside ``members``, searched upward
+    from II = 1 and capped at 32."""
+    from repro.ir.ops import OP_LATENCY
+
+    edges = [
+        (e.src, e.dst, OP_LATENCY[dfg.node(e.src).op], e.distance)
+        for e in dfg.edges
+        if e.src in members and e.dst in members
+    ]
+    if not any(dist > 0 for _s, _t, _l, dist in edges):
+        return 1
+    for ii in range(1, 33):
+        sigma = {nid: 0 for nid in members}
+        for _ in range(len(members) + 1):
+            changed = False
+            for src, dst, lat, dist in edges:
+                bound = sigma[src] + lat - ii * dist
+                if bound > sigma[dst]:
+                    sigma[dst] = bound
+                    changed = True
+            if not changed:
+                return ii
+    return 32
+
+
+def test_phase_recurrence_mii_matches_subset_oracle():
+    """Every phase of every workload and curated variant on the spatial
+    fabric gets the RecMII the old per-phase search computed."""
+    from repro.eval.harness import build_arch
+    from repro.ir.analysis import recurrence_mii
+    from repro.workloads import get_dfg
+    from repro.workloads.registry import expand_families
+
+    arch = build_arch("spatial")
+    phases = 0
+    looped = 0
+    for workload in expand_families():
+        dfg = get_dfg(workload)
+        mapping = SpatialMapper(seed=1).map(dfg, arch)
+        for phase in mapping.phases:
+            members = {item.node_id for item in phase.items
+                       if item.kind == "node"}
+            want = _recurrence_mii_subset(dfg, members)
+            assert recurrence_mii(dfg, members=members) == want, (
+                workload, phase.index)
+            phases += 1
+            looped += want > 1
+    assert phases > 100 and looped > 0
