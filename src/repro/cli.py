@@ -78,14 +78,19 @@ def _build_arch(key: str):
     return build_arch(key)
 
 
-def _make_mapper(args, arch):
+def _map(args, dfg, arch):
+    """Map with ``--mapper`` (or the fabric's default) through the
+    registry; ``--seed`` seeds every mapper, each composite candidate
+    included.  A mapper that does not fit the fabric raises its own
+    error."""
     # Mapper keys are validated by the registry, not argparse choices:
     # resolving them here keeps build_parser free of the (heavyweight)
     # mapping import for commands that never map anything.
-    from repro.mapping.engine import get_mapper
+    from repro.mapping.engine import map_kernel
 
-    name = args.mapper or ("plaid" if arch.style == "plaid" else "pathfinder")
-    return get_mapper(name).make(seed=args.seed)
+    name = args.mapper or (arch.style if arch.style in ("spatial", "plaid")
+                           else "pathfinder")
+    return map_kernel(name, dfg, arch, lambda _key: args.seed)
 
 
 def cmd_compile(args) -> int:
@@ -111,25 +116,16 @@ def cmd_compile(args) -> int:
 
 
 def cmd_map(args) -> int:
-    from repro.mapping.engine import get_mapper, map_kernel
-
     dfg = _load_dfg(args)
     arch = _build_arch(args.arch)
-    if arch.style == "spatial":
-        mapping = get_mapper("spatial").make(seed=args.seed).map(dfg, arch)
+    mapping = _map(args, dfg, arch)
+    if hasattr(mapping, "phases"):
         print(f"{dfg.name} on {arch.name}: {len(mapping.phases)} phases, "
               f"II sum {mapping.ii_sum}, cycles {mapping.total_cycles()}")
         if args.verbose:
             print("search: spatial mappings are phase-partitioned; "
                   "temporal search statistics do not apply")
         return 0
-    name = args.mapper or ("plaid" if arch.style == "plaid" else "pathfinder")
-    if get_mapper(name).kind == "composite":
-        # Composites ('best', 'race') pick per-candidate seeds through
-        # the callback; the CLI applies --seed to every candidate.
-        mapping = map_kernel(name, dfg, arch, lambda _key: args.seed)
-    else:
-        mapping = _make_mapper(args, arch).map(dfg, arch)
     print(mapping.summary())
     print(f"mapper: {mapping.stats.mapper}, "
           f"bypass edges: {mapping.stats.bypass_edges}, "
@@ -150,19 +146,17 @@ def cmd_map(args) -> int:
 
 def cmd_simulate(args) -> int:
     from repro.ir.interpreter import DFGInterpreter
-    from repro.mapping.engine import get_mapper
     from repro.sim import CGRASimulator, SpatialSimulator, TraceRecorder
 
     dfg = _load_dfg(args)
     arch = _build_arch(args.arch)
     memory = DFGInterpreter(dfg).prepare_memory(fill=args.fill)
     trace = TraceRecorder(limit=args.trace) if args.trace else None
-    if arch.style == "spatial":
-        mapping = get_mapper("spatial").make(seed=args.seed).map(dfg, arch)
+    mapping = _map(args, dfg, arch)
+    if hasattr(mapping, "phases"):
         report = SpatialSimulator(mapping, trace=trace).simulate(
             memory, iterations=args.iterations)
     else:
-        mapping = _make_mapper(args, arch).map(dfg, arch)
         report = CGRASimulator(mapping, trace=trace).run(
             memory, iterations=args.iterations)
     print(f"{dfg.name} on {arch.name}: {report.summary()}")
@@ -459,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--arch", default="plaid",
                        choices=ARCH_KEYS)
     p_map.add_argument("--mapper", metavar="KEY",
-                       help="temporal mapper key (see 'repro mappers')")
+                       help="mapper key (see 'repro mappers'; default: "
+                            "spatial, plaid or pathfinder by fabric)")
     p_map.add_argument("--verbose", action="store_true",
                        help="also print search statistics (placement "
                             "attempts, routed edges, routing failures, "
@@ -471,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--arch", default="plaid",
                        choices=ARCH_KEYS)
     p_sim.add_argument("--mapper", metavar="KEY",
-                       help="temporal mapper key (see 'repro mappers')")
+                       help="mapper key (see 'repro mappers'; default: "
+                            "spatial, plaid or pathfinder by fabric)")
     p_sim.add_argument("--iterations", type=int, default=8)
     p_sim.add_argument("--fill", type=int, default=3)
     p_sim.add_argument("--trace", type=int, metavar="N", default=0,

@@ -371,27 +371,6 @@ class ResultStore:
         for path in self.entry_files():
             yield path.stem
 
-    def iter_results(self, on_skip=None) -> "Iterator[KernelResult]":
-        """Every decodable :class:`KernelResult` currently stored.
-
-        Pure read (no stats, no healing deletions); cached failures and
-        damaged entries are skipped.
-
-        ``on_skip(fingerprint, status)`` — when given — is called for
-        every *damaged* entry the iteration drops (``status`` is
-        ``'corrupt'`` or ``'stale'``), so consumers can distinguish "no
-        history" from "history I could not read"; the ``repro serve``
-        stats endpoint and ``repro cache stats`` surface the tally.
-        Recorded failures and entries deleted mid-iteration are healthy
-        skips and are not reported.
-        """
-        for path in self.entry_files():
-            status, payload = self._read_entry(path)
-            if status == "ok" and not isinstance(payload, CachedFailure):
-                yield payload
-            elif status in ("corrupt", "stale") and on_skip is not None:
-                on_skip(path.stem, status)
-
     # -- write ----------------------------------------------------------
     def put(self, fp: str, result: "KernelResult") -> None:
         """Persist ``result`` under ``fp`` (atomic, last-writer-wins).
@@ -434,16 +413,6 @@ class ResultStore:
         failure here raises — a merge must not silently drop entries."""
         atomic_write_text(self.entry_path(fp), text)
         self.stats.writes += 1
-
-    def clear(self) -> int:
-        """Delete every entry (and stray temp files); returns the
-        number of entries removed."""
-        removed = 0
-        for path in self.root.glob("*.json"):
-            self._discard(path)
-            if not path.name.startswith("."):
-                removed += 1
-        return removed
 
     @staticmethod
     def _discard(path: Path) -> None:

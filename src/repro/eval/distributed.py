@@ -460,10 +460,10 @@ class StoreInventory:
     temp_files: int = 0
     total_bytes: int = 0
     by_schema: dict = field(default_factory=dict)   # schema -> count
-    #: Damaged entries a history reader (``ResultStore.iter_results``)
-    #: silently drops: corrupt + schema-stale.  Non-zero means "no
-    #: history" answers from the serve stats endpoint may really be
-    #: "unreadable history" — gc the store.
+    #: Damaged entries a reader skips: corrupt + schema-stale.
+    #: ``ResultStore.get`` reads one as a miss (and deletes it), so its
+    #: cell is re-evaluated instead of answered from the store — gc the
+    #: store.
     reader_skipped: int = 0
 
     def render(self) -> str:
@@ -479,7 +479,7 @@ class StoreInventory:
             f"{self.corrupt} corrupt)",
             f"schemas: {schemas}",
             f"reader-skipped: {self.reader_skipped} "
-            "(damaged entries history readers drop; gc to heal)",
+            "(damaged entries readers skip; gc to heal)",
             f"temp files: {self.temp_files}",
             f"size: {self.total_bytes} bytes",
         ])

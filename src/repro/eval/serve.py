@@ -48,7 +48,9 @@ ownership of the process-global harness configuration
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -239,7 +241,11 @@ class SweepServer:
         self._stop_event = asyncio.Event()
         self._eval_slots = asyncio.Semaphore(self.jobs)
         if self.use_processes:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            # Workers forked after run() took over SIGTERM must not
+            # inherit its handler: they keep the default action.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=signal.signal,
+                initargs=(signal.SIGTERM, signal.SIG_DFL))
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -268,13 +274,18 @@ class SweepServer:
             await self.stop()
 
     def run(self, announce=None) -> None:
-        """Blocking entry point (`repro serve`): serve until Ctrl-C.
+        """Blocking entry point (`repro serve`): serve until Ctrl-C or
+        SIGTERM.  Either way :meth:`stop` runs and shuts the worker pool
+        down, so no worker outlives the server.
 
         ``announce(server)`` is called once the socket is bound — the
         CLI prints the banner there, so ``--port 0`` announces the real
         ephemeral port.
         """
         def ready() -> None:
+            with contextlib.suppress(NotImplementedError):  # not on Windows
+                self._loop.add_signal_handler(signal.SIGTERM,
+                                              self._stop_event.set)
             if announce is not None:
                 announce(self)
 

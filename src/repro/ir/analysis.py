@@ -114,15 +114,12 @@ def recurrence_mii(dfg: DFG, max_ii: int = 64,
     ``max_ii`` works (which indicates a malformed graph, e.g. a
     distance-0 cycle).
     """
-    if members is None:
-        ids = [node.node_id for node in dfg.nodes]
-        inside = dfg.edges
-    else:
-        ids = list(members)
-        inside = [edge for edge in dfg.edges
-                  if edge.src in members and edge.dst in members]
+    ids = ([node.node_id for node in dfg.nodes] if members is None
+           else list(members))
     edges = [(edge.src, edge.dst, OP_LATENCY[dfg.node(edge.src).op],
-              edge.distance) for edge in inside]
+              edge.distance) for edge in dfg.edges
+             if members is None or (edge.src in members
+                                    and edge.dst in members)]
     low, high = 1, max_ii
     if not _feasible_at_ii(ids, edges, high):
         raise DFGError(f"'{dfg.name}' unschedulable even at II={max_ii}")

@@ -1,11 +1,21 @@
-"""Reference interpreter: the golden model the simulator is checked against.
+"""Reference interpreter and the one statement of DFG node semantics.
+
+:class:`NodeStep` and :func:`execute_step` say what a node does with its
+operand values: a load reads memory, a store writes its operand 0 (or
+else its constant), and an ALU op fills each unfed argument slot from
+the instruction's constant (first unfed slot only) or, for an unfed SEL
+predicate, with 1.  An operand from before iteration 0 reads the node's
+``init`` value (0 unless a node annotation says otherwise), matching how
+the statically scheduled fabric primes its registers.  Every engine
+builds one step per node and resolves the step's sources its own way:
+the interpreter from its value history, the compiled engine from
+register places and bypasses, the spatial simulator from in-phase
+values, spills and history.
 
 The interpreter executes a DFG over its whole iteration space with exact
-16-bit semantics.  Values crossing iterations (``distance > 0`` edges) are
-read from the producing node's value ``distance`` iterations ago; before the
-first producing iteration they read as the consumer's initialization value
-(0 unless a node annotation says otherwise), matching how the statically
-scheduled fabric primes its registers.
+16-bit semantics: the golden model the simulators are checked against.
+Values crossing iterations (``distance > 0`` edges) are read from the
+producing node's value ``distance`` iterations ago.
 """
 
 from __future__ import annotations
@@ -90,12 +100,93 @@ def required_array_sizes(dfg: DFG) -> dict[str, int]:
     return dict(sizes)
 
 
+#: :attr:`NodeStep.kind` values.
+ALU, LOAD, STORE = 0, 1, 2
+_KINDS = {Opcode.LOAD: LOAD, Opcode.STORE: STORE}
+
+#: Argument-plan sources below 0 (entries >= 0 are source positions).
+_LITERAL = -1           # payload = the argument's value
+_MISSING = -2           # payload = slot number; raises at execution
+
+
+class NodeStep:
+    """One node's semantics, resolved once per DFG.
+
+    ``sources`` are the node's data in-edges in ``in_edges`` order; a
+    caller resolves them to a list of values in the same order (an
+    operand from before iteration 0 reads ``init_value``) and hands that
+    to :func:`execute_step`.  ``arg_plan`` has one ``(source position,
+    0)``, ``(_LITERAL, value)`` or ``(_MISSING, slot)`` entry per operand
+    slot: an ALU op's arguments, or the value a store writes.
+    """
+
+    __slots__ = ("node_id", "name", "op", "kind", "access", "sources",
+                 "arg_plan", "init_value")
+
+    def __init__(self, dfg: DFG, node) -> None:
+        self.node_id = node.node_id
+        self.name = node.name
+        self.op = node.op
+        self.kind = _KINDS.get(node.op, ALU)
+        self.access = node.access
+        self.sources = tuple(edge for edge in dfg.in_edges(node.node_id)
+                             if not edge.is_ordering)
+        self.init_value = to_unsigned(int(node.annotations.get("init", 0)))
+        # A slot fed twice reads its last in-edge.
+        position = {edge.operand_index: pos
+                    for pos, edge in enumerate(self.sources)}
+        plan = []
+        const_used = node.const is None
+        for slot in range(OP_ARITY[node.op]):
+            if slot in position:
+                plan.append((position[slot], 0))
+            elif not const_used:        # the constant fills one slot
+                plan.append((_LITERAL, to_unsigned(node.const)))
+                const_used = True
+            elif node.op is Opcode.SEL and slot == 2:
+                plan.append((_LITERAL, 1))      # unpredicated: input 0
+            else:
+                plan.append((_MISSING, slot))
+        self.arg_plan = tuple(plan)
+
+
+def execute_step(step: NodeStep, vals: list[int], memory,
+                 indices: tuple[int, ...]) -> int:
+    """Execute one node on its resolved source values ``vals``.
+
+    ``memory`` is anything with ``read``/``write`` (a
+    :class:`MemoryImage` or a scratchpad); ``indices`` are the loop
+    indices of the executing iteration.  Returns the node's value (a
+    store returns the value it wrote).
+    """
+    kind = step.kind
+    if kind == LOAD:
+        return memory.read(step.access.array, step.access.address(indices))
+    args = []
+    for pos, payload in step.arg_plan:
+        if pos >= 0:
+            args.append(vals[pos])
+        elif pos == _LITERAL:
+            args.append(payload)
+        elif kind == STORE:
+            raise SimulationError(f"store '{step.name}' without a value")
+        else:
+            raise SimulationError(
+                f"'{step.name}' missing operand {payload} at execution")
+    if kind == STORE:
+        memory.write(step.access.array, step.access.address(indices),
+                     args[0])
+        return args[0]
+    return evaluate(step.op, args)
+
+
 class DFGInterpreter:
     """Execute a DFG over its iteration space against a memory image."""
 
     def __init__(self, dfg: DFG) -> None:
         self.dfg = dfg
-        self._order = topological_order(dfg)
+        self._steps = [NodeStep(dfg, dfg.node(node_id))
+                       for node_id in topological_order(dfg)]
 
     def prepare_memory(self, memory: MemoryImage | None = None,
                        fill: int | None = None) -> MemoryImage:
@@ -125,74 +216,24 @@ class DFGInterpreter:
 
         Returns the per-node value history: ``history[node_id][k]`` is the
         value node produced in iteration ``k`` (STORE nodes record the value
-        they wrote).
+        they wrote).  Steps run in topological order, so every source
+        reads the history: a distance-``d`` edge reads its producer's
+        value ``d`` iterations back, or the step's ``init_value`` before
+        iteration 0.
         """
-        total = self.dfg.iterations if iterations is None else iterations
+        dfg = self.dfg
+        total = dfg.iterations if iterations is None else iterations
         history: dict[int, list[int]] = {
-            node.node_id: [] for node in self.dfg.nodes
+            node.node_id: [] for node in dfg.nodes
         }
+        feeds = [(step, [(history[edge.src], edge.distance)
+                         for edge in step.sources], history[step.node_id])
+                 for step in self._steps]
         for k in range(total):
-            indices = self.dfg.iteration_indices(k)
-            values: dict[int, int] = {}
-            for node_id in self._order:
-                node = self.dfg.node(node_id)
-                operands = self._gather_operands(node_id, k, values, history)
-                if node.op is Opcode.LOAD:
-                    assert node.access is not None
-                    result = memory.read(node.access.array,
-                                         node.access.address(indices))
-                elif node.op is Opcode.STORE:
-                    assert node.access is not None
-                    value = operands.get(0)
-                    if value is None and node.const is not None:
-                        value = to_unsigned(node.const)
-                    if value is None:
-                        raise SimulationError(
-                            f"store '{node.name}' has no value in iter {k}"
-                        )
-                    memory.write(node.access.array,
-                                 node.access.address(indices), value)
-                    result = value
-                else:
-                    result = self._execute_compute(node, operands)
-                values[node_id] = result
-                history[node_id].append(result)
+            indices = dfg.iteration_indices(k)
+            for step, sources, out in feeds:
+                vals = [produced[k - distance] if k >= distance
+                        else step.init_value
+                        for produced, distance in sources]
+                out.append(execute_step(step, vals, memory, indices))
         return history
-
-    def _gather_operands(self, node_id: int, iteration: int,
-                         values: dict[int, int],
-                         history: dict[int, list[int]]) -> dict[int, int]:
-        operands: dict[int, int] = {}
-        for edge in self.dfg.in_edges(node_id):
-            if edge.is_ordering:
-                continue
-            if edge.distance == 0:
-                operands[edge.operand_index] = values[edge.src]
-            else:
-                source_iter = iteration - edge.distance
-                if source_iter >= 0:
-                    operands[edge.operand_index] = history[edge.src][source_iter]
-                else:
-                    init = self.dfg.node(node_id).annotations.get("init", 0)
-                    operands[edge.operand_index] = to_unsigned(int(init))
-        return operands
-
-    def _execute_compute(self, node, operands: dict[int, int]) -> int:
-        """Build the full argument list; the instruction's constant fills
-        the (single) unfed operand slot, whichever side it is on."""
-        arity = OP_ARITY[node.op]
-        args: list[int] = []
-        const_used = False
-        for slot in range(arity):
-            if slot in operands:
-                args.append(operands[slot])
-            elif node.const is not None and not const_used:
-                args.append(to_unsigned(node.const))
-                const_used = True
-            elif node.op is Opcode.SEL and slot == 2:
-                args.append(1)  # unpredicated select takes the first input
-            else:
-                raise SimulationError(
-                    f"'{node.name}' missing operand {slot}"
-                )
-        return evaluate(node.op, args)

@@ -30,9 +30,8 @@ import networkx as nx
 from repro.arch.base import Architecture
 from repro.arch.topology import manhattan, mesh_neighbors
 from repro.errors import MappingError
-from repro.ir.analysis import topological_order
+from repro.ir.analysis import recurrence_mii, topological_order
 from repro.ir.graph import DFG
-from repro.ir.ops import OP_LATENCY
 from repro.mapping.engine import register_mapper
 from repro.utils.rng import make_rng
 
@@ -524,7 +523,7 @@ class SpatialMapper:
     def _phase_timing(self, dfg: DFG, arch: Architecture,
                       phase: SpatialPhase, members: list[int]) -> None:
         banks = max(1, len(arch.memory_fus))
-        rec = _recurrence_mii_subset(dfg, set(members))
+        rec = recurrence_mii(dfg, members=set(members))
         phase.ii = max(phase.ii, rec,
                        math.ceil(phase.memory_items / banks),
                        phase.compute_stack)
@@ -547,33 +546,6 @@ class SpatialMapper:
             if not changed:
                 break
         phase.depth = max(depth.values(), default=1) + 1
-
-
-def _recurrence_mii_subset(dfg: DFG, members: set[int]) -> int:
-    """RecMII of the dependence circuits fully inside ``members``.
-
-    Bellman-Ford feasibility of ``sigma(dst) >= sigma(src) + lat - II*dist``
-    restricted to the induced subgraph, searched upward from II = 1.
-    """
-    edges = [
-        (e.src, e.dst, OP_LATENCY[dfg.node(e.src).op], e.distance)
-        for e in dfg.edges
-        if e.src in members and e.dst in members
-    ]
-    if not any(dist > 0 for _s, _t, _l, dist in edges):
-        return 1
-    for ii in range(1, 33):
-        sigma = {nid: 0 for nid in members}
-        for _ in range(len(members) + 1):
-            changed = False
-            for src, dst, lat, dist in edges:
-                bound = sigma[src] + lat - ii * dist
-                if bound > sigma[dst]:
-                    sigma[dst] = bound
-                    changed = True
-            if not changed:
-                return ii
-    return 32
 
 
 register_mapper(

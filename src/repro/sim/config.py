@@ -5,8 +5,12 @@ initiation interval.  An entry packs, per functional unit, an opcode field
 (4 bits, 0 = idle) and an 8-bit constant, plus one activity bit per routing
 resource the tile owns (move wires, read ports) for that cycle slot.  The
 encoder walks a mapping's placement and routes, packs every entry into an
-integer, and can decode it back — the round trip is tested, and the bit
-counts feed the power model's config-memory terms.
+integer, and can decode it back (the round trip is tested).  It checks
+that a mapping fits the fabric's configuration memory (an II within the
+tile's entry count, one op per FU column per entry) and sizes the
+bitstream, as the quickstart example prints.  The power model does not
+read these bits: it prices the configuration memories from the paper's
+per-module breakdowns (:mod:`repro.power.tech`).
 """
 
 from __future__ import annotations

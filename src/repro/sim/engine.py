@@ -10,8 +10,12 @@ schedule and executes it with flat-list inner loops:
 * **Per-phase firing tables.**  A node placed at cycle ``sigma`` fires at
   every ``sigma + k * II``; all firings of phase ``sigma % II`` share one
   precompiled entry carrying the FU, the operand-resolution plan, and the
-  ALU argument plan.  At cycle ``c`` the iteration is recovered as
-  ``k = (c - sigma) // II`` — arithmetic, not dict building.
+  node's :class:`~repro.ir.interpreter.NodeStep`.  At cycle ``c`` the
+  iteration is recovered as ``k = (c - sigma) // II`` — arithmetic, not
+  dict building.  A firing resolves its operands from places and
+  bypasses, then :func:`~repro.ir.interpreter.execute_step` applies the
+  node, the same node semantics the interpreter and the spatial
+  simulator run.
 * **Per-phase transport tables.**  Each route occupancy ``(place, rel)``
   lands in the table of phase ``rel % II`` with its iteration offset;
   place contents live in one flat ``(place, net, k) -> value`` dict (no
@@ -39,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.ir.interpreter import DFGInterpreter, MemoryImage
-from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
+from repro.ir.interpreter import (
+    LOAD, STORE, DFGInterpreter, MemoryImage, NodeStep, execute_step,
+)
 from repro.sim.spm import Scratchpad
 from repro.sim.trace import TraceRecorder
 
@@ -138,45 +143,22 @@ _SRC_PLACE = 0          # read (net, k') from a register place
 _SRC_BYPASS = 1         # read the producer's output over the bypass path
 _SRC_DEFERRED = 2       # malformed route: replay the interpreted lookup
 
-#: ALU argument-plan entry kinds.
-_ARG_OPERAND = 0        # payload = position in the operand-spec tuple
-_ARG_CONST = 1          # payload = unsigned constant value
-_ARG_ONE = 2            # unpredicated SEL predicate
-_ARG_MISSING = 3        # payload = slot number; raises at execution
-
-#: Node execution kinds.
-_EXEC_ALU = 0
-_EXEC_LOAD = 1
-_EXEC_STORE = 2
-
 
 class CompiledNode:
-    """One node's firing entry: everything :meth:`CompiledSchedule._fire`
-    needs, resolved at compile time."""
+    """One node's firing entry: its :class:`~repro.ir.interpreter.NodeStep`
+    plus where it fires and how its sources arrive, resolved at compile
+    time."""
 
-    __slots__ = (
-        "node_id", "name", "sigma", "fu_id", "op", "kind", "access",
-        "specs", "arg_plan", "store_pos", "const_u", "init_value",
-    )
+    __slots__ = ("step", "sigma", "fu_id", "specs")
 
-    def __init__(self, node_id: int, name: str, sigma: int, fu_id: int,
-                 op: Opcode, kind: int, access, specs: tuple,
-                 arg_plan: tuple, store_pos: int, const_u: int | None,
-                 init_value: int) -> None:
-        self.node_id = node_id
-        self.name = name
+    def __init__(self, step: NodeStep, sigma: int, fu_id: int,
+                 specs: tuple) -> None:
+        self.step = step
         self.sigma = sigma
         self.fu_id = fu_id
-        self.op = op
-        self.kind = kind
-        self.access = access
-        #: Operand specs in ``in_edges`` order (error parity):
+        #: One spec per ``step.sources`` entry (error parity):
         #: (src, distance, mode, final_place, readable, edge_index).
         self.specs = specs
-        self.arg_plan = arg_plan
-        self.store_pos = store_pos          # spec position feeding slot 0
-        self.const_u = const_u
-        self.init_value = init_value
 
 
 class CompiledSchedule:
@@ -245,20 +227,12 @@ class CompiledSchedule:
     # ------------------------------------------------------------------
     def _compile_node(self, node, fu_id: int, sigma: int,
                       edge_index: dict) -> CompiledNode:
-        dfg = self.dfg
-        arch = self.arch
-        mapping = self.mapping
-        init_value = to_unsigned(int(node.annotations.get("init", 0)))
-        const_u = to_unsigned(node.const) if node.const is not None else None
-
+        step = NodeStep(self.dfg, node)
         specs: list[tuple] = []
-        slot_to_pos: dict[int, int] = {}
-        for edge in dfg.in_edges(node.node_id):
-            if edge.is_ordering:
-                continue
+        for edge in step.sources:
             index = edge_index[(edge.src, edge.dst, edge.operand_index,
                                 edge.distance)]
-            route = mapping.routes.get(index)
+            route = self.mapping.routes.get(index)
             if route is None or (not route.bypass and not route.places):
                 # Malformed mapping: replay the interpreted lookup at
                 # fire time so the error (KeyError / IndexError) is
@@ -270,40 +244,11 @@ class CompiledSchedule:
                         True, index)
             else:
                 final_place = route.places[-1][0]
-                readable = final_place in arch.consume_places[fu_id]
+                readable = final_place in self.arch.consume_places[fu_id]
                 spec = (edge.src, edge.distance, _SRC_PLACE, final_place,
                         readable, index)
-            slot_to_pos[edge.operand_index] = len(specs)
             specs.append(spec)
-
-        if node.op is Opcode.LOAD:
-            kind = _EXEC_LOAD
-            arg_plan: tuple = ()
-            store_pos = -1
-        elif node.op is Opcode.STORE:
-            kind = _EXEC_STORE
-            arg_plan = ()
-            store_pos = slot_to_pos.get(0, -1)
-        else:
-            kind = _EXEC_ALU
-            store_pos = -1
-            plan: list[tuple[int, int]] = []
-            const_used = False
-            for slot in range(OP_ARITY[node.op]):
-                if slot in slot_to_pos:
-                    plan.append((_ARG_OPERAND, slot_to_pos[slot]))
-                elif const_u is not None and not const_used:
-                    plan.append((_ARG_CONST, const_u))
-                    const_used = True
-                elif node.op is Opcode.SEL and slot == 2:
-                    plan.append((_ARG_ONE, 0))
-                else:
-                    plan.append((_ARG_MISSING, slot))
-            arg_plan = tuple(plan)
-
-        return CompiledNode(node.node_id, node.name, sigma, fu_id, node.op,
-                            kind, node.access, tuple(specs), arg_plan,
-                            store_pos, const_u, init_value)
+        return CompiledNode(step, sigma, fu_id, tuple(specs))
 
     # ------------------------------------------------------------------
     # Derived counts
@@ -388,9 +333,10 @@ class CompiledSchedule:
                                  spm, report, indices_of[k])
                     fired.append((cn, k, value))
                 for cn, k, value in fired:
-                    out_buf[k * num_nodes + cn.node_id] = value
+                    node_id = cn.step.node_id
+                    out_buf[k * num_nodes + node_id] = value
                     if record is not None:
-                        record(cycle, "exec", node=cn.node_id, iteration=k,
+                        record(cycle, "exec", node=node_id, iteration=k,
                                fu=cn.fu_id, value=value)
                 # 2. Advance transport: place contents for the NEXT cycle.
                 arrive = cycle + 1
@@ -445,30 +391,31 @@ class CompiledSchedule:
     def _fire(self, cn: CompiledNode, k: int, cycle: int, cur, out_buf,
               num_nodes: int, spm: Scratchpad,
               report: SimulationReport, indices) -> int:
+        step = cn.step
         vals: list[int] = []
         for src, distance, mode, final_place, readable, index in cn.specs:
             pk = k - distance
             if pk < 0:
-                vals.append(cn.init_value)
+                vals.append(step.init_value)
                 continue
             if mode == _SRC_BYPASS:
                 value = out_buf[pk * num_nodes + src]
                 if value is None:
                     raise SimulationError(
                         f"cycle {cycle}: bypass operand ({src}, {pk}) "
-                        f"missing for '{cn.name}'"
+                        f"missing for '{step.name}'"
                     )
             elif mode == _SRC_PLACE:
                 if not readable:
                     raise SimulationError(
-                        f"cycle {cycle}: '{cn.name}' on "
+                        f"cycle {cycle}: '{step.name}' on "
                         f"{self.arch.fu(cn.fu_id).name} cannot read place "
                         f"{self.arch.place(final_place).name}"
                     )
                 value = cur.get((final_place, src, pk))
                 if value is None:
                     raise SimulationError(
-                        f"cycle {cycle}: '{cn.name}' expected value "
+                        f"cycle {cycle}: '{step.name}' expected value "
                         f"({src}, {pk}) in place "
                         f"{self.arch.place(final_place).name}, not there"
                     )
@@ -484,33 +431,11 @@ class CompiledSchedule:
             vals.append(value)
 
         report.fu_firings += 1
-        if cn.kind == _EXEC_LOAD:
+        if step.kind == LOAD:
             report.spm_reads += 1
-            return spm.read(cn.access.array, cn.access.address(indices))
-        if cn.kind == _EXEC_STORE:
+        elif step.kind == STORE:
             report.spm_writes += 1
-            if cn.store_pos >= 0:
-                value = vals[cn.store_pos]
-            elif cn.const_u is not None:
-                value = cn.const_u
-            else:
-                raise SimulationError(
-                    f"store '{cn.name}' without a value")
-            spm.write(cn.access.array, cn.access.address(indices), value)
-            return value
-        args: list[int] = []
-        for arg_kind, payload in cn.arg_plan:
-            if arg_kind == _ARG_OPERAND:
-                args.append(vals[payload])
-            elif arg_kind == _ARG_CONST:
-                args.append(payload)
-            elif arg_kind == _ARG_ONE:
-                args.append(1)
-            else:
-                raise SimulationError(
-                    f"'{cn.name}' missing operand {payload} at execution"
-                )
-        return evaluate(cn.op, args)
+        return execute_step(step, vals, spm, indices)
 
 
 def compile_mapping(mapping) -> CompiledSchedule:

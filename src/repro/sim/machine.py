@@ -18,10 +18,14 @@ check the paper uses its cycle-accurate simulator for.
 Execution runs through the compiled engine (:mod:`repro.sim.engine`):
 :meth:`CGRASimulator.run` compiles the mapping once into per-phase
 firing/transport tables and replays them; one simulator reuses that
-compiled schedule for every window it runs.  The original interpreted
+compiled schedule for every window it runs.  The engine executes each
+node through the interpreter's shared
+:func:`~repro.ir.interpreter.execute_step`.  The original interpreted
 loop is kept as :meth:`CGRASimulator.run_reference`: the conformance
 oracle the compiled engine must match bit for bit (same report, same
-trace, same errors; ``tests/test_sim_engine.py`` locks this).  Only
+trace, same errors; ``tests/test_sim_engine.py`` locks this).  Its
+``_fire``/``_alu`` keep their own copy of the node semantics on
+purpose, so the oracle stays independent of the code it checks.  Only
 tests and benchmarks call it.
 """
 

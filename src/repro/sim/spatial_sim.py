@@ -6,7 +6,10 @@ iteration space in pipelined dataflow order, with cut values spilled to
 number.  The simulator executes exactly that program against real data and
 verifies the final arrays against the reference interpreter, which checks
 the partitioner's correctness: phase coverage, spill bookkeeping, and the
-constraint that loop-carried circuits never straddle phases.
+constraint that loop-carried circuits never straddle phases.  Each node
+runs through the interpreter's :func:`~repro.ir.interpreter.execute_step`;
+the simulator only resolves where its operands come from (in-phase
+values and history, or the spills of earlier phases).
 
 Report accounting and verification share the engine layer
 (:mod:`repro.sim.engine`): :meth:`SpatialSimulator.simulate` returns the
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.ir.graph import DFG
-from repro.ir.interpreter import MemoryImage
-from repro.ir.ops import OP_ARITY, Opcode, evaluate, to_unsigned
+from repro.ir.interpreter import (
+    LOAD, STORE, MemoryImage, NodeStep, execute_step,
+)
 from repro.mapping.spatial_mapper import SpatialMapping
 from repro.sim.engine import SimulationReport, finish_verify
 from repro.sim.trace import TraceRecorder
@@ -68,24 +72,23 @@ class SpatialSimulator:
             cycles=self.mapping.total_cycles(total_iters),
         )
 
+        steps = {node.node_id: NodeStep(dfg, node) for node in dfg.nodes}
         for phase in self.mapping.phases:
             members = [item.node_id for item in phase.items
                        if item.kind == "node"]
             member_set = set(members)
-            order = self._phase_order(member_set)
+            order = [steps[node_id]
+                     for node_id in self._phase_order(member_set)]
             history: dict[int, list[int]] = {nid: [] for nid in members}
             for k in range(total_iters):
                 indices = dfg.iteration_indices(k)
-                values: dict[int, int] = {}
-                for node_id in order:
-                    value = self._execute(node_id, k, indices, member_set,
-                                          values, history, working, spills,
-                                          report)
-                    values[node_id] = value
-                    history[node_id].append(value)
+                for step in order:
+                    value = self._execute(step, k, indices, member_set,
+                                          history, working, spills, report)
+                    history[step.node_id].append(value)
                     if self.trace is not None:
                         self.trace.record(phase.index, "exec",
-                                          node=node_id, iteration=k,
+                                          node=step.node_id, iteration=k,
                                           phase=phase.index, value=value)
                 # Spill stores for cut values.
                 for item in phase.items:
@@ -95,7 +98,7 @@ class SpatialSimulator:
                         spills.setdefault(
                             _spill_name(item.node_id),
                             [0] * total_iters,
-                        )[k] = values[item.node_id]
+                        )[k] = history[item.node_id][k]
 
         return finish_verify(report, dfg, reference, working, total_iters,
                              verify)
@@ -123,19 +126,17 @@ class SpatialSimulator:
             raise SimulationError("phase members are cyclic at distance 0")
         return order
 
-    def _execute(self, node_id: int, k: int, indices, member_set,
-                 values, history, working: MemoryImage,
+    def _execute(self, step: NodeStep, k: int, indices, member_set,
+                 history, working: MemoryImage,
                  spills: dict[str, list[int]],
                  report: SimulationReport) -> int:
-        dfg = self.dfg
-        node = dfg.node(node_id)
-        operands: dict[int, int] = {}
-        for edge in dfg.in_edges(node_id):
-            if edge.is_ordering:
-                continue
+        """Resolve ``step``'s sources (in-phase values and history, or
+        spills of earlier phases), count the firing, execute it."""
+        vals: list[int] = []
+        for edge in step.sources:
             if edge.distance == 0:
                 if edge.src in member_set:
-                    operands[edge.operand_index] = values[edge.src]
+                    vals.append(history[edge.src][k])
                 else:
                     spill = spills.get(_spill_name(edge.src))
                     if spill is None:
@@ -144,45 +145,19 @@ class SpatialSimulator:
                         )
                     report.spm_reads += 1
                     report.transport_occupancies += 1
-                    operands[edge.operand_index] = spill[k]
+                    vals.append(spill[k])
             else:
                 src_iter = k - edge.distance
                 if edge.src not in member_set:
                     raise SimulationError(
                         "loop-carried dependence crosses phases"
                     )
-                if src_iter < 0:
-                    operands[edge.operand_index] = to_unsigned(
-                        int(node.annotations.get("init", 0)))
-                else:
-                    operands[edge.operand_index] = history[edge.src][src_iter]
+                vals.append(step.init_value if src_iter < 0
+                            else history[edge.src][src_iter])
 
         report.fu_firings += 1
-        if node.op is Opcode.LOAD:
+        if step.kind == LOAD:
             report.spm_reads += 1
-            return working.read(node.access.array,
-                                node.access.address(indices))
-        if node.op is Opcode.STORE:
+        elif step.kind == STORE:
             report.spm_writes += 1
-            value = operands.get(0)
-            if value is None and node.const is not None:
-                value = to_unsigned(node.const)
-            if value is None:
-                raise SimulationError(f"store '{node.name}' without value")
-            working.write(node.access.array, node.access.address(indices),
-                          value)
-            return value
-        arity = OP_ARITY[node.op]
-        args = []
-        const_used = False
-        for slot in range(arity):
-            if slot in operands:
-                args.append(operands[slot])
-            elif node.const is not None and not const_used:
-                args.append(to_unsigned(node.const))
-                const_used = True
-            elif node.op is Opcode.SEL and slot == 2:
-                args.append(1)
-            else:
-                raise SimulationError(f"'{node.name}' missing operand {slot}")
-        return evaluate(node.op, args)
+        return execute_step(step, vals, working, indices)

@@ -186,6 +186,25 @@ def test_map_accepts_registry_mapper(capsys):
     assert "mapper: greedy" in out
 
 
+@pytest.mark.parametrize("mapper", ["best", "race"])
+def test_simulate_runs_composite_mappers(mapper, capsys):
+    """``simulate`` maps composites the way ``map`` does: every
+    candidate under ``--seed``, the better mapping simulated."""
+    assert main(["simulate", "--workload", "dwconv", "--arch", "st",
+                 "--mapper", mapper, "--iterations", "4"]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["map", "simulate"])
+def test_mapper_that_does_not_fit_the_fabric_fails(command, capsys):
+    """``--mapper plaid`` on a spatial fabric is the mapper's own error,
+    not silently replaced by the spatial mapper."""
+    assert main([command, "--workload", "dwconv", "--arch", "spatial",
+                 "--mapper", "plaid"]) == 2
+    assert "PlaidMapper targets Plaid fabrics, not spatial" in \
+        capsys.readouterr().err
+
+
 def test_unknown_mapper_key_exits_with_error(capsys):
     assert main(["map", "--workload", "dwconv", "--mapper", "bogus"]) == 2
     assert "unknown mapper key 'bogus'" in capsys.readouterr().err

@@ -11,8 +11,14 @@ unbounded queueing.
 
 import filecmp
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +331,56 @@ def test_cells_stream_before_the_request_finishes(tmp_path, monkeypatch):
     finally:
         release.set()
         srv.shutdown_background()
+
+
+# ---------------------------------------------------------------------------
+# Process lifecycle: SIGTERM releases the worker pool
+# ---------------------------------------------------------------------------
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads worker pids from /proc")
+def test_sigterm_shuts_the_worker_pool_down(tmp_path):
+    """``repro serve --jobs 2`` killed with SIGTERM (what ``kill`` sends)
+    stops like Ctrl-C: every pool worker exits with the server."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--no-cache", "--jobs", "2"],
+        stdout=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+    workers: list[int] = []
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "server printed no banner within 30s"
+        banner = proc.stdout.readline()
+        port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+        _cells, summary = client.sweep("127.0.0.1", port,
+                                       workloads=["dwconv"], archs=["plaid"])
+        assert summary["evaluated"] == 1, summary
+        task = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        workers = [int(pid) for pid in Path(task).read_text().split()]
+        assert len(workers) == 2, workers
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        deadline = time.monotonic() + 30
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

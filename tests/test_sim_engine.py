@@ -16,7 +16,10 @@ from repro.eval.harness import (
     _seed_for, build_arch, clear_caches, resolve_mapper, simulate_kernel,
 )
 from repro.frontend import compile_kernel
+from repro.ir.builder import DFGBuilder
+from repro.ir.graph import AffineAccess
 from repro.ir.interpreter import DFGInterpreter, MemoryImage
+from repro.ir.ops import Opcode
 from repro.mapping.engine import get_mapper, map_kernel
 from repro.sim import CGRASimulator, SpatialSimulator, TraceRecorder
 from repro.sim.engine import SimulationReport
@@ -225,6 +228,46 @@ def test_overstuffed_place_same_outcome_in_both_engines():
     got = outcome(CGRASimulator(mapping).run)
     want = outcome(CGRASimulator(mapping).run_reference)
     assert got == want
+
+
+def _unvalidated_dfg(case: str):
+    """A 4-iteration graph with one malformed node (never validated):
+    an ADD fed one operand and no constant, or a STORE fed nothing."""
+    builder = DFGBuilder("malformed", trip_counts=(4,))
+    x = builder.load("x", coeffs=(1,))
+    if case == "alu":
+        builder.store("y", builder.op(Opcode.ADD, x, name="half"),
+                      coeffs=(1,))
+    else:
+        builder.store("y", builder.op(Opcode.ADD, x, const=1), coeffs=(1,))
+        builder.dfg.add_node(Opcode.STORE, name="empty",
+                             access=AffineAccess("z", coeffs=(1,)))
+    return builder.dfg
+
+
+@pytest.mark.parametrize("case,message", [
+    ("alu", "'half' missing operand 1 at execution"),
+    ("store", "store 'empty' without a value"),
+])
+def test_malformed_node_raises_one_message_everywhere(case, message):
+    """The interpreter, both temporal engines and the spatial simulator
+    reject a node without its operands with the same error."""
+    dfg = _unvalidated_dfg(case)
+    memory = DFGInterpreter(dfg).prepare_memory(fill=3)
+    temporal = get_mapper("pathfinder").make(seed=1).map(
+        dfg, build_arch("st"))
+    spatial = get_mapper("spatial").make(seed=1).map(
+        dfg, build_arch("spatial"))
+    runs = [
+        lambda: DFGInterpreter(dfg).run(memory.copy()),
+        lambda: CGRASimulator(temporal).run(memory),
+        lambda: CGRASimulator(temporal).run_reference(memory),
+        lambda: SpatialSimulator(spatial).simulate(memory),
+    ]
+    for run in runs:
+        with pytest.raises(SimulationError) as error:
+            run()
+        assert str(error.value) == message
 
 
 # ---------------------------------------------------------------------------
