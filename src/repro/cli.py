@@ -117,21 +117,15 @@ def cmd_compile(args) -> int:
 
 def cmd_map(args) -> int:
     dfg = _load_dfg(args)
-    arch = _build_arch(args.arch)
-    mapping = _map(args, dfg, arch)
-    if hasattr(mapping, "phases"):
-        print(f"{dfg.name} on {arch.name}: {len(mapping.phases)} phases, "
-              f"II sum {mapping.ii_sum}, cycles {mapping.total_cycles()}")
-        if args.verbose:
-            print("search: spatial mappings are phase-partitioned; "
-                  "temporal search statistics do not apply")
-        return 0
+    mapping = _map(args, dfg, _build_arch(args.arch))
     print(mapping.summary())
-    print(f"mapper: {mapping.stats.mapper}, "
-          f"bypass edges: {mapping.stats.bypass_edges}, "
-          f"mapping time: {mapping.stats.seconds:.2f}s")
+    stats = mapping.stats
+    if stats is None:               # phased spatial mappings run no search
+        return 0
+    print(f"mapper: {stats.mapper}, "
+          f"bypass edges: {stats.bypass_edges}, "
+          f"mapping time: {stats.seconds:.2f}s")
     if args.verbose:
-        stats = mapping.stats
         print(f"search: {stats.attempts} placement attempts, "
               f"{stats.routed_edges} edges routed "
               f"({stats.transport_steps} transport steps), "
@@ -146,19 +140,14 @@ def cmd_map(args) -> int:
 
 def cmd_simulate(args) -> int:
     from repro.ir.interpreter import DFGInterpreter
-    from repro.sim import CGRASimulator, SpatialSimulator, TraceRecorder
+    from repro.sim import TraceRecorder, simulate_mapping
 
     dfg = _load_dfg(args)
     arch = _build_arch(args.arch)
     memory = DFGInterpreter(dfg).prepare_memory(fill=args.fill)
     trace = TraceRecorder(limit=args.trace) if args.trace else None
-    mapping = _map(args, dfg, arch)
-    if hasattr(mapping, "phases"):
-        report = SpatialSimulator(mapping, trace=trace).simulate(
-            memory, iterations=args.iterations)
-    else:
-        report = CGRASimulator(mapping, trace=trace).run(
-            memory, iterations=args.iterations)
+    report = simulate_mapping(_map(args, dfg, arch), memory,
+                              iterations=args.iterations, trace=trace)
     print(f"{dfg.name} on {arch.name}: {report.summary()}")
     if trace is not None and trace.events:
         print(trace.render())
@@ -201,13 +190,11 @@ def cmd_sweep(args) -> int:
     from pathlib import Path
 
     from repro.eval import distributed, harness, parallel
-    from repro.eval.cache import CACHE_DIR_ENV
     from repro.eval.reporting import (
         best_variant_rows, render_best_variants, render_sweep,
         sweep_to_csv, sweep_to_json,
     )
     from repro.utils.atomicio import atomic_write_text
-    import os
 
     shard = distributed.parse_shard(args.shard) if args.shard else None
 
@@ -252,13 +239,8 @@ def cmd_sweep(args) -> int:
     # Configured once the grid is known good: build_grid rejects a
     # typo'd arch or mapper key (with the registered-keys list) before
     # any store directory is created.
-    if args.no_cache:
-        store = harness.configure_store(None)
-    else:
-        cache_dir = args.cache_dir \
-            or os.environ.get(CACHE_DIR_ENV, "").strip() \
-            or ".repro-cache"
-        store = harness.configure_store(cache_dir)
+    store = harness.configure_store(
+        None if args.no_cache else _store_dir(args.cache_dir))
 
     if manifest is not None:
         # Resume semantics: only cells neither marked done nor already
@@ -301,15 +283,24 @@ def cmd_sweep(args) -> int:
     return 0 if not report.failures else 1
 
 
+def _store_dir(explicit: str | None) -> str:
+    """The result-store directory: ``explicit`` (a ``--cache-dir`` or
+    ``DIR`` argument), else ``$REPRO_CACHE_DIR``, else ``.repro-cache``."""
+    import os
+
+    from repro.eval.cache import CACHE_DIR_ENV
+
+    return explicit or os.environ.get(CACHE_DIR_ENV, "").strip() \
+        or ".repro-cache"
+
+
 def _cache_dir_argument(args) -> "str":
     """Resolve the store directory for ``repro cache stats/gc``."""
-    import os
     from pathlib import Path
 
     from repro.eval.cache import CACHE_DIR_ENV
 
-    root = args.dir or os.environ.get(CACHE_DIR_ENV, "").strip() \
-        or ".repro-cache"
+    root = _store_dir(args.dir)
     path = Path(root)
     if not path.is_dir():
         kind = "is a regular file, not" if path.exists() else "does not name"
@@ -362,17 +353,10 @@ def cmd_cache_gc(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import os
-
     from repro.eval import parallel
-    from repro.eval.cache import CACHE_DIR_ENV
     from repro.eval.serve import SweepServer
 
-    store = None
-    if not args.no_cache:
-        store = args.cache_dir \
-            or os.environ.get(CACHE_DIR_ENV, "").strip() \
-            or ".repro-cache"
+    store = None if args.no_cache else _store_dir(args.cache_dir)
     jobs = args.jobs if args.jobs is not None else parallel.default_jobs()
     server = SweepServer(store=store, host=args.host, port=args.port,
                          jobs=jobs, queue_limit=args.queue_limit)
@@ -458,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--verbose", action="store_true",
                        help="also print search statistics (placement "
                             "attempts, routed edges, routing failures, "
-                            "active routing engine)")
+                            "composite candidates)")
     p_map.set_defaults(func=cmd_map)
 
     p_sim = sub.add_parser("simulate", help="map + cycle-accurate verify")

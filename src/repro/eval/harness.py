@@ -7,9 +7,10 @@ prices power/energy/area.  Results are memoized per process and — when a
 persistent store is active (``configure_store`` or ``$REPRO_CACHE_DIR``)
 — shared across processes and runs through
 :class:`repro.eval.cache.ResultStore`, so every benchmark, experiment and
-sweep worker pays for each configuration exactly once.  :func:`lookup`
-is the one cache cascade: serial sweeps, pooled sweeps and the result
-service all answer cached cells through it.
+sweep worker pays for each configuration exactly once.  It is
+:func:`lookup`, the one cache cascade, followed on a miss by
+:func:`compute_kernel`; serial sweeps, pooled sweeps and the result
+service call the two steps apart, so each cell is looked up once.
 
 Baseline methodology follows the paper: the spatio-temporal baselines are
 mapped with both PathFinder and simulated annealing and the better result
@@ -39,7 +40,7 @@ from repro.eval import cache as result_cache
 from repro.mapping import engine as mapping_engine
 from repro.power.model import (
     ActivityFactors, AreaReport, PowerReport, activity_from_mapping,
-    activity_from_spatial, fabric_area, fabric_power,
+    fabric_area, fabric_power,
 )
 from repro.power.report import energy_nj, perf_per_area
 from repro.workloads.registry import get_dfg, get_workload
@@ -59,6 +60,11 @@ _ARCH_BUILDERS = {
     "st-ml": lambda: make_st_ml(4, 4),
     "plaid-ml": lambda: make_plaid_ml(2, 2),
 }
+
+
+#: Alias kept only because ``perfbench/tracing.py``, which stays fixed
+#: between the commits it compares, wraps this name.
+activity_from_spatial = activity_from_mapping
 
 
 def check_arch_key(key: str) -> str:
@@ -284,16 +290,23 @@ def evaluate_kernel(workload: str, arch_key: str,
                     use_store: bool = True) -> KernelResult:
     """Map + price one workload on one architecture.
 
-    :func:`lookup` first; on a miss, a full evaluation whose result (or
-    deterministic failure) is written back to every enabled layer.
-    Identical calls in one process return the same object.
-    ``use_store=False`` (the sweep engine's ``--no-cache``) bypasses
-    the persistent store both ways while keeping in-process
-    memoization.
+    :func:`lookup` first; on a miss, :func:`compute_kernel`.  Identical
+    calls in one process return the same object.  ``use_store=False``
+    (the sweep engine's ``--no-cache``) bypasses the persistent store
+    both ways while keeping in-process memoization.
     """
-    result = lookup(workload, arch_key, mapper_key, use_store=use_store)
-    if result is not None:
-        return result
+    return lookup(workload, arch_key, mapper_key, use_store=use_store) \
+        or compute_kernel(workload, arch_key, mapper_key,
+                          use_store=use_store)
+
+
+def compute_kernel(workload: str, arch_key: str,
+                   mapper_key: str | None = None, *,
+                   use_store: bool = True) -> KernelResult:
+    """Evaluate one configuration without asking any cache layer, and
+    write the result, or its deterministic failure, back to every
+    enabled one.  Callers that may hold a cached answer run
+    :func:`lookup` first."""
     mapper_key = resolve_mapper(arch_key, mapper_key)
     key = (workload, arch_key, mapper_key)
     store = active_store() if use_store else None
@@ -333,24 +346,16 @@ def _evaluate_uncached(workload: str, arch_key: str,
     """The actual pipeline: map, derive cycles, price power/energy/area."""
     _dfg, arch, mapping = _map_cell(workload, arch_key, mapper_key)
     cycles = mapping.total_cycles()
-    if mapper_key == "spatial":
-        ii = mapping.ii_sum
-        makespan = max((phase.depth for phase in mapping.phases), default=0)
-        activity = activity_from_spatial(mapping)
-    else:
-        ii = mapping.ii
-        makespan = mapping.makespan
-        activity = activity_from_mapping(mapping)
-
+    activity = activity_from_mapping(mapping)
     power = fabric_power(arch, activity)
     area = fabric_area(arch)
     return KernelResult(
         workload=workload,
         arch_key=arch_key,
         mapper=mapper_key,
-        ii=ii,
+        ii=mapping.ii,
         cycles=cycles,
-        makespan=makespan,
+        makespan=mapping.makespan,
         activity=activity,
         power=power,
         area=area,
@@ -366,22 +371,18 @@ def simulate_kernel(workload: str, arch_key: str,
 
     Uses the same registry dispatch and stable per-configuration seeds
     as :func:`evaluate_kernel`, so the simulated mapping is exactly the
-    one the metrics pipeline prices.  Temporal fabrics replay the
-    compiled schedule; spatial fabrics run the phased functional
-    simulator.  Every style returns the shared
-    :class:`~repro.sim.engine.SimulationReport`.
+    one the metrics pipeline prices, and simulates it through
+    :func:`repro.sim.simulate_mapping`, which returns the shared
+    :class:`~repro.sim.engine.SimulationReport` for every fabric style.
     """
     from repro.ir.interpreter import DFGInterpreter
-    from repro.sim import CGRASimulator, SpatialSimulator
+    from repro.sim import simulate_mapping
 
     mapper_key = resolve_mapper(arch_key, mapper_key)
     dfg, _arch, mapping = _map_cell(workload, arch_key, mapper_key)
     memory = DFGInterpreter(dfg).prepare_memory(fill=fill)
-    if mapper_key == "spatial":
-        return SpatialSimulator(mapping, trace=trace).simulate(
-            memory, iterations=iterations)
-    return CGRASimulator(mapping, trace=trace).run(
-        memory, iterations=iterations)
+    return simulate_mapping(mapping, memory, iterations=iterations,
+                            trace=trace)
 
 
 def seed_memo(result: KernelResult) -> None:

@@ -148,11 +148,11 @@ def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None,
                                  int]
                      ) -> tuple[int, dict | None, str | None, str | None,
                                 float, dict]:
-    """Evaluate one cell in a worker process (see :func:`absorb_reply`).
+    """Compute one cell the parent's :func:`answer_from_cache` missed,
+    in a worker process (see :func:`absorb_reply`).
 
     Runs with its own memo under the parent's seed salt; attaches the
-    parent's persistent store (by path) so warm cells are read, cold
-    cells written, across processes.
+    parent's persistent store (by path) so the result is written there.
     Returns plain dicts — cheaper and more version-tolerant to pickle
     than the nested dataclasses — plus the store-activity delta of this
     call, so the parent's sweep report covers worker I/O too.
@@ -213,8 +213,7 @@ def _chunk_size(cells: int, jobs: int) -> int:
 
 
 def run_sweep(cells: list[SweepCell], jobs: int = 1,
-              use_cache: bool = True,
-              chunk_size: int | None = None) -> SweepReport:
+              use_cache: bool = True) -> SweepReport:
     """Evaluate every cell; never abort on a per-cell failure.
 
     Outcomes come back in the order of ``cells`` whatever the worker
@@ -228,7 +227,8 @@ def run_sweep(cells: list[SweepCell], jobs: int = 1,
     store_before = store.stats.as_dict() if store is not None else {}
 
     if jobs <= 1 or len(cells) <= 1:
-        outcomes = [_run_cell_local(cell, use_cache) for cell in cells]
+        outcomes = [answer_from_cache(cell, use_cache)
+                    or _run_cell_local(cell, use_cache) for cell in cells]
         return _finish_report(outcomes, 1, start, store, store_before)
 
     # Answer cache hits in the parent (cheap, no process round-trip);
@@ -246,9 +246,9 @@ def run_sweep(cells: list[SweepCell], jobs: int = 1,
     worker_stats: dict[str, int] = {}
     if pending:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = chunk_size or _chunk_size(len(pending), jobs)
             for reply in pool.map(_worker_evaluate, pending,
-                                  chunksize=chunk):
+                                  chunksize=_chunk_size(len(pending),
+                                                        jobs)):
                 for stat_key, value in reply[-1].items():
                     worker_stats[stat_key] = \
                         worker_stats.get(stat_key, 0) + value
@@ -282,20 +282,18 @@ def answer_from_cache(cell: SweepCell, use_cache: bool
 
 
 def _run_cell_local(cell: SweepCell, use_cache: bool) -> CellOutcome:
-    """Evaluate one cell in this process, with failure capture.
+    """Compute one cell that missed every cache layer, in this process,
+    with failure capture.
 
-    The cache cascade lives in :func:`harness.lookup`, which
-    :func:`harness.evaluate_kernel` runs before it computes; this
-    wrapper captures per-cell failures — a :class:`ReproError`
-    (memoized: evaluation is deterministic) or any unexpected exception
-    (not memoized) — and attributes ``from_cache`` by whether the call
-    had to compute anything.
+    Every path asks :func:`answer_from_cache` first and hands only its
+    misses here, so this computes without a second lookup.  A
+    :class:`ReproError` is memoized (evaluation is deterministic); any
+    unexpected exception is not.
     """
     key = cell.key()
     start = time.perf_counter()
-    computed_before = harness.EVAL_STATS.computed
     try:
-        result = harness.evaluate_kernel(*key, use_store=use_cache)
+        result = harness.compute_kernel(*key, use_store=use_cache)
     except ReproError as error:
         harness.seed_failure(*key, error)
         return CellOutcome(cell=cell, error=str(error),
@@ -308,10 +306,8 @@ def _run_cell_local(cell: SweepCell, use_cache: bool) -> CellOutcome:
         return CellOutcome(cell=cell, error=str(error),
                            error_type=type(error).__name__,
                            seconds=time.perf_counter() - start)
-    return CellOutcome(
-        cell=cell, result=result,
-        from_cache=harness.EVAL_STATS.computed == computed_before,
-        seconds=time.perf_counter() - start)
+    return CellOutcome(cell=cell, result=result,
+                       seconds=time.perf_counter() - start)
 
 
 def _finish_report(outcomes, jobs, start, store, store_before,

@@ -95,12 +95,21 @@ def search(dfg: DFG, arch: Architecture, strategy: MapperStrategy,
     Tries ``strategy.attempts_per_ii(ii)`` restarts at each II from the
     minimum II up to the config-memory depth (or ``strategy.max_ii``,
     whichever is lower), and stamps the first mapping found with
-    :class:`MappingStats`.
+    :class:`MappingStats`.  A ``spatial`` fabric raises
+    :class:`MappingError` once ``strategy.prepare`` has run.
     """
     start_time = time.perf_counter()
     failures_before = routecore.ROUTING.failures
     rng = make_rng(strategy.seed)
     context = strategy.prepare(dfg, arch, rng, **prepare_kwargs)
+    if arch.style == "spatial":
+        # The spatial fabric runs phases of one fixed configuration
+        # each, which only the spatial mapper builds.  Refused at every
+        # II, 1 included, so one rule says which mapper fits it.
+        raise MappingError(
+            f"{strategy.failure_label} time-multiplexes its fabric; "
+            f"{arch.name} is a fixed-configuration spatial fabric "
+            "(map it with the 'spatial' mapper)")
     mii = minimum_ii(dfg, arch)
     ii_limit = min(strategy.max_ii or arch.config_entries,
                    arch.config_entries)

@@ -44,7 +44,7 @@ from repro.mapping.engine import MapperStrategy, register_mapper
 from repro.mapping.router import route_edge, transport_latency_table
 from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
 from repro.motifs.schedules import schedule_templates
-from repro.motifs.types import MotifKind
+from repro.motifs.types import Motif, MotifKind
 
 #: FUs per PCU (3 ALUs + ALSU); ALU slot s of PCU u is FU ``u*4 + s``.
 _FUS_PER_PCU = 4
@@ -138,7 +138,7 @@ def solve_state(state: "_State", moves: int, start_temp: float,
                 cooling: float) -> Mapping | None:
     """Greedy placement plus annealing repair over a mapping state.
 
-    This is Algorithm 2's search loop; the generic SA baseline reuses it
+    This is Algorithm 2's search loop; the ``greedy`` mapper reuses it
     over a singleton (motif-blind) hierarchy.
     """
     # Lines 1-4: dependency-sorted greedy placement.
@@ -203,9 +203,6 @@ def demote_for_hardwired(hierarchy: HierarchicalDFG,
     still execute on any ALU over the fully reconfigurable global
     datapath, per Section 4.4).
     """
-    from repro.motifs.hierarchy import HierarchyEdge
-    from repro.motifs.types import Motif
-
     available_kinds = set(hardwired.values())
     groups: list[Motif] = []
     for motif in hierarchy.groups:
@@ -216,48 +213,18 @@ def demote_for_hardwired(hierarchy: HierarchicalDFG,
             )
         else:
             groups.append(motif)
-    node_to_group: dict[int, int] = {}
-    for index, motif in enumerate(groups):
-        for node_id in motif.nodes:
-            node_to_group[node_id] = index
-    dfg = hierarchy.dfg
-    inter_edges = []
-    for edge in dfg.edges:
-        src_group = node_to_group[edge.src]
-        dst_group = node_to_group[edge.dst]
-        if edge.is_ordering or src_group != dst_group or edge.distance > 0:
-            inter_edges.append(HierarchyEdge(src_group, dst_group, edge))
-    demoted = HierarchicalDFG(dfg=dfg, groups=groups,
-                              node_to_group=node_to_group,
-                              inter_edges=inter_edges)
-    demoted.validate()
-    return demoted
+    return HierarchicalDFG.from_groups(hierarchy.dfg, groups)
 
 
 def singleton_hierarchy(dfg: DFG) -> HierarchicalDFG:
     """A motif-blind hierarchy: every node is its own group.
 
-    Generic mappers use this view — they see the same fabric but cannot
-    exploit collective motif placement, which is exactly the comparison of
-    the paper's Figure 18.
+    The ``greedy`` mapper searches this view with :func:`solve_state`:
+    the same fabric, without collective motif placement.
     """
-    from repro.motifs.hierarchy import HierarchyEdge
-    from repro.motifs.types import Motif
-
-    groups = [Motif(MotifKind.SINGLETON, (node.node_id,))
-              for node in dfg.nodes]
-    node_to_group = {
-        node.node_id: index for index, node in enumerate(dfg.nodes)
-    }
-    inter_edges = [
-        HierarchyEdge(node_to_group[edge.src], node_to_group[edge.dst], edge)
-        for edge in dfg.edges
-    ]
-    hierarchy = HierarchicalDFG(dfg=dfg, groups=groups,
-                                node_to_group=node_to_group,
-                                inter_edges=inter_edges)
-    hierarchy.validate()
-    return hierarchy
+    return HierarchicalDFG.from_groups(
+        dfg, [Motif(MotifKind.SINGLETON, (node.node_id,))
+              for node in dfg.nodes])
 
 
 class _State:

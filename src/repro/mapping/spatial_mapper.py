@@ -82,6 +82,9 @@ class SpatialMapping:
     arch: Architecture
     phases: list[SpatialPhase]
     spilled_values: int = 0
+    #: Phased mappings run no II search, so they keep no
+    #: :class:`~repro.mapping.base.MappingStats`.
+    stats = None
 
     def total_cycles(self, iterations: int | None = None) -> int:
         iters = self.dfg.iterations if iterations is None else iterations
@@ -90,10 +93,24 @@ class SpatialMapping:
             + reconfig * len(self.phases)
 
     @property
-    def ii_sum(self) -> int:
-        """Effective initiation interval across phases (cycles per
-        iteration-space point in steady state)."""
+    def ii(self) -> int:
+        """Effective initiation interval: the sum of the phase IIs
+        (cycles per iteration-space point in steady state)."""
         return sum(phase.ii for phase in self.phases)
+
+    @property
+    def makespan(self) -> int:
+        """Depth of the deepest phase (0 without phases)."""
+        return max((phase.depth for phase in self.phases), default=0)
+
+    def summary(self) -> str:
+        return (
+            f"{self.dfg.name} on {self.arch.name}: "
+            f"{len(self.phases)} phases, II={self.ii}, "
+            f"makespan={self.makespan}, "
+            f"cycles={self.total_cycles()}, "
+            f"fu_util={self.fu_utilization():.2f}"
+        )
 
     def fu_utilization(self) -> float:
         """Firings per FU issue slot: each item fires once per phase II."""

@@ -39,6 +39,28 @@ class HierarchicalDFG:
     node_to_group: dict[int, int] = field(default_factory=dict)
     inter_edges: list[HierarchyEdge] = field(default_factory=list)
 
+    @classmethod
+    def from_groups(cls, dfg: DFG, groups: list[Motif]) -> "HierarchicalDFG":
+        """The validated hierarchy of ``dfg`` partitioned into ``groups``.
+
+        An edge is inter-group when it is an ordering edge, joins two
+        groups, or is loop-carried (see :meth:`internal_edges`).
+        """
+        node_to_group = {node_id: index
+                         for index, motif in enumerate(groups)
+                         for node_id in motif.nodes}
+        inter_edges = [
+            HierarchyEdge(node_to_group[edge.src], node_to_group[edge.dst],
+                          edge)
+            for edge in dfg.edges
+            if edge.is_ordering or edge.distance > 0
+            or node_to_group[edge.src] != node_to_group[edge.dst]
+        ]
+        hierarchy = cls(dfg=dfg, groups=groups, node_to_group=node_to_group,
+                        inter_edges=inter_edges)
+        hierarchy.validate()
+        return hierarchy
+
     def group_of(self, node_id: int) -> int:
         try:
             return self.node_to_group[node_id]
@@ -125,24 +147,4 @@ def build_hierarchy(dfg: DFG,
         groups.append(Motif(MotifKind.SINGLETON, (node_id,)))
     for node in dfg.memory_nodes:
         groups.append(Motif(MotifKind.SINGLETON, (node.node_id,)))
-
-    node_to_group: dict[int, int] = {}
-    for index, motif in enumerate(groups):
-        for node_id in motif.nodes:
-            node_to_group[node_id] = index
-
-    inter_edges: list[HierarchyEdge] = []
-    for edge in dfg.edges:
-        src_group = node_to_group[edge.src]
-        dst_group = node_to_group[edge.dst]
-        if edge.is_ordering or src_group != dst_group or edge.distance > 0:
-            inter_edges.append(HierarchyEdge(src_group, dst_group, edge))
-
-    hierarchy = HierarchicalDFG(
-        dfg=dfg,
-        groups=groups,
-        node_to_group=node_to_group,
-        inter_edges=inter_edges,
-    )
-    hierarchy.validate()
-    return hierarchy
+    return HierarchicalDFG.from_groups(dfg, groups)

@@ -18,7 +18,6 @@ from repro.power.model import (
     fabric_area,
     fabric_power,
     activity_from_mapping,
-    activity_from_spatial,
 )
 from repro.power.report import (
     energy_nj,
@@ -32,7 +31,6 @@ __all__ = [
     "AreaReport",
     "PowerReport",
     "activity_from_mapping",
-    "activity_from_spatial",
     "area_table",
     "energy_nj",
     "fabric_area",

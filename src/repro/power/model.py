@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from repro.arch.base import Architecture
 from repro.errors import PowerModelError
-from repro.mapping.base import Mapping
-from repro.mapping.spatial_mapper import SpatialMapping
 from repro.power import tech
 
 
@@ -189,19 +187,13 @@ def fabric_area(arch: Architecture) -> AreaReport:
 # ---------------------------------------------------------------------------
 # Activity extraction
 # ---------------------------------------------------------------------------
-def activity_from_mapping(mapping: Mapping) -> ActivityFactors:
-    """Measured activity of a modulo-scheduled mapping."""
+def activity_from_mapping(mapping) -> ActivityFactors:
+    """Measured activity of any mapping, modulo-scheduled or phased:
+    its ``fu_utilization()`` and ``transport_utilization()``.  Config
+    activity is nominal; spatial fabrics' gating is applied inside
+    :func:`fabric_power`."""
     return ActivityFactors(
         fu_utilization=mapping.fu_utilization(),
         wire_utilization=mapping.transport_utilization(),
         config_activity=1.0,
-    )
-
-
-def activity_from_spatial(mapping: SpatialMapping) -> ActivityFactors:
-    """Measured activity of a phased spatial mapping."""
-    return ActivityFactors(
-        fu_utilization=mapping.fu_utilization(),
-        wire_utilization=mapping.transport_utilization(),
-        config_activity=1.0,    # gating applied inside fabric_power
     )

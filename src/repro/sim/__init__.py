@@ -12,6 +12,8 @@ mappings are compiled once into per-phase firing/transport tables and
 replayed with flat-list inner loops, bit-identical to the interpreted
 reference loop kept on :meth:`CGRASimulator.run_reference`, the
 conformance oracle that tests and benchmarks call directly.
+:func:`simulate_mapping` simulates any mapping, modulo-scheduled or
+phased spatial, and returns the shared report.
 """
 
 from repro.sim.spm import Scratchpad
@@ -22,6 +24,7 @@ from repro.sim.machine import CGRASimulator
 from repro.sim.spatial_sim import SpatialSimulator
 from repro.sim.config import ConfigBundle, encode_mapping
 from repro.sim.trace import TraceEvent, TraceRecorder
+from repro.mapping.spatial_mapper import SpatialMapping
 
 __all__ = [
     "CGRASimulator",
@@ -34,5 +37,22 @@ __all__ = [
     "TraceRecorder",
     "compile_mapping",
     "encode_mapping",
+    "simulate_mapping",
     "simulation_engine",
 ]
+
+
+def simulate_mapping(mapping, memory, *, iterations: int | None,
+                     verify: bool = True,
+                     trace: TraceRecorder | None = None) -> SimulationReport:
+    """Simulate ``mapping`` over ``iterations`` iterations (``None``: the
+    whole iteration space) from ``memory``, verifying the result against
+    the reference interpreter unless ``verify`` is false.
+
+    A phased spatial mapping runs on :class:`SpatialSimulator`; any
+    other replays its compiled schedule on :class:`CGRASimulator`."""
+    if isinstance(mapping, SpatialMapping):
+        return SpatialSimulator(mapping, trace=trace).simulate(
+            memory, iterations=iterations, verify=verify)
+    return CGRASimulator(mapping, trace=trace).run(
+        memory, iterations=iterations, verify=verify)

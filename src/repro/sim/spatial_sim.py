@@ -45,12 +45,6 @@ class SpatialSimulator:
         self.dfg: DFG = mapping.dfg
         self.trace = trace
 
-    def run(self, memory: MemoryImage, iterations: int | None = None,
-            verify: bool = True) -> list[str]:
-        """Run all phases; returns the list of mismatches (empty = good)."""
-        return self.simulate(memory, iterations=iterations,
-                             verify=verify).mismatches
-
     def simulate(self, memory: MemoryImage, iterations: int | None = None,
                  verify: bool = True,
                  engine: str = "compiled") -> SimulationReport:

@@ -205,6 +205,18 @@ def test_mapper_that_does_not_fit_the_fabric_fails(command, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mapper", ["pathfinder", "sa", "greedy"])
+def test_temporal_mapper_refuses_the_spatial_fabric(mapper, capsys):
+    """A modulo schedule would time-multiplex the fixed-configuration
+    spatial fabric; every temporal mapper refuses it, even for a kernel
+    that would map at II 1 (dwconv) or one that needs more (gemm_u4)."""
+    for workload in ("dwconv", "gemm_u4"):
+        assert main(["map", "--workload", workload, "--arch", "spatial",
+                     "--mapper", mapper]) == 2
+        assert "fixed-configuration spatial fabric" in \
+            capsys.readouterr().err
+
+
 def test_unknown_mapper_key_exits_with_error(capsys):
     assert main(["map", "--workload", "dwconv", "--mapper", "bogus"]) == 2
     assert "unknown mapper key 'bogus'" in capsys.readouterr().err

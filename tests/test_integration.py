@@ -52,7 +52,8 @@ def test_spatial_end_to_end(name):
     mapping = SpatialMapper(seed=3).map(dfg, make_spatial())
     mapping.validate()
     memory = DFGInterpreter(dfg).prepare_memory(fill=7)
-    assert SpatialSimulator(mapping).run(memory, iterations=6) == []
+    assert SpatialSimulator(mapping).simulate(
+        memory, iterations=6).mismatches == []
 
 
 def test_sa_end_to_end():

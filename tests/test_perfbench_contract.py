@@ -1,24 +1,49 @@
-"""The names ``perfbench/worker.py`` calls, locked.
+"""The names ``perfbench/worker.py`` calls and ``perfbench/tracing.py``
+patches, locked.
 
 The benchmark under ``perfbench/`` stays unchanged between runs it
 compares, so it keeps calling these entry points by name: the constant
 engine names it prints, the no-op mapping pool, the ``engine=`` keyword
 of both simulators, and the routing counters behind its
-``mapping.route_calls``/``route_failures`` metrics.  A cleanup that
-drops or narrows one of them would break the benchmark silently.
+``mapping.route_calls``/``route_failures`` metrics.  Its tracer
+replaces module attributes by name to time each layer.  A cleanup that
+drops or narrows one of them would break the benchmark silently: a
+``--trace 1`` run would crash while every other test stayed green.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.sim
 from repro.arch import MRRG, make_spatio_temporal
+from repro.eval import cache, harness, parallel
 from repro.eval.harness import build_arch
 from repro.ir.interpreter import DFGInterpreter
-from repro.mapping import engine, routecore
+from repro.mapping import engine, router, routecore
 from repro.mapping.engine import get_mapper
 from repro.mapping.router import route_edge
 from repro.sim import CGRASimulator, SpatialSimulator
-from repro.workloads import get_dfg
+from repro.workloads import get_dfg, registry
+
+#: Attributes the full tracer wraps, per owner.
+TRACED_NAMES = [
+    (engine, "map_kernel"),
+    (registry, "compile_kernel"),
+    *((harness, builder) for builder in (
+        "make_spatio_temporal", "make_spatial", "make_plaid", "make_st_ml",
+        "make_plaid_ml")),
+    *((harness, pricer) for pricer in (
+        "activity_from_mapping", "activity_from_spatial", "fabric_power",
+        "fabric_area", "energy_nj")),
+    (cache, "fingerprint"),
+    (cache.ResultStore, "get"),
+    (cache.ResultStore, "put"),
+    (cache.ResultStore, "put_failure"),
+    (parallel, "run_sweep"),
+]
 
 
 def test_engine_names_are_compiled():
@@ -56,3 +81,54 @@ def test_route_edge_ticks_routing_counters():
     assert route_edge(mrrg, 0, 0, 0, 15, 2) is None     # 6 hops, 2 cycles
     assert routecore.ROUTING.calls == calls + 2
     assert routecore.ROUTING.failures == failures + 1
+
+
+@pytest.mark.parametrize(
+    "owner, name", TRACED_NAMES,
+    ids=[f"{getattr(owner, '__name__', owner)}.{name}"
+         for owner, name in TRACED_NAMES])
+def test_traced_names_exist(owner, name):
+    assert callable(getattr(owner, name))
+
+
+def test_a_mapper_module_binds_the_router():
+    """The tracer times routing by rebinding ``route_edge`` in every
+    ``repro.mapping`` module that imported it by name."""
+    import repro.mapping.plaid_mapper  # noqa: F401 (registers the binding)
+
+    bound = [name for name, module in sys.modules.items()
+             if name.startswith("repro.mapping")
+             and getattr(module, "route_edge", None) is router.route_edge]
+    assert "repro.mapping.plaid_mapper" in bound
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_full_tracer_times_every_layer(tmp_path):
+    """A traced sweep over a spatial and a Plaid cell, through the
+    benchmark's own tracer, records a span in every layer it wraps."""
+    harness.clear_caches()
+    tracer = _load_tracing().Tracer()
+    tracer.install(full=True)
+    try:
+        harness.configure_store(tmp_path / "store")
+        report = parallel.run_sweep(
+            parallel.build_grid(["dwconv"], ["spatial", "plaid"]), jobs=1)
+    finally:
+        tracer.uninstall()
+        harness.clear_caches()
+    assert not report.failures
+    assert len(tracer.mappings) == 2
+    for span in ("frontend.lower", "arch.build", "map:spatial", "map:plaid",
+                 "route", "power.price", "cache.fingerprint", "cache.get",
+                 "cache.put", "sweep.run"):
+        assert tracer.total.get(span, 0.0) > 0.0, span
+    assert tracer.counts["cache.puts"] == 2
+    for owner, name in TRACED_NAMES:
+        assert not hasattr(getattr(owner, name), "__wrapped__"), name

@@ -284,8 +284,9 @@ def test_spatial_simulate_returns_shared_report():
     assert report.iterations == 8
     assert report.cycles == mapping.total_cycles(8)
     assert report.fu_firings > 0 and report.spm_reads > 0
-    # Back-compat surface: run() still returns the mismatch list.
-    assert SpatialSimulator(mapping).run(memory, iterations=8) == []
+    # A verified run lists no mismatches.
+    assert SpatialSimulator(mapping).simulate(
+        memory, iterations=8).mismatches == []
     skipped = SpatialSimulator(mapping).simulate(memory, iterations=8,
                                                  verify=False)
     assert skipped.verified is None
