@@ -149,7 +149,8 @@ def _worker_evaluate(task: tuple[int, tuple[str, str, str], str | None,
                      ) -> tuple[int, dict | None, str | None, str | None,
                                 float, dict]:
     """Compute one cell the parent's :func:`answer_from_cache` missed,
-    in a worker process (see :func:`absorb_reply`).
+    in a worker process (see :func:`absorb_reply`), without looking the
+    store up again (see :func:`_run_cell_local` for the tradeoff).
 
     Runs with its own memo under the parent's seed salt; attaches the
     parent's persistent store (by path) so the result is written there.
@@ -286,9 +287,12 @@ def _run_cell_local(cell: SweepCell, use_cache: bool) -> CellOutcome:
     with failure capture.
 
     Every path asks :func:`answer_from_cache` first and hands only its
-    misses here, so this computes without a second lookup.  A
-    :class:`ReproError` is memoized (evaluation is deterministic); any
-    unexpected exception is not.
+    misses here, so this computes without a second lookup.  The cost: a
+    cell another process sharing the store finished after that lookup
+    (a second sweep or server on one cache directory, or a ``repro
+    serve`` cell held behind its queue) is computed and written again.
+    Results are deterministic, so only compute is spent.  A
+    :class:`ReproError` is memoized; any unexpected exception is not.
     """
     key = cell.key()
     start = time.perf_counter()

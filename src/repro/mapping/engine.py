@@ -255,11 +255,12 @@ def _run_composite(info: MapperInfo, dfg: DFG, arch: Architecture,
     Candidates run through the module-level :func:`map_kernel` name, so
     a wrapper patched over it sees each candidate mapping.
     """
-    outcomes = []
+    outcomes, reasons = [], []
     for order, key in enumerate(info.candidates):
         try:
             mapping = map_kernel(key, dfg, arch, seed_for)
         except MappingError as failure:
+            reasons.append(f"{key}: {failure}")
             outcomes.append((order, None, CandidateStats(
                 key=key, outcome="failed",
                 attempts=getattr(failure, "attempts", 0),
@@ -275,8 +276,8 @@ def _run_composite(info: MapperInfo, dfg: DFG, arch: Architecture,
         if mapping is not None)
     if winner is None:
         raise MappingError(
-            f"no baseline mapper could map '{dfg.name}' on {arch.name}"
-        )
+            f"no baseline mapper could map '{dfg.name}' on {arch.name} "
+            f"({'; '.join(reasons)})")
     for _, mapping, stats in outcomes:
         if mapping is winner:
             stats.outcome = "won"

@@ -43,16 +43,16 @@ __all__ = [
 
 
 def simulate_mapping(mapping, memory, *, iterations: int | None,
-                     verify: bool = True,
                      trace: TraceRecorder | None = None) -> SimulationReport:
     """Simulate ``mapping`` over ``iterations`` iterations (``None``: the
-    whole iteration space) from ``memory``, verifying the result against
-    the reference interpreter unless ``verify`` is false.
+    whole iteration space) from ``memory`` and verify the result against
+    the reference interpreter.
 
     A phased spatial mapping runs on :class:`SpatialSimulator`; any
-    other replays its compiled schedule on :class:`CGRASimulator`."""
+    other replays its compiled schedule on :class:`CGRASimulator`.  An
+    unverified run calls either simulator directly."""
     if isinstance(mapping, SpatialMapping):
         return SpatialSimulator(mapping, trace=trace).simulate(
-            memory, iterations=iterations, verify=verify)
+            memory, iterations=iterations, verify=True)
     return CGRASimulator(mapping, trace=trace).run(
-        memory, iterations=iterations, verify=verify)
+        memory, iterations=iterations, verify=True)

@@ -176,6 +176,11 @@ def test_temporal_mapper_on_spatial_is_a_per_cell_failure(mapper):
     report = parallel.run_sweep(cells, jobs=1)
     assert [o.error_type for o in report.outcomes] == ["MappingError"] * 2
     assert report.evaluated == 0
+    for outcome in report.outcomes:
+        # Each candidate's reason survives the composite's error.
+        for key in ("pathfinder", "sa"):
+            assert f"{key}: " in outcome.error
+        assert "fixed-configuration spatial fabric" in outcome.error
 
 
 def test_mapping_failures_are_captured_per_cell():
