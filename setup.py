@@ -20,5 +20,4 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["networkx"],
 )

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -553,6 +554,8 @@ def parse_duration(text: str) -> float:
     except ValueError:
         raise ReproError(
             f"bad duration '{text}' (expected NUMBER[s|m|h|d|w])") from None
+    if not math.isfinite(seconds):
+        raise ReproError(f"duration '{text}' is not finite")
     if seconds < 0:
         raise ReproError("duration must be >= 0")
     return seconds

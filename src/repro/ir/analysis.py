@@ -1,36 +1,50 @@
-"""Scheduling-oriented DFG analyses.
+"""DFG graph algorithms and the scheduling analyses built on them.
 
-These feed the modulo-scheduling mappers: topological order and ASAP/ALAP
-schedules for placement priorities, and the recurrence-constrained minimum
-initiation interval (RecMII) via a Bellman-Ford feasibility check.
+The one home of the compiler's graph algorithms: the Kahn topological
+sort, strongly connected components (iterative Tarjan) and the
+Bellman-Ford longest-path fixpoint.  On them sit the modulo-scheduling
+mappers' inputs: ASAP/ALAP schedules for placement priorities and the
+recurrence-constrained minimum initiation interval (RecMII).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
+
 from repro.errors import DFGError
-from repro.ir.graph import DFG
 from repro.ir.ops import OP_LATENCY
 
+if TYPE_CHECKING:
+    from repro.ir.graph import DFG
 
-def topological_order(dfg: DFG) -> list[int]:
-    """Node ids in a topological order of the intra-iteration DAG."""
-    in_degree = {node.node_id: 0 for node in dfg.nodes}
+
+def topological_order(dfg: DFG, members: "set[int] | None" = None
+                      ) -> list[int]:
+    """Node ids in a topological order of the intra-iteration DAG.
+
+    ``members`` restricts the sort to the subgraph those nodes induce (a
+    spatial phase).  Sources come first in id order, then every other
+    node in the order it becomes ready.  Raises :class:`DFGError` on a
+    distance-0 cycle.
+    """
+    ids = (node.node_id for node in dfg.nodes) if members is None else members
+    in_degree = dict.fromkeys(ids, 0)
     for edge in dfg.edges:
-        if edge.distance == 0:
+        if edge.distance == 0 and edge.src in in_degree \
+                and edge.dst in in_degree:
             in_degree[edge.dst] += 1
-    ready = sorted(nid for nid, deg in in_degree.items() if deg == 0)
-    order: list[int] = []
-    while ready:
-        current = ready.pop(0)
-        order.append(current)
+    # ``order`` doubles as the FIFO queue of ready nodes.
+    order = sorted(nid for nid, deg in in_degree.items() if deg == 0)
+    for current in order:
         for edge in dfg.out_edges(current):
-            if edge.distance != 0:
-                continue
-            in_degree[edge.dst] -= 1
-            if in_degree[edge.dst] == 0:
-                ready.append(edge.dst)
-    if len(order) != dfg.num_nodes:
-        raise DFGError(f"'{dfg.name}' intra-iteration edges are cyclic")
+            if edge.distance == 0 and edge.dst in in_degree:
+                in_degree[edge.dst] -= 1
+                if in_degree[edge.dst] == 0:
+                    order.append(edge.dst)
+    if len(order) != len(in_degree):
+        raise DFGError(
+            f"intra-iteration edges of '{dfg.name}' contain a cycle")
     return order
 
 
@@ -75,33 +89,87 @@ def critical_path_length(dfg: DFG) -> int:
     )
 
 
-def _feasible_at_ii(ids: list[int], edges: list[tuple[int, int, int, int]],
-                    ii: int) -> bool:
-    """Bellman-Ford feasibility of constraints sigma(dst) >= sigma(src)
-    + latency - II * distance for every ``(src, dst, latency, distance)``
-    edge.
+def strongly_connected_components(
+        successors: dict[int, Iterable[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph ``successors`` (node
+    -> its successors; every node is a key), by an iterative Tarjan walk.
 
-    Infeasible iff the constraint graph has a positive-weight cycle, which
-    happens exactly when some recurrence circuit needs more than ``ii``
-    cycles per iteration of slack.
+    Components come out in reverse topological order of the
+    condensation; every node, isolated or not, is in exactly one.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[list[int]] = []
+    work: list[tuple[int, Iterator[int]]] = []
+
+    def visit(node: int) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(successors[node])))
+
+    for root in successors:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    visit(child)
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    components.append(component)
+    return components
+
+
+def longest_paths(ids: Iterable[int],
+                  edges: list[tuple[int, int, int]]
+                  ) -> dict[int, int] | None:
+    """Bellman-Ford longest-path fixpoint from 0 at every node.
+
+    The least ``sigma`` with ``sigma(dst) >= sigma(src) + weight`` for
+    every ``(src, dst, weight)`` edge and ``sigma >= 0``, or None when a
+    positive-weight cycle leaves no fixpoint.
     """
     sigma = dict.fromkeys(ids, 0)
-    weighted = [(src, dst, latency - ii * distance)
-                for src, dst, latency, distance in edges]
-    for _ in range(len(ids)):
+    for _ in range(len(sigma) + 1):
         changed = False
-        for src, dst, weight in weighted:
+        for src, dst, weight in edges:
             candidate = sigma[src] + weight
             if candidate > sigma[dst]:
                 sigma[dst] = candidate
                 changed = True
         if not changed:
-            return True
-    # One more relaxation round still changing => positive cycle.
-    for src, dst, weight in weighted:
-        if sigma[src] + weight > sigma[dst]:
-            return False
-    return True
+            return sigma
+    return None
+
+
+def _feasible_at_ii(ids: list[int], edges: list[tuple[int, int, int, int]],
+                    ii: int) -> bool:
+    """Whether the constraints sigma(dst) >= sigma(src) + latency - II *
+    distance for every ``(src, dst, latency, distance)`` edge have a
+    solution.
+
+    They have none exactly when some recurrence circuit needs more than
+    ``ii`` cycles per iteration of slack (a positive-weight cycle).
+    """
+    return longest_paths(ids, [(src, dst, latency - ii * distance)
+                               for src, dst, latency, distance in edges]
+                         ) is not None
 
 
 def recurrence_mii(dfg: DFG, max_ii: int = 64,

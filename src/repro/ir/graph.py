@@ -17,6 +17,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.errors import DFGError
+from repro.ir.analysis import topological_order
 from repro.ir.node import AffineAccess, DFGNode
 from repro.ir.ops import OP_ARITY, Opcode
 
@@ -200,7 +201,7 @@ class DFG:
         every node is fed at most once; nodes missing operands must carry a
         constant (the instruction immediate supplies the value).
         """
-        self._check_acyclic()
+        topological_order(self)     # raises on a distance-0 cycle
         for node in self.nodes:
             feeds: dict[int, int] = {}
             for edge in self._in_edges[node.node_id]:
@@ -223,33 +224,6 @@ class DFG:
                     f"'{node.name}' ({node.op.name}) missing an operand and "
                     "has no constant"
                 )
-
-    def _check_acyclic(self) -> None:
-        order = self._topo_order_distance_zero()
-        if order is None:
-            raise DFGError(
-                f"intra-iteration edges of '{self.name}' contain a cycle"
-            )
-
-    def _topo_order_distance_zero(self) -> list[int] | None:
-        in_degree = {node_id: 0 for node_id in self._nodes}
-        for edge in self._edges:
-            if edge.distance == 0:
-                in_degree[edge.dst] += 1
-        ready = sorted(nid for nid, deg in in_degree.items() if deg == 0)
-        order: list[int] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            for edge in self._out_edges[current]:
-                if edge.distance != 0:
-                    continue
-                in_degree[edge.dst] -= 1
-                if in_degree[edge.dst] == 0:
-                    ready.append(edge.dst)
-        if len(order) != len(self._nodes):
-            return None
-        return order
 
     # ------------------------------------------------------------------
     # Convenience

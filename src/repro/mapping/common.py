@@ -22,12 +22,13 @@ every mapping, matches the stdlib calls while skipping their wrappers.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route
 from repro.arch.topology import manhattan
-from repro.ir.analysis import critical_path_length, topological_order
+from repro.ir.analysis import (
+    critical_path_length, longest_paths, strongly_connected_components,
+    topological_order,
+)
 from repro.ir.graph import DFG
 from repro.mapping.router import (
     RoutingHistory, route_edge, transport_latency_table,
@@ -48,34 +49,23 @@ def modulo_asap(dfg: DFG, ii: int) -> dict[int, int] | None:
     placement starting at these times can close every loop within II
     cycles; None when the II is below RecMII (no fixpoint).
     """
-    sigma = {node.node_id: 0 for node in dfg.nodes}
-    edges = [(e.src, e.dst, 1 - ii * e.distance) for e in dfg.edges]
-    for _ in range(dfg.num_nodes + 1):
-        changed = False
-        for src, dst, weight in edges:
-            bound = sigma[src] + weight
-            if bound > sigma[dst]:
-                sigma[dst] = bound
-                changed = True
-        if not changed:
-            return sigma
-    return None
+    return longest_paths(
+        (node.node_id for node in dfg.nodes),
+        [(edge.src, edge.dst, 1 - ii * edge.distance) for edge in dfg.edges])
 
 
 def recurrence_nodes(dfg: DFG) -> set[int]:
     """Nodes on loop-carried dependence circuits (SCCs of the full edge
     graph plus self-recurrences)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(node.node_id for node in dfg.nodes)
-    for edge in dfg.edges:
-        graph.add_edge(edge.src, edge.dst)
+    successors: dict[int, list[int]] = {node.node_id: [] for node in dfg.nodes}
     members: set[int] = set()
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            members.update(component)
     for edge in dfg.edges:
+        successors[edge.src].append(edge.dst)
         if edge.src == edge.dst:
             members.add(edge.src)
+    for component in strongly_connected_components(successors):
+        if len(component) > 1:
+            members.update(component)
     return members
 
 

@@ -22,15 +22,17 @@ reconfiguration cost per phase.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.arch.base import Architecture
 from repro.arch.topology import manhattan, mesh_neighbors
 from repro.errors import MappingError
-from repro.ir.analysis import recurrence_mii, topological_order
+from repro.ir.analysis import (
+    recurrence_mii, strongly_connected_components, topological_order,
+)
 from repro.ir.graph import DFG
 from repro.mapping.engine import register_mapper
 from repro.utils.rng import make_rng
@@ -48,6 +50,11 @@ class PhaseItem:
         return (self.kind, self.node_id)
 
 
+def _is_memory_item(dfg: DFG, item: PhaseItem) -> bool:
+    """Spill ops and memory nodes: both take a memory port."""
+    return item.kind != "node" or dfg.node(item.node_id).is_memory
+
+
 @dataclass
 class SpatialPhase:
     """One fixed configuration of the fabric."""
@@ -63,12 +70,8 @@ class SpatialPhase:
     #: Compute ops time-multiplexed per PE (1 = purely spatial; >1 only
     #: for forced clusters larger than the fabric, paid for in the II).
     compute_stack: int = 1
-
-    @property
-    def memory_items(self) -> int:
-        return self._memory_count
-
-    _memory_count: int = 0
+    #: Items that take a memory port (memory nodes and spill ops).
+    memory_items: int = 0
 
     def cycles(self, iterations: int) -> int:
         return (iterations - 1) * self.ii + self.depth
@@ -142,11 +145,7 @@ class SpatialMapping:
                         raise MappingError(
                             f"node {item.node_id} in two phases")
                     seen.add(item.node_id)
-                is_mem = (
-                    item.kind != "node"
-                    or self.dfg.node(item.node_id).is_memory
-                )
-                if is_mem:
+                if _is_memory_item(self.dfg, item):
                     # Memory items may stack on a memory tile (the port is
                     # shared, paid for via the phase II).
                     if phase.placement[item.key] not in mem_fu_tiles:
@@ -155,7 +154,6 @@ class SpatialMapping:
                         )
                 else:
                     compute_tiles.append(phase.placement[item.key])
-            from collections import Counter
             worst = max(Counter(compute_tiles).values(), default=0)
             if worst > phase.compute_stack:
                 raise MappingError(
@@ -205,10 +203,15 @@ class SpatialMapper:
     # Partitioning
     # ------------------------------------------------------------------
     def _forced_clusters(self, dfg: DFG) -> dict[int, int]:
-        """node -> cluster id; recurrence SCCs and loop-carried edge
-        endpoints are fused."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(node.node_id for node in dfg.nodes)
+        """node -> cluster id; loop-carried edge endpoints are fused, then
+        every strongly connected component of the cluster graph.
+
+        The second step also fuses each recurrence circuit, and any node
+        that sits topologically *inside* a fused cluster (consumes an
+        early member, feeds a late one), which would otherwise create a
+        cyclic phase dependency.  The result is the condensation of the
+        cluster graph, so the clusters form a DAG.
+        """
         union: dict[int, int] = {n.node_id: n.node_id for n in dfg.nodes}
 
         def find(x: int) -> int:
@@ -221,34 +224,17 @@ class SpatialMapper:
             union[find(a)] = find(b)
 
         for edge in dfg.edges:
-            graph.add_edge(edge.src, edge.dst)
             if edge.distance > 0:
                 fuse(edge.src, edge.dst)
-        for component in nx.strongly_connected_components(graph):
-            members = list(component)
+        cluster_graph: dict[int, set[int]] = {
+            find(n.node_id): set() for n in dfg.nodes}
+        for edge in dfg.edges:
+            a, b = find(edge.src), find(edge.dst)
+            if a != b:
+                cluster_graph[a].add(b)
+        for members in strongly_connected_components(cluster_graph):
             for other in members[1:]:
                 fuse(members[0], other)
-        # The cluster-level graph must be a DAG: a node that sits
-        # topologically *inside* a fused cluster (consumes an early member,
-        # feeds a late one) would otherwise create a cyclic phase
-        # dependency.  Fuse cluster-level SCCs until none remain.
-        while True:
-            cluster_graph = nx.DiGraph()
-            cluster_graph.add_nodes_from(
-                {find(n.node_id) for n in dfg.nodes})
-            for edge in dfg.edges:
-                a, b = find(edge.src), find(edge.dst)
-                if a != b:
-                    cluster_graph.add_edge(a, b)
-            fused_any = False
-            for component in nx.strongly_connected_components(cluster_graph):
-                members = list(component)
-                if len(members) > 1:
-                    for other in members[1:]:
-                        fuse(members[0], other)
-                    fused_any = True
-            if not fused_any:
-                break
         return {n.node_id: find(n.node_id) for n in dfg.nodes}
 
     def _partition(self, dfg: DFG, arch: Architecture,
@@ -378,11 +364,8 @@ class SpatialMapper:
         phase.items = list(items.values())
         # Deduplicate edges (fanout within phase shares the wire source).
         phase.edges = sorted(set(edges))
-        mem_count = 0
-        for item in phase.items:
-            if item.kind != "node" or dfg.node(item.node_id).is_memory:
-                mem_count += 1
-        phase._memory_count = mem_count
+        phase.memory_items = sum(
+            1 for item in phase.items if _is_memory_item(dfg, item))
         return phase
 
     # ------------------------------------------------------------------
@@ -396,17 +379,13 @@ class SpatialMapper:
         # arbitrate port sharing, covered by the phase II); compute items
         # pin one PE each.  Forced clusters (whole recurrence circuits)
         # may exceed the packing preference, so the stacking cap scales.
-        import math as _math
-        mem_item_count = sum(
-            1 for item in phase.items
-            if item.kind != "node" or dfg.node(item.node_id).is_memory
-        )
+        mem_item_count = phase.memory_items
         stack_cap = max(self.MEM_SHARING,
-                        _math.ceil(mem_item_count / max(1, len(mem_tiles))))
+                        math.ceil(mem_item_count / max(1, len(mem_tiles))))
         compute_count = len(phase.items) - mem_item_count
         avail_compute = arch.num_tiles - min(len(mem_tiles), mem_item_count)
         phase.compute_stack = max(
-            1, _math.ceil(compute_count / max(1, avail_compute)))
+            1, math.ceil(compute_count / max(1, avail_compute)))
         placement: dict[tuple[str, int], int] = {}
         mem_load: dict[int, int] = {tile: 0 for tile in mem_tiles}
         compute_load: dict[int, int] = {}
@@ -415,13 +394,9 @@ class SpatialMapper:
         for src, dst in phase.edges:
             adjacency.setdefault(src, []).append(dst)
             adjacency.setdefault(dst, []).append(src)
-
-        def is_mem_item(item: PhaseItem) -> bool:
-            return item.kind != "node" or dfg.node(item.node_id).is_memory
-
         ordered = sorted(
             phase.items,
-            key=lambda it: (not is_mem_item(it), it.key),
+            key=lambda it: (not _is_memory_item(dfg, it), it.key),
         )
         for item in ordered:
             neighbours = [
@@ -432,7 +407,7 @@ class SpatialMapper:
             def wire(tile: int) -> int:
                 return sum(manhattan(tile, t, arch.cols) for t in neighbours)
 
-            if is_mem_item(item):
+            if _is_memory_item(dfg, item):
                 tile = min(mem_tiles,
                            key=lambda t: (mem_load[t], wire(t)))
                 if mem_load[tile] >= stack_cap:
@@ -506,7 +481,6 @@ class SpatialMapper:
 
     def _dijkstra_mesh(self, arch: Architecture, src: int, dst: int,
                        links, history, net) -> list[int]:
-        import heapq
         best = {src: 0.0}
         parents: dict[int, int] = {}
         frontier = [(0.0, src)]
@@ -555,11 +529,9 @@ class SpatialMapper:
             for index, (src_key, dst_key) in enumerate(phase.edges):
                 hops = max(1, len(phase.paths.get(index, [0])) - 1)
                 candidate = depth[src_key] + hops
-                if candidate > depth.get(dst_key, 0) \
-                        and candidate <= 4 * len(phase.items):
-                    if candidate > depth[dst_key]:
-                        depth[dst_key] = candidate
-                        changed = True
+                if depth[dst_key] < candidate <= 4 * len(phase.items):
+                    depth[dst_key] = candidate
+                    changed = True
             if not changed:
                 break
         phase.depth = max(depth.values(), default=1) + 1

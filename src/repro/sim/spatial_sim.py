@@ -23,6 +23,7 @@ every fabric style.
 from __future__ import annotations
 
 from repro.errors import SimulationError
+from repro.ir.analysis import topological_order
 from repro.ir.graph import DFG
 from repro.ir.interpreter import (
     LOAD, STORE, MemoryImage, NodeStep, execute_step,
@@ -71,8 +72,8 @@ class SpatialSimulator:
             members = [item.node_id for item in phase.items
                        if item.kind == "node"]
             member_set = set(members)
-            order = [steps[node_id]
-                     for node_id in self._phase_order(member_set)]
+            order = [steps[node_id] for node_id
+                     in topological_order(dfg, members=member_set)]
             history: dict[int, list[int]] = {nid: [] for nid in members}
             for k in range(total_iters):
                 indices = dfg.iteration_indices(k)
@@ -96,29 +97,6 @@ class SpatialSimulator:
 
         return finish_verify(report, dfg, reference, working, total_iters,
                              verify)
-
-    # ------------------------------------------------------------------
-    def _phase_order(self, member_set: set[int]) -> list[int]:
-        """Topological order of phase members over distance-0 edges."""
-        in_deg = {nid: 0 for nid in member_set}
-        for edge in self.dfg.edges:
-            if edge.distance == 0 and edge.src in member_set \
-                    and edge.dst in member_set and edge.src != edge.dst:
-                in_deg[edge.dst] += 1
-        ready = sorted(n for n, d in in_deg.items() if d == 0)
-        order = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            for edge in self.dfg.out_edges(current):
-                if edge.distance == 0 and edge.dst in member_set \
-                        and edge.dst != edge.src:
-                    in_deg[edge.dst] -= 1
-                    if in_deg[edge.dst] == 0:
-                        ready.append(edge.dst)
-        if len(order) != len(member_set):
-            raise SimulationError("phase members are cyclic at distance 0")
-        return order
 
     def _execute(self, step: NodeStep, k: int, indices, member_set,
                  history, working: MemoryImage,

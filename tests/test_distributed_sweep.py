@@ -651,6 +651,6 @@ def test_parse_duration():
     assert parse_duration("6h") == 21600.0
     assert parse_duration("7d") == 604800.0
     assert parse_duration("2w") == 1209600.0
-    for bad in ("", "x", "7y", "-3"):
+    for bad in ("", "x", "7y", "-3", "nan", "inf", "1e400"):
         with pytest.raises(ReproError):
             parse_duration(bad)
