@@ -35,13 +35,11 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ReproError
 from repro.utils.atomicio import atomic_write_text, is_temp_file
-from repro.utils.signature import (
-    arch_signature, arch_signature_text, canonical_json,
-)
+from repro.utils.signature import arch_signature_text, canonical_json
 
 __all__ = [
     "CACHE_DIR_ENV", "CachedFailure", "RawEntry", "ResultStore",
-    "SCHEMA_VERSION", "StoreStats", "arch_signature", "default_store",
+    "SCHEMA_VERSION", "StoreStats", "default_store",
     "fingerprint", "load_raw_entry", "result_from_dict", "result_to_dict",
     "workload_signature",
 ]
@@ -69,8 +67,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 # ---------------------------------------------------------------------------
 # The value/architecture canonicalization lives in
 # :mod:`repro.utils.signature` (the distributed sweep's shard assignment
-# hashes the same canonical JSON); ``arch_signature`` is re-exported here
-# because it is part of this module's fingerprint format.
+# hashes the same canonical JSON).
 
 
 def workload_signature(spec: "WorkloadSpec") -> dict:
@@ -96,13 +93,14 @@ def fingerprint(spec: "WorkloadSpec", arch: "Architecture",
                 mapper_key: str, seed: int) -> str:
     """Stable hex digest identifying one evaluation configuration.
 
-    The digest is over ``canonical_json`` of ``{"schema", "workload",
-    "arch": arch_signature(arch), "mapper", "seed"}``.  The arch part is
-    the text :func:`arch_signature_text` memoizes per fabric instance
+    The digest is over the canonical JSON object ``{"arch", "mapper",
+    "schema", "seed", "workload"}``.  The arch part is the text
+    :func:`arch_signature_text` writes and memoizes per fabric instance
     (copies drop it; fabrics are immutable after construction, so edit a
     copy), spliced in as the first key — ``arch`` sorts before
     ``mapper, schema, seed, workload`` — so the bytes hashed are exactly
-    those of the whole payload.
+    those of the whole payload.  The hash state after that first key is
+    memoized on the fabric too: each cell hashes only its own rest.
     """
     rest = canonical_json({
         "schema": SCHEMA_VERSION,
@@ -110,8 +108,11 @@ def fingerprint(spec: "WorkloadSpec", arch: "Architecture",
         "mapper": mapper_key,
         "seed": seed,
     })
-    text = '{"arch":' + arch_signature_text(arch) + "," + rest[1:]
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = arch.memo("fingerprint_prefix", lambda: hashlib.sha256(
+        ('{"arch":' + arch_signature_text(arch) + ",").encode("utf-8"))
+    ).copy()
+    digest.update(rest[1:].encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

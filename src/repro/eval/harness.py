@@ -43,6 +43,7 @@ from repro.power.model import (
     fabric_area, fabric_power,
 )
 from repro.power.report import energy_nj, perf_per_area
+from repro.utils import signature
 from repro.workloads.registry import get_dfg, get_workload
 
 #: Architecture keys the experiments use.
@@ -412,5 +413,6 @@ def clear_caches() -> None:
     _STORE_RESOLVED = False
     EVAL_STATS.reset()
     build_arch.cache_clear()
+    signature.clear_memos()
     from repro.workloads import registry
     registry.clear_dfg_caches()   # variant expansion multiplies cached DFGs

@@ -84,9 +84,12 @@ class PlaidMapper(MapperStrategy):
             if hardwired is not None:
                 hierarchy = demote_for_hardwired(hierarchy, hardwired)
             return ([hierarchy], hardwired)
-        # Algorithm 1 is stochastic; a different decomposition often
-        # relieves structural congestion, so failures retry with fresh
-        # motif seeds before giving up.
+        # Each restart takes Algorithm 1's decomposition under the next
+        # motif seed and continues the search's one RNG stream.  On 29
+        # of the 30 Table-2 workloads the default seeds (11, 23, 35)
+        # give the same hierarchy (only conv2x2 differs), so a restart
+        # mostly varies the RNG-driven placement and annealing, not the
+        # decomposition.
         base = self.motif_seed if self.motif_seed is not None else 11
         return (_Decompositions(dfg, [base + 12 * offset
                                       for offset in range(3)], hardwired),

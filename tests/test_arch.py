@@ -16,9 +16,7 @@ from repro.errors import ArchitectureError
 from repro.ir.ops import Opcode
 from repro.mapping.routecore import route_core_for
 from repro.motifs.types import MotifKind
-from repro.utils.signature import (
-    arch_signature, arch_signature_text, canonical_json,
-)
+from repro.utils.signature import arch_signature_text
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,9 @@ def test_fabric_memos_are_per_instance():
     assert resource_index(plaid) is resource_index(plaid)
     assert route_core_for(plaid, 2) is route_core_for(plaid, 2)
     assert arch_signature_text(plaid) is arch_signature_text(plaid)
-    assert arch_signature_text(plaid) == canonical_json(arch_signature(plaid))
+    # A deep copy derives its text afresh from its own fields.
+    assert arch_signature_text(plaid) == \
+        arch_signature_text(copy.deepcopy(plaid))
 
 
 def test_deep_copied_fabric_derives_fresh_memos():
@@ -203,7 +203,7 @@ def test_deep_copied_fabric_derives_fresh_memos():
     assert not edited_core.bypass_pairs and core.bypass_pairs
     assert arch_signature_text(edited) != text
     assert arch_signature_text(edited) == \
-        canonical_json(arch_signature(edited))
+        arch_signature_text(copy.deepcopy(edited))
     # The original keeps its own memos.
     assert resource_index(plaid) is index
     assert route_core_for(plaid, 2) is core
