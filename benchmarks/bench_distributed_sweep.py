@@ -4,14 +4,12 @@ Sharding fingerprints every grid cell and a merge re-reads every entry
 of every source store, so both must stay negligible next to the
 evaluations they orchestrate — a shard assignment of the full Table-2
 grid and a four-way merge of a thousand entries are the artifacts
-timed here.  CI runs this with a tightened
-``$REPRO_DISTRIBUTED_BUDGET_S``; the assertion guards against
+timed here.  The budget (:data:`BUDGET_S`) guards against
 pathological regressions (per-cell arch re-signatures, per-entry
 re-parsing in quadratic loops, non-atomic write fallbacks).
 """
 
 import json
-import os
 import time
 
 from repro.eval import parallel
@@ -19,8 +17,8 @@ from repro.eval.cache import ResultStore
 from repro.eval.distributed import ShardSpec, merge_stores, shard_cells
 from repro.eval.harness import clear_caches, configure_store, evaluate_kernel
 
-#: Hard budget per timed stage, in seconds; CI tightens it.
-BUDGET_S = float(os.environ.get("REPRO_DISTRIBUTED_BUDGET_S", "60"))
+#: Hard budget per timed stage, in seconds.
+BUDGET_S = 30.0
 
 #: Synthetic merge load: shards x entries-per-shard.
 MERGE_SHARDS = 4

@@ -7,11 +7,9 @@ newly registered mapper is benchmarked automatically.  All mappers run on
 the Plaid fabric — Figure 18's premise is that the generic mappers work
 there too.  This Python implementation maps each kernel in well under a
 minute; the assertion guards against pathological hot-path regressions
-(CI runs this with a tightened ``$REPRO_MAPPING_BUDGET_S``), the printed
-per-mapper numbers are the artifact.
+(:data:`BUDGET_S`), the printed per-mapper numbers are the artifact.
 """
 
-import os
 import time
 
 from repro.arch import make_plaid
@@ -20,8 +18,8 @@ from repro.workloads import get_dfg
 
 KERNELS = ["atax_u2", "gemm_u4", "conv3x3", "jacobi_u4", "seidel"]
 
-#: Hard per-(mapper, kernel) budget in seconds; CI tightens it.
-BUDGET_S = float(os.environ.get("REPRO_MAPPING_BUDGET_S", "120"))
+#: Hard per-(mapper, kernel) budget in seconds.
+BUDGET_S = 60.0
 
 
 def test_mapping_time(benchmark):

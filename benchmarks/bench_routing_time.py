@@ -12,15 +12,14 @@ invariant, so the printed numbers are the artifact):
   again (the negotiation round-trip), per kernel on the 4x4 and 6x6
   spatio-temporal fabrics.  Both engines charge the same MRRG
   accounting, so the ratio prices the search alone.  The geomean
-  speedup across these cases is the CI gate: it must stay above
-  ``$REPRO_ROUTING_SPEEDUP_MIN`` (default 1.5x).
+  speedup across these cases is the gate: it must stay above
+  :data:`SPEEDUP_MIN`.
 
-CI also tightens a hard wall-clock budget per timed section via
-``$REPRO_ROUTING_BUDGET_S``.
+Each timed section also has a hard wall-clock budget,
+:data:`BUDGET_S`.
 """
 
 import math
-import os
 import statistics
 import time
 
@@ -40,11 +39,11 @@ from repro.workloads import get_dfg
 KERNELS = ["conv3x3", "jacobi_u4", "gemm_u4", "seidel", "gesum_u2",
            "atax_u2"]
 
-#: Hard per-section budget in seconds; CI tightens it.
-BUDGET_S = float(os.environ.get("REPRO_ROUTING_BUDGET_S", "120"))
+#: Hard per-section budget in seconds.
+BUDGET_S = 60.0
 
 #: Geomean floor for the mapper-level routing-stage speedup.
-SPEEDUP_MIN = float(os.environ.get("REPRO_ROUTING_SPEEDUP_MIN", "1.5"))
+SPEEDUP_MIN = 1.5
 
 FABRICS = [
     ("st4x4", lambda: make_spatio_temporal(4, 4)),

@@ -8,14 +8,12 @@ against the interpreted reference loop
 iteration space of a representative kernel set on the Plaid fabric.
 The two engines are bit-identical by invariant (the run asserts report
 equality), so the printed per-kernel times and the geomean speedup are
-the artifact; CI gates the hot path with a per-kernel
-``$REPRO_SIM_BUDGET_S`` budget on the compiled time and a
-``$REPRO_SIM_SPEEDUP_MIN`` geomean floor for the compiled engine
-(default 1.5x over interpreted).
+the artifact; the run gates the hot path with a per-kernel budget on
+the compiled time (:data:`BUDGET_S`) and a geomean floor for the
+compiled engine's speedup over interpreted (:data:`SPEEDUP_MIN`).
 """
 
 import math
-import os
 import time
 
 from repro.arch import make_plaid
@@ -26,12 +24,11 @@ from repro.workloads import get_dfg
 
 KERNELS = ["atax_u2", "gemm_u4", "conv3x3", "jacobi_u4", "seidel"]
 
-#: Hard per-kernel budget on the compiled time, in seconds; CI
-#: tightens it.
-BUDGET_S = float(os.environ.get("REPRO_SIM_BUDGET_S", "60"))
+#: Hard per-kernel budget on the compiled time, in seconds.
+BUDGET_S = 30.0
 
 #: Geomean speedup floor of compiled over interpreted execution.
-SPEEDUP_MIN = float(os.environ.get("REPRO_SIM_SPEEDUP_MIN", "1.5"))
+SPEEDUP_MIN = 1.5
 
 #: Simulation windows per engine (the compiled side pays compilation
 #: once, inside its timed region, and reuses it for later windows).

@@ -47,9 +47,24 @@ from repro.errors import ReproError
 
 def _load_dfg(args):
     from repro.frontend import compile_kernel
-    from repro.workloads import get_dfg, all_workloads
+    from repro.workloads import get_dfg, get_workload
 
     if args.workload:
+        # A registered workload fixes its source, shapes and unroll;
+        # only a --file kernel takes them from the command line.
+        stray = [flag for flag, value in (("--file", args.file),
+                                          ("--shape", args.shape),
+                                          ("--unroll", args.unroll))
+                 if value is not None]
+        if stray:
+            example = ""
+            if args.unroll is not None:
+                kernel = get_workload(args.workload).kernel
+                example = f", e.g. --workload {kernel}_u{args.unroll}"
+            raise ReproError(
+                f"{'/'.join(stray)} cannot change --workload "
+                f"{args.workload}; name a variant instead{example} "
+                "(see 'repro workloads --variants')")
         return get_dfg(args.workload)
     if args.file:
         with open(args.file) as handle:

@@ -490,14 +490,8 @@ class _Lowering:
         target = s_access.base - l_access.base
         ranges = []
         size = 1
-        for dim, trip in enumerate(self.trip_counts):
-            if coeffs[dim] == 0:
-                # A zero coefficient cannot help satisfy the equation but
-                # any delta is address-neutral; only the flat distance
-                # matters, so the extremes suffice.
-                ranges.append(range(-(trip - 1), trip))
-            else:
-                ranges.append(range(-(trip - 1), trip))
+        for trip in self.trip_counts:
+            ranges.append(range(-(trip - 1), trip))
             size *= 2 * trip - 1
         if size > self._MAX_DELTA_ENUM:
             return None

@@ -42,13 +42,13 @@ class SimulatedAnnealingMapper(MapperStrategy):
 
     name = "sa"
     failure_label = "SA"
+    #: Annealing moves per II, starting temperature, cooling per move.
+    MOVES_PER_II = 2500
+    START_TEMP = 10.0
+    COOLING = 0.997
 
-    def __init__(self, moves_per_ii: int = 2500, start_temp: float = 10.0,
-                 cooling: float = 0.997, max_ii: int | None = None,
+    def __init__(self, max_ii: int | None = None,
                  seed: int | None = None) -> None:
-        self.moves_per_ii = moves_per_ii
-        self.start_temp = start_temp
-        self.cooling = cooling
         self.max_ii = max_ii
         self.seed = seed
 
@@ -84,8 +84,8 @@ class SimulatedAnnealingMapper(MapperStrategy):
         getrandbits = rng.getrandbits
 
         cost = mapping_cost(mrrg, routes, len(unrouted))
-        temperature = self.start_temp
-        for _move in range(self.moves_per_ii):
+        temperature = self.START_TEMP
+        for _move in range(self.MOVES_PER_II):
             if not unrouted and mrrg.is_legal():
                 break
             # rng.choice(node_ids), draw for draw.
@@ -96,7 +96,7 @@ class SimulatedAnnealingMapper(MapperStrategy):
             candidate = self._candidate(tables, mrrg, placement, node_id,
                                         rng)
             if candidate is None:
-                temperature *= self.cooling
+                temperature *= self.COOLING
                 continue
             saved = self._displace(dfg, mrrg, placement, routes, unrouted,
                                    incident, node_id, candidate)
@@ -108,7 +108,7 @@ class SimulatedAnnealingMapper(MapperStrategy):
             else:
                 self._restore(dfg, mrrg, placement, routes, unrouted,
                               incident, node_id, saved)
-            temperature *= self.cooling
+            temperature *= self.COOLING
 
         if unrouted or not mrrg.is_legal():
             return None

@@ -24,15 +24,16 @@ class GreedyRepairMapper(MapperStrategy):
 
     name = "greedy"
     failure_label = "greedy mapper"
+    #: Repair moves per attempt, starting temperature, cooling per move,
+    #: and attempts per II.
+    MOVES_PER_II = 1200
+    START_TEMP = 8.0
+    COOLING = 0.995
+    RESTARTS = 2
 
-    def __init__(self, moves_per_ii: int = 1200, start_temp: float = 8.0,
-                 cooling: float = 0.995, max_ii: int | None = None,
-                 restarts: int = 2, seed: int | None = None) -> None:
-        self.moves_per_ii = moves_per_ii
-        self.start_temp = start_temp
-        self.cooling = cooling
+    def __init__(self, max_ii: int | None = None,
+                 seed: int | None = None) -> None:
         self.max_ii = max_ii
-        self.restarts = restarts
         self.seed = seed
 
     def prepare(self, dfg: DFG, arch: Architecture, rng, **kwargs):
@@ -41,15 +42,15 @@ class GreedyRepairMapper(MapperStrategy):
         return singleton_hierarchy(dfg)
 
     def attempts_per_ii(self, ii: int, context) -> int:
-        return self.restarts
+        return self.RESTARTS
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
                    restart: int, rng, context) -> Mapping | None:
         from repro.mapping.plaid_mapper import _State, solve_state
 
         state = _State(dfg, arch, context, ii, None, rng)
-        return solve_state(state, self.moves_per_ii, self.start_temp,
-                           self.cooling)
+        return solve_state(state, self.MOVES_PER_II, self.START_TEMP,
+                           self.COOLING)
 
 
 register_mapper(

@@ -18,7 +18,7 @@ produce bit-identical mappings across the golden-grid seeds.
 The II escalation, restart budgeting, and stats live in the shared
 :func:`~repro.mapping.engine.search` driver; this class is the per-II
 strategy (one restart = one list-scheduled placement negotiated over
-``max_rounds`` rip-up rounds).
+``MAX_ROUNDS`` rip-up rounds).
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ class PathFinderMapper(MapperStrategy):
 
     name = "pathfinder"
     failure_label = "PathFinder"
+    #: Rip-up rounds per placement, placements per II, and the history
+    #: cost added per unit of overuse.
+    MAX_ROUNDS = 16
+    RESTARTS = 6
+    HISTORY_INCREMENT = 2.0
 
-    def __init__(self, max_rounds: int = 16, restarts: int = 6,
-                 history_increment: float = 2.0, max_ii: int | None = None,
-                 seed: int | None = None, incremental: bool = True) -> None:
-        self.max_rounds = max_rounds
-        self.restarts = restarts
-        self.history_increment = history_increment
+    def __init__(self, max_ii: int | None = None, seed: int | None = None,
+                 incremental: bool = True) -> None:
         self.max_ii = max_ii
         self.seed = seed
         self.incremental = incremental
@@ -56,7 +57,7 @@ class PathFinderMapper(MapperStrategy):
         return SearchTables(dfg, arch)
 
     def attempts_per_ii(self, ii: int, context) -> int:
-        return self.restarts
+        return self.RESTARTS
 
     def attempt_ii(self, dfg: DFG, arch: Architecture, ii: int,
                    restart: int, rng,
@@ -84,7 +85,7 @@ class PathFinderMapper(MapperStrategy):
                                ) -> Mapping | None:
         """Dirty-net negotiation: untouched routes stay committed.
 
-        One full routing pass, then up to ``max_rounds - 1`` repair
+        One full routing pass, then up to ``MAX_ROUNDS - 1`` repair
         passes that rip up and reroute (in edge-index order, against the
         bumped history) only the routes crossing a slot that went
         overused — the same round budget the full rip-up oracle spends.
@@ -93,20 +94,20 @@ class PathFinderMapper(MapperStrategy):
                                            history=history)
         if failures:
             return None   # timing-infeasible placement; restart
-        for _round in range(self.max_rounds):
+        for _round in range(self.MAX_ROUNDS):
             violations = mrrg.overuse()
             if not violations:
                 mapping = Mapping(dfg=dfg, arch=arch, ii=ii,
                                   placement=dict(placement), routes=routes)
                 mapping.validate()
                 return mapping
-            if _round == self.max_rounds - 1:
+            if _round == self.MAX_ROUNDS - 1:
                 break     # round budget spent
             # Negotiate: penalize overused slots, rip up the nets on them.
             hot = set()
             for resource, slot, used, cap in violations:
                 history.add(resource, slot,
-                            self.history_increment * (used - cap))
+                            self.HISTORY_INCREMENT * (used - cap))
                 hot.add((resource, slot))
             dirty = [
                 index for index, route in routes.items()
@@ -128,7 +129,7 @@ class PathFinderMapper(MapperStrategy):
                         placement, history: RoutingHistory
                         ) -> Mapping | None:
         """The pre-incremental oracle: rip up every net each round."""
-        for _round in range(self.max_rounds):
+        for _round in range(self.MAX_ROUNDS):
             # Rip up: fresh MRRG with only the placement committed.
             mrrg = MRRG(arch, ii)
             for node_id, (fu_id, cycle) in placement.items():
@@ -146,7 +147,7 @@ class PathFinderMapper(MapperStrategy):
             # Negotiate: penalize overused slots in future rounds.
             for resource, slot, used, cap in violations:
                 history.add(resource, slot,
-                            self.history_increment * (used - cap))
+                            self.HISTORY_INCREMENT * (used - cap))
         return None
 
 

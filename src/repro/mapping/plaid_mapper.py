@@ -55,17 +55,17 @@ class PlaidMapper(MapperStrategy):
 
     name = "plaid"
     failure_label = "Plaid mapper"
+    #: Annealing moves per attempt, starting temperature, cooling per
+    #: move, and Algorithm 1's seed for each restart's decomposition.
+    MOVES_PER_II = 600
+    START_TEMP = 6.0
+    COOLING = 0.99
+    MOTIF_SEEDS = (11, 23, 35)
 
-    def __init__(self, moves_per_ii: int = 600, start_temp: float = 6.0,
-                 cooling: float = 0.99, max_ii: int | None = None,
-                 seed: int | None = None,
-                 motif_seed: int | None = None) -> None:
-        self.moves_per_ii = moves_per_ii
-        self.start_temp = start_temp
-        self.cooling = cooling
+    def __init__(self, max_ii: int | None = None,
+                 seed: int | None = None) -> None:
         self.max_ii = max_ii
         self.seed = seed
-        self.motif_seed = motif_seed
 
     # ------------------------------------------------------------------
     def map(self, dfg: DFG, arch: Architecture,
@@ -86,13 +86,10 @@ class PlaidMapper(MapperStrategy):
             return ([hierarchy], hardwired)
         # Each restart takes Algorithm 1's decomposition under the next
         # motif seed and continues the search's one RNG stream.  On 29
-        # of the 30 Table-2 workloads the default seeds (11, 23, 35)
-        # give the same hierarchy (only conv2x2 differs), so a restart
-        # mostly varies the RNG-driven placement and annealing, not the
-        # decomposition.
-        base = self.motif_seed if self.motif_seed is not None else 11
-        return (_Decompositions(dfg, [base + 12 * offset
-                                      for offset in range(3)], hardwired),
+        # of the 30 Table-2 workloads the three seeds give the same
+        # hierarchy (only conv2x2 differs), so a restart mostly varies
+        # the RNG-driven placement and annealing, not the decomposition.
+        return (_Decompositions(dfg, self.MOTIF_SEEDS, hardwired),
                 hardwired)
 
     def attempts_per_ii(self, ii: int, context) -> int:
@@ -104,12 +101,8 @@ class PlaidMapper(MapperStrategy):
         hierarchies, hardwired = context
         state = _State(dfg, arch, hierarchies[restart], ii,
                        hardwired, rng)
-        return self._solve(state)
-
-    # ------------------------------------------------------------------
-    def _solve(self, state: "_State") -> Mapping | None:
-        return solve_state(state, self.moves_per_ii, self.start_temp,
-                           self.cooling)
+        return solve_state(state, self.MOVES_PER_II, self.START_TEMP,
+                           self.COOLING)
 
 
 class _Decompositions:
@@ -117,7 +110,7 @@ class _Decompositions:
     built (and demoted for a hardwired fabric) the first time a restart
     asks for it: most searches map at their first restart."""
 
-    def __init__(self, dfg: DFG, seeds: list[int],
+    def __init__(self, dfg: DFG, seeds: tuple[int, ...],
                  hardwired: dict[int, MotifKind] | None) -> None:
         self._dfg = dfg
         self._seeds = seeds

@@ -35,7 +35,6 @@ from repro.ir.analysis import (
 )
 from repro.ir.graph import DFG
 from repro.mapping.engine import register_mapper
-from repro.utils.rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,13 @@ class SpatialMapper:
     """Partition-place-route mapper for spatial fabrics."""
 
     name = "spatial"
+    #: Negotiated static-routing rounds per phase.
+    ROUTE_ROUNDS = 5
 
-    def __init__(self, seed: int | None = None,
-                 route_rounds: int = 5) -> None:
+    def __init__(self, seed: int | None = None) -> None:
+        # The search draws no random numbers; ``seed`` is taken for the
+        # registry's one factory call.
         self.seed = seed
-        self.route_rounds = route_rounds
 
     # ------------------------------------------------------------------
     def map(self, dfg: DFG, arch: Architecture) -> SpatialMapping:
@@ -180,7 +181,6 @@ class SpatialMapper:
             raise MappingError(
                 f"SpatialMapper targets spatial fabrics, not {arch.style}"
             )
-        rng = make_rng(self.seed)
         clusters = self._forced_clusters(dfg)
         groups = self._partition(dfg, arch, clusters)
         phases: list[SpatialPhase] = []
@@ -191,7 +191,7 @@ class SpatialMapper:
                 assigned[node_id] = index
         for index, members in enumerate(groups):
             phase = self._build_phase(dfg, index, members, assigned, spilled)
-            self._place_and_route(dfg, arch, phase, rng)
+            self._place_and_route(dfg, arch, phase)
             self._phase_timing(dfg, arch, phase, members)
             phases.append(phase)
         mapping = SpatialMapping(dfg=dfg, arch=arch, phases=phases,
@@ -372,7 +372,7 @@ class SpatialMapper:
     # Placement and static routing
     # ------------------------------------------------------------------
     def _place_and_route(self, dfg: DFG, arch: Architecture,
-                         phase: SpatialPhase, rng) -> None:
+                         phase: SpatialPhase) -> None:
         mem_tiles = sorted({fu.tile for fu in arch.memory_fus})
         all_tiles = list(range(arch.num_tiles))
         # Memory items stack onto memory tiles (the fabric's memory units
@@ -442,17 +442,17 @@ class SpatialMapper:
                         compute_load[tile] += 1
                 placement[item.key] = tile
         phase.placement = placement
-        phase.paths = self._route_phase(arch, phase, rng)
+        phase.paths = self._route_phase(arch, phase)
 
-    def _route_phase(self, arch: Architecture, phase: SpatialPhase,
-                     rng) -> dict[int, list[int]]:
+    def _route_phase(self, arch: Architecture,
+                     phase: SpatialPhase) -> dict[int, list[int]]:
         """Negotiated static routing: one signal per directed link."""
         links: dict[tuple[int, int], set[int]] = {}
         history: dict[tuple[int, int], float] = {}
         paths: dict[int, list[int]] = {}
         net_ids = {key: n for n, key in enumerate(
             sorted({src for src, _dst in phase.edges}))}
-        for _round in range(self.route_rounds):
+        for _round in range(self.ROUTE_ROUNDS):
             links.clear()
             paths.clear()
             congested = False

@@ -32,6 +32,9 @@ from repro.motifs.patterns import (
 from repro.motifs.types import Motif, MotifKind
 from repro.utils.rng import make_rng
 
+#: Refinement rounds without improvement before Algorithm 1 stops.
+MAX_ROUNDS = 40
+
 
 @dataclass
 class MotifGenerationResult:
@@ -169,18 +172,17 @@ def _greedy_pass(dfg: DFG, adjacency: Adjacency, available: set[int],
     return found
 
 
-def generate_motifs(dfg: DFG, seed: int | random.Random | None = None,
-                    max_rounds: int = 40,
-                    make_pairs: bool = True) -> MotifGenerationResult:
+def generate_motifs(dfg: DFG, seed: int | random.Random | None = None
+                    ) -> MotifGenerationResult:
     """Run Algorithm 1 on ``dfg`` and return the best decomposition found.
+
+    Leftover standalone neighbours are then grouped into two-node motifs
+    (the paper executes two-node motifs on the motif compute unit as
+    well).
 
     Args:
         dfg: the dataflow graph (only compute nodes participate).
         seed: RNG seed (or generator) for the break/regenerate phase.
-        max_rounds: bound on refinement rounds without improvement.
-        make_pairs: also group leftover standalone nodes into two-node
-            motifs (the paper executes two-node motifs on the motif
-            compute unit as well).
     """
     rng = make_rng(seed)
     compute_ids = [node.node_id for node in dfg.compute_nodes]
@@ -197,7 +199,7 @@ def generate_motifs(dfg: DFG, seed: int | random.Random | None = None,
     rounds = 0
     # Lines 2-7: iterative deconstruction and regeneration.
     stall = 0
-    while stall < max_rounds:
+    while stall < MAX_ROUNDS:
         rounds += 1
         if not motifs:
             break
@@ -233,15 +235,14 @@ def generate_motifs(dfg: DFG, seed: int | random.Random | None = None,
     motifs = best_motifs
     available = best_available
 
-    if make_pairs:
-        # Group leftover neighbours into two-node motifs.
-        for node_id in sorted(available):
-            if node_id not in available:
-                continue
-            pair = find_pair_for_node(dfg, node_id, available, adjacency)
-            if pair is not None:
-                motifs.append(pair)
-                available.difference_update(pair.nodes)
+    # Group leftover neighbours into two-node motifs.
+    for node_id in sorted(available):
+        if node_id not in available:
+            continue
+        pair = find_pair_for_node(dfg, node_id, available, adjacency)
+        if pair is not None:
+            motifs.append(pair)
+            available.difference_update(pair.nodes)
 
     _dissolve_cyclic_motifs(dfg, motifs, available)
 

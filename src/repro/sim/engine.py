@@ -24,9 +24,9 @@ schedule and executes it with flat-list inner loops:
 * **Prebuilt operand sources.**  Edge -> route resolution and the
   consume-place legality check happen at compile time; the hot loop sees
   a tuple per operand, not a dict-of-dict place lookup.
-* **Prologue / steady state / epilogue.**  In the steady window every
-  table entry is live, so the inner loops skip the iteration-bounds
-  checks entirely; ramp-up and drain cycles take the checked path.
+
+One loop runs every cycle, ramp-up and drain included; it skips each
+table entry whose iteration lies outside the window.
 
 The engine is the execution core behind both
 :class:`~repro.sim.machine.CGRASimulator` (which keeps the interpreted
@@ -189,12 +189,10 @@ class CompiledSchedule:
         #: phase -> CompiledNode list in node-id order (matches the
         #: interpreted simulator's per-cycle execution order).
         self.fire_phase: list[list[CompiledNode]] = [[] for _ in range(ii)]
-        sigmas: list[int] = []
         for node in dfg.nodes:
             fu_id, sigma = mapping.placement[node.node_id]
             entry = self._compile_node(node, fu_id, sigma, edge_index)
             self.fire_phase[sigma % ii].append(entry)
-            sigmas.append(sigma)
 
         # ---- transport tables ----------------------------------------
         #: phase -> [(place, net, rel_cycle)] ordered exactly as the
@@ -214,13 +212,6 @@ class CompiledSchedule:
                 entries.sort(key=lambda item: -item[2])      # stable
                 self.occ_phase[phase].extend(entries)
         self._occ_rels = rels
-
-        # ---- steady-state window (per-iteration-count bounds derive
-        # from these at run time) -------------------------------------
-        self._max_sigma = max(sigmas) if sigmas else None
-        self._min_sigma = min(sigmas) if sigmas else None
-        self._max_rel = max(rels) if rels else None
-        self._min_rel = min(rels) if rels else None
 
     # ------------------------------------------------------------------
     # Compilation helpers
@@ -266,22 +257,6 @@ class CompiledSchedule:
             total += min(total_iters - 1, (end_cycle - rel) // ii) + 1
         return total
 
-    def _steady_window(self, total_iters: int,
-                       end_cycle: int) -> tuple[int, int]:
-        """Cycle range in which every firing and occupancy entry is live
-        (no iteration-bounds checks needed)."""
-        span = (total_iters - 1) * self.ii
-        lo = 0
-        hi = end_cycle
-        if self._max_sigma is not None:
-            lo = max(lo, self._max_sigma)
-            hi = min(hi, self._min_sigma + span)
-        if self._max_rel is not None:
-            # Transport for cycle c materializes occupancies of c + 1.
-            lo = max(lo, self._max_rel - 1)
-            hi = min(hi, self._min_rel + span - 1, end_cycle - 1)
-        return lo, hi
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -319,69 +294,59 @@ class CompiledSchedule:
         fire = self._fire
         record = trace.record if trace is not None else None
 
-        def span(start: int, stop: int, checked: bool) -> None:
-            nonlocal cur, nxt
-            for cycle in range(start, stop):
-                spm.begin_cycle()
-                # 1. Execute firings against the *current* place contents.
-                fired = []
-                for cn in fire_phase[cycle % ii]:
-                    k = (cycle - cn.sigma) // ii
-                    if checked and (k < 0 or k >= total):
+        for cycle in range(end_cycle + 1):
+            spm.begin_cycle()
+            # 1. Execute firings against the *current* place contents.
+            fired = []
+            for cn in fire_phase[cycle % ii]:
+                k = (cycle - cn.sigma) // ii
+                if k < 0 or k >= total:
+                    continue
+                value = fire(cn, k, cycle, cur, out_buf, num_nodes,
+                             spm, report, indices_of[k])
+                fired.append((cn, k, value))
+            for cn, k, value in fired:
+                node_id = cn.step.node_id
+                out_buf[k * num_nodes + node_id] = value
+                if record is not None:
+                    record(cycle, "exec", node=node_id, iteration=k,
+                           fu=cn.fu_id, value=value)
+            # 2. Advance transport: place contents for the NEXT cycle.
+            arrive = cycle + 1
+            for place in touched:
+                counts[place] = 0
+            touched.clear()
+            nxt.clear()
+            if arrive <= end_cycle:
+                for place, net, rel in occ_phase[arrive % ii]:
+                    k = (arrive - rel) // ii
+                    if k < 0 or k >= total:
                         continue
-                    value = fire(cn, k, cycle, cur, out_buf, num_nodes,
-                                 spm, report, indices_of[k])
-                    fired.append((cn, k, value))
-                for cn, k, value in fired:
-                    node_id = cn.step.node_id
-                    out_buf[k * num_nodes + node_id] = value
-                    if record is not None:
-                        record(cycle, "exec", node=node_id, iteration=k,
-                               fu=cn.fu_id, value=value)
-                # 2. Advance transport: place contents for the NEXT cycle.
-                arrive = cycle + 1
+                    value = out_buf[k * num_nodes + net]
+                    if value is None:
+                        raise SimulationError(
+                            f"cycle {arrive}: occupancy of ({net},{k}) "
+                            f"at place {place} before production"
+                        )
+                    before = len(nxt)
+                    nxt[(place, net, k)] = value
+                    if len(nxt) != before:
+                        if counts[place] == 0:
+                            touched.append(place)
+                        counts[place] += 1
                 for place in touched:
-                    counts[place] = 0
-                touched.clear()
-                nxt.clear()
-                if not checked or arrive <= end_cycle:
-                    for place, net, rel in occ_phase[arrive % ii]:
-                        k = (arrive - rel) // ii
-                        if checked and (k < 0 or k >= total):
-                            continue
-                        value = out_buf[k * num_nodes + net]
-                        if value is None:
-                            raise SimulationError(
-                                f"cycle {arrive}: occupancy of ({net},{k}) "
-                                f"at place {place} before production"
-                            )
-                        before = len(nxt)
-                        nxt[(place, net, k)] = value
-                        if len(nxt) != before:
-                            if counts[place] == 0:
-                                touched.append(place)
-                            counts[place] += 1
-                    for place in touched:
-                        capacity = caps.get(place)
-                        if capacity is None:
-                            capacity = self.arch.place(place).capacity
-                            caps[place] = capacity
-                        if counts[place] > capacity:
-                            raise SimulationError(
-                                f"cycle {arrive}: place "
-                                f"{self.arch.place(place).name} holds "
-                                f"{counts[place]} values, capacity "
-                                f"{capacity}"
-                            )
-                cur, nxt = nxt, cur
-
-        steady_lo, steady_hi = self._steady_window(total, end_cycle)
-        if steady_lo > steady_hi:
-            span(0, end_cycle + 1, True)
-        else:
-            span(0, steady_lo, True)                     # prologue
-            span(steady_lo, steady_hi + 1, False)        # steady state
-            span(steady_hi + 1, end_cycle + 1, True)     # epilogue
+                    capacity = caps.get(place)
+                    if capacity is None:
+                        capacity = self.arch.place(place).capacity
+                        caps[place] = capacity
+                    if counts[place] > capacity:
+                        raise SimulationError(
+                            f"cycle {arrive}: place "
+                            f"{self.arch.place(place).name} holds "
+                            f"{counts[place]} values, capacity "
+                            f"{capacity}"
+                        )
+            cur, nxt = nxt, cur
 
         report.bank_conflicts = spm.bank_conflicts
         final = spm.dump_image()

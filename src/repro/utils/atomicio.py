@@ -65,9 +65,8 @@ def fsync_dir(directory: "Path | str") -> None:
         os.close(fd)
 
 
-def atomic_write_text(path: "Path | str", text: str, *,
-                      encoding: str = "utf-8", durable: bool = True) -> None:
-    """Write ``text`` to ``path`` so readers never see a partial file.
+def atomic_write_text(path: "Path | str", text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; readers see no partial file.
 
     The temp file lives in ``path``'s directory (``os.replace`` must not
     cross filesystems).  On any failure — including the writer dying
@@ -77,18 +76,17 @@ def atomic_write_text(path: "Path | str", text: str, *,
     callers decide whether a failed write is fatal (a manifest) or
     best-effort (a cache entry).
 
-    With ``durable`` (the default) the temp file is fsync'd before the
-    rename and the directory after it, extending the contract from
-    "killed writer" to "power loss": without the data fsync a crash
-    shortly after :func:`os.replace` can surface a zero-length file
-    under the destination name once the journal replays.  Pass
-    ``durable=False`` only for scratch artifacts whose loss is free.
+    The temp file is fsync'd before the rename and the directory after
+    it, extending the contract from "killed writer" to "power loss":
+    without the data fsync a crash shortly after :func:`os.replace` can
+    surface a zero-length file under the destination name once the
+    journal replays.
     """
     path = Path(path)
     handle, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=TEMP_PREFIX, suffix=path.suffix or ".part")
     try:
-        with os.fdopen(handle, "w", encoding=encoding) as tmp:
+        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
             tmp.write(text)
             # mkstemp creates 0600; give the replaced file the ordinary
             # umask-governed mode instead — shard stores, manifests, and
@@ -97,9 +95,8 @@ def atomic_write_text(path: "Path | str", text: str, *,
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(tmp.fileno(), 0o666 & ~umask)
-            if durable:
-                tmp.flush()
-                os.fsync(tmp.fileno())
+            tmp.flush()
+            os.fsync(tmp.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -107,5 +104,4 @@ def atomic_write_text(path: "Path | str", text: str, *,
         except OSError:
             pass        # already replaced, or the directory vanished
         raise
-    if durable:
-        fsync_dir(path.parent)
+    fsync_dir(path.parent)

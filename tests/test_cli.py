@@ -234,6 +234,21 @@ def test_missing_dfg_source_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compile", "map", "simulate"])
+@pytest.mark.parametrize("extra, flags", [
+    (["--unroll", "4"], "--unroll"),
+    (["--shape", "A=4x4"], "--shape"),
+    (["--file", "/nonexistent.c", "--unroll", "4"], "--file/--unroll"),
+])
+def test_workload_rejects_source_flags(command, extra, flags, capsys):
+    assert main([command, "--workload", "gemm_u2", *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"{flags} cannot change --workload gemm_u2" in err
+    assert "repro workloads --variants" in err
+    if "--unroll" in extra:
+        assert "e.g. --workload gemm_u4" in err    # the variant spelling
+
+
 def test_shape_parsing(tmp_path, capsys):
     kernel = tmp_path / "m.c"
     kernel.write_text("""

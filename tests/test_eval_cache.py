@@ -335,18 +335,6 @@ def test_atomic_write_fsyncs_data_before_rename(tmp_path, monkeypatch):
     assert (tmp_path / "entry.json").read_text() == '{"ok": 1}'
 
 
-def test_atomic_write_durable_false_skips_fsync(tmp_path, monkeypatch):
-    from repro.utils import atomicio
-
-    def forbidden(fd):
-        raise AssertionError("durable=False must not fsync")
-
-    monkeypatch.setattr(atomicio.os, "fsync", forbidden)
-    atomicio.atomic_write_text(tmp_path / "scratch.txt", "x",
-                               durable=False)
-    assert (tmp_path / "scratch.txt").read_text() == "x"
-
-
 def test_fsync_failure_keeps_previous_entry(store, monkeypatch):
     """A filesystem refusing the data fsync behaves like any other
     failed write: counted, swallowed, previous entry intact, no temp

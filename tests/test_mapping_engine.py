@@ -1,6 +1,8 @@
 """Tests for the unified mapping engine: registry, II-search driver, and
 MRRG charge accounting."""
 
+import inspect
+
 import pytest
 
 from mrrg_helpers import step_route
@@ -48,6 +50,20 @@ def test_register_mapper_is_idempotent():
                             description=info.description)
     assert get_mapper("pathfinder") is again
     assert again.factory is PathFinderMapper
+
+
+def test_mapper_factories_take_no_tuning_parameters():
+    """Search budgets and annealing schedules are class constants: a
+    factory takes the seed, the II cap and (PathFinder only) the
+    negotiation-oracle switch, nothing else."""
+    for info in available_mappers():
+        if info.kind == "composite":
+            continue
+        allowed = {"seed", "max_ii"}
+        if info.key == "pathfinder":
+            allowed.add("incremental")
+        params = set(inspect.signature(info.factory).parameters)
+        assert params <= allowed, (info.key, params - allowed)
 
 
 def test_available_mappers_kind_filter():
@@ -104,7 +120,7 @@ def test_engine_failure_message_and_attempt_budget():
     arch = make_spatio_temporal(4, 4)
     mii = minimum_ii(dfg, arch)
     assert mii > 1                      # memory-bound kernel
-    mapper = PathFinderMapper(seed=1, max_ii=mii - 1, restarts=2)
+    mapper = PathFinderMapper(seed=1, max_ii=mii - 1)
     with pytest.raises(MappingError,
                        match=rf"PathFinder could not map .* II <= {mii - 1}"):
         mapper.map(dfg, arch)
@@ -116,14 +132,13 @@ def test_max_ii_beyond_config_memory_is_clamped():
     dfg = get_dfg("atax_u2")
     arch = make_spatio_temporal(4, 4)
     arch.config_entries = minimum_ii(dfg, arch)
-    mapper = PathFinderMapper(seed=1, max_ii=arch.config_entries + 1,
-                              restarts=2)
+    mapper = PathFinderMapper(seed=1, max_ii=arch.config_entries + 1)
     with pytest.raises(
             MappingError,
             match=rf"PathFinder could not map .* II <= {arch.config_entries}"
     ) as failure:
         mapper.map(dfg, arch)
-    assert failure.value.attempts == 2
+    assert failure.value.attempts == PathFinderMapper.RESTARTS
     assert failure.value.seconds > 0
 
 

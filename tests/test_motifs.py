@@ -148,14 +148,14 @@ def test_chain_fully_covered():
 
 def test_chain_of_seven_leaves_one_standalone_or_pair():
     dfg = chain_dfg(7)
-    result = generate_motifs(dfg, seed=1, make_pairs=False)
+    result = generate_motifs(dfg, seed=1)
     assert len(result.covered_nodes) == 6
     assert len(result.standalone) == 1
 
 
 def test_pairs_pick_up_leftovers():
     dfg = chain_dfg(8)
-    result = generate_motifs(dfg, seed=1, make_pairs=True)
+    result = generate_motifs(dfg, seed=1)
     assert len(result.covered_nodes) == 6
     # remaining two nodes form a pair
     assert any(m.kind is MotifKind.PAIR for m in result.motifs)
