@@ -9,7 +9,10 @@ overload degrades to structured ``ServerBusy`` rows instead of
 unbounded queueing.
 """
 
+import asyncio
+import dataclasses
 import filecmp
+import http.client
 import json
 import os
 import select
@@ -25,7 +28,7 @@ import pytest
 from repro.errors import ReproError
 from repro.eval import client, harness, parallel
 from repro.eval.harness import clear_caches, configure_store
-from repro.eval.reporting import SWEEP_HEADERS, sweep_rows
+from repro.eval.reporting import SWEEP_HEADERS, cell_row, sweep_rows
 from repro.eval.serve import (
     SERVER_BUSY, SweepServer, _parse_grid_spec,
 )
@@ -56,6 +59,33 @@ def server(tmp_path):
 
 def _grid_kwargs():
     return dict(workloads=WORKLOADS, archs=ARCHS)
+
+
+def _raw_sweep(srv, **spec) -> list[bytes]:
+    """The NDJSON lines of one ``/sweep`` response body, as sent."""
+    connection = http.client.HTTPConnection(srv.host, srv.port, timeout=120)
+    try:
+        connection.request("POST", "/sweep", body=json.dumps(spec))
+        response = connection.getresponse()
+        assert response.status == 200
+        body = response.read()
+    finally:
+        connection.close()
+    assert body.endswith(b"\n")
+    return body.splitlines()
+
+
+def _rendered(cell, index: int, source: str) -> bytes:
+    """What the wire must carry for ``cell``: its ``cell_row`` record
+    plus the request's fields, dumped with sorted keys."""
+    outcome = parallel.answer_from_cache(cell, True)
+    record = dict(zip(SWEEP_HEADERS, cell_row(outcome)))
+    record.update(cached=source != "evaluated", index=index, source=source)
+    return json.dumps(record, sort_keys=True).encode()
+
+
+def _tallies(summary: dict) -> dict:
+    return {key: value for key, value in summary.items() if key != "seconds"}
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +180,83 @@ def test_warm_request_evaluates_nothing(server):
     assert warm["cached"] == len(warm_cells)
     assert all(row["cached"] for row in warm_cells)
     assert all(row["source"] == "cached" for row in warm_cells)
+
+
+def test_warm_response_bytes_are_the_rendered_records(server):
+    """Each warm line is ``json.dumps(record, sort_keys=True)`` of the
+    cell's row, in grid order, and the summary comes last."""
+    grid = parallel.build_grid(WORKLOADS, ARCHS)
+    client.sweep(server.host, server.port, **_grid_kwargs())
+    lines = _raw_sweep(server, **_grid_kwargs())
+    assert lines[:-1] == [_rendered(cell, index, "cached")
+                          for index, cell in enumerate(grid)]
+    summary = json.loads(lines[-1])
+    assert list(summary) == ["summary"]
+    assert _tallies(summary["summary"]) == dict(
+        total=len(grid), evaluated=0, cached=len(grid), coalesced=0,
+        rejected=0, failed=0)
+
+
+def test_mixed_request_answers_cached_cells_first(server):
+    """Stored cells come first, in grid order; then the evaluated ones."""
+    client.sweep(server.host, server.port,
+                 workloads=["dwconv"], archs=["plaid"])
+    client.sweep(server.host, server.port,
+                 workloads=["conv2x2"], archs=["st"])
+    records = list(client.stream_sweep(server.host, server.port,
+                                       timeout=120, **_grid_kwargs()))
+    rows, summary = records[:-1], records[-1]["summary"]
+    assert [(row["index"], row["source"]) for row in rows[:2]] \
+        == [(1, "cached"), (2, "cached")]
+    assert sorted(row["index"] for row in rows[2:]) == [0, 3]
+    assert {row["source"] for row in rows[2:]} == {"evaluated"}
+    assert all(row["status"] == "ok" for row in rows)
+    assert _tallies(summary) == dict(total=4, evaluated=2, cached=2,
+                                     coalesced=0, rejected=0, failed=0)
+
+
+def test_unexpected_lookup_error_is_one_error_row(server, monkeypatch):
+    """A cell whose lookup raises a bug (not a ReproError) becomes one
+    error row; the rest of the request still answers."""
+    client.sweep(server.host, server.port, **_grid_kwargs())
+    real = harness.lookup
+
+    def broken(workload, arch_key, mapper_key=None, **kwargs):
+        if (workload, arch_key) == ("conv2x2", "st"):
+            raise RuntimeError("lookup exploded")
+        return real(workload, arch_key, mapper_key, **kwargs)
+
+    monkeypatch.setattr(harness, "lookup", broken)
+    cells, summary = client.sweep(server.host, server.port,
+                                  **_grid_kwargs())
+    bad = cells.pop(2)
+    assert (bad["workload"], bad["arch"]) == ("conv2x2", "st")
+    assert bad["status"] == "error"
+    assert bad["error"] == "RuntimeError: lookup exploded"
+    assert bad["source"] == "evaluated" and bad["cached"] is False
+    assert all(row["status"] == "ok" and row["source"] == "cached"
+               for row in cells)
+    assert _tallies(summary) == dict(total=4, evaluated=1, cached=3,
+                                     coalesced=0, rejected=0, failed=1)
+    assert (server.counters.cells, server.counters.evaluated,
+            server.counters.cached, server.counters.failed) == (8, 5, 3, 1)
+
+
+def test_rows_follow_the_memoized_result(server):
+    """Dropping the memos re-reads the store and serves the same bytes;
+    a replaced result object is rendered afresh."""
+    grid = parallel.build_grid(WORKLOADS, ARCHS)
+    client.sweep(server.host, server.port, **_grid_kwargs())
+    before = _raw_sweep(server, **_grid_kwargs())[:-1]
+    clear_caches()
+    configure_store(server.store)
+    assert _raw_sweep(server, **_grid_kwargs())[:-1] == before
+    result = harness.lookup(*grid[0].key())
+    harness.seed_memo(dataclasses.replace(result, cycles=result.cycles + 1))
+    after = _raw_sweep(server, **_grid_kwargs())[:-1]
+    assert json.loads(after[0])["cycles"] == result.cycles + 1
+    assert after[0] == _rendered(grid[0], 0, "cached")
+    assert after[1:] == before[1:]
 
 
 def test_store_hits_are_served_without_evaluation(tmp_path):
