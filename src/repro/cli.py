@@ -67,8 +67,13 @@ def _load_dfg(args):
                 "(see 'repro workloads --variants')")
         return get_dfg(args.workload)
     if args.file:
-        with open(args.file) as handle:
-            source = handle.read()
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                source = handle.read()
+        except (OSError, UnicodeDecodeError) as error:
+            reason = getattr(error, "strerror", None) or error
+            raise ReproError(
+                f"cannot read --file {args.file}: {reason}") from None
         shapes = {}
         for spec in (args.shape or []):
             name, sep, dims = spec.partition("=")

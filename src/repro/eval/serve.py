@@ -14,14 +14,16 @@ Three layers keep traffic off the mappers:
 * **Store front.**  Every cell is first looked up through
   :func:`repro.eval.harness.lookup` — in-process memo, failure memo,
   persistent store — the one cache cascade every sweep path shares;
-  cache hits are served without touching admission control at all.
+  cache hits are answered inline, before any task exists, without
+  touching admission control at all.
 * **In-flight dedupe.**  Cold cells enter ``_inflight``, a table of
   evaluation tasks keyed by the cell's store fingerprint.  N concurrent
   requests for the same cell join the one task, so identical concurrent
   grids cost exactly one evaluation per cell.  The tasks are
-  independent of any request (``asyncio.create_task``): a client
-  hanging up never cancels an evaluation another client is waiting on,
-  and the result still lands in the store.
+  independent of any request (``asyncio.create_task``) and joined
+  through ``asyncio.shield``: a client hanging up never cancels an
+  evaluation another client is waiting on, and the result still lands
+  in the store.
 * **Admission control.**  Evaluations acquire one of ``jobs`` slots; at
   most ``queue_limit`` cells may wait for a slot.  Beyond that the cell
   is answered immediately with a structured ``ServerBusy`` error row —
@@ -38,8 +40,11 @@ store stays mergeable with shard stores.
 Wire format: ``POST /sweep`` answers ``200`` with chunked
 ``application/x-ndjson`` — one JSON object per cell (the
 :data:`~repro.eval.reporting.SWEEP_HEADERS` fields plus ``index`` for
-grid position and ``source`` for how the cell was satisfied), cells in
-completion order, then a final ``{"summary": ...}`` line.  ``GET
+grid position and ``source`` for how the cell was satisfied), then a
+final ``{"summary": ...}`` line.  Cells a cache layer answers come
+first, in grid order, in the same write as the response head, so a
+fully cached grid is one write; the rest follow one chunk each, in
+completion order, as they land.  ``GET
 /healthz`` and ``GET /stats`` answer plain JSON.  The server assumes
 ownership of the process-global harness configuration
 (:func:`repro.eval.harness.configure_store`) while it runs.
@@ -150,8 +155,44 @@ def _write_json(writer: asyncio.StreamWriter, status: str,
     writer.write(head.encode("latin-1") + body)
 
 
-def _write_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
-    writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
+_STREAM_HEAD = (b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                b"Transfer-Encoding: chunked\r\n"
+                b"Connection: close\r\n\r\n")
+
+#: The zero-length chunk that ends a chunked body.
+_LAST_CHUNK = b"0\r\n\r\n"
+
+
+def _chunk(text: str) -> bytes:
+    """``text`` as one HTTP chunk; nothing for empty text, whose chunk
+    would end the body."""
+    if not text:
+        return b""
+    data = text.encode()
+    return f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n"
+
+
+def _render_row(outcome: CellOutcome, index: int, source: str) -> str:
+    record = dict(zip(SWEEP_HEADERS, cell_row(outcome)))
+    # A coalesced/store-served cell did not cost *this* request an
+    # evaluation — same meaning as the sweep exporter's column, extended
+    # to the service.
+    record["cached"] = source != "evaluated"
+    record["index"] = index
+    record["source"] = source
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _summary_line(tallies: dict, total: int, start: float) -> str:
+    return json.dumps({"summary": dict(
+        total=total, seconds=time.perf_counter() - start, **tallies)},
+        sort_keys=True) + "\n"
+
+
+def _error_outcome(cell: SweepCell, error: Exception) -> CellOutcome:
+    return CellOutcome(cell=cell, error=str(error),
+                       error_type=type(error).__name__)
 
 
 def _parse_grid_spec(body: bytes) -> list[SweepCell]:
@@ -222,6 +263,7 @@ class SweepServer:
         self.jobs = max(1, int(self.jobs))
         self.queue_limit = max(0, int(self.queue_limit))
         self._inflight: dict = {}       # dedupe key -> evaluation task
+        self._rows: dict = {}           # (cell, source) -> see _row
         self._queued = 0                # cells waiting for an eval slot
         self._loop = None
         self._server = None
@@ -391,86 +433,124 @@ class SweepServer:
             return
         self.counters.requests += 1
         start = time.perf_counter()
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: application/x-ndjson\r\n"
-                     b"Transfer-Encoding: chunked\r\n"
-                     b"Connection: close\r\n\r\n")
         tallies = {"evaluated": 0, "cached": 0, "coalesced": 0,
                    "rejected": 0, "failed": 0}
-        tasks = [asyncio.create_task(self._serve_cell(index, cell))
-                 for index, cell in enumerate(grid)]
+        # Cached cells are answered here, before any task exists, and go
+        # out with the response head in one write; only the cells that
+        # wait for an evaluation get a task, and stream as they land.
+        rows, pending = [], []
+        for index, cell in enumerate(grid):
+            answer, source = self._answer(cell)
+            if isinstance(answer, CellOutcome):
+                source = self._count(tallies, answer, source)
+                rows.append(self._row(index, answer, source))
+            else:
+                pending.append(asyncio.create_task(
+                    self._serve_cell(index, cell, answer, source, tallies)))
+        if not pending:
+            rows.append(_summary_line(tallies, len(grid), start))
+            writer.write(_STREAM_HEAD + _chunk("".join(rows))
+                         + _LAST_CHUNK)
+            return
         try:
-            for next_done in asyncio.as_completed(tasks):
+            writer.write(_STREAM_HEAD + _chunk("".join(rows)))
+            await writer.drain()
+            for next_done in asyncio.as_completed(pending):
                 index, outcome, source = await next_done
-                tallies[source] += 1
-                if not outcome.ok:
-                    tallies["failed"] += 1
-                record = dict(zip(SWEEP_HEADERS, cell_row(outcome)))
-                # A coalesced/store-served cell did not cost *this*
-                # request an evaluation — same meaning as the sweep
-                # exporter's column, extended to the service.
-                record["cached"] = source != "evaluated"
-                record["index"] = index
-                record["source"] = source
-                _write_chunk(
-                    writer,
-                    (json.dumps(record, sort_keys=True) + "\n").encode())
+                writer.write(_chunk(self._row(index, outcome, source)))
                 await writer.drain()
         except (ConnectionError, TimeoutError, OSError):
             # Client hung up mid-stream: stop the request's *joiner*
             # tasks.  In-flight evaluations are request-independent and
             # keep running — their results still land in the store for
             # the next client.
-            for task in tasks:
+            for task in pending:
                 task.cancel()
             raise
-        summary = {"summary": dict(
-            total=len(grid), seconds=time.perf_counter() - start,
-            **tallies)}
-        _write_chunk(writer,
-                     (json.dumps(summary, sort_keys=True) + "\n").encode())
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+        writer.write(_chunk(_summary_line(tallies, len(grid), start))
+                     + _LAST_CHUNK)
 
     # -- per-cell resolution ----------------------------------------------
-    async def _serve_cell(self, index: int, cell: SweepCell
-                          ) -> tuple[int, CellOutcome, str]:
-        try:
-            outcome, source = await self._resolve_cell(cell)
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:     # noqa: BLE001 — the sweep contract
-            # holds for the service too: one broken cell must never kill
-            # a whole request; it becomes a structured error row.
-            outcome = CellOutcome(cell=cell, error=str(error),
-                                  error_type=type(error).__name__)
-            source = "evaluated"
-        if outcome.error_type == SERVER_BUSY:
-            source = "rejected"
-        self.counters.cells += 1
-        getattr_count = getattr(self.counters, source)
-        setattr(self.counters, source, getattr_count + 1)
-        if not outcome.ok:
-            self.counters.failed += 1
-        return index, outcome, source
+    def _answer(self, cell: SweepCell
+                ) -> "tuple[CellOutcome | asyncio.Task, str]":
+        """The cell's outcome when a cache layer holds it, or else the
+        evaluation task it joins: an in-flight one (``coalesced``) or a
+        new one under admission control (``evaluated``).
 
-    async def _resolve_cell(self, cell: SweepCell
-                            ) -> tuple[CellOutcome, str]:
-        hit = parallel.answer_from_cache(cell, self.store is not None)
-        if hit is not None:
-            return hit, "cached"
-        key = cell.key()
-        dedupe_key = harness.try_fingerprint(*key) or ("cell",) + key
-        task = self._inflight.get(dedupe_key)
-        if task is None:
+        Lookup and in-flight check run without an ``await`` between
+        them, so no evaluation can land (and leave ``_inflight``) after
+        this cell missed the memo and before it joined.
+        """
+        try:
+            hit = parallel.answer_from_cache(cell, self.store is not None)
+            if hit is not None:
+                return hit, "cached"
+            key = cell.key()
+            dedupe_key = harness.try_fingerprint(*key) or ("cell",) + key
+            task = self._inflight.get(dedupe_key)
+            if task is not None:
+                return task, "coalesced"
             # The evaluation is its own task, not a child of this
-            # request: a client disconnect cancels the *await* below,
-            # never the evaluation other requests may have joined.
+            # request: a client disconnect cancels the joiner's shielded
+            # await, never the evaluation other requests may have joined.
             task = asyncio.create_task(
                 self._evaluate_admitted(cell, dedupe_key))
             self._inflight[dedupe_key] = task
-            return await task, "evaluated"
-        return await task, "coalesced"
+            return task, "evaluated"
+        except Exception as error:     # noqa: BLE001 — the sweep contract
+            # holds for the service too: one broken cell must never kill
+            # a whole request; it becomes a structured error row.
+            return _error_outcome(cell, error), "evaluated"
+
+    async def _serve_cell(self, index: int, cell: SweepCell,
+                          evaluation: asyncio.Task, source: str,
+                          tallies: dict) -> tuple[int, CellOutcome, str]:
+        """Wait for one cell's evaluation; count it where it lands."""
+        try:
+            outcome = await asyncio.shield(evaluation)
+        except asyncio.CancelledError:
+            raise
+        except Exception as error:     # noqa: BLE001 — as in _answer
+            outcome, source = _error_outcome(cell, error), "evaluated"
+        return index, outcome, self._count(tallies, outcome, source)
+
+    def _count(self, tallies: dict, outcome: CellOutcome, source: str
+               ) -> str:
+        """Book one answered cell in the request's tallies and the
+        server's lifetime counters; returns its final ``source``."""
+        if outcome.error_type == SERVER_BUSY:
+            source = "rejected"
+        tallies[source] += 1
+        counters = self.counters
+        counters.cells += 1
+        setattr(counters, source, getattr(counters, source) + 1)
+        if not outcome.ok:
+            tallies["failed"] += 1
+            counters.failed += 1
+        return source
+
+    def _row(self, index: int, outcome: CellOutcome, source: str) -> str:
+        """One NDJSON line, ``json.dumps(record, sort_keys=True)`` of the
+        cell's ``cell_row`` record plus ``cached``/``index``/``source``.
+
+        An ok row's text is rendered once per (cell, source, result
+        object) and the request's ``index`` spliced in, so a cached row
+        costs a string join.  The memo holds the result object itself,
+        not its ``id``, so a result replaced after ``clear_caches`` (a new
+        object, perhaps at a recycled address) is rendered afresh.
+        """
+        if not outcome.ok:
+            return _render_row(outcome, index, source)
+        key = (outcome.cell, source)
+        memo = self._rows.get(key)
+        if memo is None or memo[0] is not outcome.result:
+            # Keys are sorted and string values escape their quotes, so
+            # the only '"index": -1' in an ok row is the index field.
+            head, _, tail = _render_row(outcome, -1, source).partition(
+                '"index": -1')
+            memo = self._rows[key] = (outcome.result, head + '"index": ',
+                                      tail)
+        return f"{memo[1]}{index}{memo[2]}"
 
     async def _evaluate_admitted(self, cell: SweepCell, dedupe_key
                                  ) -> CellOutcome:

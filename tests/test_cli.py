@@ -249,6 +249,22 @@ def test_workload_rejects_source_flags(command, extra, flags, capsys):
         assert "e.g. --workload gemm_u4" in err    # the variant spelling
 
 
+@pytest.mark.parametrize("command", ["compile", "map", "simulate"])
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"\xff\xfe y[i] = x[i];"),
+     "can't decode byte 0xff"),
+])
+def test_unreadable_kernel_file_exits_2(tmp_path, capsys, command, make,
+                                        reason):
+    kernel = tmp_path / "k.c"
+    make(kernel)
+    assert main([command, "--file", str(kernel)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read --file {kernel}: " in err and reason in err
+
+
 def test_shape_parsing(tmp_path, capsys):
     kernel = tmp_path / "m.c"
     kernel.write_text("""

@@ -17,6 +17,8 @@ import json
 import os
 import select
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -195,6 +197,30 @@ def test_warm_response_bytes_are_the_rendered_records(server):
     assert _tallies(summary["summary"]) == dict(
         total=len(grid), evaluated=0, cached=len(grid), coalesced=0,
         rejected=0, failed=0)
+
+
+def test_fully_cached_request_is_one_write(server, monkeypatch):
+    """A warm request creates no per-cell task: the head, every row, the
+    summary and the chunked terminator leave in one write."""
+    client.sweep(server.host, server.port, **_grid_kwargs())
+    writes, tasks = [], []
+    real_write, real_task = asyncio.StreamWriter.write, asyncio.create_task
+
+    def write(self, data):
+        writes.append(data)
+        return real_write(self, data)
+
+    def create_task(coro, **kwargs):
+        tasks.append(coro)
+        return real_task(coro, **kwargs)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+    monkeypatch.setattr(asyncio, "create_task", create_task)
+    lines = _raw_sweep(server, **_grid_kwargs())
+    assert len(lines) == len(parallel.build_grid(WORKLOADS, ARCHS)) + 1
+    assert len(writes) == 1 and not tasks
+    assert writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
+    assert writes[0].endswith(b"\r\n0\r\n\r\n")
 
 
 def test_mixed_request_answers_cached_cells_first(server):
@@ -437,6 +463,59 @@ def test_cells_stream_before_the_request_finishes(tmp_path, monkeypatch):
             == {"conv2x2"}
     finally:
         release.set()
+        srv.shutdown_background()
+
+
+def test_hung_up_client_leaves_shared_evaluations_running(tmp_path,
+                                                         monkeypatch):
+    """A client that hangs up mid-stream cancels only its own waits: an
+    evaluation another request joined still answers that request."""
+    real = parallel._run_cell_local
+    gates = {"conv2x2": threading.Event(), "dwconv": threading.Event()}
+
+    def gated(cell, use_cache):
+        gates[cell.workload].wait(timeout=60)
+        return real(cell, use_cache)
+
+    monkeypatch.setattr(parallel, "_run_cell_local", gated)
+    srv = SweepServer(store=tmp_path / "store", jobs=2,
+                      use_processes=False).start_background()
+    answers = []
+    joiner = threading.Thread(target=lambda: answers.append(client.sweep(
+        srv.host, srv.port, timeout=60, workloads=["conv2x2"],
+        archs=["st"])))
+    try:
+        joiner.start()
+        deadline = time.monotonic() + 30
+        while client.get_json(srv.host, srv.port, "/stats")["inflight"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # This request joins conv2x2's evaluation and starts dwconv's;
+        # it hangs up (a reset) once the response head arrives.
+        body = json.dumps({"workloads": ["conv2x2", "dwconv"],
+                           "archs": ["st"]}).encode()
+        with socket.create_connection((srv.host, srv.port),
+                                      timeout=60) as sock:
+            sock.sendall(b"POST /sweep HTTP/1.1\r\nContent-Length: "
+                         + str(len(body)).encode() + b"\r\n\r\n" + body)
+            assert sock.recv(1 << 16).startswith(b"HTTP/1.1 200 OK")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        time.sleep(0.2)
+        gates["dwconv"].set()       # its row finds the connection gone
+        while srv.counters.evaluated < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.2)
+        gates["conv2x2"].set()
+        joiner.join(timeout=60)
+        assert not joiner.is_alive()
+        [(cells, summary)] = answers
+        assert [row["status"] for row in cells] == ["ok"]
+        assert summary["evaluated"] == 1 and summary["failed"] == 0
+    finally:
+        for gate in gates.values():
+            gate.set()
         srv.shutdown_background()
 
 
