@@ -14,6 +14,7 @@ import dataclasses
 import filecmp
 import http.client
 import json
+import logging
 import os
 import select
 import signal
@@ -429,6 +430,63 @@ def test_stats_reports_damaged_entries(tmp_path):
 def test_unknown_route_is_404(server):
     with pytest.raises(ReproError, match="404"):
         client.get_json(server.host, server.port, "/nope")
+
+
+def _exchange(srv, data: bytes) -> bytes:
+    """Send ``data`` on a raw socket, half-close, and read until EOF."""
+    with socket.create_connection((srv.host, srv.port), timeout=60) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        received = []
+        while chunk := sock.recv(1 << 16):
+            received.append(chunk)
+    return b"".join(received)
+
+
+def _head(response: bytes) -> tuple[str, list[str]]:
+    """(status line, lower-cased header lines) of a raw response."""
+    head = response.partition(b"\r\n\r\n")[0].decode("latin-1")
+    status, *lines = head.split("\r\n")
+    return status, [line.lower() for line in lines]
+
+
+def test_chunked_request_body_is_refused(server):
+    """A chunked body is not read as an empty spec (the 90-cell default
+    grid): the request is refused and the connection closed, so the
+    chunk bytes are never parsed as a request."""
+    spec = json.dumps({"workloads": ["dwconv"], "archs": ["st"]}).encode()
+    response = _exchange(server, (
+        b"POST /sweep HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + f"{len(spec):x}\r\n".encode() + spec + b"\r\n0\r\n\r\n"))
+    status, headers = _head(response)
+    assert status.startswith("HTTP/1.1 501 ")
+    assert "connection: close" in headers
+    assert response.count(b"HTTP/1.1 ") == 1
+    assert server.counters.cells == 0
+
+
+@pytest.mark.parametrize("length", [b"-1", b"+5", b"1_0", b"5a", b"", b"\xb2"])
+def test_content_length_must_be_ascii_digits(server, length):
+    """``int()`` accepts signs, underscores and non-ASCII digits; a
+    negative length used to be read as no body at all."""
+    response = _exchange(server, b"GET /healthz HTTP/1.1\r\nContent-Length: "
+                         + length + b"\r\n\r\n" + b"x" * 10)
+    status, headers = _head(response)
+    assert status.startswith("HTTP/1.1 400 ")
+    assert "connection: close" in headers
+    assert b"content-length" in response
+
+
+def test_oversized_header_line_is_431(server, caplog):
+    """A header line over the stream limit is answered, not dropped with
+    a traceback in the server log."""
+    response = _exchange(server, b"GET /healthz HTTP/1.1\r\nX-Big: "
+                         + b"a" * (70 << 10) + b"\r\n\r\n")
+    status, headers = _head(response)
+    assert status.startswith("HTTP/1.1 431 ")
+    assert "connection: close" in headers
+    assert not [record for record in caplog.records
+                if record.levelno >= logging.ERROR]
 
 
 def test_store_on_regular_file_is_a_repro_error(tmp_path):
