@@ -5,27 +5,73 @@ through this module, so the wire format is exercised end to end with
 nothing but ``http.client`` — which transparently decodes the server's
 chunked transfer encoding, and whose response object is a buffered
 reader, so NDJSON lines can be consumed as they arrive.
+
+Connections persist (HTTP/1.1 keep-alive).  A response read to its end
+puts its connection in a small pool of idle connections per ``(host,
+port)``, and the next request, from this thread or any other, takes it
+from there: a closed-loop client pays for one TCP connect, not one per
+request.  Each request has its connection to itself while it runs; a
+stream abandoned before its end, or a failed one, closes its connection
+instead.  A pooled connection the server has closed meanwhile (it
+restarted or stopped) fails before a status line arrives; the request
+is then retried once on a fresh connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 
 from repro.errors import ReproError
+
+#: Idle connections kept per ``(host, port)``; more are closed.
+POOL_SIZE = 4
+
+_pool: dict[tuple[str, int], list[http.client.HTTPConnection]] = {}
+_pool_lock = threading.Lock()
+
+
+def _send(connection: http.client.HTTPConnection, method: str, path: str,
+          body: "str | None", headers: dict) -> http.client.HTTPResponse:
+    try:
+        connection.request(method, path, body=body, headers=headers)
+        return connection.getresponse()
+    except BaseException:
+        connection.close()
+        raise
 
 
 def _request(host: str, port: int, method: str, path: str,
              body: "str | None" = None, timeout: "float | None" = None):
+    """Send one request; ``(connection, response)`` once the status line
+    is in.  Hand both to :func:`_release` when done with the response."""
+    headers = {"Content-Type": "application/json"} if body else {}
+    with _pool_lock:
+        idle = _pool.get((host, port))
+        connection = idle.pop() if idle else None
+    if connection is not None:
+        connection.timeout = timeout
+        connection.sock.settimeout(timeout)
+        try:
+            return connection, _send(connection, method, path, body, headers)
+        except ConnectionError:
+            pass        # the server closed it while it idled: retry fresh
     connection = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        headers = {"Content-Type": "application/json"} if body else {}
-        connection.request(method, path, body=body, headers=headers)
-        response = connection.getresponse()
-    except BaseException:
-        connection.close()
-        raise
-    return connection, response
+    return connection, _send(connection, method, path, body, headers)
+
+
+def _release(host: str, port: int, connection: http.client.HTTPConnection,
+             response: http.client.HTTPResponse) -> None:
+    """Pool ``connection`` if ``response`` was read to its end and the
+    server keeps the connection open; close it otherwise."""
+    if response.isclosed() and not response.will_close:
+        with _pool_lock:
+            idle = _pool.setdefault((host, port), [])
+            if len(idle) < POOL_SIZE:
+                idle.append(connection)
+                return
+    connection.close()
 
 
 def stream_sweep(host: str, port: int, *,
@@ -64,7 +110,7 @@ def stream_sweep(host: str, port: int, *,
             if line:
                 yield json.loads(line)
     finally:
-        connection.close()
+        _release(host, port, connection, response)
 
 
 def sweep(host: str, port: int, **kwargs) -> tuple[list[dict], "dict | None"]:
@@ -96,4 +142,4 @@ def get_json(host: str, port: int, path: str,
                 f"GET {path} failed ({response.status}): {payload}")
         return json.loads(payload)
     finally:
-        connection.close()
+        _release(host, port, connection, response)

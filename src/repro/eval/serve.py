@@ -45,9 +45,17 @@ final ``{"summary": ...}`` line.  Cells a cache layer answers come
 first, in grid order, in the same write as the response head, so a
 fully cached grid is one write; the rest follow one chunk each, in
 completion order, as they land.  ``GET
-/healthz`` and ``GET /stats`` answer plain JSON.  The server assumes
-ownership of the process-global harness configuration
-(:func:`repro.eval.harness.configure_store`) while it runs.
+/healthz`` and ``GET /stats`` answer plain JSON.  Connections persist
+(HTTP/1.1 keep-alive): one connection answers a client's requests in
+turn until the client closes it, or a request says ``Connection:
+close`` or is HTTP/1.0, or cannot be framed — a body sent with a
+``Transfer-Encoding`` (``501``), a ``Content-Length`` that is not ASCII
+digits (``400``), a header line over the 64 KiB stream limit (``431``).
+The response that ends a connection says ``Connection: close``; no
+other does.  :meth:`SweepServer.stop` closes the connections that wait
+for a request.  The server assumes ownership of the process-global
+harness configuration (:func:`repro.eval.harness.configure_store`)
+while it runs.
 """
 
 from __future__ import annotations
@@ -85,6 +93,7 @@ SERVER_BUSY = "ServerBusy"
 class ServeCounters:
     """Lifetime totals across every request this server has answered."""
 
+    connections: int = 0    # TCP connections accepted
     requests: int = 0
     cells: int = 0
     evaluated: int = 0      # cells this server dispatched an evaluation for
@@ -106,30 +115,52 @@ class _BadRequest(Exception):
 
 
 async def _read_request(reader: asyncio.StreamReader
-                        ) -> tuple[str, str, dict, bytes]:
-    """Parse one HTTP/1.1 request: (method, target, headers, body)."""
+                        ) -> "tuple[str, str, bytes, bool] | None":
+    """Parse one HTTP/1.1 request: ``(method, target, body, close)``,
+    where ``close`` says the connection ends after the response (an
+    HTTP/1.0 request, or ``Connection: close``).  ``None`` when the
+    client closed the connection before sending a request line."""
     try:
         line = await reader.readline()
     except ValueError as error:         # line longer than the stream limit
         raise _BadRequest("400 Bad Request",
                           f"request line too long: {error}") from None
+    if not line:
+        return None
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise _BadRequest("400 Bad Request",
                           f"malformed request line: {line!r}")
-    method, target, _version = parts
+    method, target, version = parts
     headers: dict[str, str] = {}
     while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
+        try:
+            raw = await reader.readline()
+        except ValueError as error:
+            raise _BadRequest("431 Request Header Fields Too Large",
+                              f"header line too long: {error}") from None
+        if raw in (b"\r\n", b"\n"):
             break
+        if not raw:
+            raise _BadRequest("400 Bad Request", "request head truncated")
         name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
+        name, value = name.strip().lower(), value.strip()
+        # A repeated field is one comma-joined list (RFC 9110 5.3), so a
+        # repeated Content-Length fails the digit check below.
+        headers[name] = f"{headers[name]}, {value}" if name in headers \
+            else value
+    # Only a Content-Length body is read: the bytes of any other framing
+    # would be parsed as the next request on the connection.
+    if "transfer-encoding" in headers:
+        raise _BadRequest("501 Not Implemented",
+                          "request bodies need a Content-Length, "
+                          "not a Transfer-Encoding")
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()):
         raise _BadRequest("400 Bad Request",
-                          "content-length is not an integer") from None
+                          f"content-length is not a decimal integer: "
+                          f"{length!r}")
+    length = int(length)
     if length > MAX_BODY_BYTES:
         raise _BadRequest("413 Payload Too Large",
                           f"grid spec exceeds {MAX_BODY_BYTES} bytes")
@@ -142,23 +173,33 @@ async def _read_request(reader: asyncio.StreamReader
                 "400 Bad Request",
                 f"body truncated ({len(error.partial)}/{length} bytes)"
             ) from None
-    return method.upper(), target, headers, body
+    close = version != "HTTP/1.1" or "close" in {
+        token.strip().lower()
+        for token in headers.get("connection", "").split(",")}
+    return method.upper(), target, body, close
+
+
+#: The header of a response after which the server closes the connection.
+_CLOSE = "Connection: close\r\n"
 
 
 def _write_json(writer: asyncio.StreamWriter, status: str,
-                payload: dict) -> None:
+                payload: dict, close: bool) -> None:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (f"HTTP/1.1 {status}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n")
+            f"{_CLOSE if close else ''}\r\n")
     writer.write(head.encode("latin-1") + body)
 
 
-_STREAM_HEAD = (b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: application/x-ndjson\r\n"
-                b"Transfer-Encoding: chunked\r\n"
-                b"Connection: close\r\n\r\n")
+#: The ``/sweep`` response head, by whether the connection closes after it.
+_STREAM_HEAD = {
+    close: (b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n"
+            + (_CLOSE.encode() if close else b"") + b"\r\n")
+    for close in (False, True)}
 
 #: The zero-length chunk that ends a chunked body.
 _LAST_CHUNK = b"0\r\n\r\n"
@@ -265,6 +306,8 @@ class SweepServer:
         self._inflight: dict = {}       # dedupe key -> evaluation task
         self._rows: dict = {}           # (cell, source) -> see _row
         self._queued = 0                # cells waiting for an eval slot
+        self._idle: dict = {}           # handler task -> writer, see _handle
+        self._closing = False
         self._loop = None
         self._server = None
         self._pool = None
@@ -280,6 +323,7 @@ class SweepServer:
         # told.
         harness.configure_store(self.store)
         self._loop = asyncio.get_running_loop()
+        self._closing = False
         self._stop_event = asyncio.Event()
         self._eval_slots = asyncio.Semaphore(self.jobs)
         if self.use_processes:
@@ -294,9 +338,21 @@ class SweepServer:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting, cancel in-flight work, release the pool."""
+        """Stop accepting, close the connections, cancel in-flight work,
+        release the pool."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
+            # A connection waiting for its next request would keep
+            # `wait_closed` (which waits for every connection since
+            # Python 3.12) waiting forever: close it, and let its handler
+            # end at the EOF before `asyncio.run` cancels what is left.
+            # A busy connection closes after its response.
+            idle = list(self._idle.items())
+            for _task, writer in idle:
+                writer.close()
+            if idle:
+                await asyncio.wait([task for task, _writer in idle])
             await self._server.wait_closed()
             self._server = None
         for task in list(self._inflight.values()):
@@ -379,23 +435,43 @@ class SweepServer:
     # -- connection handling ----------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Answer one connection's requests in turn, until the client
+        closes it, a request asks to close it, a request is malformed, or
+        the server stops."""
+        self.counters.connections += 1
+        task = asyncio.current_task()
         try:
-            try:
-                method, target, _headers, body = await _read_request(reader)
-            except _BadRequest as error:
-                _write_json(writer, error.status, {"error": str(error)})
+            while not self._closing:
+                # Waiting for a request is idle: stop() closes it.
+                self._idle[task] = writer
+                try:
+                    request = await _read_request(reader)
+                except _BadRequest as error:
+                    # The rest of the stream cannot be framed: close.
+                    _write_json(writer, error.status, {"error": str(error)},
+                                close=True)
+                    await writer.drain()
+                    return
+                finally:
+                    del self._idle[task]
+                if request is None:
+                    return          # the client closed between requests
+                method, target, body, close = request
+                close = close or self._closing
+                if method == "GET" and target == "/healthz":
+                    _write_json(writer, "200 OK", {"status": "ok"}, close)
+                elif method == "GET" and target == "/stats":
+                    _write_json(writer, "200 OK", self._stats_payload(),
+                                close)
+                elif method == "POST" and target == "/sweep":
+                    await self._handle_sweep(writer, body, close)
+                else:
+                    _write_json(writer, "404 Not Found",
+                                {"error": f"no route for {method} {target}"},
+                                close)
                 await writer.drain()
-                return
-            if method == "GET" and target == "/healthz":
-                _write_json(writer, "200 OK", {"status": "ok"})
-            elif method == "GET" and target == "/stats":
-                _write_json(writer, "200 OK", self._stats_payload())
-            elif method == "POST" and target == "/sweep":
-                await self._handle_sweep(writer, body)
-            else:
-                _write_json(writer, "404 Not Found",
-                            {"error": f"no route for {method} {target}"})
-            await writer.drain()
+                if close:
+                    return
         except (ConnectionError, TimeoutError, OSError):
             pass            # client went away mid-response
         finally:
@@ -425,11 +501,12 @@ class SweepServer:
         return payload
 
     async def _handle_sweep(self, writer: asyncio.StreamWriter,
-                            body: bytes) -> None:
+                            body: bytes, close: bool) -> None:
         try:
             grid = _parse_grid_spec(body)
         except ReproError as error:
-            _write_json(writer, "400 Bad Request", {"error": str(error)})
+            _write_json(writer, "400 Bad Request", {"error": str(error)},
+                        close)
             return
         self.counters.requests += 1
         start = time.perf_counter()
@@ -449,11 +526,11 @@ class SweepServer:
                     self._serve_cell(index, cell, answer, source, tallies)))
         if not pending:
             rows.append(_summary_line(tallies, len(grid), start))
-            writer.write(_STREAM_HEAD + _chunk("".join(rows))
+            writer.write(_STREAM_HEAD[close] + _chunk("".join(rows))
                          + _LAST_CHUNK)
             return
         try:
-            writer.write(_STREAM_HEAD + _chunk("".join(rows)))
+            writer.write(_STREAM_HEAD[close] + _chunk("".join(rows)))
             await writer.drain()
             for next_done in asyncio.as_completed(pending):
                 index, outcome, source = await next_done

@@ -489,6 +489,175 @@ def test_oversized_header_line_is_431(server, caplog):
                 if record.levelno >= logging.ERROR]
 
 
+# ---------------------------------------------------------------------------
+# Persistent connections
+# ---------------------------------------------------------------------------
+def _sweep_request(spec: dict, header: bytes = b"") -> bytes:
+    body = json.dumps(spec).encode()
+    return (b"POST /sweep HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n" + header + b"\r\n" + body)
+
+
+def _dechunk(data: bytes) -> tuple[bytes, bytes]:
+    """(decoded chunked body at the start of ``data``, what follows)."""
+    body = b""
+    while True:
+        size, _, data = data.partition(b"\r\n")
+        size = int(size, 16)
+        if size == 0:
+            assert data.startswith(b"\r\n")     # no trailer fields
+            return body, data[2:]
+        assert data[size:size + 2] == b"\r\n"
+        body, data = body + data[:size], data[size + 2:]
+
+
+def test_one_connection_answers_requests_in_turn(server):
+    """A sweep and a health check sent at once on one socket get two
+    complete responses, with unchanged bodies; the client's EOF after
+    them ends the connection without a third (error) response."""
+    grid = parallel.build_grid(WORKLOADS, ARCHS)
+    client.sweep(server.host, server.port, **_grid_kwargs())
+    before = server.counters.connections
+    response = _exchange(server, _sweep_request(_grid_kwargs())
+                         + b"GET /healthz HTTP/1.1\r\n\r\n")
+    status, headers = _head(response)
+    assert status == "HTTP/1.1 200 OK"
+    assert headers == ["content-type: application/x-ndjson",
+                       "transfer-encoding: chunked"]
+    body, rest = _dechunk(response.partition(b"\r\n\r\n")[2])
+    lines = body.splitlines()
+    assert lines[:-1] == [_rendered(cell, index, "cached")
+                          for index, cell in enumerate(grid)]
+    assert json.loads(lines[-1])["summary"]["cached"] == len(grid)
+    assert rest == (b"HTTP/1.1 200 OK\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: 16\r\n\r\n"
+                    b'{"status": "ok"}')
+    assert server.counters.connections == before + 1
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+    b"GET /healthz HTTP/1.0\r\n\r\n",
+    _sweep_request({"workloads": ["dwconv"], "archs": ["st"]},
+                   b"Connection: keep-alive, Close\r\n"),
+], ids=["close", "http-1.0", "sweep-close"])
+def test_closing_requests_get_one_response(server, request_bytes):
+    """``Connection: close`` and HTTP/1.0 requests get one response that
+    says it closes, then EOF: the request behind them is not answered."""
+    response = _exchange(server,
+                         request_bytes + b"GET /healthz HTTP/1.1\r\n\r\n")
+    status, headers = _head(response)
+    assert status == "HTTP/1.1 200 OK"
+    assert "connection: close" in headers
+    assert response.count(b"HTTP/1.1 ") == 1
+
+
+def test_client_reuses_one_connection(server):
+    """Sweeps, a failed sweep and a ``/stats`` call from one client ride
+    one connection."""
+    for _ in range(3):
+        client.sweep(server.host, server.port, **_grid_kwargs())
+    with pytest.raises(ReproError, match="400"):
+        client.sweep(server.host, server.port, workloads=[])
+    stats = client.get_json(server.host, server.port, "/stats")
+    assert stats["serve"]["requests"] == 3
+    assert stats["serve"]["connections"] == 1
+
+
+def test_abandoned_stream_closes_its_connection(server):
+    """A stream left before its end is not pooled: its unread rows must
+    never be read as the next response."""
+    client.sweep(server.host, server.port, **_grid_kwargs())
+    stream = client.stream_sweep(server.host, server.port, **_grid_kwargs())
+    assert next(stream)["index"] == 0
+    stream.close()
+    assert not client._pool.get((server.host, server.port))
+    cells, summary = client.sweep(server.host, server.port,
+                                  **_grid_kwargs())
+    assert summary["cached"] == len(cells) == 4
+    assert server.counters.connections == 2
+
+
+def test_stale_pooled_connection_is_retried(tmp_path):
+    """A pooled connection to a server that has since restarted fails
+    before any status line; the request is retried on a fresh one."""
+    first = SweepServer(store=tmp_path / "store", jobs=1,
+                        use_processes=False).start_background()
+    host, port = first.host, first.port
+    try:
+        client.sweep(host, port, workloads=["dwconv"], archs=["st"])
+    finally:
+        first.shutdown_background()
+    assert client._pool[(host, port)]
+    second = SweepServer(store=tmp_path / "store", port=port, jobs=1,
+                         use_processes=False).start_background()
+    try:
+        cells, summary = client.sweep(host, port, workloads=["dwconv"],
+                                      archs=["st"])
+        assert summary["cached"] == 1 and cells[0]["status"] == "ok"
+        assert second.counters.connections == 1
+    finally:
+        second.shutdown_background()
+
+
+def test_concurrent_client_threads_get_their_own_connections(tmp_path,
+                                                             monkeypatch):
+    """Requests in flight at once from three threads use three
+    connections; once back in the pool, later requests reuse them."""
+    real = parallel._run_cell_local
+    release = threading.Event()
+
+    def gated(cell, use_cache):
+        release.wait(timeout=60)
+        return real(cell, use_cache)
+
+    monkeypatch.setattr(parallel, "_run_cell_local", gated)
+    srv = SweepServer(store=tmp_path / "store", jobs=1,
+                      use_processes=False).start_background()
+    results = []
+
+    def request():
+        results.append(client.sweep(srv.host, srv.port, timeout=60,
+                                    workloads=["dwconv"], archs=["st"]))
+
+    threads = [threading.Thread(target=request) for _ in range(3)]
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        while srv.counters.requests < len(threads):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert sorted(summary["evaluated"] for _cells, summary in results) \
+            == [0, 0, 1]
+        assert all(cells[0]["status"] == "ok" for cells, _summary in results)
+        assert srv.counters.connections == len(threads)
+        for _ in range(len(threads)):
+            client.get_json(srv.host, srv.port, "/healthz")
+        assert srv.counters.connections == len(threads)
+    finally:
+        release.set()
+        srv.shutdown_background()
+
+
+def test_shutdown_closes_an_idle_connection(server, caplog):
+    """Stopping does not wait for an idle keep-alive client to hang up
+    (``wait_closed`` waits for every connection since Python 3.12), and
+    leaves no traceback."""
+    client.sweep(server.host, server.port, workloads=["dwconv"],
+                 archs=["st"])
+    assert client._pool[(server.host, server.port)]
+    start = time.monotonic()
+    server.shutdown_background()
+    assert time.monotonic() - start < 1
+    assert not [record for record in caplog.records
+                if record.levelno >= logging.ERROR]
+
+
 def test_store_on_regular_file_is_a_repro_error(tmp_path):
     target = tmp_path / "not-a-dir"
     target.write_text("plain file")
