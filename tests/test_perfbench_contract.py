@@ -5,7 +5,8 @@ The benchmark under ``perfbench/`` stays unchanged between runs it
 compares, so it keeps calling these entry points by name: the constant
 engine names it prints, the no-op mapping pool, the ``engine=`` keyword
 of both simulators, and the routing counters behind its
-``mapping.route_calls``/``route_failures`` metrics.  Its tracer
+``mapping.route_calls``/``route_failures`` metrics, and the client
+calls of its ``serve-warm`` workload.  Its tracer
 replaces module attributes by name to time each layer.  A cleanup that
 drops or narrows one of them would break the benchmark silently: a
 ``--trace 1`` run would crash while every other test stayed green.
@@ -18,8 +19,9 @@ import pytest
 
 import repro.sim
 from repro.arch import MRRG, make_spatio_temporal
-from repro.eval import harness, parallel
+from repro.eval import client, harness, parallel
 from repro.eval.harness import build_arch
+from repro.eval.serve import SweepServer
 from repro.ir.interpreter import DFGInterpreter
 from repro.mapping import engine, routecore
 from repro.mapping.engine import get_mapper
@@ -100,3 +102,29 @@ def test_full_tracer_times_every_layer(tmp_path):
     assert tracer.counts["cache.puts"] == 2
     for owner, name in patched:
         assert not hasattr(getattr(owner, name), "__wrapped__"), name
+
+
+def test_serve_client_calls(tmp_path):
+    """``serve-warm`` streams a grid by keyword, reads each record's
+    metric fields and the closing summary's ``total``, then reads the
+    server's ``cached``/``evaluated`` counters from ``/stats``."""
+    harness.clear_caches()
+    server = SweepServer(store=tmp_path / "store", jobs=1,
+                         use_processes=False).start_background()
+    try:
+        records = list(client.stream_sweep(
+            server.host, server.port, workloads=["dwconv", "conv2x2"],
+            archs=["st"], timeout=60))
+        served = client.get_json(server.host, server.port, "/stats",
+                                 timeout=30)["serve"]
+    finally:
+        server.shutdown_background()
+        harness.clear_caches()
+        harness.configure_store(None)
+    *rows, last = records
+    assert last["summary"]["total"] == len(rows) == 2
+    for record in rows:
+        assert {"workload", "arch", "mapper", "status", "ii", "cycles",
+                "energy_nj", "error"} <= set(record)
+        assert record["status"] == "ok" and record["error"] in ("", None)
+    assert (served["cached"], served["evaluated"]) == (0, 2)
