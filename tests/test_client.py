@@ -19,7 +19,8 @@ from repro.eval import client
 #: A script step that closes the connection.
 CLOSE = object()
 
-ROWS = [{"index": index, "workload": name, "status": "ok", "cycles": 10 + index}
+ROWS = [{"index": index, "workload": name, "status": "ok",
+         "cycles": 10 + index}
         for index, name in enumerate(["dwconv", "conv2x2", "gesum_u2"])]
 SUMMARY = {"summary": {"total": len(ROWS)}}
 RECORDS = ROWS + [SUMMARY]
@@ -244,14 +245,16 @@ def test_error_bodies_carry_the_servers_detail(serve):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("cut", [
     chunk(LINES[0]) + b"%x\r\n" % len(LINES[1]) + LINES[1][:7],
+    chunk(LINES[0]) + chunk(LINES[1]),
     chunk(LINES[0]) + b"%x\r\n" % len(LINES[1]),
-], ids=["mid-chunk", "after-size-line"])
+    chunk(LINES[0]) + b"0\r\nX-Trailer: cut",
+], ids=["mid-chunk", "before-last-chunk", "after-size-line", "in-trailer"])
 def test_cut_off_chunked_body_raises(serve, cut):
     """A body cut off before its last chunk raises: the stream never ends
     quietly without its summary, and its connection is not pooled."""
     server = serve([STREAM_HEAD + b"\r\n" + cut, CLOSE])
     records = []
-    with pytest.raises(Exception):
+    with pytest.raises(ReproError, match="cut off"):
         for record in client.stream_sweep(server.host, server.port,
                                           timeout=30):
             records.append(record)
@@ -282,7 +285,7 @@ def test_no_retry_once_a_status_line_arrived(serve):
                    [chunked(b"".join(LINES))])
     assert _stream(server) == RECORDS
     assert server.pooled() == 1
-    with pytest.raises(Exception):
+    with pytest.raises(ReproError, match="cut off"):
         _stream(server)
     assert len(server.requests) == 2
     assert server.connections == 1
@@ -295,7 +298,7 @@ def test_status_line_alone_is_not_retried(serve):
                    [b"HTTP/1.1 200 OK\r\n", CLOSE],
                    [json_reply("200 OK", {"status": "ok"})])
     client.get_json(server.host, server.port, "/healthz")
-    with pytest.raises(Exception):
+    with pytest.raises(ReproError, match="cut off"):
         client.get_json(server.host, server.port, "/healthz")
     assert len(server.requests) == 2 and server.connections == 1
 
