@@ -44,16 +44,19 @@ grid position and ``source`` for how the cell was satisfied), then a
 final ``{"summary": ...}`` line.  Cells a cache layer answers come
 first, in grid order, in the same write as the response head, so a
 fully cached grid is one write; the rest follow one chunk each, in
-completion order, as they land.  ``GET
-/healthz`` and ``GET /stats`` answer plain JSON.  Connections persist
-(HTTP/1.1 keep-alive): one connection answers a client's requests in
-turn until the client closes it, or a request says ``Connection:
-close`` or is HTTP/1.0, or cannot be framed — a body sent with a
-``Transfer-Encoding`` (``501``), a ``Content-Length`` that is not ASCII
-digits (``400``), a header line over the 64 KiB stream limit (``431``).
-The response that ends a connection says ``Connection: close``; no
-other does.  :meth:`SweepServer.stop` closes the connections that wait
-for a request.  The server assumes ownership of the process-global
+completion order, as they land.  An HTTP/1.0 client, which knows no
+chunked coding, gets the same lines unframed, ended by the close its
+request gets.  ``GET /healthz`` and ``GET /stats`` answer plain JSON.
+Connections persist (HTTP/1.1 keep-alive): one connection answers a
+client's requests in turn until the client closes it, or a request
+says ``Connection: close`` or is HTTP/1.0, or cannot be framed — a
+body sent with a ``Transfer-Encoding`` (``501``), a ``Content-Length``
+that is not ASCII digits (``400``), a header line over the 64 KiB
+stream limit (``431``).  The response that ends a connection says
+``Connection: close``; no other does.  :meth:`SweepServer.stop` closes
+the connections that wait for a request.  The evaluation pool's
+workers are forked when the server starts, so they hold no client's
+connection open.  The server assumes ownership of the process-global
 harness configuration (:func:`repro.eval.harness.configure_store`)
 while it runs.
 """
@@ -115,11 +118,13 @@ class _BadRequest(Exception):
 
 
 async def _read_request(reader: asyncio.StreamReader
-                        ) -> "tuple[str, str, bytes, bool] | None":
-    """Parse one HTTP/1.1 request: ``(method, target, body, close)``,
-    where ``close`` says the connection ends after the response (an
-    HTTP/1.0 request, or ``Connection: close``).  ``None`` when the
-    client closed the connection before sending a request line."""
+                        ) -> "tuple[str, str, bytes, bool, bool] | None":
+    """Parse one HTTP/1.1 request: ``(method, target, body, close,
+    chunked)``, where ``close`` says the connection ends after the
+    response (an HTTP/1.0 request, or ``Connection: close``) and
+    ``chunked`` that the client reads the chunked transfer coding (an
+    HTTP/1.1 request).  ``None`` when the client closed the connection
+    before sending a request line."""
     try:
         line = await reader.readline()
     except ValueError as error:         # line longer than the stream limit
@@ -173,10 +178,11 @@ async def _read_request(reader: asyncio.StreamReader
                 "400 Bad Request",
                 f"body truncated ({len(error.partial)}/{length} bytes)"
             ) from None
-    close = version != "HTTP/1.1" or "close" in {
+    chunked = version == "HTTP/1.1"
+    close = not chunked or "close" in {
         token.strip().lower()
         for token in headers.get("connection", "").split(",")}
-    return method.upper(), target, body, close
+    return method.upper(), target, body, close, chunked
 
 
 #: The header of a response after which the server closes the connection.
@@ -193,13 +199,17 @@ def _write_json(writer: asyncio.StreamWriter, status: str,
     writer.write(head.encode("latin-1") + body)
 
 
-#: The ``/sweep`` response head, by whether the connection closes after it.
+#: The ``/sweep`` response head, by ``(chunked, close)``: whether the
+#: body is chunked and whether the connection closes after it.  An
+#: HTTP/1.0 client knows no chunked coding: it gets the body as written,
+#: ended by the close its request already gets.
 _STREAM_HEAD = {
-    close: (b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            + (_CLOSE.encode() if close else b"") + b"\r\n")
-    for close in (False, True)}
+    (chunked, close): (b"HTTP/1.1 200 OK\r\n"
+                       b"Content-Type: application/x-ndjson\r\n"
+                       + (b"Transfer-Encoding: chunked\r\n" if chunked
+                          else b"")
+                       + (_CLOSE.encode() if close else b"") + b"\r\n")
+    for chunked, close in ((True, False), (True, True), (False, True))}
 
 #: The zero-length chunk that ends a chunked body.
 _LAST_CHUNK = b"0\r\n\r\n"
@@ -332,6 +342,12 @@ class SweepServer:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs, initializer=signal.signal,
                 initargs=(signal.SIGTERM, signal.SIG_DFL))
+            # Fork the workers now, before the listening socket or any
+            # connection exists.  The fork start method forks them all at
+            # the first submit; at a cold request's submit they would
+            # inherit its socket and hold it open after the server closes
+            # it, so its client would see no EOF until they exit.
+            self._pool.submit(int)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -456,7 +472,7 @@ class SweepServer:
                     del self._idle[task]
                 if request is None:
                     return          # the client closed between requests
-                method, target, body, close = request
+                method, target, body, close, chunked = request
                 close = close or self._closing
                 if method == "GET" and target == "/healthz":
                     _write_json(writer, "200 OK", {"status": "ok"}, close)
@@ -464,7 +480,7 @@ class SweepServer:
                     _write_json(writer, "200 OK", self._stats_payload(),
                                 close)
                 elif method == "POST" and target == "/sweep":
-                    await self._handle_sweep(writer, body, close)
+                    await self._handle_sweep(writer, body, close, chunked)
                 else:
                     _write_json(writer, "404 Not Found",
                                 {"error": f"no route for {method} {target}"},
@@ -501,7 +517,7 @@ class SweepServer:
         return payload
 
     async def _handle_sweep(self, writer: asyncio.StreamWriter,
-                            body: bytes, close: bool) -> None:
+                            body: bytes, close: bool, chunked: bool) -> None:
         try:
             grid = _parse_grid_spec(body)
         except ReproError as error:
@@ -524,17 +540,18 @@ class SweepServer:
             else:
                 pending.append(asyncio.create_task(
                     self._serve_cell(index, cell, answer, source, tallies)))
+        head = _STREAM_HEAD[chunked, close]
+        frame, last = (_chunk, _LAST_CHUNK) if chunked else (str.encode, b"")
         if not pending:
             rows.append(_summary_line(tallies, len(grid), start))
-            writer.write(_STREAM_HEAD[close] + _chunk("".join(rows))
-                         + _LAST_CHUNK)
+            writer.write(head + frame("".join(rows)) + last)
             return
         try:
-            writer.write(_STREAM_HEAD[close] + _chunk("".join(rows)))
+            writer.write(head + frame("".join(rows)))
             await writer.drain()
             for next_done in asyncio.as_completed(pending):
                 index, outcome, source = await next_done
-                writer.write(_chunk(self._row(index, outcome, source)))
+                writer.write(frame(self._row(index, outcome, source)))
                 await writer.drain()
         except (ConnectionError, TimeoutError, OSError):
             # Client hung up mid-stream: stop the request's *joiner*
@@ -544,8 +561,7 @@ class SweepServer:
             for task in pending:
                 task.cancel()
             raise
-        writer.write(_chunk(_summary_line(tallies, len(grid), start))
-                     + _LAST_CHUNK)
+        writer.write(frame(_summary_line(tallies, len(grid), start)) + last)
 
     # -- per-cell resolution ----------------------------------------------
     def _answer(self, cell: SweepCell

@@ -797,3 +797,74 @@ def test_sigterm_shuts_the_worker_pool_down(tmp_path):
         for pid in workers:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+# ---------------------------------------------------------------------------
+# HTTP/1.0 clients and connections closed by the server
+# ---------------------------------------------------------------------------
+def test_http10_sweep_is_sent_unframed(server):
+    """An HTTP/1.0 client knows no chunked coding: its ``/sweep`` reply
+    carries no ``Transfer-Encoding``, and the body is the rows and the
+    summary as written, ended by EOF."""
+    grid = parallel.build_grid(WORKLOADS, ARCHS)
+    spec = json.dumps(_grid_kwargs()).encode()
+    request = (b"POST /sweep HTTP/1.0\r\nContent-Length: "
+               + str(len(spec)).encode() + b"\r\n\r\n" + spec)
+    for source in ("evaluated", "cached"):
+        response = _exchange(server, request)
+        status, headers = _head(response)
+        assert status == "HTTP/1.1 200 OK"
+        assert headers == ["content-type: application/x-ndjson",
+                           "connection: close"]
+        lines = response.partition(b"\r\n\r\n")[2].split(b"\n")
+        assert lines[-1] == b""
+        rows, summary = lines[:-2], json.loads(lines[-2])["summary"]
+        if source == "cached":
+            assert rows == [_rendered(cell, index, "cached")
+                            for index, cell in enumerate(grid)]
+        assert sorted(json.loads(row)["index"] for row in rows) \
+            == list(range(len(grid)))
+        assert summary[source] == summary["total"] == len(grid)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="forks the evaluation pool's workers")
+def test_closed_connection_reaches_eof_after_a_cold_request(tmp_path):
+    """The pool's workers are forked when the server starts, not at the
+    first cold request, so they do not hold that request's socket: the
+    connection the server closes after it reaches EOF at once."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--no-cache", "--jobs", "1"],
+        stdout=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "server printed no banner within 30s"
+        port = int(proc.stdout.readline().split("http://127.0.0.1:")[1]
+                   .split()[0])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=120) as sock:
+            sock.sendall(_sweep_request(
+                {"workloads": ["dwconv"], "archs": ["st"]},
+                b"Connection: close\r\n"))
+            response = b""
+            while not response.endswith(b"\r\n0\r\n\r\n"):
+                data = sock.recv(1 << 16)
+                assert data, "connection closed before the last chunk"
+                response += data
+            sock.settimeout(5)
+            assert sock.recv(1) == b""
+        lines = _dechunk(response.partition(b"\r\n\r\n")[2])[0].splitlines()
+        assert json.loads(lines[-1])["summary"]["evaluated"] == 1
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
