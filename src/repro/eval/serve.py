@@ -375,7 +375,11 @@ class SweepServer:
             task.cancel()
         self._inflight.clear()
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            # Join the pool's manager thread here: left running, it races
+            # the interpreter's exit hook, which can then print an
+            # OSError traceback (a closed wake-up pipe).  The process
+            # would wait for a running evaluation at exit anyway.
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
     async def _serve_until_stopped(self, on_ready) -> None:
