@@ -277,11 +277,14 @@ def test_connection_close_reply_is_not_pooled(serve):
     assert server.connections == 3
 
 
-def test_no_retry_once_a_status_line_arrived(serve):
+@pytest.mark.parametrize("cut", [
+    b"HTTP/1.1 200 OK\r\n",
+    STREAM_HEAD + b"\r\n" + chunk(LINES[0])[:4],
+], ids=["in-head", "in-body"])
+def test_no_retry_once_a_status_line_arrived(serve, cut):
     """A pooled connection that fails after its status line raises; the
     request is not sent again."""
-    server = serve([chunked(b"".join(LINES))],
-                   [STREAM_HEAD + b"\r\n" + chunk(LINES[0])[:4], CLOSE],
+    server = serve([chunked(b"".join(LINES))], [cut, CLOSE],
                    [chunked(b"".join(LINES))])
     assert _stream(server) == RECORDS
     assert server.pooled() == 1
@@ -290,17 +293,6 @@ def test_no_retry_once_a_status_line_arrived(serve):
     assert len(server.requests) == 2
     assert server.connections == 1
     assert server.pooled() == 0
-
-
-def test_status_line_alone_is_not_retried(serve):
-    """A status line with no end of head is a reply: no retry."""
-    server = serve([json_reply("200 OK", {"status": "ok"})],
-                   [b"HTTP/1.1 200 OK\r\n", CLOSE],
-                   [json_reply("200 OK", {"status": "ok"})])
-    client.get_json(server.host, server.port, "/healthz")
-    with pytest.raises(ReproError, match="cut off"):
-        client.get_json(server.host, server.port, "/healthz")
-    assert len(server.requests) == 2 and server.connections == 1
 
 
 def test_pooled_connection_closed_while_idle_is_retried_once(serve):
