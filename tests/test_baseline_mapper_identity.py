@@ -8,6 +8,11 @@ baselines' list scheduler and the annealer's move generator read
 per-search tables and draw from the RNG inline; any change to them must
 leave every digest, and so every RNG draw, untouched.
 
+Next to each digest the fixture locks the search's route calls
+(``routecore.ROUTING.calls``), equal under both routers, as
+``plaid_mapping_digests.json`` does: a rise fails, and a fall is
+committed with the fixture.
+
 What the tables and the inlined draws replace lives on here as oracles:
 
 * the per-edge timing check, proximity score and cycle-by-cycle scan:
@@ -46,6 +51,7 @@ from repro.eval.harness import _seed_for, build_arch
 from repro.mapping import engine as mapping_engine
 from repro.mapping.annealing import SimulatedAnnealingMapper
 from repro.mapping.common import PlacementTables, initial_placement
+from repro.mapping.routecore import ROUTING
 from repro.mapping.router import min_transport_latency
 from repro.workloads import get_dfg
 from repro.workloads.registry import all_workloads
@@ -64,16 +70,21 @@ CELLS = tuple(
 
 
 def cell_record(workload: str, arch_key: str, mapper_key: str) -> dict:
-    """Digest and attempt count of one cell (or its failure)."""
+    """Digest, attempt count and route calls of one cell (or its
+    failure)."""
+    dfg, arch = get_dfg(workload), build_arch(arch_key)
+    calls = ROUTING.calls
     try:
         mapping = mapping_engine.map_kernel(
-            mapper_key, get_dfg(workload), build_arch(arch_key),
+            mapper_key, dfg, arch,
             lambda key: _seed_for(workload, arch_key, key))
     except MappingError as failure:
         return {"error": str(failure),
-                "attempts": getattr(failure, "attempts", 0)}
+                "attempts": getattr(failure, "attempts", 0),
+                "route_calls": ROUTING.calls - calls}
     return {"digest": mapping_digest(mapping),
-            "attempts": mapping.stats.attempts}
+            "attempts": mapping.stats.attempts,
+            "route_calls": ROUTING.calls - calls}
 
 
 def cell_id(cell) -> str:
@@ -92,9 +103,21 @@ def test_fixture_covers_every_cell(digests):
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_mapping_matches_digest(cell, digests):
-    assert cell_record(*cell) == digests[cell_id(cell)], (
+    got = cell_record(*cell)
+    want = digests[cell_id(cell)]
+    calls, locked = got.pop("route_calls"), want["route_calls"]
+    assert got == {key: value for key, value in want.items()
+                   if key != "route_calls"}, (
         f"mapping of {cell_id(cell)} moved; if intentional, regenerate "
         "tests/data/baseline_mapping_digests.json (see module docstring)"
+    )
+    assert calls <= locked, (
+        f"{cell_id(cell)} routes more: {calls} calls against {locked} "
+        "locked"
+    )
+    assert calls == locked, (
+        f"{cell_id(cell)} routes less: {calls} calls against {locked} "
+        "locked; regenerate the fixture to keep it"
     )
 
 
