@@ -19,6 +19,34 @@ and ``randrange(n)`` use) over the node's FU-id tuple from
 :class:`~repro.mapping.common.PlacementTables`, and reads FU occupancy
 straight from the MRRG slot table: the same draws, and so the same
 mappings, as the stdlib calls without their per-draw wrappers.
+
+Of the moves that find a spot, most are uphill and rejected, and routing
+them is the rest of the annealer's time.  So a move first rips up its
+node's routes and bounds the moved state's cost from below without
+routing: the unrouted edges and the overuse left after the rip-up (new
+charges only add overuse), the steps of the untouched routes, and
+the spans of the node's data edges at the new cycle (a span of
+s cycles takes at least s occupy steps).  A bound above the current cost
+makes the move uphill for sure, so the Metropolis draw that would follow
+the routing is made at once.  If it rejects even the bound, it rejects
+the move: the ripped routes go back in their order and nothing is
+routed.  Otherwise the node moves, its edges route, and the same draw
+decides.  Both steps are exact:
+
+* the draw comes at the same point in the RNG stream, since routing
+  draws nothing and an uphill move draws in either order;
+* costs are integer-valued floats and ``exp`` is monotone, so a draw
+  that rejects the bound's delta rejects every larger delta;
+* a skipped move leaves the routes in the order, and the MRRG with the
+  counts and charges, that routing and undoing the move leaves (the
+  annealer reads the charge map only for membership, and never iterates
+  the slot tables).
+
+So every mapping and every RNG state match the route-every-move loop,
+which ``tests/test_baseline_mapper_identity.py`` keeps as the oracle;
+only the route calls, and with them ``stats.routing_failures``, fall.
+The objective's route-step term is a running total, so neither the
+bound nor the cost sums the routes.
 """
 
 from __future__ import annotations
@@ -31,10 +59,10 @@ from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import (
     PlacementTables, SearchTables, edge_indices_by_node, initial_placement,
-    mapping_cost, route_all_edges,
+    route_all_edges, step_total_cost,
 )
 from repro.mapping.engine import MapperStrategy, register_mapper
-from repro.mapping.router import route_edge
+from repro.mapping.router import MAX_TRANSPORT_CYCLES, route_edge
 
 
 class SimulatedAnnealingMapper(MapperStrategy):
@@ -83,7 +111,9 @@ class SimulatedAnnealingMapper(MapperStrategy):
         node_bits = n_nodes.bit_length()
         getrandbits = rng.getrandbits
 
-        cost = mapping_cost(mrrg, routes, len(unrouted))
+        # The route-step total, kept up to date move by move.
+        steps = sum(len(route.steps) for route in routes.values())
+        cost = step_total_cost(mrrg, len(unrouted), steps)
         temperature = self.START_TEMP
         for _move in range(self.MOVES_PER_II):
             if not unrouted and mrrg.is_legal():
@@ -98,16 +128,38 @@ class SimulatedAnnealingMapper(MapperStrategy):
             if candidate is None:
                 temperature *= self.COOLING
                 continue
-            saved = self._displace(dfg, mrrg, placement, routes, unrouted,
-                                   incident, node_id, candidate)
-            new_cost = mapping_cost(mrrg, routes, len(unrouted))
+            edge_indices = incident[node_id]
+            saved, ripped = self._rip_up(mrrg, routes, unrouted,
+                                         edge_indices)
+            steps -= ripped
+            scale = max(temperature, 1e-6)
+            bound = move_floor(tables, mrrg, placement, len(unrouted),
+                               steps, node_id, candidate[1])
+            draw = None
+            if bound > cost:
+                # Uphill for sure: draw now, and skip the routing when
+                # the draw rejects even the bound.
+                draw = rng.random()
+                if draw >= math.exp(-(bound - cost) / scale):
+                    self._put_back(mrrg, routes, unrouted, saved)
+                    steps += ripped
+                    temperature *= self.COOLING
+                    continue
+            old_spot = placement[node_id]
+            self._move(mrrg, placement, node_id, candidate)
+            added = self._reroute(dfg, mrrg, placement, routes, unrouted,
+                                  edge_indices)
+            new_cost = step_total_cost(mrrg, len(unrouted), steps + added)
             delta = new_cost - cost
-            if delta <= 0 or rng.random() < math.exp(
-                    -delta / max(temperature, 1e-6)):
+            if delta <= 0 or (rng.random() if draw is None else draw) \
+                    < math.exp(-delta / scale):
                 cost = new_cost
+                steps += added
             else:
-                self._restore(dfg, mrrg, placement, routes, unrouted,
-                              incident, node_id, saved)
+                self._rip_up(mrrg, routes, unrouted, edge_indices)
+                self._move(mrrg, placement, node_id, old_spot)
+                self._put_back(mrrg, routes, unrouted, saved)
+                steps += ripped
             temperature *= self.COOLING
 
         if unrouted or not mrrg.is_legal():
@@ -156,50 +208,47 @@ class SimulatedAnnealingMapper(MapperStrategy):
             return (fu_id, cycle)
         return None
 
-    def _displace(self, dfg, mrrg, placement, routes, unrouted, incident,
-                  node_id, candidate):
-        """Move a node and reroute its incident edges; returns undo state."""
-        old_spot = placement[node_id]
-        old_routes = {
-            index: routes.get(index) for index in incident[node_id]
-        }
-        old_unrouted = {
-            index for index in incident[node_id] if index in unrouted
-        }
-        for index in incident[node_id]:
+    @staticmethod
+    def _rip_up(mrrg, routes, unrouted, edge_indices):
+        """Uncommit the routes of ``edge_indices`` and drop them from
+        ``unrouted``.  Returns the undo record, one ``(index, route or
+        None, was unrouted)`` per edge in order, and the route steps
+        removed."""
+        saved = []
+        removed = 0
+        for index in edge_indices:
             route = routes.pop(index, None)
             if route is not None:
                 mrrg.uncommit_route(route)
+                removed += len(route.steps)
+            saved.append((index, route, index in unrouted))
             unrouted.discard(index)
-        mrrg.unplace_node(node_id, old_spot[0], old_spot[1])
-        mrrg.place_node(node_id, candidate[0], candidate[1])
-        placement[node_id] = candidate
-        self._reroute_incident(dfg, mrrg, placement, routes, unrouted,
-                               incident, node_id)
-        return (old_spot, old_routes, old_unrouted)
+        return saved, removed
 
-    def _restore(self, dfg, mrrg, placement, routes, unrouted, incident,
-                 node_id, saved):
-        old_spot, old_routes, old_unrouted = saved
-        for index in incident[node_id]:
-            route = routes.pop(index, None)
-            if route is not None:
-                mrrg.uncommit_route(route)
-            unrouted.discard(index)
-        current = placement[node_id]
-        mrrg.unplace_node(node_id, current[0], current[1])
-        mrrg.place_node(node_id, old_spot[0], old_spot[1])
-        placement[node_id] = old_spot
-        for index, route in old_routes.items():
+    @staticmethod
+    def _put_back(mrrg, routes, unrouted, saved):
+        """Recommit the routes :meth:`_rip_up` removed, in its order."""
+        for index, route, was_unrouted in saved:
             if route is not None:
                 routes[index] = route
                 mrrg.commit_route(route)
-        unrouted.update(old_unrouted)
+            elif was_unrouted:
+                unrouted.add(index)
 
-    def _reroute_incident(self, dfg, mrrg, placement, routes, unrouted,
-                          incident, node_id):
+    @staticmethod
+    def _move(mrrg, placement, node_id, spot):
+        fu_id, cycle = placement[node_id]
+        mrrg.unplace_node(node_id, fu_id, cycle)
+        mrrg.place_node(node_id, spot[0], spot[1])
+        placement[node_id] = spot
+
+    @staticmethod
+    def _reroute(dfg, mrrg, placement, routes, unrouted, edge_indices):
+        """Route the data edges of ``edge_indices``; returns the route
+        steps added."""
         edges = dfg.edges
-        for index in incident[node_id]:
+        added = 0
+        for index in edge_indices:
             edge = edges[index]
             if edge.is_ordering:
                 continue
@@ -212,6 +261,42 @@ class SimulatedAnnealingMapper(MapperStrategy):
                 unrouted.add(index)
             else:
                 routes[index] = route
+                added += len(route.steps)
+        return added
+
+
+def move_floor(tables: PlacementTables, mrrg: MRRG, placement,
+               unrouted: int, steps: int, node_id: int,
+               cycle: int) -> float:
+    """Lower bound on the annealer's cost once ``node_id``, its routes
+    ripped up, moves to ``cycle`` and reroutes them.
+
+    ``unrouted`` and ``steps`` count the unrouted edges and the route
+    steps left after the rip-up; rerouting keeps both and the overuse,
+    and each of the node's data edges adds at least its span's units: 0
+    for span 1 (a free bypass may carry it), the span for 2 up to
+    ``MAX_TRANSPORT_CYCLES`` (one occupy step per cycle), and 1000 for
+    any other span, which cannot route.  Spans read the other
+    endpoints' cycles from ``placement``.
+    """
+    for src, offset, ordering in tables.in_edges[node_id]:
+        if not ordering:
+            steps += _span_units(cycle + offset - placement[src][1])
+    for dst, offset, ordering in tables.out_edges[node_id]:
+        if not ordering:
+            steps += _span_units(placement[dst][1] + offset - cycle)
+    for offset, ordering in tables.self_edges[node_id]:
+        if not ordering:
+            steps += _span_units(offset)
+    return step_total_cost(mrrg, unrouted, steps)
+
+
+def _span_units(span: int) -> int:
+    if span == 1:
+        return 0
+    if span < 1 or span > MAX_TRANSPORT_CYCLES:
+        return 1000
+    return span
 
 
 register_mapper(

@@ -362,5 +362,10 @@ def mapping_cost(mrrg: MRRG, routes: dict[int, Route],
     """Scalar objective: unrouted edges weigh most (1000 each), then
     overuse (100 per charge beyond capacity), then wirelength (1 per
     route step)."""
-    steps = sum(len(route.steps) for route in routes.values())
+    return step_total_cost(
+        mrrg, unrouted, sum(len(route.steps) for route in routes.values()))
+
+
+def step_total_cost(mrrg: MRRG, unrouted: int, steps: int) -> float:
+    """:func:`mapping_cost` from a route-step total kept by the caller."""
     return 1000.0 * unrouted + 100.0 * mrrg.total_overuse() + 1.0 * steps

@@ -24,6 +24,14 @@ What the tables and the inlined draws replace lives on here as oracles:
 * the annealer's move draw through ``rng.choice``/``rng.randrange``/
   ``MRRG.node_at``: a property test checks that the inlined draw returns
   the same spot and leaves the same RNG state;
+* the annealer's route-every-move loop (displace, cost, draw, restore):
+  every SA attempt on ``st`` and ``st-ml`` runs through it and through
+  the production loop, which skips the routing of moves its lower bound
+  already rejects, from copies of one RNG state, and must give the same
+  mapping (or None) and RNG state.  A property test checks, over
+  mid-anneal states, that the bound is the sum its definition gives and
+  never above the cost after the real move, and that a skipped move
+  leaves the state that displacing and restoring the node leaves;
 * the stdlib itself: the inlined draws copy the loop of
   ``random.Random._randbelow_with_getrandbits``, and a test checks that
   ``choice``, ``randrange(n)`` and ``shuffle`` still consume the RNG
@@ -36,11 +44,12 @@ explain the shift in the commit message.
 
 import copy
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.arch import MRRG
 from repro.arch.topology import manhattan
@@ -49,13 +58,19 @@ from repro.ir.graph import DFG, ORDERING
 from repro.ir.ops import Opcode
 from repro.eval.harness import _seed_for, build_arch
 from repro.mapping import engine as mapping_engine
-from repro.mapping.annealing import SimulatedAnnealingMapper
-from repro.mapping.common import PlacementTables, initial_placement
+from repro.mapping.annealing import SimulatedAnnealingMapper, move_floor
+from repro.mapping.base import Mapping
+from repro.mapping.common import (
+    PlacementTables, edge_indices_by_node, initial_placement,
+    route_all_edges, route_one_edge,
+)
+from repro.mapping.mii import minimum_ii
 from repro.mapping.routecore import ROUTING
-from repro.mapping.router import min_transport_latency
+from repro.mapping.router import MAX_TRANSPORT_CYCLES, min_transport_latency
 from repro.workloads import get_dfg
 from repro.workloads.registry import all_workloads
 
+from mrrg_helpers import mrrg_state
 from test_plaid_mapper_identity import mapping_digest
 
 DIGEST_PATH = Path(__file__).parent / "data" / "baseline_mapping_digests.json"
@@ -415,6 +430,252 @@ def test_candidate_without_fus_returns_none():
     assert SimulatedAnnealingMapper()._candidate(
         tables, MRRG(arch, 2), {node_id: (0, 0)}, node_id, rng) is None
     assert rng.getstate() == state
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the annealer's route-every-move loop
+# ---------------------------------------------------------------------------
+class AnnealState:
+    """The annealer's mutable search state at one II."""
+
+    def __init__(self, tables, mrrg, placement, routes, unrouted,
+                 temperature=SimulatedAnnealingMapper.START_TEMP):
+        self.tables = tables
+        self.mrrg = mrrg
+        self.placement = placement
+        self.routes = routes
+        self.unrouted = unrouted
+        self.temperature = temperature
+        self.incident = edge_indices_by_node(tables.dfg)
+
+    def clone(self) -> "AnnealState":
+        """An independent copy sharing only the tables and the fabric."""
+        arch = self.tables.arch
+        return AnnealState(self.tables,
+                           copy.deepcopy(self.mrrg, {id(arch): arch}),
+                           dict(self.placement), dict(self.routes),
+                           set(self.unrouted), self.temperature)
+
+    def snapshot(self) -> dict:
+        return {"routes": list(self.routes.items()),
+                "unrouted": set(self.unrouted),
+                "placement": dict(self.placement),
+                "mrrg": mrrg_state(self.mrrg)}
+
+    def cost(self) -> float:
+        """The annealer's objective, summed from scratch."""
+        return 1000.0 * len(self.unrouted) \
+            + 100.0 * self.mrrg.total_overuse() \
+            + 1.0 * sum(len(route.steps) for route in self.routes.values())
+
+
+def anneal_start(tables, rng):
+    """The annealer's start: the list schedule, retried with later
+    circuits, and every data edge routed; None when nothing schedules."""
+    for lateness in (0, 1, 2, 3):
+        mrrg = MRRG(tables.arch, tables.ii)
+        placement = initial_placement(tables, mrrg, rng,
+                                      circuit_lateness=lateness)
+        if placement is not None:
+            break
+    else:
+        return None
+    routes, failures = route_all_edges(tables.dfg, mrrg, placement)
+    return AnnealState(tables, mrrg, placement, routes, set(failures))
+
+
+def oracle_displace(state, node_id, candidate):
+    """Move a node and reroute its incident edges; returns undo state."""
+    mrrg, routes, unrouted = state.mrrg, state.routes, state.unrouted
+    edge_indices = state.incident[node_id]
+    old_spot = state.placement[node_id]
+    old_routes = {index: routes.get(index) for index in edge_indices}
+    old_unrouted = {index for index in edge_indices if index in unrouted}
+    for index in edge_indices:
+        route = routes.pop(index, None)
+        if route is not None:
+            mrrg.uncommit_route(route)
+        unrouted.discard(index)
+    mrrg.unplace_node(node_id, *old_spot)
+    mrrg.place_node(node_id, *candidate)
+    state.placement[node_id] = candidate
+    dfg = state.tables.dfg
+    for index in edge_indices:
+        if dfg.edges[index].is_ordering:
+            continue
+        route = route_one_edge(dfg, mrrg, state.placement, index)
+        if route is None:
+            unrouted.add(index)
+        else:
+            routes[index] = route
+    return old_spot, old_routes, old_unrouted
+
+
+def oracle_restore(state, node_id, saved):
+    """Undo :func:`oracle_displace`."""
+    mrrg, routes, unrouted = state.mrrg, state.routes, state.unrouted
+    old_spot, old_routes, old_unrouted = saved
+    for index in state.incident[node_id]:
+        route = routes.pop(index, None)
+        if route is not None:
+            mrrg.uncommit_route(route)
+        unrouted.discard(index)
+    mrrg.unplace_node(node_id, *state.placement[node_id])
+    mrrg.place_node(node_id, *old_spot)
+    state.placement[node_id] = old_spot
+    for index, route in old_routes.items():
+        if route is not None:
+            routes[index] = route
+            mrrg.commit_route(route)
+    unrouted.update(old_unrouted)
+
+
+def oracle_moves(state, rng, moves):
+    """Up to ``moves`` Metropolis moves, each one routed before the
+    draw, through the stdlib RNG calls."""
+    cooling = SimulatedAnnealingMapper.COOLING
+    tables, mrrg = state.tables, state.mrrg
+    node_ids = [node.node_id for node in tables.dfg.nodes]
+    cost = state.cost()
+    for _move in range(moves):
+        if not state.unrouted and mrrg.is_legal():
+            break
+        node_id = rng.choice(node_ids)
+        candidate = oracle_candidate(tables, mrrg, state.placement, node_id,
+                                     rng)
+        if candidate is None:
+            state.temperature *= cooling
+            continue
+        saved = oracle_displace(state, node_id, candidate)
+        new_cost = state.cost()
+        delta = new_cost - cost
+        if delta <= 0 or rng.random() < math.exp(
+                -delta / max(state.temperature, 1e-6)):
+            cost = new_cost
+        else:
+            oracle_restore(state, node_id, saved)
+        state.temperature *= cooling
+
+
+def oracle_anneal(tables, rng):
+    """One SA attempt at ``tables.ii`` on the route-every-move loop."""
+    state = anneal_start(tables, rng)
+    if state is None:
+        return None
+    oracle_moves(state, rng, SimulatedAnnealingMapper.MOVES_PER_II)
+    if state.unrouted or not state.mrrg.is_legal():
+        return None
+    mapping = Mapping(dfg=tables.dfg, arch=tables.arch, ii=tables.ii,
+                      placement=dict(state.placement),
+                      routes=dict(state.routes))
+    mapping.validate()
+    return mapping
+
+
+SA_CELLS = tuple((workload, arch_key) for workload in WORKLOADS
+                 for arch_key in ("st", "st-ml"))
+#: Cells whose SA search fails at some II before it maps.
+FAILING_II_CELLS = (("gesum_u4", "st"), ("durbin_u4", "st"))
+
+
+@pytest.mark.parametrize("cell", SA_CELLS, ids="/".join)
+def test_anneal_matches_route_every_move_oracle(cell, monkeypatch):
+    """Every SA attempt of the cell's search, at the harness seed."""
+    workload, arch_key = cell
+    anneal = SimulatedAnnealingMapper._anneal
+    outcomes = []
+
+    def checked(self, tables, rng):
+        oracle_rng = random.Random()
+        oracle_rng.setstate(rng.getstate())
+        want = oracle_anneal(tables, oracle_rng)
+        got = anneal(self, tables, rng)
+        digest = None if got is None else mapping_digest(got)
+        assert digest == (None if want is None else mapping_digest(want)), \
+            f"{workload}/{arch_key} at II {tables.ii}"
+        assert rng.getstate() == oracle_rng.getstate(), \
+            f"{workload}/{arch_key} at II {tables.ii}"
+        outcomes.append(digest)
+        return got
+
+    monkeypatch.setattr(SimulatedAnnealingMapper, "_anneal", checked)
+    cell_record(workload, arch_key, "sa")
+    assert outcomes[-1] is not None
+    if cell in FAILING_II_CELLS:
+        assert None in outcomes
+
+
+def oracle_floor(state, node_id, spot):
+    """The bound's definition: the cost after the node's routes are
+    ripped up, plus one term per incident data edge at the new spot."""
+    dfg, ii = state.tables.dfg, state.tables.ii
+    floor = state.cost()
+    for index in state.incident[node_id]:
+        edge = dfg.edges[index]
+        if edge.is_ordering:
+            continue
+        src_cycle = spot[1] if edge.src == node_id \
+            else state.placement[edge.src][1]
+        dst_cycle = spot[1] if edge.dst == node_id \
+            else state.placement[edge.dst][1]
+        span = dst_cycle + edge.distance * ii - src_cycle
+        if not 1 <= span <= MAX_TRANSPORT_CYCLES:
+            floor += 1000
+        elif span > 1:
+            floor += span
+    return floor
+
+
+@settings(max_examples=40, deadline=None)
+@given(workload=st.sampled_from(WORKLOADS),
+       arch_key=st.sampled_from(("st", "st-ml")),
+       extra_ii=st.integers(0, 2), warmup=st.integers(0, 120),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_move_floor_and_skip(workload, arch_key, extra_ii, warmup, seed):
+    dfg, arch = get_dfg(workload), build_arch(arch_key)
+    tables = PlacementTables(dfg, arch, minimum_ii(dfg, arch) + extra_ii)
+    rng = random.Random(seed)
+    state = anneal_start(tables, rng)
+    assume(state is not None)
+    oracle_moves(state, rng, warmup)
+    mapper = SimulatedAnnealingMapper()
+    node_ids = [node.node_id for node in dfg.nodes]
+    for _move in range(6):
+        node_id = rng.choice(node_ids)
+        candidate = mapper._candidate(tables, state.mrrg, state.placement,
+                                      node_id, rng)
+        if candidate is None:
+            continue
+        edge_indices = state.incident[node_id]
+        # The bound, on the state with the node's routes ripped up.
+        ripped = state.clone()
+        _saved, removed = mapper._rip_up(ripped.mrrg, ripped.routes,
+                                         ripped.unrouted, edge_indices)
+        assert removed == sum(len(route.steps) for route in
+                              state.routes.values()) - \
+            sum(len(route.steps) for route in ripped.routes.values())
+        bound = move_floor(tables, ripped.mrrg, ripped.placement,
+                           len(ripped.unrouted),
+                           sum(len(route.steps)
+                               for route in ripped.routes.values()),
+                           node_id, candidate[1])
+        assert bound == oracle_floor(ripped, node_id, candidate)
+        # ... is never above the cost after the real move.
+        moved = state.clone()
+        oracle_displace(moved, node_id, candidate)
+        assert bound <= moved.cost()
+        # A skipped move leaves what displace plus restore leaves.
+        skipped, undone = state.clone(), state.clone()
+        saved, _removed = mapper._rip_up(skipped.mrrg, skipped.routes,
+                                         skipped.unrouted, edge_indices)
+        mapper._put_back(skipped.mrrg, skipped.routes, skipped.unrouted,
+                         saved)
+        oracle_restore(undone, node_id,
+                       oracle_displace(undone, node_id, candidate))
+        assert skipped.snapshot() == undone.snapshot()
+        # Walk on: take the move half the time.
+        if rng.random() < 0.5:
+            state = moved
 
 
 # ---------------------------------------------------------------------------
