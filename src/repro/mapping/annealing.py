@@ -23,15 +23,18 @@ mappings, as the stdlib calls without their per-draw wrappers.
 Of the moves that find a spot, most are uphill and rejected, and routing
 them is the rest of the annealer's time.  So a move first rips up its
 node's routes and bounds the moved state's cost from below without
-routing: the unrouted edges and the overuse left after the rip-up (new
-charges only add overuse), the steps of the untouched routes, and
-the spans of the node's data edges at the new cycle (a span of
-s cycles takes at least s occupy steps).  A bound above the current cost
-makes the move uphill for sure, so the Metropolis draw that would follow
-the routing is made at once.  If it rejects even the bound, it rejects
-the move: the ripped routes go back in their order and nothing is
-routed.  Otherwise the node moves, its edges route, and the same draw
-decides.  Both steps are exact:
+routing (:func:`move_floor`): the unrouted edges and the overuse left
+after the rip-up (new charges only add overuse), the steps of the
+untouched routes, and, for each data edge of the node at its new spot,
+the fewest steps its route can take: one occupy step per cycle of span
+plus the fewest moves between the two FUs
+(:func:`~repro.mapping.router.fewest_moves_table`), or an unrouted
+edge's 1000 when those moves do not fit in the span.  A bound above the
+current cost makes the move uphill for sure, so the Metropolis draw
+that would follow the routing is made at once.  If it rejects even the
+bound, it rejects the move: the ripped routes go back in their order
+and nothing is routed.  Otherwise the node moves, its edges route, and
+the same draw decides.  Both steps are exact:
 
 * the draw comes at the same point in the RNG stream, since routing
   draws nothing and an uphill move draws in either order;
@@ -62,7 +65,9 @@ from repro.mapping.common import (
     route_all_edges, step_total_cost,
 )
 from repro.mapping.engine import MapperStrategy, register_mapper
-from repro.mapping.router import MAX_TRANSPORT_CYCLES, route_edge
+from repro.mapping.router import (
+    MAX_TRANSPORT_CYCLES, fewest_moves_table, route_edge,
+)
 
 
 class SimulatedAnnealingMapper(MapperStrategy):
@@ -134,7 +139,7 @@ class SimulatedAnnealingMapper(MapperStrategy):
             steps -= ripped
             scale = max(temperature, 1e-6)
             bound = move_floor(tables, mrrg, placement, len(unrouted),
-                               steps, node_id, candidate[1])
+                               steps, node_id, candidate)
             draw = None
             if bound > cost:
                 # Uphill for sure: draw now, and skip the routing when
@@ -267,36 +272,50 @@ class SimulatedAnnealingMapper(MapperStrategy):
 
 def move_floor(tables: PlacementTables, mrrg: MRRG, placement,
                unrouted: int, steps: int, node_id: int,
-               cycle: int) -> float:
+               spot: tuple[int, int]) -> float:
     """Lower bound on the annealer's cost once ``node_id``, its routes
-    ripped up, moves to ``cycle`` and reroutes them.
+    ripped up, moves to ``spot`` and reroutes them.
 
     ``unrouted`` and ``steps`` count the unrouted edges and the route
     steps left after the rip-up; rerouting keeps both and the overuse,
-    and each of the node's data edges adds at least its span's units: 0
-    for span 1 (a free bypass may carry it), the span for 2 up to
-    ``MAX_TRANSPORT_CYCLES`` (one occupy step per cycle), and 1000 for
-    any other span, which cannot route.  Spans read the other
-    endpoints' cycles from ``placement``.
+    and each of the node's data edges adds at least its units: 0 for
+    span 1 between a bypass pair (a free bypass), 1000 when the edge
+    cannot route (a span outside 1..``MAX_TRANSPORT_CYCLES``, or fewer
+    than :func:`~repro.mapping.router.fewest_moves_table` moves fit in
+    its span - 1 cycles), and otherwise one occupy step per cycle of
+    span plus one step per move.  Other endpoints are read from
+    ``placement``.
     """
+    fu_id, cycle = spot
+    arch = tables.arch
+    moves = fewest_moves_table(arch)
+    bypass = arch.bypass_pairs
     for src, offset, ordering in tables.in_edges[node_id]:
         if not ordering:
-            steps += _span_units(cycle + offset - placement[src][1])
+            src_fu, src_cycle = placement[src]
+            steps += _edge_units(cycle + offset - src_cycle, src_fu, fu_id,
+                                 moves, bypass)
     for dst, offset, ordering in tables.out_edges[node_id]:
         if not ordering:
-            steps += _span_units(placement[dst][1] + offset - cycle)
+            dst_fu, dst_cycle = placement[dst]
+            steps += _edge_units(dst_cycle + offset - cycle, fu_id, dst_fu,
+                                 moves, bypass)
     for offset, ordering in tables.self_edges[node_id]:
         if not ordering:
-            steps += _span_units(offset)
+            steps += _edge_units(offset, fu_id, fu_id, moves, bypass)
     return step_total_cost(mrrg, unrouted, steps)
 
 
-def _span_units(span: int) -> int:
-    if span == 1:
+def _edge_units(span: int, src_fu: int, dst_fu: int, moves,
+                bypass) -> int:
+    if span == 1 and (src_fu, dst_fu) in bypass:
         return 0
     if span < 1 or span > MAX_TRANSPORT_CYCLES:
         return 1000
-    return span
+    fewest = moves[src_fu][dst_fu]
+    if fewest >= span:
+        return 1000
+    return span + fewest
 
 
 register_mapper(

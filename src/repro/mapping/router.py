@@ -30,7 +30,7 @@ from repro.mapping.routecore import (
 
 __all__ = [
     "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory",
-    "min_transport_latency", "route_cost", "route_edge",
+    "fewest_moves_table", "min_transport_latency", "route_cost", "route_edge",
     "route_edge_reference", "router_adjacency", "transport_latency_table",
 ]
 
@@ -90,6 +90,39 @@ def router_adjacency(arch: Architecture
         return tuple(tuple(entries) for entries in outgoing)
 
     return arch.memo("router_adjacency", build)
+
+
+def fewest_moves_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
+    """FU x FU fewest moves from the producer's output place to any
+    consume place of the consumer, built once per fabric.
+
+    A route holds or moves once per cycle, so a route of span s makes at
+    most s - 1 moves: a pair whose entry is at least s cannot route at
+    span s (bypass pairs at span 1 aside).  Unreachable pairs read
+    ``MAX_TRANSPORT_CYCLES``.
+    """
+    def build() -> tuple[tuple[int, ...], ...]:
+        adjacency = router_adjacency(arch)
+        table = []
+        for src_fu in range(len(arch.fus)):
+            start = arch.produce_place[src_fu]
+            depth = {start: 0}
+            frontier = [start]
+            while frontier:
+                reached = []
+                for place in frontier:
+                    for dst_place, _resource in adjacency[place]:
+                        if dst_place not in depth:
+                            depth[dst_place] = depth[place] + 1
+                            reached.append(dst_place)
+                frontier = reached
+            table.append(tuple(
+                min((depth[place] for place in arch.consume_places[dst_fu]
+                     if place in depth), default=MAX_TRANSPORT_CYCLES)
+                for dst_fu in range(len(arch.fus))))
+        return tuple(table)
+
+    return arch.memo("fewest_moves_table", build)
 
 
 def route_edge(mrrg: MRRG, net: int, src_fu: int, depart_cycle: int,

@@ -66,7 +66,10 @@ from repro.mapping.common import (
 )
 from repro.mapping.mii import minimum_ii
 from repro.mapping.routecore import ROUTING
-from repro.mapping.router import MAX_TRANSPORT_CYCLES, min_transport_latency
+from repro.mapping.router import (
+    MAX_TRANSPORT_CYCLES, fewest_moves_table, min_transport_latency,
+    route_edge_reference,
+)
 from repro.workloads import get_dfg
 from repro.workloads.registry import all_workloads
 
@@ -605,33 +608,106 @@ def test_anneal_matches_route_every_move_oracle(cell, monkeypatch):
         assert None in outcomes
 
 
+def oracle_fewest_moves(arch, src_fu, dst_fu):
+    """Fewest ``arch.moves`` from the producer's place to a consume
+    place of the consumer, or None when there is no path."""
+    goals = arch.consume_places[dst_fu]
+    seen = {arch.produce_place[src_fu]}
+    frontier, moves = list(seen), 0
+    while frontier:
+        if any(place in goals for place in frontier):
+            return moves
+        frontier = [move.dst for move in arch.moves
+                    if move.src in frontier and move.dst not in seen]
+        seen.update(frontier)
+        moves += 1
+    return None
+
+
 def oracle_floor(state, node_id, spot):
     """The bound's definition: the cost after the node's routes are
-    ripped up, plus one term per incident data edge at the new spot."""
-    dfg, ii = state.tables.dfg, state.tables.ii
+    ripped up, plus the fewest steps of each incident data edge's route
+    at the new spot (1000 when it cannot route)."""
+    dfg, arch, ii = state.tables.dfg, state.tables.arch, state.tables.ii
     floor = state.cost()
     for index in state.incident[node_id]:
         edge = dfg.edges[index]
         if edge.is_ordering:
             continue
-        src_cycle = spot[1] if edge.src == node_id \
-            else state.placement[edge.src][1]
-        dst_cycle = spot[1] if edge.dst == node_id \
-            else state.placement[edge.dst][1]
+        src_fu, src_cycle = spot if edge.src == node_id \
+            else state.placement[edge.src]
+        dst_fu, dst_cycle = spot if edge.dst == node_id \
+            else state.placement[edge.dst]
         span = dst_cycle + edge.distance * ii - src_cycle
-        if not 1 <= span <= MAX_TRANSPORT_CYCLES:
+        moves = oracle_fewest_moves(arch, src_fu, dst_fu)
+        if span == 1 and (src_fu, dst_fu) in arch.bypass_pairs:
+            continue
+        if not 1 <= span <= MAX_TRANSPORT_CYCLES or moves is None \
+                or moves > span - 1:
             floor += 1000
-        elif span > 1:
-            floor += span
+        else:
+            floor += span + moves
     return floor
+
+
+@pytest.mark.parametrize("arch_key", ORACLE_ARCHS)
+def test_fewest_moves_table_is_tight(arch_key):
+    """On an empty MRRG every FU pair routes at one cycle per fewest
+    move plus one, and a non-bypass pair with moves fails a cycle
+    sooner."""
+    arch = build_arch(arch_key)
+    table = fewest_moves_table(arch)
+    mrrg = MRRG(arch, 1)
+    for src_fu in range(len(arch.fus)):
+        for dst_fu in range(len(arch.fus)):
+            moves = table[src_fu][dst_fu]
+            assert moves == oracle_fewest_moves(arch, src_fu, dst_fu)
+            assert route_edge_reference(mrrg, 0, src_fu, 0, dst_fu,
+                                        moves + 1, commit=False)
+            if moves and not (moves == 1 and
+                              (src_fu, dst_fu) in arch.bypass_pairs):
+                assert route_edge_reference(mrrg, 0, src_fu, 0, dst_fu,
+                                            moves, commit=False) is None
+
+
+@pytest.mark.parametrize("arch_key", ORACLE_ARCHS)
+def test_move_floor_of_one_edge(arch_key):
+    """One data edge, every FU pair and spans 0..6 (bypass pairs
+    included): the floor is the definition's and never above the cost
+    once the edge routes on an empty MRRG."""
+    dfg = DFG("pair")
+    producer, consumer = dfg.add_node(Opcode.ADD), dfg.add_node(Opcode.ADD)
+    dfg.add_edge(producer, consumer)
+    arch = build_arch(arch_key)
+    tables = PlacementTables(dfg, arch, 4)
+    node_id = consumer.node_id
+    for src_fu in range(len(arch.fus)):
+        for dst_fu in range(len(arch.fus)):
+            for span in range(7):
+                state = AnnealState(tables, MRRG(arch, 4),
+                                    {producer.node_id: (src_fu, 0)}, {},
+                                    set())
+                bound = move_floor(tables, state.mrrg, state.placement, 0,
+                                   0, node_id, (dst_fu, span))
+                assert bound == oracle_floor(state, node_id, (dst_fu, span))
+                state.placement[node_id] = (dst_fu, span)
+                route = route_one_edge(dfg, state.mrrg, state.placement, 0)
+                if route is None:
+                    state.unrouted.add(0)
+                else:
+                    state.routes[0] = route
+                assert bound <= state.cost()
 
 
 @settings(max_examples=40, deadline=None)
 @given(workload=st.sampled_from(WORKLOADS),
-       arch_key=st.sampled_from(("st", "st-ml")),
+       arch_key=st.sampled_from(ORACLE_ARCHS),
        extra_ii=st.integers(0, 2), warmup=st.integers(0, 120),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_move_floor_and_skip(workload, arch_key, extra_ii, warmup, seed):
+    """Over mid-anneal states: the bound is its definition's sum and at
+    most the cost after the real move, and the skip path (rip up, put
+    back) leaves the state that displacing and restoring leaves."""
     dfg, arch = get_dfg(workload), build_arch(arch_key)
     tables = PlacementTables(dfg, arch, minimum_ii(dfg, arch) + extra_ii)
     rng = random.Random(seed)
@@ -651,14 +727,11 @@ def test_move_floor_and_skip(workload, arch_key, extra_ii, warmup, seed):
         ripped = state.clone()
         _saved, removed = mapper._rip_up(ripped.mrrg, ripped.routes,
                                          ripped.unrouted, edge_indices)
-        assert removed == sum(len(route.steps) for route in
-                              state.routes.values()) - \
-            sum(len(route.steps) for route in ripped.routes.values())
+        steps = sum(len(route.steps) for route in ripped.routes.values())
+        assert steps + removed == sum(len(route.steps)
+                                      for route in state.routes.values())
         bound = move_floor(tables, ripped.mrrg, ripped.placement,
-                           len(ripped.unrouted),
-                           sum(len(route.steps)
-                               for route in ripped.routes.values()),
-                           node_id, candidate[1])
+                           len(ripped.unrouted), steps, node_id, candidate)
         assert bound == oracle_floor(ripped, node_id, candidate)
         # ... is never above the cost after the real move.
         moved = state.clone()
