@@ -31,7 +31,9 @@ What the tables and the inlined draws replace lives on here as oracles:
   mapping (or None) and RNG state.  A property test checks, over
   mid-anneal states, that the bound is the sum its definition gives and
   never above the cost after the real move, and that a skipped move
-  leaves the state that displacing and restoring the node leaves;
+  leaves the state that displacing and restoring the node leaves; a
+  one-edge test does the same for every FU pair and short span, and the
+  fewest-moves table is checked against the reference router;
 * the stdlib itself: the inlined draws copy the loop of
   ``random.Random._randbelow_with_getrandbits``, and a test checks that
   ``choice``, ``randrange(n)`` and ``shuffle`` still consume the RNG
@@ -90,11 +92,10 @@ CELLS = tuple(
 def cell_record(workload: str, arch_key: str, mapper_key: str) -> dict:
     """Digest, attempt count and route calls of one cell (or its
     failure)."""
-    dfg, arch = get_dfg(workload), build_arch(arch_key)
     calls = ROUTING.calls
     try:
         mapping = mapping_engine.map_kernel(
-            mapper_key, dfg, arch,
+            mapper_key, get_dfg(workload), build_arch(arch_key),
             lambda key: _seed_for(workload, arch_key, key))
     except MappingError as failure:
         return {"error": str(failure),
