@@ -133,6 +133,58 @@ def test_sharded_merge_is_bit_identical_to_single_host(
     assert warm_json["summary"]["failed"] == single_json["summary"]["failed"]
 
 
+def _cold_cells(report):
+    return [o.cell.key() for o in report.outcomes if not o.from_cache]
+
+
+def test_resweep_evaluates_only_cells_missing_from_the_store(
+        tmp_path, single_host):
+    """Resume is a plain re-sweep of the same grid against the store:
+    only cells whose fingerprint has no entry are evaluated, and the
+    store ends byte-identical to a single-host cold sweep's."""
+    cells = single_host["cells"]
+
+    # A lost shard: both shards swept into their own stores, but only
+    # shard 1's store reaches the merge.
+    for index in (1, 2):
+        clear_caches()
+        configure_store(tmp_path / f"shard{index}")
+        subset = shard_cells(cells, ShardSpec(index, 2))
+        assert parallel.run_sweep(subset, jobs=1).evaluated == len(subset)
+    clear_caches()
+    partial = tmp_path / "partial"
+    assert merge_stores([tmp_path / "shard1"], partial).clean
+    configure_store(partial)
+    resumed = parallel.run_sweep(cells, jobs=1)
+    clear_caches()
+    lost = [c.key() for c in shard_cells(cells, ShardSpec(2, 2))]
+    assert 0 < len(lost) < len(cells)
+    assert _cold_cells(resumed) == lost
+    assert resumed.evaluated == len(lost)
+    assert resumed.cached == len(cells) - len(lost)
+    assert not resumed.failures
+    assert _metrics(resumed) == single_host["metrics"]
+    assert _store_bytes(partial) == _store_bytes(single_host["root"])
+
+    # A shard killed mid-run: a complete store missing two entries.
+    killed = tmp_path / "killed"
+    killed.mkdir()
+    for name, data in _store_bytes(single_host["root"]).items():
+        (killed / name).write_bytes(data)
+    missing = [cells[1], cells[-2]]
+    for cell in missing:
+        ResultStore(killed).entry_path(
+            parallel.cell_fingerprint(cell)).unlink()
+    configure_store(killed)
+    resumed = parallel.run_sweep(cells, jobs=1)
+    clear_caches()
+    assert _cold_cells(resumed) == [cell.key() for cell in missing]
+    assert resumed.evaluated == len(missing)
+    assert resumed.cached == len(cells) - len(missing)
+    assert _metrics(resumed) == single_host["metrics"]
+    assert _store_bytes(killed) == _store_bytes(single_host["root"])
+
+
 def test_sharded_sweep_metrics_invariant_under_jobs(tmp_path):
     cells = parallel.build_grid(["dwconv", "conv2x2", "gesum_u2"],
                                 ["st", "plaid"])
@@ -526,6 +578,35 @@ def test_cli_sweep_manifest_resume(tmp_path, capsys):
     assert _run_cli([*base, "--workloads", "gesum_u2", "--arch", "st",
                      "--output", str(tmp_path / "x.json")]) == 2
     assert "different grid" in capsys.readouterr().err
+
+
+def test_cli_resweep_after_lost_shard(tmp_path, capsys):
+    """Resuming through the CLI: merge the shards that arrived, re-sweep
+    the same grid, and only the lost shard's cells are evaluated."""
+    grid = ["--workloads", "dwconv,conv2x2,gesum_u2",
+            "--arch", "st", "--arch", "plaid"]
+    for index in (1, 2):
+        clear_caches()
+        assert _run_cli(["sweep", *grid, "--shard", f"{index}/2",
+                         "--cache-dir", str(tmp_path / f"cache{index}"),
+                         "--format", "json",
+                         "--output", str(tmp_path / f"s{index}.json")]) == 0
+    clear_caches()
+    assert _run_cli(["cache", "merge", str(tmp_path / "cache1"),
+                     "--into", str(tmp_path / "partial")]) == 0
+    assert _run_cli(["sweep", *grid, "--cache-dir", str(tmp_path / "partial"),
+                     "--format", "json",
+                     "--output", str(tmp_path / "resume.json")]) == 0
+    clear_caches()
+    shards = [json.loads((tmp_path / f"s{i}.json").read_text())
+              for i in (1, 2)]
+    resume = json.loads((tmp_path / "resume.json").read_text())
+    assert resume["summary"]["evaluated"] == shards[1]["summary"]["total"]
+    assert resume["summary"]["cached"] == shards[0]["summary"]["total"]
+    assert resume["summary"]["failed"] == 0
+    lost = {(c["workload"], c["arch"]) for c in shards[1]["cells"]}
+    assert {(c["workload"], c["arch"]) for c in resume["cells"]
+            if not c["cached"]} == lost
 
 
 def test_cli_sweep_rejects_bad_shard_spec(capsys):
