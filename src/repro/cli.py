@@ -14,8 +14,8 @@ Commands:
   (``--jobs N``) through the persistent result store (``--cache-dir``,
   ``--no-cache``), emitting a table, JSON, or CSV; ``--shard i/N``
   evaluates one deterministic fingerprint-partitioned shard of the grid
-  and ``--manifest FILE`` makes the run resumable across crashes and
-  hosts (see :mod:`repro.eval.distributed`);
+  (see :mod:`repro.eval.distributed`); re-sweeping the same grid
+  against the store resumes an interrupted run;
 * ``cache``    — manage result-store directories: ``merge`` unions
   shard stores (byte-preserving, deterministic conflict policy),
   ``stats`` inventories one, ``gc`` prunes corrupt/stale/expired
@@ -207,8 +207,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from pathlib import Path
-
     from repro.eval import distributed, harness, parallel
     from repro.eval.reporting import (
         best_variant_rows, render_best_variants, render_sweep,
@@ -224,59 +222,27 @@ def cmd_sweep(args) -> int:
                      for name in args.workloads.split(",") if name.strip()]
     if args.variants:
         # Expand every named workload (or the full Table-2 list) into its
-        # transform-variant family before the grid is built, so caching,
-        # sharding, and manifests all see plain workload names.
+        # transform-variant family before the grid is built, so caching
+        # and sharding see plain workload names.
         from repro.workloads.registry import expand_families
         workloads = expand_families(workloads)
 
-    manifest = None
-    manifest_path = Path(args.manifest) if args.manifest else None
-    if manifest_path is not None and manifest_path.exists():
-        # An existing manifest is authoritative for the grid; grid flags
-        # are only accepted when they describe the very same grid.
-        manifest = distributed.SweepManifest.load(manifest_path)
-        manifest.verify()
-        if args.workloads or args.arch or args.mapper or args.variants:
-            built = parallel.build_grid(workloads=workloads,
-                                        arch_keys=args.arch,
-                                        mapper=args.mapper)
-            if built != manifest.grid:
-                raise ReproError(
-                    f"manifest {manifest_path} records a different grid "
-                    "than the --workloads/--arch/--mapper flags; drop "
-                    "the grid flags to resume it, or start a fresh "
-                    "manifest file")
-        cells = manifest.grid
-    else:
-        cells = parallel.build_grid(workloads=workloads,
-                                    arch_keys=args.arch,
-                                    mapper=args.mapper)
-        if manifest_path is not None:
-            manifest = distributed.SweepManifest.from_cells(
-                cells, shards=shard.count if shard else 1)
-            manifest.save(manifest_path)
+    cells = parallel.build_grid(workloads=workloads,
+                                arch_keys=args.arch,
+                                mapper=args.mapper)
 
     # Configured once the grid is known good: build_grid rejects a
     # typo'd arch or mapper key (with the registered-keys list) before
     # any store directory is created.
-    store = harness.configure_store(
+    harness.configure_store(
         None if args.no_cache else _store_dir(args.cache_dir))
 
-    if manifest is not None:
-        # Resume semantics: only cells neither marked done nor already
-        # present in the (possibly merged) store are dispatched.
-        run_cells = manifest.pending(store, shard=shard)
-    elif shard is not None:
-        run_cells = distributed.shard_cells(cells, shard)
-    else:
-        run_cells = cells
+    if shard is not None:
+        cells = distributed.shard_cells(cells, shard)
 
     jobs = args.jobs if args.jobs is not None else parallel.default_jobs()
-    report = parallel.run_sweep(run_cells, jobs=jobs,
+    report = parallel.run_sweep(cells, jobs=jobs,
                                 use_cache=not args.no_cache)
-    if manifest is not None:
-        manifest.mark(report)
-        manifest.save(manifest_path)
 
     best = best_variant_rows(report) if args.variants else None
     if args.format == "json":
@@ -296,10 +262,6 @@ def cmd_sweep(args) -> int:
         print(text)
         if args.format != "table":
             print(report.summary(), file=sys.stderr)
-    if manifest is not None:
-        print(manifest.summary(),
-              file=sys.stderr if args.format != "table" and not args.output
-              else sys.stdout)
     return 0 if not report.failures else 1
 
 
@@ -536,13 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(deterministic: every host agrees which "
                               "shard owns which cell; shards 1..N union "
                               "to the full grid)")
-    p_sweep.add_argument("--manifest", metavar="FILE",
-                         help="sweep manifest for resumable multi-host "
-                              "runs: created (with the grid and shard "
-                              "assignment) when FILE does not exist, "
-                              "otherwise loaded — only cells not yet "
-                              "done and missing from the store are "
-                              "re-evaluated")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cache = sub.add_parser(

@@ -21,10 +21,10 @@ hosts; this module adds the layer that exploits it:
   source order; damaged or schema-mismatched entries are skipped and
   reported, never crashed on, and a newer-schema entry already in the
   destination is never overwritten.
-* **Resumable manifests.**  A :class:`SweepManifest` records the grid
-  (cell keys + fingerprints + shard assignment) and per-cell completion;
-  ``repro sweep --manifest FILE`` re-evaluates only the cells still
-  missing — after a crash, or after merging the other hosts' shards.
+* **Resume through the store.**  There is no separate resume record:
+  re-sweeping the same grid against the (merged) store evaluates only
+  the cells whose fingerprint has no entry — after a crash, or after a
+  shard's store was lost.
 
 Store-maintenance helpers (:func:`inventory`, :func:`gc_store`) back the
 ``repro cache stats`` / ``repro cache gc`` commands.
@@ -33,7 +33,6 @@ Store-maintenance helpers (:func:`inventory`, :func:`gc_store`) back the
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import time
@@ -41,17 +40,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.eval.cache import (
-    SCHEMA_VERSION, RawEntry, ResultStore, load_raw_entry,
-)
+from repro.eval.cache import RawEntry, ResultStore, load_raw_entry
 from repro.eval.parallel import SweepCell, cell_fingerprint
-from repro.utils.atomicio import atomic_write_text, is_temp_file
+from repro.utils.atomicio import is_temp_file
 
 __all__ = [
-    "GcReport", "MANIFEST_VERSION", "MergeReport", "ShardSpec",
-    "StoreInventory", "SweepManifest", "gc_store", "inventory",
-    "merge_stores", "parse_duration", "parse_shard", "shard_cells",
-    "shard_of",
+    "GcReport", "MergeReport", "ShardSpec", "StoreInventory", "gc_store",
+    "inventory", "merge_stores", "parse_duration", "parse_shard",
+    "shard_cells", "shard_of",
 ]
 
 
@@ -89,17 +85,16 @@ def _fallback_digest(cell: SweepCell) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
-def shard_of(cell: SweepCell, count: int,
-             fingerprint: str | None = None) -> int:
+def shard_of(cell: SweepCell, count: int) -> int:
     """The 1-based shard owning ``cell`` in an N-way partition.
 
-    A pure function of the cell's evaluation fingerprint (pass one to
-    skip recomputing it), so the assignment is identical on every host
-    and invariant under grid ordering, worker counts, and duplicates.
+    A pure function of the cell's evaluation fingerprint, so the
+    assignment is identical on every host and invariant under grid
+    ordering, worker counts, and duplicates.
     """
     if count < 1:
         raise ReproError(f"shard count must be >= 1, got {count}")
-    digest = fingerprint or cell_fingerprint(cell) or _fallback_digest(cell)
+    digest = cell_fingerprint(cell) or _fallback_digest(cell)
     return int(digest, 16) % count + 1
 
 
@@ -108,185 +103,6 @@ def shard_cells(cells: list[SweepCell], spec: ShardSpec
     """The sub-grid owned by ``spec``, in the grid's original order."""
     return [cell for cell in cells
             if shard_of(cell, spec.count) == spec.index]
-
-
-# ---------------------------------------------------------------------------
-# Sweep manifests
-# ---------------------------------------------------------------------------
-MANIFEST_VERSION = 1
-
-
-@dataclass
-class ManifestCell:
-    """One grid cell's bookkeeping inside a manifest."""
-
-    cell: SweepCell
-    fingerprint: str | None
-    shard: int
-    done: bool = False
-
-
-@dataclass
-class SweepManifest:
-    """A sweep's durable plan: grid, shard assignment, completion state.
-
-    The JSON file (written atomically) lets multiple hosts coordinate a
-    grid through nothing but a shared filesystem or an rsync'd
-    directory: each host sweeps its shard, the stores are merged, and a
-    final ``repro sweep --manifest FILE`` pass re-evaluates only what is
-    still missing.  ``verify()`` recomputes every fingerprint from the
-    current code — a mismatch means the configuration or schema changed
-    under the manifest, and resuming would mix incompatible results.
-    """
-
-    shards: int
-    cells: list[ManifestCell]
-    store_schema: int = SCHEMA_VERSION
-    version: int = MANIFEST_VERSION
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def from_cells(cls, cells: list[SweepCell], shards: int = 1
-                   ) -> "SweepManifest":
-        entries = []
-        for cell in cells:
-            fp = cell_fingerprint(cell)
-            entries.append(ManifestCell(
-                cell=cell, fingerprint=fp,
-                shard=shard_of(cell, shards, fingerprint=fp)))
-        return cls(shards=shards, cells=entries)
-
-    # -- (de)serialization ---------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps({
-            "manifest_version": self.version,
-            "store_schema": self.store_schema,
-            "shards": self.shards,
-            "cells": [
-                {"workload": m.cell.workload, "arch": m.cell.arch_key,
-                 "mapper": m.cell.mapper, "fingerprint": m.fingerprint,
-                 "shard": m.shard, "done": m.done}
-                for m in self.cells
-            ],
-        }, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepManifest":
-        try:
-            data = json.loads(text)
-            version = int(data["manifest_version"])
-            if version != MANIFEST_VERSION:
-                raise ReproError(
-                    f"unsupported manifest version {version} "
-                    f"(this build reads {MANIFEST_VERSION})")
-            manifest = cls(
-                shards=int(data["shards"]),
-                store_schema=int(data["store_schema"]),
-                version=version,
-                cells=[
-                    ManifestCell(
-                        cell=SweepCell(workload=str(entry["workload"]),
-                                       arch_key=str(entry["arch"]),
-                                       mapper=str(entry["mapper"])),
-                        fingerprint=(None if entry["fingerprint"] is None
-                                     else str(entry["fingerprint"])),
-                        shard=int(entry["shard"]),
-                        done=bool(entry["done"]),
-                    )
-                    for entry in data["cells"]
-                ],
-            )
-        except ReproError:
-            raise
-        except (ValueError, KeyError, TypeError) as error:
-            raise ReproError(f"malformed sweep manifest: {error}") from None
-        if manifest.shards < 1:
-            raise ReproError("malformed sweep manifest: shards < 1")
-        return manifest
-
-    def save(self, path: "Path | str") -> None:
-        atomic_write_text(Path(path), self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "SweepManifest":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as error:
-            raise ReproError(f"cannot read manifest {path}: "
-                             f"{error}") from None
-        return cls.from_json(text)
-
-    # -- queries --------------------------------------------------------
-    @property
-    def grid(self) -> list[SweepCell]:
-        return [m.cell for m in self.cells]
-
-    def verify(self) -> None:
-        """Fail if the manifest no longer matches the current code.
-
-        Fingerprints fold in the workload source, architecture
-        structure, mapper key, seed, and store schema — if any of those
-        changed since the manifest was written, its completion state
-        describes results the current build would not produce.
-        """
-        if self.store_schema != SCHEMA_VERSION:
-            raise ReproError(
-                f"stale manifest: written for store schema "
-                f"{self.store_schema}, current is {SCHEMA_VERSION}; "
-                "start a fresh manifest")
-        for m in self.cells:
-            if cell_fingerprint(m.cell) != m.fingerprint:
-                raise ReproError(
-                    f"stale manifest: fingerprint changed for cell "
-                    f"{'/'.join(m.cell.key())} (workload, architecture, "
-                    "or mapper configuration edited since the manifest "
-                    "was written); start a fresh manifest")
-
-    def pending(self, store: ResultStore | None = None,
-                shard: ShardSpec | None = None) -> list[SweepCell]:
-        """Cells still to evaluate, in grid order.
-
-        A cell is pending unless it is marked done or its fingerprint
-        already has a (readable, current-schema) entry in ``store`` —
-        which is exactly what a merge of other hosts' shards provides.
-        Restricted to ``shard``'s cells when one is given.
-        """
-        if shard is not None and shard.count != self.shards:
-            raise ReproError(
-                f"shard spec {shard} does not match the manifest's "
-                f"{self.shards}-way partition")
-        out = []
-        for m in self.cells:
-            if shard is not None and m.shard != shard.index:
-                continue
-            if m.done:
-                continue
-            if store is not None and m.fingerprint is not None \
-                    and m.fingerprint in store:
-                continue
-            out.append(m.cell)
-        return out
-
-    def mark(self, report) -> int:
-        """Record a sweep report's successful cells as done.
-
-        Failed cells stay pending in the manifest (deterministic
-        failures are already sticky in the store itself, so they are
-        not re-dispatched while the store is attached); returns how
-        many cells flipped to done.
-        """
-        done_keys = {o.cell.key() for o in report.outcomes if o.ok}
-        flipped = 0
-        for m in self.cells:
-            if not m.done and m.cell.key() in done_keys:
-                m.done = True
-                flipped += 1
-        return flipped
-
-    def summary(self) -> str:
-        done = sum(1 for m in self.cells if m.done)
-        return (f"manifest: {len(self.cells)} cells over "
-                f"{self.shards} shard(s), {done} done")
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ EVAL_STATS = EvalStats()
 _SALT = 0
 
 #: Fingerprint memo: configs are immutable between clear_caches() calls
-#: (build_arch is cached the same way), and sharding/manifest checks
-#: fingerprint whole grids at once.  The fabric's signature text is
+#: (build_arch is cached the same way), and sharding fingerprints whole
+#: grids at once.  The fabric's signature text is
 #: already memoized on its instance; this saves the workload signature
 #: and the hashing on repeat lookups of one cell.
 _FP_MEMO: dict[tuple[str, str, str], str] = {}
@@ -239,8 +239,8 @@ def try_fingerprint(workload: str, arch_key: str,
     A grid may name an unknown workload or architecture (the sweep
     reports those as per-cell failures rather than refusing the run);
     such cells have no fingerprint — callers that key on fingerprints
-    (shard assignment, manifests) get ``None`` and fall back to a digest
-    of the raw cell key.
+    (shard assignment) get ``None`` and fall back to a digest of the raw
+    cell key.
     """
     try:
         return evaluation_fingerprint(workload, arch_key, mapper_key)

@@ -127,8 +127,8 @@ def build_grid(workloads: "list[str] | None" = None,
 def cell_fingerprint(cell: SweepCell) -> str | None:
     """Persistent-store fingerprint of one grid cell (``None`` when the
     cell cannot be fingerprinted, e.g. an unknown workload — those cells
-    sweep to per-cell failures, and shard/manifest bookkeeping falls
-    back to a digest of the raw key, see :mod:`repro.eval.distributed`).
+    sweep to per-cell failures, and shard assignment falls back to a
+    digest of the raw key, see :mod:`repro.eval.distributed`).
     """
     return harness.try_fingerprint(*cell.key())
 

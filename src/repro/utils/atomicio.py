@@ -1,7 +1,7 @@
 """Crash- and rsync-safe file writes.
 
-Every durable artifact of a sweep — result-store entries, sweep
-manifests, ``repro sweep --output`` files — goes through
+Every durable artifact of a sweep — result-store entries and
+``repro sweep --output`` files — goes through
 :func:`atomic_write_text`: the payload is written to a ``.tmp-*`` file
 in the destination directory, fsync'd, and ``os.replace``d into place.
 A reader (or an ``rsync`` of the directory) therefore only ever observes
@@ -73,8 +73,8 @@ def atomic_write_text(path: "Path | str", text: str) -> None:
     mid-write — the destination keeps its previous content; the temp
     file is removed when this code still runs, and is skippable debris
     (see :func:`is_temp_file`) when it does not.  ``OSError`` propagates:
-    callers decide whether a failed write is fatal (a manifest) or
-    best-effort (a cache entry).
+    callers decide whether a failed write is fatal (a sweep's
+    ``--output`` file) or best-effort (a cache entry).
 
     The temp file is fsync'd before the rename and the directory after
     it, extending the contract from "killed writer" to "power loss":
@@ -89,9 +89,9 @@ def atomic_write_text(path: "Path | str", text: str) -> None:
         with os.fdopen(handle, "w", encoding="utf-8") as tmp:
             tmp.write(text)
             # mkstemp creates 0600; give the replaced file the ordinary
-            # umask-governed mode instead — shard stores, manifests, and
-            # sweep outputs are exactly the files other users/uids read
-            # off a shared or rsync'd directory.
+            # umask-governed mode instead — shard stores and sweep
+            # outputs are exactly the files other users/uids read off a
+            # shared or rsync'd directory.
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(tmp.fileno(), 0o666 & ~umask)

@@ -1,11 +1,13 @@
 """The distributed sweep subsystem: deterministic sharding, mergeable
-stores, resumable manifests, and the atomic-write guarantees they stand
-on.
+stores, resume through the store, and the atomic-write guarantees they
+stand on.
 
 The core invariant locked here is the one the multi-host workflow is
 built around: **union-of-shards == single-host sweep, bit-identical** —
 same store bytes, same metrics, same summary counts — and a warm
-re-sweep of the merged store evaluates zero cells.
+re-sweep of the merged store evaluates zero cells.  Resuming is the
+same re-sweep: against a store missing some entries (a lost shard, a
+killed run) it evaluates exactly the missing cells.
 """
 
 import json
@@ -19,8 +21,8 @@ from repro.errors import ReproError
 from repro.eval import parallel
 from repro.eval.cache import SCHEMA_VERSION, ResultStore, result_to_dict
 from repro.eval.distributed import (
-    ShardSpec, SweepManifest, gc_store, inventory, merge_stores,
-    parse_duration, parse_shard, shard_cells, shard_of,
+    ShardSpec, gc_store, inventory, merge_stores, parse_duration,
+    parse_shard, shard_cells, shard_of,
 )
 from repro.eval.harness import clear_caches, configure_store
 from repro.eval.reporting import sweep_to_json
@@ -424,101 +426,8 @@ def test_atomic_writes_honor_umask(tmp_path):
         os.umask(previous)
 
 
-def test_manifest_save_is_atomic(tmp_path, monkeypatch):
-    cells = parallel.build_grid(["dwconv"], ["plaid"])
-    manifest = SweepManifest.from_cells(cells, shards=2)
-    path = tmp_path / "manifest.json"
-    manifest.save(path)
-    before = path.read_bytes()
-
-    from repro.utils import atomicio
-
-    def killed(src, dst):
-        raise OSError(5, "killed")
-
-    monkeypatch.setattr(atomicio.os, "replace", killed)
-    manifest.cells[0].done = True
-    with pytest.raises(OSError):
-        manifest.save(path)
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert SweepManifest.load(path).cells[0].done is False
-
-
 # ---------------------------------------------------------------------------
-# Manifests: resumability and drift detection
-# ---------------------------------------------------------------------------
-def test_manifest_roundtrip_and_pending(tmp_path):
-    cells = parallel.build_grid(["dwconv", "conv2x2"], ["st", "plaid"])
-    manifest = SweepManifest.from_cells(cells, shards=2)
-    path = tmp_path / "man.json"
-    manifest.save(path)
-    loaded = SweepManifest.load(path)
-    assert loaded.grid == cells
-    assert loaded.shards == 2
-    assert [m.shard for m in loaded.cells] \
-        == [shard_of(c, 2) for c in cells]
-    loaded.verify()                             # fresh manifest verifies
-
-    # Nothing done, no store: everything pending, shard filters apply.
-    assert loaded.pending() == cells
-    shard1 = loaded.pending(shard=ShardSpec(1, 2))
-    shard2 = loaded.pending(shard=ShardSpec(2, 2))
-    assert sorted(c.key() for c in shard1 + shard2) \
-        == sorted(c.key() for c in cells)
-    with pytest.raises(ReproError, match="does not match"):
-        loaded.pending(shard=ShardSpec(1, 3))
-
-
-def test_manifest_pending_consults_store_after_merge(tmp_path):
-    """The resume contract: after merging other hosts' shards into the
-    store, only genuinely missing cells are re-dispatched."""
-    cells = parallel.build_grid(["dwconv", "conv2x2"], ["plaid"])
-    manifest = SweepManifest.from_cells(cells)
-    store = _seed_store(tmp_path / "merged", names=("dwconv",))
-    pending = manifest.pending(store)
-    assert [c.workload for c in pending] == ["conv2x2"]
-
-
-def test_manifest_mark_flips_only_successful_cells():
-    cells = parallel.build_grid(["dwconv", "no-such-kernel"], ["plaid"])
-    manifest = SweepManifest.from_cells(cells)
-    report = parallel.run_sweep(cells, jobs=1)
-    assert manifest.mark(report) == 1
-    done = {m.cell.workload: m.done for m in manifest.cells}
-    assert done == {"dwconv": True, "no-such-kernel": False}
-    # Marking again is idempotent.
-    assert manifest.mark(report) == 0
-
-
-def test_manifest_detects_fingerprint_drift(tmp_path):
-    cells = parallel.build_grid(["dwconv"], ["plaid"])
-    manifest = SweepManifest.from_cells(cells)
-    manifest.cells[0].fingerprint = "0" * 64        # config changed since
-    with pytest.raises(ReproError, match="stale manifest"):
-        manifest.verify()
-
-
-def test_manifest_detects_schema_drift():
-    cells = parallel.build_grid(["dwconv"], ["plaid"])
-    manifest = SweepManifest.from_cells(cells)
-    manifest.store_schema = SCHEMA_VERSION + 1
-    with pytest.raises(ReproError, match="store schema"):
-        manifest.verify()
-
-
-def test_manifest_load_rejects_malformed(tmp_path):
-    path = tmp_path / "man.json"
-    for bad in ("", "{", "[1,2]", json.dumps({"manifest_version": 99})):
-        path.write_text(bad)
-        with pytest.raises(ReproError):
-            SweepManifest.load(path)
-    with pytest.raises(ReproError, match="cannot read"):
-        SweepManifest.load(tmp_path / "missing.json")
-
-
-# ---------------------------------------------------------------------------
-# CLI: the shard / manifest / cache command surface
+# CLI: the shard / cache command surface
 # ---------------------------------------------------------------------------
 def _run_cli(args):
     from repro.cli import main
@@ -552,32 +461,6 @@ def test_cli_two_shard_merge_warm_resweep(tmp_path, capsys):
     ]
     assert sum(s["evaluated"] for s in shard_totals) == 6
     assert sum(s["total"] for s in shard_totals) == 6
-
-
-def test_cli_sweep_manifest_resume(tmp_path, capsys):
-    manifest = tmp_path / "man.json"
-    base = ["sweep", "--manifest", str(manifest),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--format", "json"]
-    clear_caches()
-    assert _run_cli([*base, "--workloads", "dwconv,conv2x2",
-                     "--arch", "plaid",
-                     "--output", str(tmp_path / "first.json")]) == 0
-    data = json.loads(manifest.read_text())
-    assert all(cell["done"] for cell in data["cells"])
-
-    # Resume without grid flags: the manifest is the grid; everything is
-    # done, so the sweep dispatches zero cells.
-    clear_caches()
-    assert _run_cli([*base, "--output", str(tmp_path / "resume.json")]) == 0
-    resume = json.loads((tmp_path / "resume.json").read_text())
-    assert resume["summary"]["total"] == 0
-
-    # Conflicting grid flags are rejected, not silently ignored.
-    clear_caches()
-    assert _run_cli([*base, "--workloads", "gesum_u2", "--arch", "st",
-                     "--output", str(tmp_path / "x.json")]) == 2
-    assert "different grid" in capsys.readouterr().err
 
 
 def test_cli_resweep_after_lost_shard(tmp_path, capsys):
