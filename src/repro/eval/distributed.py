@@ -360,20 +360,20 @@ _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0,
 
 def parse_duration(text: str) -> float:
     """``"90"``/``"90s"``/``"15m"``/``"6h"``/``"7d"``/``"2w"`` -> seconds."""
-    text = text.strip().lower()
+    number = text.strip().lower()
     scale = 1.0
-    if text and text[-1] in _DURATION_UNITS:
-        scale = _DURATION_UNITS[text[-1]]
-        text = text[:-1]
+    if number and number[-1] in _DURATION_UNITS:
+        scale = _DURATION_UNITS[number[-1]]
+        number = number[:-1]
     try:
-        seconds = float(text) * scale
+        seconds = float(number) * scale
     except ValueError:
         raise ReproError(
             f"bad duration '{text}' (expected NUMBER[s|m|h|d|w])") from None
     if not math.isfinite(seconds):
         raise ReproError(f"duration '{text}' is not finite")
     if seconds < 0:
-        raise ReproError("duration must be >= 0")
+        raise ReproError(f"duration '{text}' must be >= 0")
     return seconds
 
 

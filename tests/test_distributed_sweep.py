@@ -618,3 +618,7 @@ def test_parse_duration():
     for bad in ("", "x", "7y", "-3", "nan", "inf", "1e400"):
         with pytest.raises(ReproError):
             parse_duration(bad)
+    with pytest.raises(ReproError, match="bad duration 'xh'"):
+        parse_duration("xh")
+    with pytest.raises(ReproError, match="duration '1e400s' is not finite"):
+        parse_duration("1e400s")
