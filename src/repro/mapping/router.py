@@ -30,7 +30,7 @@ from repro.mapping.routecore import (
 
 __all__ = [
     "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory",
-    "fewest_moves_table", "min_transport_latency", "route_cost", "route_edge",
+    "fewest_moves_table", "min_transport_latency", "route_edge",
     "route_edge_reference", "router_adjacency", "transport_latency_table",
 ]
 
@@ -281,8 +281,3 @@ def _push(mrrg: MRRG, net: int, history, best, frontier, parents,
         heapq.heappush(frontier, (new_cost, next_place, next_cycle))
         return True
     return False
-
-
-def route_cost(route: Route) -> float:
-    """Resource units a committed route consumes (for objectives)."""
-    return float(len(route.steps))
