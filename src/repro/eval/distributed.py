@@ -21,10 +21,9 @@ hosts; this module adds the layer that exploits it:
   source order; damaged or schema-mismatched entries are skipped and
   reported, never crashed on, and a newer-schema entry already in the
   destination is never overwritten.
-* **Resume through the store.**  There is no separate resume record:
-  re-sweeping the same grid against the (merged) store evaluates only
-  the cells whose fingerprint has no entry — after a crash, or after a
-  shard's store was lost.
+* **Resume through the store.**  Re-sweeping the same grid against the
+  (merged) store evaluates only the cells whose fingerprint has no
+  entry — after a crash, or after a shard's store was lost.
 
 Store-maintenance helpers (:func:`inventory`, :func:`gc_store`) back the
 ``repro cache stats`` / ``repro cache gc`` commands.
