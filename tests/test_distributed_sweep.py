@@ -381,6 +381,32 @@ def test_inventory_and_gc_refuse_missing_dir(tmp_path):
     assert not (tmp_path / "nope").exists()
 
 
+def test_every_store_view_agrees_on_which_paths_are_entries(tmp_path):
+    """``len``, ``fingerprints()``, inventory, merge and gc share one
+    definition of an entry: a regular ``<fp>.json`` file that is not
+    ``.tmp-`` debris.  A directory named like an entry, a stray text
+    file and temp debris are not entries; a corrupt entry is one."""
+    store = _seed_store(tmp_path / "store")
+    valid = sorted(store.fingerprints())
+    assert len(valid) == 2
+    corrupt = "c" * 64
+    store.entry_path(corrupt).write_text("{garbage")
+    store.entry_path("d" * 64).mkdir()
+    (store.root / ".tmp-x.json").write_text("{}")
+    (store.root / "notes.txt").write_text("not an entry")
+    entries = sorted(valid + [corrupt])
+
+    inv = inventory(store.root)
+    merged = merge_stores([store.root], tmp_path / "dst")
+    assert len(store) == inv.entries == merged.scanned == len(entries)
+    assert sorted(store.fingerprints()) == entries
+    assert merged.added + merged.corrupt_skipped == len(entries)
+    gc = gc_store(store.root)
+    assert (gc.kept + gc.removed_corrupt + gc.removed_schema
+            + gc.removed_old) == len(entries)
+    assert inv.temp_files == gc.removed_temp == 1
+
+
 # ---------------------------------------------------------------------------
 # Atomic writes: a killed writer never corrupts what readers see
 # ---------------------------------------------------------------------------
