@@ -276,23 +276,6 @@ def _store_dir(explicit: str | None) -> str:
         or ".repro-cache"
 
 
-def _cache_dir_argument(args) -> "str":
-    """Resolve the store directory for ``repro cache stats/gc``."""
-    from pathlib import Path
-
-    from repro.eval.cache import CACHE_DIR_ENV
-
-    root = _store_dir(args.dir)
-    path = Path(root)
-    if not path.is_dir():
-        kind = "is a regular file, not" if path.exists() else "does not name"
-        raise ReproError(
-            f"store path '{root}' {kind} a store directory (pass an "
-            "existing result-store directory, e.g. .repro-cache, or set "
-            f"${CACHE_DIR_ENV})")
-    return root
-
-
 def cmd_cache_merge(args) -> int:
     from repro.eval.distributed import merge_stores
 
@@ -308,17 +291,13 @@ def cmd_cache_merge(args) -> int:
 
 
 def cmd_cache_stats(args) -> int:
-    import dataclasses
     import json
 
     from repro.eval.distributed import inventory
 
-    inv = inventory(_cache_dir_argument(args))
+    inv = inventory(_store_dir(args.dir))
     if args.json:
-        data = dataclasses.asdict(inv)
-        # JSON objects can't key on None/int: stringify schema keys.
-        data["by_schema"] = {str(k): v for k, v in inv.by_schema.items()}
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(inv.as_dict(), indent=2, sort_keys=True))
     else:
         print(inv.render())
     return 0
@@ -328,7 +307,7 @@ def cmd_cache_gc(args) -> int:
     from repro.eval.distributed import gc_store, parse_duration
 
     older_than = parse_duration(args.older_than) if args.older_than else None
-    report = gc_store(_cache_dir_argument(args), schema=args.schema,
+    report = gc_store(_store_dir(args.dir), schema=args.schema,
                       older_than=older_than)
     print(report.summary())
     return 0

@@ -22,6 +22,12 @@ Design points:
 * **Atomic writes.**  Entries are written to a temp file and
   ``os.replace``d into place, so concurrent sweep workers never observe
   half-written JSON.
+* **One owner of the directory format.**  This module alone decides
+  which paths are entries (:meth:`ResultStore.scan`), how an entry file
+  is read and classified (:func:`read_entry`) and what counts as an
+  existing store (:func:`existing_store`).  The merge, stats and gc
+  tooling (:mod:`repro.eval.distributed`) and the CLI state only their
+  policies on top, so every view of a store counts the same entries.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from repro.utils.signature import arch_signature_text, canonical_json
 __all__ = [
     "CACHE_DIR_ENV", "CachedFailure", "RawEntry", "ResultStore",
     "SCHEMA_VERSION", "StoreStats", "default_store",
-    "fingerprint", "load_raw_entry", "result_from_dict", "result_to_dict",
-    "workload_signature",
+    "existing_store", "fingerprint", "read_entry", "result_from_dict",
+    "result_to_dict", "workload_signature",
 ]
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard (harness imports us)
@@ -204,35 +210,50 @@ class CachedFailure:
 
 
 # ---------------------------------------------------------------------------
-# Raw entry access (the distributed merge/stats/gc tooling reads entries
-# without adopting them: exact text preserved, nothing deleted on contact)
+# Reading one entry file (every reader of a store goes through here)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class RawEntry:
-    """One entry file as the merge tooling sees it.
+    """One entry file, read and classified.
 
     ``status`` is judged against a *target* schema version: ``ok``
-    (decodes, matches the target, payload parses), ``stale`` (decodes
-    but carries a different schema — ``schema`` says which), or
-    ``corrupt`` (truncated/garbled text or an unparseable payload).
-    ``text`` is the file's exact content, so copying an ``ok`` entry
-    into another store is byte-preserving.
+    (decodes, matches the target, payload parses: ``payload`` holds
+    it), ``stale`` (decodes but carries a different schema — ``schema``
+    says which), ``corrupt`` (an unreadable file, truncated/garbled
+    text or an unparseable payload), or ``missing`` (no file at the
+    path).  ``text`` is the file's exact content, so copying an ``ok``
+    entry into another store is byte-preserving.
     """
 
     fingerprint: str
     text: str
-    status: str                 # 'ok' | 'stale' | 'corrupt'
-    schema: int | None          # the entry's own schema, when decodable
-    is_failure: bool = False    # ok entries: CachedFailure vs result
+    status: str                 # 'ok' | 'stale' | 'corrupt' | 'missing'
+    schema: int | None = None   # the entry's own schema, when decodable
+    payload: "KernelResult | CachedFailure | None" = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @property
+    def is_failure(self) -> bool:
+        return isinstance(self.payload, CachedFailure)
 
-def _classify_entry_text(raw: str, schema_version: int
-                         ) -> "tuple[str, KernelResult | CachedFailure | None, int | None]":
-    """Decode one entry text: (status, payload, entry schema)."""
+
+def read_entry(path: Path, schema_version: int = SCHEMA_VERSION
+               ) -> RawEntry:
+    """Read and classify one entry file against ``schema_version``.
+
+    One read, nothing else: no ``stat``, no stats, no deletion — what
+    to do about a damaged entry is the caller's policy.
+    """
+    fp = path.stem
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except (FileNotFoundError, IsADirectoryError):
+        return RawEntry(fingerprint=fp, text="", status="missing")
+    except (OSError, UnicodeDecodeError):
+        return RawEntry(fingerprint=fp, text="", status="corrupt")
     try:
         entry = json.loads(raw)
         if not isinstance(entry, dict):
@@ -240,29 +261,19 @@ def _classify_entry_text(raw: str, schema_version: int
         schema = entry.get("schema")
         schema = schema if isinstance(schema, int) else None
         if schema != schema_version:
-            return "stale", None, schema
+            return RawEntry(fingerprint=fp, text=raw, status="stale",
+                            schema=schema)
         if "failure" in entry:
-            return "ok", CachedFailure(
+            payload = CachedFailure(
                 error_type=str(entry["failure"]["type"]),
                 message=str(entry["failure"]["message"]),
-            ), schema
-        return "ok", result_from_dict(entry["result"]), schema
+            )
+        else:
+            payload = result_from_dict(entry["result"])
     except (ValueError, KeyError, TypeError):
-        return "corrupt", None, None
-
-
-def load_raw_entry(path: Path, schema_version: int = SCHEMA_VERSION
-                   ) -> RawEntry:
-    """Classify one entry file against ``schema_version`` (pure read)."""
-    fp = path.stem
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
-        return RawEntry(fingerprint=fp, text="", status="corrupt",
-                        schema=None)
-    status, payload, schema = _classify_entry_text(raw, schema_version)
-    return RawEntry(fingerprint=fp, text=raw, status=status, schema=schema,
-                    is_failure=isinstance(payload, CachedFailure))
+        return RawEntry(fingerprint=fp, text=raw, status="corrupt")
+    return RawEntry(fingerprint=fp, text=raw, status="ok", schema=schema,
+                    payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -319,58 +330,51 @@ class ResultStore:
         crash or a wrong number.
         """
         path = self.entry_path(fp)
-        status, result = self._read_entry(path)
-        if status == "missing":
-            self.stats.misses += 1
+        entry = read_entry(path, self.schema_version)
+        if entry.ok:
+            self.stats.hits += 1
+            return entry.payload
+        self.stats.misses += 1
+        if entry.status == "missing":
             return None
-        if status == "stale":
+        if entry.status == "stale":
             self.stats.stale += 1
-            self.stats.misses += 1
-            self._discard(path)
-            return None
-        if status == "corrupt":
+        else:
             self.stats.corrupt += 1
-            self.stats.misses += 1
-            self._discard(path)
-            return None
-        self.stats.hits += 1
-        return result
-
-    def _read_entry(self, path: Path
-                    ) -> "tuple[str, KernelResult | CachedFailure | None]":
-        """Decode one entry file: ('ok'|'missing'|'stale'|'corrupt',
-        payload).  Pure read — no stats, no deletion."""
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return "missing", None
-        except UnicodeDecodeError:     # binary garbage in the entry
-            return "corrupt", None
-        status, payload, _schema = _classify_entry_text(
-            raw, self.schema_version)
-        return status, payload
+        self._discard(path)
+        return None
 
     def __contains__(self, fp: str) -> bool:
         """Membership consistent with :meth:`get`: schema-stale and
         corrupt entries read as absent (``get`` would treat them as
         misses), but — unlike ``get`` — the probe neither counts stats
         nor deletes the damaged file."""
-        return self._read_entry(self.entry_path(fp))[0] == "ok"
+        return read_entry(self.entry_path(fp), self.schema_version).ok
 
-    def entry_files(self) -> Iterator[Path]:
-        """Every entry file, sorted (the merge/stats/gc tooling)."""
-        # Path.glob("*.json") also matches dot-prefixed names, so filter
-        # out ".tmp-*" files a killed writer may have left behind.
-        for path in sorted(self.root.glob("*.json")):
-            if not is_temp_file(path):
-                yield path
+    def scan(self) -> "tuple[list[Path], list[Path]]":
+        """The store's entry files and its temp debris, each sorted.
+
+        The one definition every tool shares: an entry is a regular
+        file ``<fp>.json``; debris is a regular file a killed writer
+        left behind (``.tmp-*``, see :func:`is_temp_file`).  Anything
+        else — subdirectories, stray files — is neither, and no tool
+        counts, reads or deletes it.
+        """
+        entries, debris = [], []
+        for path in sorted(self.root.iterdir()):
+            if not path.is_file():
+                continue
+            if is_temp_file(path):
+                debris.append(path)
+            elif path.suffix == ".json":
+                entries.append(path)
+        return entries, debris
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entry_files())
+        return len(self.scan()[0])
 
     def fingerprints(self) -> Iterator[str]:
-        for path in self.entry_files():
-            yield path.stem
+        return (path.stem for path in self.scan()[0])
 
     # -- write ----------------------------------------------------------
     def put(self, fp: str, result: "KernelResult") -> None:
@@ -421,6 +425,23 @@ class ResultStore:
             path.unlink()
         except OSError:
             pass    # a concurrent worker already replaced or removed it
+
+
+def existing_store(store: "Path | str | ResultStore") -> ResultStore:
+    """``store`` as a :class:`ResultStore`, whose directory must exist.
+
+    Constructing a :class:`ResultStore` on a fresh path mkdirs it; the
+    tools that read, prune or merge from a store call this instead, so
+    a typo'd path is an error before anything is created.
+    """
+    root = store.root if isinstance(store, ResultStore) else Path(store)
+    if not root.is_dir():
+        problem = "is a regular file" if root.exists() else "does not exist"
+        raise ReproError(
+            f"no store directory at '{root}': the path {problem} (pass an "
+            "existing result-store directory, e.g. .repro-cache, or set "
+            f"${CACHE_DIR_ENV})")
+    return store if isinstance(store, ResultStore) else ResultStore(root)
 
 
 def default_store() -> ResultStore | None:

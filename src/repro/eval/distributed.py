@@ -27,6 +27,10 @@ hosts; this module adds the layer that exploits it:
 
 Store-maintenance helpers (:func:`inventory`, :func:`gc_store`) back the
 ``repro cache stats`` / ``repro cache gc`` commands.
+
+The store directory's format (which paths are entries, how one is
+read, what counts as an existing store) belongs to :mod:`repro.eval.cache`;
+merge, inventory and gc here state only their policies on top of it.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.eval.cache import RawEntry, ResultStore, load_raw_entry
+from repro.eval.cache import (
+    RawEntry, ResultStore, existing_store, read_entry,
+)
 from repro.eval.parallel import SweepCell, cell_fingerprint
-from repro.utils.atomicio import is_temp_file
 
 __all__ = [
     "GcReport", "MergeReport", "ShardSpec", "StoreInventory", "gc_store",
@@ -183,51 +188,39 @@ def merge_stores(sources: "list[Path | str | ResultStore]",
         raise ReproError(
             f"merge destination '{dest_root}' is not a directory "
             "(--into takes a store directory, e.g. --into merged-cache)")
-    report = MergeReport(sources=[], destination=str(dest_root))
-    roots = []
+    stores = []
     for source in sources:
-        root = source.root if isinstance(source, ResultStore) else Path(source)
-        if not root.is_dir():
-            detail = ("is a regular file, not a store directory"
-                      if root.exists() else "does not exist")
-            raise ReproError(
-                f"source store '{root}' {detail} "
-                "(sources must be existing result-store directories)")
-        if root.resolve() == dest_root.resolve():
+        store = existing_store(source)
+        if store.root.resolve() == dest_root.resolve():
             raise ReproError(
                 f"destination {dest_root} is also listed as a source")
-        roots.append(root)
-        report.sources.append(str(root))
+        stores.append(store)
+    report = MergeReport(sources=[str(store.root) for store in stores],
+                         destination=str(dest_root))
     if not isinstance(dest, ResultStore):
         dest = ResultStore(dest_root)
 
-    for root in roots:
-        source = ResultStore(root)
-        for path in source.entry_files():
+    for source in stores:
+        for path in source.scan()[0]:
             report.scanned += 1
-            candidate = load_raw_entry(path, dest.schema_version)
-            if candidate.status == "corrupt":
-                report.corrupt_skipped += 1
-                continue
+            candidate = read_entry(path, dest.schema_version)
             if candidate.status == "stale":
                 report.schema_skipped += 1
                 continue
+            if not candidate.ok:        # corrupt, or gone since the scan
+                report.corrupt_skipped += 1
+                continue
             fp = candidate.fingerprint
-            dest_path = dest.entry_path(fp)
-            if not dest_path.exists():
+            existing = read_entry(dest.entry_path(fp), dest.schema_version)
+            if existing.status == "missing":
                 dest.put_raw(fp, candidate.text)
                 report.added += 1
                 continue
-            existing = load_raw_entry(dest_path, dest.schema_version)
-            if existing.status == "corrupt":
-                dest.put_raw(fp, candidate.text)
-                report.healed += 1
+            if existing.status == "stale" and existing.schema is not None \
+                    and existing.schema > dest.schema_version:
+                report.protected += 1           # never clobber newer data
                 continue
-            if existing.status == "stale":
-                if existing.schema is not None \
-                        and existing.schema > dest.schema_version:
-                    report.protected += 1       # never clobber newer data
-                    continue
+            if existing.status in ("corrupt", "stale"):
                 dest.put_raw(fp, candidate.text)
                 report.healed += 1
                 continue
@@ -247,22 +240,6 @@ def merge_stores(sources: "list[Path | str | ResultStore]",
 # ---------------------------------------------------------------------------
 # Store stats / gc
 # ---------------------------------------------------------------------------
-def _open_existing_store(store: "Path | str | ResultStore") -> ResultStore:
-    """An existing store directory — never created as a side effect
-    (constructing :class:`ResultStore` on a fresh path mkdirs it, which
-    a read/prune operation must not do on a typo'd path)."""
-    if isinstance(store, ResultStore):
-        return store
-    root = Path(store)
-    if not root.is_dir():
-        kind = ("'%s' is a regular file, not a store directory" % root
-                if root.exists() else "no store directory at '%s'" % root)
-        raise ReproError(
-            f"{kind} (pass an existing result-store directory, "
-            "e.g. .repro-cache or $REPRO_CACHE_DIR)")
-    return ResultStore(root)
-
-
 @dataclass
 class StoreInventory:
     """What ``repro cache stats`` reports about one store directory."""
@@ -300,32 +277,33 @@ class StoreInventory:
             f"size: {self.total_bytes} bytes",
         ])
 
+    def as_dict(self) -> dict:
+        """The JSON form (``repro cache stats --json``, ``GET /stats``):
+        JSON objects can't key on None/int, so schema keys are strings."""
+        data = asdict(self)
+        data["by_schema"] = {str(k): v for k, v in self.by_schema.items()}
+        return data
+
 
 def inventory(store: "Path | str | ResultStore") -> StoreInventory:
     """Pure scan of a store directory (nothing deleted, no stats bumped)."""
-    store = _open_existing_store(store)
-    inv = StoreInventory(root=str(store.root))
-    for path in sorted(store.root.iterdir()):
-        if is_temp_file(path):
-            inv.temp_files += 1
-            inv.total_bytes += path.stat().st_size
-            continue
-        if path.suffix != ".json" or not path.is_file():
-            continue
-        inv.entries += 1
-        inv.total_bytes += path.stat().st_size
-        entry = load_raw_entry(path, store.schema_version)
+    store = existing_store(store)
+    entries, debris = store.scan()
+    inv = StoreInventory(
+        root=str(store.root), entries=len(entries), temp_files=len(debris),
+        total_bytes=sum(path.stat().st_size for path in entries + debris))
+    for path in entries:
+        entry = read_entry(path, store.schema_version)
         inv.by_schema[entry.schema] = inv.by_schema.get(entry.schema, 0) + 1
-        if entry.status == "corrupt":
-            inv.corrupt += 1
-            inv.reader_skipped += 1
-        elif entry.status == "stale":
+        if entry.status == "stale":
             inv.stale += 1
-            inv.reader_skipped += 1
+        elif not entry.ok:
+            inv.corrupt += 1
         elif entry.is_failure:
             inv.failures += 1
         else:
             inv.results += 1
+    inv.reader_skipped = inv.stale + inv.corrupt
     return inv
 
 
@@ -395,18 +373,15 @@ def gc_store(store: "Path | str | ResultStore", *,
     expire; gc rewrites their mtime to ``now``, so they age normally
     from the first pass that observes them.
     """
-    store = _open_existing_store(store)
+    store = existing_store(store)
     now = time.time() if now is None else now
-    report = GcReport()
-    for path in sorted(store.root.iterdir()):
-        if is_temp_file(path):
-            path.unlink(missing_ok=True)
-            report.removed_temp += 1
-            continue
-        if path.suffix != ".json" or not path.is_file():
-            continue
-        entry = load_raw_entry(path, store.schema_version)
-        if entry.status == "corrupt":
+    entries, debris = store.scan()
+    for path in debris:
+        path.unlink(missing_ok=True)
+    report = GcReport(removed_temp=len(debris))
+    for path in entries:
+        entry = read_entry(path, store.schema_version)
+        if entry.status in ("corrupt", "missing"):
             path.unlink(missing_ok=True)
             report.removed_corrupt += 1
             continue

@@ -513,11 +513,7 @@ class SweepServer:
         if self.store is not None:
             from repro.eval.distributed import inventory
 
-            inv = asdict(inventory(self.store))
-            inv["by_schema"] = {
-                str(schema): count
-                for schema, count in inv["by_schema"].items()}
-            payload["store"] = inv
+            payload["store"] = inventory(self.store).as_dict()
         return payload
 
     async def _handle_sweep(self, writer: asyncio.StreamWriter,

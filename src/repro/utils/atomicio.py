@@ -24,9 +24,10 @@ Two distinct failure modes are covered:
   directory is fsync'd (best-effort: some platforms/filesystems refuse
   to open directories) afterwards so the rename itself is durable.
 
-Temp files are dot-prefixed so directory scans that enumerate entries
-(:meth:`repro.eval.cache.ResultStore.entry_files`) can skip debris a killed
-writer left behind; :func:`is_temp_file` names the convention once.
+Temp files are dot-prefixed so the store's directory scan
+(:meth:`repro.eval.cache.ResultStore.scan`) can tell debris a killed
+writer left behind from entries; :func:`is_temp_file` names the
+convention once.
 """
 
 from __future__ import annotations

@@ -550,7 +550,7 @@ def test_cli_cache_stats_json(tmp_path, capsys):
 
 def test_cli_cache_stats_missing_dir(tmp_path, capsys):
     assert _run_cli(["cache", "stats", str(tmp_path / "nope")]) == 2
-    assert "does not name a store directory" in capsys.readouterr().err
+    assert "no store directory" in capsys.readouterr().err
 
 
 def test_cli_cache_gc(tmp_path, capsys):
