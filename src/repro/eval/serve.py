@@ -513,7 +513,10 @@ class SweepServer:
         if self.store is not None:
             from repro.eval.distributed import inventory
 
-            payload["store"] = inventory(self.store).as_dict()
+            try:
+                payload["store"] = inventory(self.store).as_dict()
+            except ReproError as error:     # the directory vanished
+                payload["store"] = {"error": str(error)}
         return payload
 
     async def _handle_sweep(self, writer: asyncio.StreamWriter,

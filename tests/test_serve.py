@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import select
+import shutil
 import signal
 import socket
 import struct
@@ -425,6 +426,25 @@ def test_stats_reports_damaged_entries(tmp_path):
         assert stats["store"]["reader_skipped"] == 1
     finally:
         srv.shutdown_background()
+
+
+def test_stats_answers_after_the_store_directory_vanishes(server):
+    """A store directory removed under a running server is reported in
+    the ``/stats`` reply, and the connection stays open for the next."""
+    shutil.rmtree(server.store.root)
+    before = server.counters.connections
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        for _ in range(2):
+            conn.request("GET", "/stats")
+            response = conn.getresponse()
+            stats = json.loads(response.read())
+            assert response.status == 200
+            assert stats["serve"] == dataclasses.asdict(server.counters)
+            assert "no store directory" in stats["store"]["error"]
+    finally:
+        conn.close()
+    assert server.counters.connections == before + 1
 
 
 def test_unknown_route_is_404(server):
