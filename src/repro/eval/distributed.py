@@ -43,10 +43,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.eval import harness
 from repro.eval.cache import (
     RawEntry, ResultStore, existing_store, read_entry,
 )
-from repro.eval.parallel import SweepCell, cell_fingerprint
+from repro.eval.parallel import SweepCell
 
 __all__ = [
     "GcReport", "MergeReport", "ShardSpec", "StoreInventory", "gc_store",
@@ -98,7 +99,7 @@ def shard_of(cell: SweepCell, count: int) -> int:
     """
     if count < 1:
         raise ReproError(f"shard count must be >= 1, got {count}")
-    digest = cell_fingerprint(cell) or _fallback_digest(cell)
+    digest = harness.try_fingerprint(*cell.key()) or _fallback_digest(cell)
     return int(digest, 16) % count + 1
 
 

@@ -124,15 +124,6 @@ def build_grid(workloads: "list[str] | None" = None,
     ]
 
 
-def cell_fingerprint(cell: SweepCell) -> str | None:
-    """Persistent-store fingerprint of one grid cell (``None`` when the
-    cell cannot be fingerprinted, e.g. an unknown workload — those cells
-    sweep to per-cell failures, and shard assignment falls back to a
-    digest of the raw key, see :mod:`repro.eval.distributed`).
-    """
-    return harness.try_fingerprint(*cell.key())
-
-
 def default_jobs() -> int:
     """Worker count from ``$REPRO_JOBS`` (defaults to 1 = serial)."""
     try:

@@ -24,7 +24,7 @@ from repro.eval.distributed import (
     ShardSpec, gc_store, inventory, merge_stores, parse_duration,
     parse_shard, shard_cells, shard_of,
 )
-from repro.eval.harness import clear_caches, configure_store
+from repro.eval.harness import clear_caches, configure_store, try_fingerprint
 from repro.eval.reporting import sweep_to_json
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_small_grid.json"
@@ -176,7 +176,7 @@ def test_resweep_evaluates_only_cells_missing_from_the_store(
     missing = [cells[1], cells[-2]]
     for cell in missing:
         ResultStore(killed).entry_path(
-            parallel.cell_fingerprint(cell)).unlink()
+            try_fingerprint(*cell.key())).unlink()
     configure_store(killed)
     resumed = parallel.run_sweep(cells, jobs=1)
     clear_caches()
@@ -214,7 +214,7 @@ def test_shard_assignment_ignores_grid_ordering_and_duplicates():
 def test_unfingerprintable_cells_land_in_exactly_one_shard():
     bogus = parallel.SweepCell(workload="no-such-kernel",
                                arch_key="plaid", mapper="plaid")
-    assert parallel.cell_fingerprint(bogus) is None
+    assert try_fingerprint(*bogus.key()) is None
     count = 4
     owners = [index for index in range(1, count + 1)
               if bogus in shard_cells([bogus], ShardSpec(index, count))]
