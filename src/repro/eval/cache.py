@@ -212,7 +212,7 @@ class CachedFailure:
 # ---------------------------------------------------------------------------
 # Reading one entry file (every reader of a store goes through here)
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RawEntry:
     """One entry file, read and classified.
 
@@ -220,16 +220,20 @@ class RawEntry:
     (decodes, matches the target, payload parses: ``payload`` holds
     it), ``stale`` (decodes but carries a different schema — ``schema``
     says which), ``corrupt`` (an unreadable file, truncated/garbled
-    text or an unparseable payload), or ``missing`` (no file at the
-    path).  ``text`` is the file's exact content, so copying an ``ok``
-    entry into another store is byte-preserving.
+    text or an unparseable payload), or ``missing`` (no file, or a
+    directory, at ``path``).  ``text`` is the file's exact content, so
+    copying an ``ok`` entry into another store is byte-preserving.
     """
 
-    fingerprint: str
+    path: Path
     text: str
     status: str                 # 'ok' | 'stale' | 'corrupt' | 'missing'
     schema: int | None = None   # the entry's own schema, when decodable
     payload: "KernelResult | CachedFailure | None" = None
+
+    @property
+    def fingerprint(self) -> str:
+        return self.path.stem
 
     @property
     def ok(self) -> bool:
@@ -247,13 +251,12 @@ def read_entry(path: Path, schema_version: int = SCHEMA_VERSION
     One read, nothing else: no ``stat``, no stats, no deletion — what
     to do about a damaged entry is the caller's policy.
     """
-    fp = path.stem
     try:
         raw = path.read_text(encoding="utf-8")
     except (FileNotFoundError, IsADirectoryError):
-        return RawEntry(fingerprint=fp, text="", status="missing")
+        return RawEntry(path, "", "missing")
     except (OSError, UnicodeDecodeError):
-        return RawEntry(fingerprint=fp, text="", status="corrupt")
+        return RawEntry(path, "", "corrupt")
     try:
         entry = json.loads(raw)
         if not isinstance(entry, dict):
@@ -261,8 +264,7 @@ def read_entry(path: Path, schema_version: int = SCHEMA_VERSION
         schema = entry.get("schema")
         schema = schema if isinstance(schema, int) else None
         if schema != schema_version:
-            return RawEntry(fingerprint=fp, text=raw, status="stale",
-                            schema=schema)
+            return RawEntry(path, raw, "stale", schema)
         if "failure" in entry:
             payload = CachedFailure(
                 error_type=str(entry["failure"]["type"]),
@@ -271,9 +273,8 @@ def read_entry(path: Path, schema_version: int = SCHEMA_VERSION
         else:
             payload = result_from_dict(entry["result"])
     except (ValueError, KeyError, TypeError):
-        return RawEntry(fingerprint=fp, text=raw, status="corrupt")
-    return RawEntry(fingerprint=fp, text=raw, status="ok", schema=schema,
-                    payload=payload)
+        return RawEntry(path, raw, "corrupt")
+    return RawEntry(path, raw, "ok", schema, payload)
 
 
 # ---------------------------------------------------------------------------
