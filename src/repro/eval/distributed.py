@@ -44,9 +44,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.eval import harness
-from repro.eval.cache import (
-    RawEntry, ResultStore, existing_store, read_entry,
-)
+from repro.eval.cache import RawEntry, ResultStore, existing_store, read_entry
 from repro.eval.parallel import SweepCell
 
 __all__ = [
