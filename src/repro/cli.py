@@ -32,9 +32,10 @@ Commands:
 * ``workloads`` — list the 30 evaluated DFGs and their variant families
   (``--variants`` expands every family member).
 
-``map``/``simulate``/``sweep`` accept variant names (``gemm_t4x4_u2``)
-anywhere a workload name is expected, and ``sweep --variants`` expands
-whole families and reports the best variant per (family, architecture).
+``map``/``simulate`` show the mapping ``sweep`` prices (one owner:
+:func:`repro.eval.harness.map_cell`).  All three accept variant names
+(``gemm_t4x4_u2``) as workloads; ``sweep --variants`` expands whole
+families and reports the best variant per (family, architecture).
 """
 
 from __future__ import annotations
@@ -93,32 +94,13 @@ def _load_dfg(args):
     raise ReproError("give --workload NAME or --file KERNEL.c")
 
 
-def _build_arch(key: str):
-    from repro.eval.harness import build_arch
-    return build_arch(key)
-
-
-def _map(args, dfg, arch):
-    """Map with ``--mapper`` (or the fabric's default) through the
-    registry; ``--seed`` seeds every mapper, each composite candidate
-    included.  A mapper that does not fit the fabric raises its own
-    error."""
-    # Mapper keys are validated by the registry, not argparse choices:
-    # resolving them here keeps build_parser free of the (heavyweight)
-    # mapping import for commands that never map anything.
-    from repro.mapping.engine import map_kernel
-
-    name = args.mapper or (arch.style if arch.style in ("spatial", "plaid")
-                           else "pathfinder")
-    return map_kernel(name, dfg, arch, lambda _key: args.seed)
-
-
 def cmd_compile(args) -> int:
-    from repro.motifs import generate_motifs
     from repro.ir.dot import dfg_to_dot
+    from repro.mapping.plaid_mapper import PlaidMapper
+    from repro.motifs import generate_motifs
 
     dfg = _load_dfg(args)
-    generation = generate_motifs(dfg, seed=args.seed)
+    generation = generate_motifs(dfg, seed=PlaidMapper.MOTIF_SEEDS[0])
     if args.dot:
         colors = ["lightblue", "lightgreen", "lightsalmon", "plum", "khaki"]
         highlight = {
@@ -136,8 +118,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_map(args) -> int:
-    dfg = _load_dfg(args)
-    mapping = _map(args, dfg, _build_arch(args.arch))
+    from repro.eval.harness import map_cell
+
+    mapping = map_cell(_load_dfg(args), args.arch, args.mapper)
     print(mapping.summary())
     stats = mapping.stats
     if stats is None:               # phased spatial mappings run no search
@@ -159,16 +142,14 @@ def cmd_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from repro.ir.interpreter import DFGInterpreter
-    from repro.sim import TraceRecorder, simulate_mapping
+    from repro.eval.harness import build_arch, simulate_kernel
+    from repro.sim import TraceRecorder
 
     dfg = _load_dfg(args)
-    arch = _build_arch(args.arch)
-    memory = DFGInterpreter(dfg).prepare_memory(fill=args.fill)
     trace = TraceRecorder(limit=args.trace) if args.trace else None
-    report = simulate_mapping(_map(args, dfg, arch), memory,
-                              iterations=args.iterations, trace=trace)
-    print(f"{dfg.name} on {arch.name}: {report.summary()}")
+    report = simulate_kernel(dfg, args.arch, args.mapper, fill=args.fill,
+                             iterations=args.iterations, trace=trace)
+    print(f"{dfg.name} on {build_arch(args.arch).name}: {report.summary()}")
     if trace is not None and trace.events:
         print(trace.render())
     return 0 if report.verified else 1
@@ -385,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shape", action="append", metavar="ARR=RxC",
                        help="array shape, e.g. A=16x16 (repeatable)")
         p.add_argument("--unroll", type=int, default=None)
-        p.add_argument("--seed", type=int, default=7)
 
     p_compile = sub.add_parser("compile", help="kernel -> DFG + motifs")
     add_dfg_args(p_compile)
@@ -393,13 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="emit Graphviz with motifs colored")
     p_compile.set_defaults(func=cmd_compile)
 
-    p_map = sub.add_parser("map", help="map a DFG onto a fabric")
-    add_dfg_args(p_map)
-    p_map.add_argument("--arch", default="plaid",
-                       choices=ARCH_KEYS)
-    p_map.add_argument("--mapper", metavar="KEY",
+    def add_cell_args(p):
+        add_dfg_args(p)
+        p.add_argument("--arch", default="plaid", choices=ARCH_KEYS)
+        p.add_argument("--mapper", metavar="KEY",
                        help="mapper key (see 'repro mappers'; default: "
-                            "spatial, plaid or pathfinder by fabric)")
+                            "the fabric's paper mapper, so the mapping "
+                            "is the one 'repro sweep' prices)")
+
+    p_map = sub.add_parser("map", help="map a DFG onto a fabric")
+    add_cell_args(p_map)
     p_map.add_argument("--verbose", action="store_true",
                        help="also print search statistics (placement "
                             "attempts, routed edges, routing failures, "
@@ -407,12 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=cmd_map)
 
     p_sim = sub.add_parser("simulate", help="map + cycle-accurate verify")
-    add_dfg_args(p_sim)
-    p_sim.add_argument("--arch", default="plaid",
-                       choices=ARCH_KEYS)
-    p_sim.add_argument("--mapper", metavar="KEY",
-                       help="mapper key (see 'repro mappers'; default: "
-                            "spatial, plaid or pathfinder by fabric)")
+    add_cell_args(p_sim)
     p_sim.add_argument("--iterations", type=int, default=8)
     p_sim.add_argument("--fill", type=int, default=3)
     p_sim.add_argument("--trace", type=int, metavar="N", default=0,

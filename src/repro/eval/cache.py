@@ -352,24 +352,25 @@ class ResultStore:
         nor deletes the damaged file."""
         return read_entry(self.entry_path(fp), self.schema_version).ok
 
-    def scan(self) -> "tuple[list[Path], list[Path]]":
-        """The store's entry files and its temp debris, each sorted.
+    def scan(self) -> "tuple[list[Path], list[Path], list[Path]]":
+        """The store's entry files, temp debris and blocked entry
+        paths, each sorted.
 
         The one definition every tool shares: an entry is a regular
         file ``<fp>.json``; debris is a regular file a killed writer
-        left behind (``.tmp-*``, see :func:`is_temp_file`).  Anything
-        else — subdirectories, stray files — is neither, and no tool
-        counts, reads or deletes it.
+        left behind (``.tmp-*``, see :func:`is_temp_file`); a blocked
+        path is a non-file (a directory) at ``<fp>.json``, where no
+        entry can be written.  Anything else is none of these, and no
+        tool counts, reads or deletes it.
         """
-        entries, debris = [], []
+        entries, debris, blocked = [], [], []
         for path in sorted(self.root.iterdir()):
-            if not path.is_file():
-                continue
             if is_temp_file(path):
-                debris.append(path)
+                if path.is_file():
+                    debris.append(path)
             elif path.suffix == ".json":
-                entries.append(path)
-        return entries, debris
+                (entries if path.is_file() else blocked).append(path)
+        return entries, debris, blocked
 
     def __len__(self) -> int:
         return len(self.scan()[0])

@@ -250,6 +250,9 @@ class StoreInventory:
     stale: int = 0
     corrupt: int = 0
     temp_files: int = 0
+    #: Non-files (directories) at entry paths: their cells cannot be
+    #: stored, so every sweep re-evaluates them.  gc removes empty ones.
+    blocked: int = 0
     total_bytes: int = 0
     by_schema: dict = field(default_factory=dict)   # schema -> count
     #: Damaged entries a reader skips: corrupt + schema-stale.
@@ -273,6 +276,8 @@ class StoreInventory:
             f"reader-skipped: {self.reader_skipped} "
             "(damaged entries readers skip; gc to heal)",
             f"temp files: {self.temp_files}",
+            f"blocked: {self.blocked} (entry paths that are not files; "
+            "their cells re-evaluate every sweep; gc removes empty ones)",
             f"size: {self.total_bytes} bytes",
         ])
 
@@ -287,9 +292,10 @@ class StoreInventory:
 def inventory(store: "Path | str | ResultStore") -> StoreInventory:
     """Pure scan of a store directory (nothing deleted, no stats bumped)."""
     store = existing_store(store)
-    entries, debris = store.scan()
+    entries, debris, blocked = store.scan()
     inv = StoreInventory(
         root=str(store.root), entries=len(entries), temp_files=len(debris),
+        blocked=len(blocked),
         total_bytes=sum(path.stat().st_size for path in entries + debris))
     for path in entries:
         entry = read_entry(path, store.schema_version)
@@ -314,19 +320,21 @@ class GcReport:
     removed_schema: int = 0
     removed_old: int = 0
     removed_temp: int = 0
+    removed_blocked: int = 0
     kept: int = 0
 
     @property
     def removed(self) -> int:
-        return (self.removed_corrupt + self.removed_schema
-                + self.removed_old + self.removed_temp)
+        return (self.removed_corrupt + self.removed_schema + self.removed_old
+                + self.removed_temp + self.removed_blocked)
 
     def summary(self) -> str:
         return (f"gc: removed {self.removed} "
                 f"({self.removed_corrupt} corrupt, "
                 f"{self.removed_schema} schema-mismatched, "
                 f"{self.removed_old} expired, "
-                f"{self.removed_temp} temp), "
+                f"{self.removed_temp} temp, "
+                f"{self.removed_blocked} blocking directories), "
                 f"kept {self.kept}")
 
 
@@ -359,13 +367,14 @@ def gc_store(store: "Path | str | ResultStore", *,
              now: float | None = None) -> GcReport:
     """Prune a store directory.
 
-    Always removes corrupt entries and abandoned ``.tmp-*`` files (do
-    not run concurrently with an active sweep writing this store: a
-    live writer whose temp file disappears loses that one write — it is
-    counted and recomputed later, never wrong).  With ``schema``,
-    removes entries whose recorded schema differs from it; with
-    ``older_than`` (seconds), removes entries whose mtime is older.
-    Healthy, in-schema, young entries are always kept.
+    Always removes corrupt entries, abandoned ``.tmp-*`` files and
+    empty directories blocking an entry path (do not run concurrently
+    with an active sweep writing this store: a live writer whose temp
+    file disappears loses that one write — it is counted and recomputed
+    later, never wrong).  With ``schema``, removes entries whose
+    recorded schema differs from it; with ``older_than`` (seconds),
+    removes entries whose mtime is older.  Healthy, in-schema, young
+    entries are always kept.
 
     Entries with a *future* mtime (clock skew: rsync'd from a host whose
     clock ran ahead) would otherwise read as infinitely fresh and never
@@ -374,10 +383,16 @@ def gc_store(store: "Path | str | ResultStore", *,
     """
     store = existing_store(store)
     now = time.time() if now is None else now
-    entries, debris = store.scan()
+    entries, debris, blocked = store.scan()
     for path in debris:
         path.unlink(missing_ok=True)
     report = GcReport(removed_temp=len(debris))
+    for path in blocked:
+        try:
+            path.rmdir()
+        except OSError:
+            continue            # not empty, or not a directory: leave it
+        report.removed_blocked += 1
     for path in entries:
         entry = read_entry(path, store.schema_version)
         if entry.status in ("corrupt", "missing"):

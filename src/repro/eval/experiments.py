@@ -16,13 +16,12 @@ from repro.eval.harness import build_arch, evaluate_kernel
 from repro.eval.parallel import build_grid, prewarm
 from repro.ir.analysis import recurrence_mii
 from repro.mapping.mii import resource_mii
+from repro.mapping.plaid_mapper import PlaidMapper
 from repro.motifs.generation import generate_motifs
 from repro.power.model import ActivityFactors, fabric_area, fabric_power
 from repro.utils.tables import format_table
 from repro.workloads.dnn import DNN_APPS
 from repro.workloads.registry import all_workloads, get_dfg, workloads_by_domain
-
-MOTIF_SEED = 7
 
 
 def _geomean(values: list[float]) -> float:
@@ -84,7 +83,8 @@ def table2() -> Table2Result:
     rows = []
     for spec in all_workloads():
         dfg = get_dfg(spec.name)
-        generation = generate_motifs(dfg, seed=MOTIF_SEED)
+        # The decomposition the Plaid mapper's first restart maps.
+        generation = generate_motifs(dfg, seed=PlaidMapper.MOTIF_SEEDS[0])
         rows.append(Table2Row(
             name=spec.name, domain=spec.domain, unroll=spec.unroll,
             nodes=dfg.num_nodes, compute=len(dfg.compute_nodes),

@@ -46,21 +46,20 @@ from repro.power.report import energy_nj, perf_per_area
 from repro.utils import signature
 from repro.workloads.registry import get_dfg, get_workload
 
-#: Architecture keys the experiments use.
-ARCH_KEYS = ("st", "spatial", "plaid", "plaid3x3", "st-ml", "plaid-ml")
-
 #: Fabric builder per architecture key.  The lambdas look the ``make_*``
 #: builders up at call time, so wrapping them on this module wraps
 #: every build.
 _ARCH_BUILDERS = {
     "st": lambda: make_spatio_temporal(4, 4),
-    "st6x6": lambda: make_spatio_temporal(6, 6),
     "spatial": lambda: make_spatial(4, 4),
     "plaid": lambda: make_plaid(2, 2),
     "plaid3x3": lambda: make_plaid(3, 3),
     "st-ml": lambda: make_st_ml(4, 4),
     "plaid-ml": lambda: make_plaid_ml(2, 2),
 }
+
+#: Architecture keys the experiments, the CLI and the service accept.
+ARCH_KEYS = tuple(_ARCH_BUILDERS)
 
 
 #: Alias kept only because ``perfbench/tracing.py``, which stays fixed
@@ -326,26 +325,27 @@ def compute_kernel(workload: str, arch_key: str,
     return result
 
 
-def _map_cell(workload: str, arch_key: str, mapper_key: str):
-    """``(dfg, arch, mapping)`` of one configuration, mapped through the
-    registry with its stable per-configuration seeds."""
-    dfg = get_dfg(workload)
-    arch = build_arch(arch_key)
+def map_cell(dfg, arch_key: str, mapper_key: str | None = None):
+    """The mapping the sweep prices for ``dfg`` on ``arch_key``: the
+    registry mapper (``None`` -> :func:`default_mapper`) under the
+    stable seeds of ``dfg.name``, a registry DFG's workload name.  The
+    one place that decides how a cell is mapped."""
 
     def seed_for(key: str) -> int:
         # Composites ("best") run each candidate with the seed its
         # standalone evaluation would use, so their result is exactly
         # min over the individual mapper results.
-        return _seed_for(workload, arch_key, key, _SALT)
+        return _seed_for(dfg.name, arch_key, key, _SALT)
 
-    return dfg, arch, mapping_engine.map_kernel(mapper_key, dfg, arch,
-                                                seed_for)
+    return mapping_engine.map_kernel(resolve_mapper(arch_key, mapper_key),
+                                     dfg, build_arch(arch_key), seed_for)
 
 
 def _evaluate_uncached(workload: str, arch_key: str,
                        mapper_key: str) -> KernelResult:
     """The actual pipeline: map, derive cycles, price power/energy/area."""
-    _dfg, arch, mapping = _map_cell(workload, arch_key, mapper_key)
+    arch = build_arch(arch_key)
+    mapping = map_cell(get_dfg(workload), arch_key, mapper_key)
     cycles = mapping.total_cycles()
     activity = activity_from_mapping(mapping)
     power = fabric_power(arch, activity)
@@ -364,23 +364,19 @@ def _evaluate_uncached(workload: str, arch_key: str,
     )
 
 
-def simulate_kernel(workload: str, arch_key: str,
-                    mapper_key: str | None = None, *,
+def simulate_kernel(dfg, arch_key: str, mapper_key: str | None = None, *,
                     iterations: int | None = 8, fill: int = 3,
                     trace=None):
-    """Map one configuration and run the cycle-accurate simulator.
+    """Map ``dfg`` and run the cycle-accurate simulator (repro simulate).
 
-    Uses the same registry dispatch and stable per-configuration seeds
-    as :func:`evaluate_kernel`, so the simulated mapping is exactly the
-    one the metrics pipeline prices, and simulates it through
-    :func:`repro.sim.simulate_mapping`, which returns the shared
+    The mapping is :func:`map_cell`'s, the one the metrics pipeline
+    prices; :func:`repro.sim.simulate_mapping` returns the shared
     :class:`~repro.sim.engine.SimulationReport` for every fabric style.
     """
     from repro.ir.interpreter import DFGInterpreter
     from repro.sim import simulate_mapping
 
-    mapper_key = resolve_mapper(arch_key, mapper_key)
-    dfg, _arch, mapping = _map_cell(workload, arch_key, mapper_key)
+    mapping = map_cell(dfg, arch_key, mapper_key)
     memory = DFGInterpreter(dfg).prepare_memory(fill=fill)
     return simulate_mapping(mapping, memory, iterations=iterations,
                             trace=trace)

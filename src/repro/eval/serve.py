@@ -348,8 +348,16 @@ class SweepServer:
             # inherit its socket and hold it open after the server closes
             # it, so its client would see no EOF until they exit.
             self._pool.submit(int)
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
+        try:
+            self._server = await asyncio.start_server(
+                self._handle, self.host, self.port)
+        except (OSError, OverflowError) as error:
+            # A bad port, an unresolvable host or a taken address: no
+            # server will run, so release the workers forked above.
+            await self.stop()
+            reason = getattr(error, "strerror", None) or error
+            raise ReproError(f"cannot listen on {self.host}:{self.port}: "
+                             f"{reason}") from None
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+import socket
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data"
+                     / "golden_small_grid.json").read_text())["results"]
 
 
 def test_workloads_listing(capsys):
@@ -38,6 +46,29 @@ def test_map_workload_on_plaid(capsys):
     assert main(["map", "--workload", "dwconv", "--arch", "plaid"]) == 0
     out = capsys.readouterr().out
     assert "II=" in out and "plaid" in out
+
+
+@pytest.mark.parametrize("cell", GOLDEN,
+                         ids=lambda cell: f"{cell['workload']}/{cell['arch']}")
+def test_map_prints_the_priced_mapping(cell, capsys):
+    """``repro map`` with no ``--mapper`` maps the cell the sweep prices:
+    the golden fixture's II and cycles, the ``best`` composite on ``st``
+    included."""
+    assert main(["map", "--workload", cell["workload"],
+                 "--arch", cell["arch"]]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    found = re.search(r"II=(\d+), makespan=\d+, cycles=(\d+)", summary)
+    assert (int(found[1]), int(found[2])) == (cell["ii"], cell["cycles"])
+
+
+@pytest.mark.parametrize("command", ["compile", "map", "simulate"])
+def test_seed_is_not_an_option(command, capsys):
+    """The harness alone seeds mappers; a stale ``--seed`` is a usage
+    error."""
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--workload", "dwconv", "--seed", "7"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_map_verbose_prints_search_stats(capsys):
@@ -189,7 +220,8 @@ def test_map_accepts_registry_mapper(capsys):
 @pytest.mark.parametrize("mapper", ["best", "race"])
 def test_simulate_runs_composite_mappers(mapper, capsys):
     """``simulate`` maps composites the way ``map`` does: every
-    candidate under ``--seed``, the better mapping simulated."""
+    candidate under the seed the sweep gives it, the better mapping
+    simulated."""
     assert main(["simulate", "--workload", "dwconv", "--arch", "st",
                  "--mapper", mapper, "--iterations", "4"]) == 0
     assert "VERIFIED" in capsys.readouterr().out
@@ -428,6 +460,19 @@ def test_serve_cache_dir_regular_file_exits_2(tmp_path, capsys):
     bogus.write_text("x")
     assert main(["serve", "--cache-dir", str(bogus), "--port", "0"]) == 2
     assert "not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["-1", "70000", "taken"])
+def test_serve_that_cannot_listen_exits_2(port, capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        if port == "taken":
+            port = str(taken.getsockname()[1])
+        assert main(["serve", "--no-cache", "--port", port]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+    assert "Traceback" not in err
 
 
 def test_serve_parser_defaults():

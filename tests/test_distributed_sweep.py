@@ -407,6 +407,46 @@ def test_every_store_view_agrees_on_which_paths_are_entries(tmp_path):
     assert inv.temp_files == gc.removed_temp == 1
 
 
+def test_directory_at_an_entry_path_is_reported_and_gc_clears_it(
+        tmp_path, capsys):
+    """A directory at ``<fp>.json`` keeps that cell out of the store, so
+    every sweep re-evaluates it.  Stats count it as ``blocked``; gc
+    removes it when empty (never its contents); after that the next
+    sweep stores the cell and the one after reads it back."""
+    root = tmp_path / "store"
+    cells = parallel.build_grid(["dwconv"], ["plaid"])
+    blocked = ResultStore(root).entry_path(try_fingerprint(*cells[0].key()))
+    blocked.mkdir()
+    full = ResultStore(root).entry_path("e" * 64)
+    full.mkdir()
+    (full / "keep.txt").write_text("not the store's to delete")
+
+    def sweep():
+        clear_caches()
+        configure_store(root)
+        report = parallel.run_sweep(cells, jobs=1)
+        clear_caches()
+        assert not report.failures
+        return report.evaluated, report.cached
+
+    assert sweep() == (1, 0)
+    assert sweep() == (1, 0)                    # nothing could be stored
+    inv = inventory(root)
+    assert (inv.entries, inv.blocked) == (0, 2)
+    assert cli_main(["cache", "stats", str(root)]) == 0
+    assert "blocked: 2" in capsys.readouterr().out
+    assert cli_main(["cache", "stats", str(root), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["blocked"] == 2
+
+    report = gc_store(root)
+    assert (report.removed_blocked, report.removed, report.kept) == (1, 1, 0)
+    assert not blocked.exists() and (full / "keep.txt").exists()
+    assert inventory(root).blocked == 1
+    assert sweep() == (1, 0)
+    assert blocked.is_file()
+    assert sweep() == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # Atomic writes: a killed writer never corrupts what readers see
 # ---------------------------------------------------------------------------

@@ -113,6 +113,7 @@ def test_grid_spec_matches_sweep_vocabulary():
     b'{"mapper": "bogus"}',
     b'{"archs": ["nope"]}',
     b'{"archs": ["plaid", "nope"], "workloads": ["dwconv"]}',
+    b'{"archs": ["st6x6"]}',            # `repro sweep --arch` rejects it too
 ])
 def test_malformed_grid_specs_are_repro_errors(body):
     with pytest.raises(ReproError):
@@ -421,9 +422,11 @@ def test_stats_reports_damaged_entries(tmp_path):
         client.sweep(srv.host, srv.port, workloads=["dwconv"], archs=["st"])
         entry = next(p for p in (tmp_path / "store").iterdir())
         entry.write_text("{ damaged")
+        (tmp_path / "store" / ("d" * 64 + ".json")).mkdir()
         stats = client.get_json(srv.host, srv.port, "/stats")
         assert stats["store"]["corrupt"] == 1
         assert stats["store"]["reader_skipped"] == 1
+        assert stats["store"]["blocked"] == 1
     finally:
         srv.shutdown_background()
 
@@ -817,6 +820,22 @@ def test_sigterm_shuts_the_worker_pool_down(tmp_path):
         for pid in workers:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+def test_failed_start_releases_the_worker_pool():
+    """A server that cannot bind its address (here: a taken port) raises
+    a ReproError naming it and leaves none of its pool workers behind."""
+    import multiprocessing
+
+    before = set(multiprocessing.active_children())
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        with pytest.raises(ReproError, match=f"cannot listen on "
+                           f"127.0.0.1:{port}: .*address already in use"):
+            SweepServer(port=port, jobs=2).start_background()
+    assert set(multiprocessing.active_children()) <= before
 
 
 # ---------------------------------------------------------------------------

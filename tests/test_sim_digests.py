@@ -45,7 +45,7 @@ def simulate_cell(workload: str, arch_key: str):
     """The cell's full-iteration report and the digest of it plus its
     trace head."""
     trace = TraceRecorder(limit=TRACE_EVENTS)
-    report = simulate_kernel(workload, arch_key, iterations=None,
+    report = simulate_kernel(get_dfg(workload), arch_key, iterations=None,
                              trace=trace)
     events = [(event.cycle, event.kind, sorted(event.detail.items()))
               for event in trace.events]

@@ -316,17 +316,17 @@ def _harness_reference(workload, arch_key, mapper_key=None, iterations=8):
 
 
 def test_harness_simulate_kernel_temporal_and_spatial():
-    temporal = simulate_kernel("dwconv", "plaid", iterations=4)
+    temporal = simulate_kernel(get_dfg("dwconv"), "plaid", iterations=4)
     assert temporal.verified is True
     reference = _harness_reference("dwconv", "plaid", iterations=4)
     assert reference == temporal                 # bit-identical engines
-    spatial = simulate_kernel("dwconv", "spatial", iterations=4)
+    spatial = simulate_kernel(get_dfg("dwconv"), "spatial", iterations=4)
     assert spatial.verified is True
     assert isinstance(spatial, SimulationReport)
 
 
 def test_bank_conflicts_surface_on_reports_across_engines():
-    report = simulate_kernel("gesum_u2", "st", "pathfinder")
+    report = simulate_kernel(get_dfg("gesum_u2"), "st", "pathfinder")
     assert report.bank_conflicts > 0         # golden mapping has repeats
     other = _harness_reference("gesum_u2", "st", "pathfinder")
     assert other.bank_conflicts == report.bank_conflicts

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch import make_spatio_temporal
 from repro.errors import MappingError
 from repro.eval import cache, parallel
 from repro.eval.harness import (
@@ -261,7 +262,8 @@ def test_encoder_matches_oracle(name):
 
 @pytest.mark.parametrize("arch_key", ARCH_KEYS + ("st6x6",))
 def test_encoder_matches_oracle_on_fabrics(arch_key):
-    arch = build_arch(arch_key)
+    arch = make_spatio_temporal(6, 6) if arch_key == "st6x6" \
+        else build_arch(arch_key)
     for f in dataclasses.fields(arch):
         value = getattr(arch, f.name)
         assert encode_text(value) == _oracle_text(value), f.name
