@@ -89,9 +89,15 @@ class SweepReport:
         return [o for o in self.outcomes if not o.ok]
 
     def summary(self) -> str:
-        return (f"{len(self.outcomes)} cells: {self.evaluated} evaluated, "
+        text = (f"{len(self.outcomes)} cells: {self.evaluated} evaluated, "
                 f"{self.cached} from cache, {len(self.failures)} failed "
                 f"({self.jobs} jobs, {self.seconds:.2f}s)")
+        # A failed put is swallowed (the cell is still answered), so
+        # this is where a blocked or unwritable store shows.
+        write_errors = self.store_stats.get("write_errors", 0)
+        if write_errors:
+            text += f", {write_errors} store writes failed"
+        return text
 
 
 def build_grid(workloads: "list[str] | None" = None,

@@ -19,6 +19,26 @@ before it negotiates, so the next is tried against the state as it
 was.  Only a committed candidate negotiates congestion, which may
 re-route other groups' routes.
 
+Most annealing moves are futile: the victim is an unplaced singleton
+with no free, timing-feasible slot in any candidate FU's window, so the
+move changes nothing but the RNG state.  It runs through the same loop
+as any other move, but does only the work its outcome depends on, and
+exactly:
+
+- unmapping an unplaced group returns at once.  A route exists only
+  while both its endpoints' groups are placed, so the group holds no
+  slot and no route, and there is nothing to restore either;
+- the singleton scorer works out the FUs' start windows before it
+  builds any span terms, which only scoring reads: one bound, at the
+  least span an edge can need, rules out every FU at once on most
+  futile moves, and the free modulo slots in its window rule out one
+  FU.  The FU shuffle is drawn either way;
+- the stdlib draws (the FU shuffle, the victim, a motif's random PCU
+  and start) are inlined, draw for draw.
+
+Every RNG draw and route call is the one the full unmap, scoring and
+restore make, so every mapping is too.
+
 On Plaid-ML fabrics (hardwired motif PCUs) collective groups may only land
 on PCUs hardwired for their kind — pattern edges there are free wires —
 while general PCUs accept anything.
@@ -267,6 +287,9 @@ class _State:
         }
         self.num_pcus = arch.rows * arch.cols
         self._latency = transport_latency_table(arch)
+        #: The least span any edge needs: 1 for an ordering edge, the
+        #: transport latency for a data edge.
+        self._least_need = min(1, min(map(min, self._latency)))
         self._edge_list = dfg.edges
         num_groups = len(hierarchy.groups)
         self._incident_groups: dict[int, list[int]] = {
@@ -321,7 +344,15 @@ class _State:
                 fu.fu_id for fu in
                 self.arch.fus_supporting(self.dfg.node(node_id).op))
         fus = list(fu_ids)
-        self.rng.shuffle(fus)
+        getrandbits = self.rng.getrandbits
+        # self.rng.shuffle(fus), draw for draw.
+        for i in range(len(fus) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            fus[i], fus[j] = fus[j], fus[i]
         return fus
 
     def _placed_links(self, group: int) -> list[tuple]:
@@ -486,21 +517,71 @@ class _State:
         of each candidate FU, scored like a one-node motif.
 
         The cycle window opens at the FU's earliest start (or the ASAP
-        time) and spans 2 * II cycles, cut by placed consumers.
+        time) and spans 2 * II cycles, cut by placed consumers.  Most
+        calls find no candidate, so the windows come first, and span
+        terms are built only for an FU with a free slot in its window.
+        A bound that gives every edge ``_least_need`` cycles rules out
+        all FUs at once on most such calls; otherwise each FU's window
+        is worked out and its first II cycles (every modulo slot it
+        holds) are probed.
         """
+        fus = self._singleton_candidates(group)   # drawn either way
+        least = self._least_need
+        lo = max(asap, 0)
+        stop = horizon = self.horizon
+        for src_role, dst_role, _fu, const, _is_ordering in links:
+            if src_role < 0:
+                if least - const > lo:
+                    lo = least - const
+            elif dst_role < 0:
+                if const - least + 1 < stop:
+                    stop = const - least + 1
+        if lo >= stop:
+            return []                           # no FU has a window
         node_id = self.hierarchy.groups[group].nodes[0]
         fu_nodes = self.mrrg._fu_nodes
+        latency = self._latency
         ii = self.ii
         candidates = []
-        for fu_id in self._singleton_candidates(group):
-            resolved = self._span_terms(links, (fu_id,), _ONE_ROLE)
-            if resolved is None:
-                continue
-            lo, stop, terms = resolved
-            lo = max(lo, asap)
-            stop = min(stop, lo + 2 * ii)
+        for fu_id in fus:
+            # What _span_terms gives for the one-node shape on fu_id,
+            # in two passes: the window, then, only with a free slot
+            # in it, the terms.
+            lo = 0
+            stop = horizon
+            for src_role, dst_role, fu, const, is_ordering in links:
+                if src_role < 0:                # placed producer -> node
+                    need = 1 if is_ordering else latency[fu][fu_id]
+                    if need - const > lo:
+                        lo = need - const
+                elif dst_role < 0:              # node -> placed consumer
+                    need = 1 if is_ordering else latency[fu_id][fu]
+                    if const - need + 1 < stop:
+                        stop = const - need + 1
+                elif const < (1 if is_ordering else latency[fu_id][fu_id]):
+                    stop = 0                    # an untimeable self-loop
+                    break
+            if lo < asap:
+                lo = asap
+            if stop > lo + 2 * ii:
+                stop = lo + 2 * ii
+            for first in range(lo, min(stop, lo + ii)):
+                if (fu_id, first % ii) not in fu_nodes:
+                    break
+            else:
+                continue                        # no free slot
+            terms = []
+            for src_role, dst_role, fu, const, is_ordering in links:
+                if is_ordering:
+                    continue
+                if src_role < 0:
+                    terms.append((latency[fu][fu_id], const, 1))
+                elif dst_role < 0:
+                    terms.append((latency[fu_id][fu], const, -1))
+                else:
+                    terms.append((latency[fu_id][fu_id], const, 0))
             found = 0
-            for cycle in range(lo, stop):
+            for cycle in range(first, stop):
                 if (fu_id, cycle % ii) in fu_nodes:
                     continue
                 score = 0.0
@@ -534,11 +615,24 @@ class _State:
         after it, and the earliest start."""
         motif = self.hierarchy.groups[group]
         links = self._placed_links(group)
-        pcu = self.rng.choice(self._pcus_for_kind(motif.kind))
+        getrandbits = self.rng.getrandbits
+        pcus = self._pcus_for_kind(motif.kind)
+        # self.rng.choice(pcus), draw for draw.
+        n = len(pcus)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        pcu = pcus[r]
         earliest = max(self._earliest(links, pcu * _FUS_PER_PCU),
                        self._group_asap[group])
         span = max(1, min(2 * self.ii, self.horizon - earliest))
-        start0 = earliest + self.rng.randrange(span)
+        # self.rng.randrange(span), draw for draw.
+        k = span.bit_length()
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        start0 = earliest + r
         return self._collective_candidates(
             group, links, pcu, schedule_templates(motif.kind),
             (start0, start0 + 1, earliest), 0.0)
@@ -669,24 +763,27 @@ class _State:
     # Annealing moves
     # ------------------------------------------------------------------
     def pick_victim(self) -> int | None:
-        if self.unplaced:
+        rng = self.rng
+        if self.unplaced and rng.random() < 0.7:
             # First re-place anything missing; but unmapping a placed
             # neighbour sometimes frees the needed spot.
-            if self.rng.random() < 0.7:
-                victim = self.rng.choice(sorted(self.unplaced))
-                self._last_failed = victim
-                return victim
-        placed_groups = [g for g in self.group_spots]
-        if not placed_groups:
-            return None
-        # Prefer groups whose routes sit on overused resource slots: they
-        # are the ones a re-placement can actually relieve.
-        congested = self._congested_groups()
-        if congested and self.rng.random() < 0.75:
-            victim = self.rng.choice(congested)
+            pool = sorted(self.unplaced)
         else:
-            victim = self.rng.choice(placed_groups)
-        self._last_failed = victim
+            pool = list(self.group_spots)
+            if not pool:
+                return None
+            # Prefer groups whose routes sit on overused resource slots:
+            # they are the ones a re-placement can actually relieve.
+            congested = self._congested_groups()
+            if congested and rng.random() < 0.75:
+                pool = congested
+        # rng.choice(pool), draw for draw.
+        n = len(pool)
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        victim = self._last_failed = pool[r]
         return victim
 
     def _congested_groups(self) -> list[int]:
@@ -706,7 +803,12 @@ class _State:
 
     def unmap_group(self, group: int):
         """Remove a group's nodes and every route touching them."""
-        saved_spots = self.group_spots.pop(group, [])
+        saved_spots = self.group_spots.pop(group, None)
+        self._last_failed = group
+        if saved_spots is None:
+            # Unplaced already: a route exists only while both its
+            # endpoints' groups are placed, so there is nothing to undo.
+            return ([], {})
         saved_routes: dict[int, Route] = {}
         for index in self._incident_groups[group]:
             route = self._pop_route(index)
@@ -717,7 +819,6 @@ class _State:
             self.mrrg.unplace_node(node_id, fu_id, cycle)
             self.placement.pop(node_id, None)
         self.unplaced.add(group)
-        self._last_failed = group
         return (saved_spots, saved_routes)
 
     def restore_group(self, group: int, saved, newly_placed: bool) -> None:
@@ -755,9 +856,6 @@ class _State:
 
 #: Sort key of a (score, spots) candidate.
 _score = itemgetter(0)
-
-#: The one role of a singleton "shape": offset 0 from its cycle.
-_ONE_ROLE = (0,)
 
 
 register_mapper(

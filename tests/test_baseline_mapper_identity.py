@@ -37,7 +37,9 @@ What the tables and the inlined draws replace lives on here as oracles:
 * the stdlib itself: the inlined draws copy the loop of
   ``random.Random._randbelow_with_getrandbits``, and a test checks that
   ``choice``, ``randrange(n)`` and ``shuffle`` still consume the RNG
-  exactly that way on the running Python.
+  exactly that way on the running Python, and that the Plaid mapper's
+  inlined shuffle, choice and ``randrange(n)`` draw what those calls
+  draw.
 
 To regenerate after an intentional change to mapper behaviour, run
 ``PYTHONPATH=src python tests/test_baseline_mapper_identity.py`` and
@@ -49,6 +51,7 @@ import json
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -67,11 +70,13 @@ from repro.mapping.common import (
     route_all_edges, route_one_edge,
 )
 from repro.mapping.mii import minimum_ii
+from repro.mapping.plaid_mapper import _State
 from repro.mapping.routecore import ROUTING
 from repro.mapping.router import (
     MAX_TRANSPORT_CYCLES, fewest_moves_table, min_transport_latency,
     route_edge_reference,
 )
+from repro.motifs.types import MotifKind
 from repro.workloads import get_dfg
 from repro.workloads.registry import all_workloads
 
@@ -764,10 +769,32 @@ def draw_below(rng, n):
     return r
 
 
+def _plaid_draw_state(n, rng):
+    """Just enough of a Plaid mapper ``_State`` for its inlined draws:
+    group 0 is a singleton with ``n`` candidate FUs and group 1 a motif
+    with ``n`` candidate PCUs and ``n`` random starts; ``n`` groups are
+    unplaced, ``n`` placed and ``n`` congested."""
+    return SimpleNamespace(
+        rng=rng, ii=n, horizon=n, _group_asap=[0, 0],
+        hierarchy=SimpleNamespace(groups=[
+            SimpleNamespace(nodes=(0,)),
+            SimpleNamespace(nodes=(1, 2, 3), kind=MotifKind.FAN_IN)]),
+        _fu_ids={0: tuple(range(n))},
+        _placed_links=lambda group: [],
+        _pcus_for_kind=lambda kind: list(range(n)),
+        _earliest=lambda links, fu_id: 0,
+        _collective_candidates=lambda group, links, pcu, templates, starts,
+        weight: (pcu, starts),
+        unplaced=set(range(n)), group_spots=dict.fromkeys(range(n, 2 * n)),
+        _congested_groups=lambda: list(range(2 * n, 3 * n)),
+        _last_failed=None)
+
+
 def test_inlined_draws_match_stdlib():
     recheck = ("random.Random draws differently on this Python; the "
-               "inlined draws in repro.mapping.annealing and "
-               "repro.mapping.common.initial_placement must be re-checked")
+               "inlined draws in repro.mapping.annealing, "
+               "repro.mapping.common.initial_placement and "
+               "repro.mapping.plaid_mapper must be re-checked")
     assert random.Random._randbelow is \
         random.Random._randbelow_with_getrandbits, recheck
     for n in range(1, 41):
@@ -783,6 +810,29 @@ def test_inlined_draws_match_stdlib():
             j = draw_below(inlined, i + 1)
             shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
         assert items == shuffled, recheck
+        assert stdlib.getstate() == inlined.getstate(), recheck
+
+        # The Plaid mapper's own inlined draws: its singleton FU order
+        # (shuffle), a motif's random PCU and start (choice, randrange)
+        # and the annealing victim (random, then choice).
+        stdlib, inlined = random.Random(n), random.Random(n)
+        state = _plaid_draw_state(n, inlined)
+        for _draw in range(5):
+            fus = list(range(n))
+            stdlib.shuffle(fus)
+            assert _State._singleton_candidates(state, 0) == fus, recheck
+            pcu = stdlib.choice(range(n))
+            start0 = stdlib.randrange(n)
+            assert _State._random_candidates(state, 1) == (
+                pcu, (start0, start0 + 1, 0)), recheck
+            if stdlib.random() < 0.7:
+                victim = stdlib.choice(sorted(state.unplaced))
+            elif stdlib.random() < 0.75:
+                victim = stdlib.choice(state._congested_groups())
+            else:
+                victim = stdlib.choice(list(state.group_spots))
+            assert _State.pick_victim(state) == victim, recheck
+            assert state._last_failed == victim, recheck
         assert stdlib.getstate() == inlined.getstate(), recheck
 
 

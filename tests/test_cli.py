@@ -174,6 +174,50 @@ def test_sweep_output_file(tmp_path, capsys):
     clear_caches()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_summary_names_failed_store_writes(tmp_path, capsys, jobs):
+    """A directory at dwconv/plaid's ``<fp>.json`` makes that cell's
+    store write fail.  The sweep still answers every cell and exits 0,
+    but each summary line (table, ``--output``, stderr) says so; at
+    ``--jobs 2`` the failed write happens in a worker process."""
+    from repro.eval.cache import ResultStore
+    from repro.eval.harness import clear_caches, try_fingerprint
+
+    root = tmp_path / "cache"
+    ResultStore(root).entry_path(
+        try_fingerprint("dwconv", "plaid", "plaid")).mkdir(parents=True)
+    args = ["sweep", "--workloads", "dwconv,conv2x2", "--arch", "plaid",
+            "--cache-dir", str(root), "--jobs", jobs]
+    summary = re.compile(r"^2 cells: (\d) evaluated, (\d) from cache, 0 "
+                         r"failed \(\d jobs, [\d.]+s\)"
+                         r"(, 1 store writes failed)?$", re.M)
+    clear_caches()
+    assert main(args) == 0
+    assert summary.search(capsys.readouterr().out).groups() == (
+        "2", "0", ", 1 store writes failed")
+    clear_caches()                      # conv2x2 now comes from the store
+    assert main(args + ["--format", "csv"]) == 0
+    assert summary.search(capsys.readouterr().err).groups() == (
+        "1", "1", ", 1 store writes failed")
+    out_file = tmp_path / "sweep.json"
+    clear_caches()
+    assert main(args + ["--format", "json", "--output", str(out_file)]) == 0
+    assert summary.search(capsys.readouterr().out).groups() == (
+        "1", "1", ", 1 store writes failed")
+    assert json.loads(out_file.read_text())["store"]["write_errors"] == 1
+    clear_caches()
+
+
+def test_sweep_summary_is_silent_on_a_writable_store(tmp_path, capsys):
+    from repro.eval.harness import clear_caches
+
+    clear_caches()
+    assert main(["sweep", "--workloads", "dwconv", "--arch", "plaid",
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    assert "store writes failed" not in capsys.readouterr().out
+    clear_caches()
+
+
 def test_sweep_shard_then_cache_stats(tmp_path, capsys):
     from repro.eval.harness import clear_caches
 

@@ -24,6 +24,13 @@ what building each spot list and scoring it with the plain
 :func:`_estimate` oracle below lists, in the same order and with the
 same RNG draws.  Each snapshot also checks the state's kept wirelength
 total against a re-sum of its routes.
+
+Most calls get an empty candidate list: an annealing move whose victim
+has nowhere to go.  Those calls are captured too.  At every snapshot a
+group is unplaced exactly when it holds no slots, and no route touches
+an unplaced group; a futile move from a snapshot must leave the state
+as it was, key order included, and draw what the full unmap, the
+stdlib-drawing scorer and the restore draw.
 """
 
 import copy
@@ -71,15 +78,14 @@ def _state_at_minimum_ii(workload, arch_key, mapper_key) -> _State:
 
 
 def _snapshots(source, moves=40):
-    """(state copy, group, candidate spot lists) at every non-empty
-    ``_commit_best`` call of a short search."""
+    """(state copy, group, candidate spot lists) at every
+    ``_commit_best`` call of a short search, empty lists included."""
     state = _state_at_minimum_ii(*source)
     captured = []
     commit_best = _State._commit_best
 
     def capture(self, group, spot_lists):
-        if spot_lists:
-            captured.append((_copy(self), group, list(spot_lists)))
+        captured.append((_copy(self), group, list(spot_lists)))
         return commit_best(self, group, spot_lists)
 
     _State._commit_best = capture
@@ -178,7 +184,7 @@ def test_refused_trials_fail_after_committing_routes(snapshots):
     for source, captured in snapshots.items():
         assert any(
             len(_edge_keys(snap, group, spot_lists[0])) >= 2
-            for snap, group, spot_lists in captured
+            for snap, group, spot_lists in captured if spot_lists
         ), source
 
 
@@ -331,15 +337,22 @@ def _same_draws(snap: _State, got, want):
 
 def test_singleton_scores_match_estimate(snapshots):
     """The singleton scorer ranks exactly like building each (FU, cycle)
-    spot list and scoring it with ``_estimate``."""
+    spot list and scoring it with ``_estimate``.  That includes the
+    calls that got no candidate, most of them: the scorer lists nothing
+    there too, with the oracle's draws."""
+    empty = 0
     for source, captured in snapshots.items():
-        for snap, group, _spots in captured:
+        for snap, group, spot_lists in captured:
             if snap.hierarchy.groups[group].is_collective:
                 continue
-            same, _got = _same_draws(
+            same, got = _same_draws(
                 snap, lambda: snap._best_candidates(group),
                 lambda: _oracle_best_candidates(snap, group))
             assert same, (source, group)
+            if not spot_lists:
+                assert got == [], (source, group)
+                empty += 1
+    assert empty
 
 
 def test_collective_candidates_match_estimate(snapshots):
@@ -361,3 +374,109 @@ def test_collective_candidates_match_estimate(snapshots):
                 lambda: _oracle_random_candidates(snap, group))
             assert same, (source, group, "random")
     assert checked
+
+
+def _oracle_pick_victim(state: _State):
+    """``pick_victim`` with the stdlib draws."""
+    if state.unplaced and state.rng.random() < 0.7:
+        return state.rng.choice(sorted(state.unplaced))
+    placed = list(state.group_spots)
+    if not placed:
+        return None
+    congested = state._congested_groups()
+    if congested and state.rng.random() < 0.75:
+        return state.rng.choice(congested)
+    return state.rng.choice(placed)
+
+
+def test_pick_victim_draws_like_stdlib(snapshots):
+    """The victim draw, inlined, picks the group and leaves the RNG
+    state that ``random.Random.choice`` would."""
+    for source, captured in snapshots.items():
+        for snap, _group, _spots in captured:
+            last_failed = snap._last_failed
+            same, _got = _same_draws(snap, snap.pick_victim,
+                                     lambda: _oracle_pick_victim(snap))
+            snap._last_failed = last_failed
+            assert same, source
+
+
+# ---------------------------------------------------------------------------
+# Unplaced groups and futile moves
+# ---------------------------------------------------------------------------
+def test_unplaced_groups_hold_no_slots_or_routes(snapshots):
+    """A group is in ``unplaced`` exactly when it has no entry in
+    ``group_spots`` (in the greedy pass, apart from the groups not
+    visited yet), and every route joins two placed groups.  This is why
+    ``unmap_group`` has nothing to undo for an unplaced group."""
+    for source, captured in snapshots.items():
+        for snap, group, _spots in captured:
+            assert snap.unplaced.isdisjoint(snap.group_spots), source
+            if snap._last_failed is None:       # still in the greedy pass
+                pending = set(snap.order[snap.order.index(group):])
+            else:
+                pending = set()
+            absent = set(snap.order) - set(snap.group_spots)
+            assert absent == snap.unplaced | pending, source
+            placed_nodes = {node_id for spots in snap.group_spots.values()
+                            for node_id, _fu, _cycle in spots}
+            assert set(snap.placement) == placed_nodes, source
+            for index in snap.routes:
+                src_group, dst_group = snap.group_of_edge[index]
+                assert src_group in snap.group_spots, (source, index)
+                assert dst_group in snap.group_spots, (source, index)
+
+
+def _full_unmap(state: _State, group):
+    """``unmap_group`` without its early return: pops every incident
+    route and unplaces every spot the group may hold."""
+    saved_spots = state.group_spots.pop(group, [])
+    saved_routes = {}
+    for index in state._incident_groups[group]:
+        route = state._pop_route(index)
+        if route is not None:
+            saved_routes[index] = route
+            state.mrrg.uncommit_route(route)
+    for node_id, fu_id, cycle in saved_spots:
+        state.mrrg.unplace_node(node_id, fu_id, cycle)
+        state.placement.pop(node_id, None)
+    state.unplaced.add(group)
+    state._last_failed = group
+    return (saved_spots, saved_routes)
+
+
+def _keys(state: _State) -> dict:
+    return {"placement": list(state.placement),
+            "routes": list(state.routes),
+            "group_spots": list(state.group_spots)}
+
+
+def test_futile_move_changes_only_the_rng(snapshots):
+    """An annealing move whose victim is an unplaced singleton with no
+    candidate leaves the state as it was, key order included, and draws
+    exactly what the full unmap, the stdlib-drawing scorer and the
+    restore draw on a copy."""
+    moves = 0
+    for source, captured in snapshots.items():
+        for snap, group, spot_lists in captured:
+            if spot_lists or group not in snap.unplaced \
+                    or snap.hierarchy.groups[group].is_collective:
+                continue
+            got, want = _copy(snap), _copy(snap)
+            saved = got.unmap_group(group)
+            placed = got.place_group_random()
+            got.restore_group(group, saved, placed)
+            assert not placed, source
+            assert _view(got) == _view(snap), source
+            assert _keys(got) == _keys(snap), source
+
+            saved = _full_unmap(want, group)
+            candidates = _oracle_best_candidates(want, group)
+            candidates.sort(key=plaid_mapper._score)
+            placed = want._commit_best(group, [c[1] for c in candidates[:6]])
+            want.restore_group(group, saved, placed)
+            assert _view(want) == _view(snap), source
+            assert got.rng.getstate() == want.rng.getstate(), source
+            assert got._last_failed == want._last_failed == group
+            moves += 1
+    assert moves
