@@ -166,10 +166,16 @@ def cmd_report(args) -> int:
                                    or args.seeds < 1):
         raise ReproError("--seeds takes a positive count and applies to "
                          "the scorecard only")
+    if args.check is not None and (args.experiment != "scorecard"
+                                   or args.seeds is not None):
+        raise ReproError("--check applies to the scorecard only, "
+                         "without --seeds")
     if args.experiment == "table1":
         print(landscape_table())
         return 0
     if args.experiment == "scorecard":
+        if args.check is not None:
+            return _check_scorecard(args.check)
         if args.seeds is None:
             print(render_scorecard())
         else:
@@ -184,6 +190,39 @@ def cmd_report(args) -> int:
             "scorecard)"
         ) from None
     print(func().render())
+    return 0
+
+
+def _check_scorecard(path: str) -> int:
+    """``repro report scorecard --check FILE``: the salt-0 scorecard
+    against a committed record (``tests/data/scorecard.json``); exit 1
+    naming every value that moved and every claim out of its band."""
+    import json
+    from pathlib import Path
+
+    from repro.eval.reporting import (
+        check_scorecard, claim_results, render_scorecard, scorecard_record,
+    )
+
+    try:
+        expected = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        raise ReproError(f"cannot read scorecard record {path}: {error}") \
+            from None
+    if not isinstance(expected, dict):
+        raise ReproError(f"scorecard record {path} is not a JSON object")
+    record = scorecard_record()
+    print(render_scorecard(claim_results(record["claims"])))
+    problems = check_scorecard(expected, record)
+    for problem in problems:
+        print(f"MISMATCH {problem}")
+    if problems:
+        print(f"scorecard check failed: {len(problems)} mismatches "
+              f"against {path}")
+        return 1
+    print(f"scorecard check passed: {len(record['claims'])} claims, "
+          f"{len(record['plaid_cycles_geomean'])} Plaid geomeans and "
+          f"{len(record['cells'])} cells equal {path}")
     return 0
 
 
@@ -405,6 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "with its median and min-max over seed "
                                "salts 0..K-1, plus each Plaid column's "
                                "cycles geomean")
+    p_report.add_argument("--check", metavar="FILE",
+                          help="scorecard only: compare the salt-0 claims, "
+                               "Plaid column geomeans and per-cell "
+                               "(ii, minimum_ii) with the record in FILE "
+                               "(tests/data/scorecard.json); exit 1 naming "
+                               "every difference and every claim outside "
+                               "its 25%% band")
     p_report.set_defaults(func=cmd_report)
 
     p_sweep = sub.add_parser(

@@ -75,13 +75,15 @@ def measure_claims() -> dict[str, float]:
     }
 
 
+def claim_results(claims: dict[str, float]) -> list[ClaimResult]:
+    """The scorecard rows of measured ``claims``."""
+    return [ClaimResult(claim=name, paper=paper, measured=claims[name])
+            for name, paper in PAPER_CLAIMS.items()]
+
+
 def scorecard() -> list[ClaimResult]:
     """Paper-vs-measured for every headline claim."""
-    measured = measure_claims()
-    return [
-        ClaimResult(claim=name, paper=paper, measured=measured[name])
-        for name, paper in PAPER_CLAIMS.items()
-    ]
+    return claim_results(measure_claims())
 
 
 def render_scorecard(results: list[ClaimResult] | None = None) -> str:
@@ -121,6 +123,67 @@ def plaid_column_geomeans() -> dict[str, float]:
         ])
         for column in PLAID_COLUMNS
     }
+
+
+def claim_cells() -> list[tuple[str, str, str]]:
+    """Every ``(workload, arch_key, mapper)`` cell the claims and the
+    Plaid column geomeans read, in grid order: the Table-2 workloads on
+    ``st``, ``spatial`` and the three Plaid columns under their default
+    mappers, PathFinder and SA on ``plaid`` (Fig. 18), and the ML
+    workloads on ``st-ml`` (Fig. 19)."""
+    from repro.workloads.registry import workloads_by_domain
+
+    grids = [
+        build_grid(arch_keys=["st", "spatial", *PLAID_COLUMNS]),
+        build_grid(arch_keys=["plaid"], mapper="pathfinder"),
+        build_grid(arch_keys=["plaid"], mapper="sa"),
+        build_grid(workloads=[s.name for s in workloads_by_domain("ml")],
+                   arch_keys=["st-ml"]),
+    ]
+    return [cell.key() for grid in grids for cell in grid]
+
+
+def scorecard_record() -> dict:
+    """What ``repro report scorecard --check`` compares with its fixture:
+    each claim's value and each Plaid column's cycles geomean under the
+    current seed salt, and ``[ii, minimum_ii]`` per cell the claims read
+    (``ii`` is ``None`` for a cell that fails to map)."""
+    from repro.mapping.mii import minimum_ii
+    from repro.workloads.registry import get_dfg
+
+    claims = measure_claims()
+    geomeans = plaid_column_geomeans()
+    cells = {}
+    for workload, arch_key, mapper in claim_cells():
+        try:
+            ii = harness.evaluate_kernel(workload, arch_key, mapper).ii
+        except ReproError:
+            ii = None
+        mii = minimum_ii(get_dfg(workload), harness.build_arch(arch_key))
+        cells["|".join((workload, arch_key, mapper))] = [ii, mii]
+    return {"claims": claims, "plaid_cycles_geomean": geomeans,
+            "cells": cells}
+
+
+def check_scorecard(expected: dict, record: dict) -> list[str]:
+    """One line per value of ``record`` that differs from ``expected``
+    (exact equality: a salt-0 value is a deterministic function of the
+    code), then one per claim outside its 25% band of the paper."""
+    problems = []
+    for section in ("claims", "plaid_cycles_geomean", "cells"):
+        want = expected.get(section, {})
+        got = record[section]
+        for name in [*want, *(name for name in got if name not in want)]:
+            if want.get(name) != got.get(name):
+                problems.append(f"{section} {name}: fixture "
+                                f"{want.get(name)!r}, measured "
+                                f"{got.get(name)!r}")
+    for name, paper in PAPER_CLAIMS.items():
+        result = ClaimResult(name, paper, record["claims"][name])
+        if not result.within_25_percent:
+            problems.append(f"claim {name}: measured {result.measured!r} "
+                            f"is outside 25% of the paper's {paper}")
+    return problems
 
 
 @dataclass(frozen=True)
