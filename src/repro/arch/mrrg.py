@@ -105,10 +105,11 @@ class Route:
     arrive_cycle: int               # consumer execution cycle
     places: tuple[tuple[int, int], ...] = ()   # (place_id, cycle) occupancy
     bypass: bool = False
-    #: Memoized charge plan ``(resource index, II, entries)`` with one
-    #: ``(flat index, cycle, is_res, capacity)`` entry per step — the
-    #: annealing mappers commit/uncommit the same route many times while
-    #: trialing candidates.  Derived state only: excluded from equality.
+    #: Charge plan ``(resource index, II, entries)`` with one ``(flat
+    #: index, cycle, is_res, capacity)`` entry per step.  The compiled
+    #: router builds it with the route; :meth:`MRRG._charge_plan`
+    #: derives and memoizes it for any other route.  Derived state only:
+    #: excluded from equality.
     charge_plan: tuple | None = field(default=None, compare=False,
                                       repr=False)
 

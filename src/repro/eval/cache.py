@@ -45,7 +45,7 @@ from repro.utils.signature import arch_signature_text, canonical_json
 
 __all__ = [
     "CACHE_DIR_ENV", "CachedFailure", "RawEntry", "ResultStore",
-    "SCHEMA_VERSION", "StoreStats", "default_store",
+    "SCHEMA_VERSION", "StoreStats", "clear_memos", "default_store",
     "existing_store", "fingerprint", "read_entry", "result_from_dict",
     "result_to_dict", "workload_signature",
 ]
@@ -95,6 +95,17 @@ def workload_signature(spec: "WorkloadSpec") -> dict:
     return signature
 
 
+#: WorkloadSpec -> the canonical JSON text of its workload signature.
+#: Specs are frozen, so a text never goes stale; :func:`clear_memos`
+#: (called by ``harness.clear_caches``) empties the table.
+_WORKLOAD_TEXT: dict["WorkloadSpec", str] = {}
+
+
+def clear_memos() -> None:
+    """Forget every memoized workload signature text."""
+    _WORKLOAD_TEXT.clear()
+
+
 def fingerprint(spec: "WorkloadSpec", arch: "Architecture",
                 mapper_key: str, seed: int) -> str:
     """Stable hex digest identifying one evaluation configuration.
@@ -106,18 +117,23 @@ def fingerprint(spec: "WorkloadSpec", arch: "Architecture",
     copy), spliced in as the first key — ``arch`` sorts before
     ``mapper, schema, seed, workload`` — so the bytes hashed are exactly
     those of the whole payload.  The hash state after that first key is
-    memoized on the fabric too: each cell hashes only its own rest.
+    memoized on the fabric too: each cell hashes only its own rest.  The
+    workload part, the last key, is spliced in the same way from a text
+    encoded once per spec.
     """
+    workload = _WORKLOAD_TEXT.get(spec)
+    if workload is None:
+        workload = _WORKLOAD_TEXT[spec] = canonical_json(
+            workload_signature(spec))
     rest = canonical_json({
         "schema": SCHEMA_VERSION,
-        "workload": workload_signature(spec),
         "mapper": mapper_key,
         "seed": seed,
     })
     digest = arch.memo("fingerprint_prefix", lambda: hashlib.sha256(
         ('{"arch":' + arch_signature_text(arch) + ",").encode("utf-8"))
     ).copy()
-    digest.update(rest[1:].encode("utf-8"))
+    digest.update(f'{rest[1:-1]},"workload":{workload}}}'.encode("utf-8"))
     return digest.hexdigest()
 
 

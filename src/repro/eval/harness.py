@@ -410,5 +410,6 @@ def clear_caches() -> None:
     EVAL_STATS.reset()
     build_arch.cache_clear()
     signature.clear_memos()
+    result_cache.clear_memos()
     from repro.workloads import registry
     registry.clear_dfg_caches()   # variant expansion multiplies cached DFGs

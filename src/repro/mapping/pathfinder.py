@@ -104,16 +104,12 @@ class PathFinderMapper(MapperStrategy):
             if _round == self.MAX_ROUNDS - 1:
                 break     # round budget spent
             # Negotiate: penalize overused slots, rip up the nets on them.
-            hot = set()
             for resource, slot, used, cap in violations:
                 history.add(resource, slot,
                             self.HISTORY_INCREMENT * (used - cap))
-                hot.add((resource, slot))
-            dirty = [
-                index for index, route in routes.items()
-                if any((step.resource, mrrg.slot(step.cycle)) in hot
-                       for step in route.steps)
-            ]
+            hot = mrrg.overused_indices()
+            dirty = [index for index, route in routes.items()
+                     if mrrg.route_touches(route, hot)]
             for index in dirty:
                 mrrg.uncommit_route(routes[index])
             for index in sorted(dirty):

@@ -19,7 +19,15 @@ engine pattern (PR 2 mapping engine, PR 3 compiled simulator):
   reset by epoch stamping, so a search allocates nothing but its heap
   entries;
 * PathFinder's negotiated-congestion history is a
-  :class:`RoutingHistory`: one flat ``hist[rid * II + slot]`` array.
+  :class:`RoutingHistory`: one flat ``hist[rid * II + slot]`` array;
+* dead states are pruned: :func:`fewest_moves_to_consume` gives each
+  place's fewest moves to a consume place of each consumer FU, and a
+  state with fewer cycles left than that is never pushed;
+* each returned :class:`~repro.arch.mrrg.Route` carries its charge plan
+  (``Route.charge_plan``), built during path reconstruction, so the
+  MRRG charges it without resolving a resource key; its steps are
+  interned per fabric, ``(kind, rid, cycle)`` -> one frozen
+  :class:`~repro.arch.mrrg.RouteStep`.
 
 **Invariant:** :func:`route_edge_compiled` is bit-identical to
 :func:`repro.mapping.router.route_edge_reference` — same float
@@ -161,6 +169,19 @@ class RouteCore:
         self.rid_of = rid_of
         self.key_of = index.key_of
         self.n_rids = len(index.key_of)
+        self.index = index
+
+        #: need[fu][place]: fewest moves from the place to a consume
+        #: place of consumer ``fu``; a search state with fewer cycles
+        #: left is dead and never pushed.
+        self.need = fewest_moves_to_consume(arch)
+
+        #: (kind, rid, cycle) -> (interned RouteStep, its charge-plan
+        #: entry at this II); the steps come from the fabric's one
+        #: intern table, so equal steps are one object at every II.
+        self.step_charges: dict[tuple[str, int, int],
+                                tuple[RouteStep, tuple]] = {}
+        self._steps = arch.memo("route_steps", dict)
 
         #: Shared all-zero history for history-free callers (never written).
         self.zero_hist = [0.0] * (self.n_rids * ii)
@@ -172,6 +193,60 @@ class RouteCore:
         self._parent_state = [0] * size
         self._parent_move = [0] * size
         self._epoch = 0
+
+    def intern_step(self, kind: str, rid: int, cycle: int
+                    ) -> tuple[RouteStep, tuple]:
+        """The interned step charging ``rid`` at ``cycle`` and its
+        ``(flat index, cycle, is_res, capacity)`` plan entry, recorded
+        in :attr:`step_charges`."""
+        key = (kind, rid, cycle)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = RouteStep(kind, self.key_of[rid],
+                                                cycle)
+        index = self.index
+        pair = self.step_charges[key] = (step, (
+            rid * self.ii + cycle % self.ii, cycle,
+            rid >= index.n_places, index.caps[rid]))
+        return pair
+
+
+def fewest_moves_to_consume(arch: Architecture
+                            ) -> tuple[tuple[int, ...], ...]:
+    """``table[fu][place]``: the fewest moves from ``place`` to any
+    consume place of consumer ``fu`` (``MAX_TRANSPORT_CYCLES`` when none
+    is reachable), by one reverse BFS over ``arch.moves`` per consumer.
+    Memoized on the fabric.
+
+    A route holds or moves once per cycle, so a search state with fewer
+    cycles left than its place's entry can reach no goal.
+    """
+    def build() -> tuple[tuple[int, ...], ...]:
+        n_places = len(arch.places)
+        incoming: list[list[int]] = [[] for _ in range(n_places)]
+        for move in arch.moves:
+            incoming[move.dst].append(move.src)
+        table = []
+        for fu_id in range(len(arch.fus)):
+            depth = [-1] * n_places
+            frontier = list(arch.consume_places[fu_id])
+            for place in frontier:
+                depth[place] = 0
+            moves = 0
+            while frontier:
+                moves += 1
+                reached = []
+                for place in frontier:
+                    for src in incoming[place]:
+                        if depth[src] == -1:
+                            depth[src] = moves
+                            reached.append(src)
+                frontier = reached
+            table.append(tuple(MAX_TRANSPORT_CYCLES if fewest == -1
+                               else fewest for fewest in depth))
+        return tuple(table)
+
+    return arch.memo("fewest_moves_to_consume", build)
 
 
 def route_core_for(arch: Architecture, ii: int) -> RouteCore:
@@ -194,24 +269,33 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     ``1.0 + present_factor * overuse`` — and the heap orders ``(cost,
     state)`` exactly like the reference ``(cost, place, cycle)`` tuples,
     so ties resolve identically.
+
+    Dead states — fewer cycles left than their place's ``core.need``
+    moves — are never pushed.  Every successor of a dead state is dead
+    and every predecessor of a live one is live, so the live states'
+    ``dist``/parent entries, their pop order and the goal choice are
+    those of the unpruned search.  The returned route carries its
+    charge plan and interned steps (:meth:`RouteCore.intern_step`).
     """
     span = arrive_cycle - depart_cycle
     if span < 1 or span > MAX_TRANSPORT_CYCLES:
         return None
 
+    ii = core.ii
     if span == 1 and (src_fu, dst_fu) in core.bypass_pairs:
         route = Route(net=net, steps=(), src_fu=src_fu, dst_fu=dst_fu,
                       depart_cycle=depart_cycle, arrive_cycle=arrive_cycle,
-                      bypass=True)
+                      bypass=True, charge_plan=(core.index, ii, ()))
         if commit:
             mrrg.commit_route(route)
         return route
 
-    ii = core.ii
     base = mrrg._cost_base
     stride = MAX_TRANSPORT_CYCLES
     start_place = core.produce_place[src_fu]
     start_cycle = depart_cycle + 1
+    known = core.step_charges
+    intern = core.intern_step
 
     if span == 1:
         # Single-state search: the value sits in the producer's place for
@@ -222,22 +306,30 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
         read = core.goal_rid[dst_fu][start_place]
         if read == -1:
             return None
-        key_of = core.key_of
-        steps = [RouteStep("occupy", key_of[start_place], arrive_cycle)]
+        key = ("occupy", start_place, arrive_cycle)
+        pairs = [known.get(key) or intern(*key)]
         if read != -2:
-            steps.append(RouteStep("read", key_of[read], arrive_cycle))
+            key = ("read", read, arrive_cycle)
+            pairs.append(known.get(key) or intern(*key))
+        steps, entries = zip(*pairs)
         route = Route(
             net=net,
-            steps=tuple(steps),
+            steps=steps,
             src_fu=src_fu,
             dst_fu=dst_fu,
             depart_cycle=depart_cycle,
             arrive_cycle=arrive_cycle,
             places=((start_place, arrive_cycle),),
+            charge_plan=(core.index, ii, entries),
         )
         if commit:
             mrrg.commit_route(route)
         return route
+
+    need = core.need[dst_fu]
+    rel_goal = span - 1
+    if need[start_place] > rel_goal:
+        return None     # no consume place is reachable in time
 
     # Segments already charged by this net are free (fanout sharing):
     # charges maps rid * II + slot -> {absolute cycle: refs} for exactly
@@ -261,7 +353,6 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     epoch = core._epoch
     adj = core.adj
     goal_row = core.goal_rid[dst_fu]
-    rel_goal = span - 1
     arrive_slot = arrive_cycle % ii
 
     state0 = start_place * stride
@@ -283,6 +374,8 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     # stream — a hold charges no move resource, every history term is
     # exactly 0.0, and x + 0.0 == x for these non-negative costs, so
     # skipping the zero terms keeps costs bit-identical to the reference.
+    # A successor one cycle on has ``left - 1`` cycles left, so it is
+    # live exactly when its place needs fewer than ``left`` moves.
     if not has_charges and hist is core.zero_hist:
         while heap:
             cost, state = pop(heap)
@@ -304,26 +397,30 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
                         goal_state = state
                         goal_read = read
                 continue
+            left = rel_goal - rel
             cycle = start_cycle + rel
             cslot = cycle % ii
             nslot = (cycle + 1) % ii
             # Hold in place for a cycle.
-            new_cost = cost + base[place * ii + nslot]
-            nstate = state + 1
-            if stamp[nstate] != epoch:
-                stamp[nstate] = epoch
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
-            elif new_cost < dist[nstate]:
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
+            if need[place] < left:
+                new_cost = cost + base[place * ii + nslot]
+                nstate = state + 1
+                if stamp[nstate] != epoch:
+                    stamp[nstate] = epoch
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
+                elif new_cost < dist[nstate]:
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
             # Moves to connected places.
             nrel = rel + 1
             for dst_place, move_rid in adj[place]:
+                if need[dst_place] >= left:
+                    continue
                 new_cost = cost + base[move_rid * ii + cslot] \
                     + base[dst_place * ii + nslot]
                 nstate = dst_place * stride + nrel
@@ -364,33 +461,37 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
                         goal_state = state
                         goal_read = read
                 continue
+            left = rel_goal - rel
             cycle = start_cycle + rel
             next_cycle = cycle + 1
             cslot = cycle % ii
             nslot = next_cycle % ii
             # Hold in place for a cycle.
-            oidx = place * ii + nslot
-            if has_charges and oidx in charges \
-                    and next_cycle in charges[oidx]:
-                occupy_cost = 0.0
-            else:
-                occupy_cost = base[oidx] + hist[oidx]
-            new_cost = cost + occupy_cost
-            nstate = state + 1
-            if stamp[nstate] != epoch:
-                stamp[nstate] = epoch
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
-            elif new_cost < dist[nstate]:
-                dist[nstate] = new_cost
-                pstate[nstate] = state
-                pmove[nstate] = -1
-                push(heap, (new_cost, nstate))
+            if need[place] < left:
+                oidx = place * ii + nslot
+                if has_charges and oidx in charges \
+                        and next_cycle in charges[oidx]:
+                    occupy_cost = 0.0
+                else:
+                    occupy_cost = base[oidx] + hist[oidx]
+                new_cost = cost + occupy_cost
+                nstate = state + 1
+                if stamp[nstate] != epoch:
+                    stamp[nstate] = epoch
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
+                elif new_cost < dist[nstate]:
+                    dist[nstate] = new_cost
+                    pstate[nstate] = state
+                    pmove[nstate] = -1
+                    push(heap, (new_cost, nstate))
             # Moves to connected places.
             nrel = rel + 1
             for dst_place, move_rid in adj[place]:
+                if need[dst_place] >= left:
+                    continue
                 midx = move_rid * ii + cslot
                 if has_charges and midx in charges:
                     move_cost = 0.0
@@ -420,28 +521,39 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
         return None
 
     # Reconstruct occupancy/move steps (identical step order to the
-    # reference: backward walk, then reverse, then the consume read).
-    key_of = core.key_of
+    # reference: backward walk, then reverse, then the consume read),
+    # with each step's charge-plan entry alongside.
     steps: list[RouteStep] = []
+    entries: list[tuple] = []
     places: list[tuple[int, int]] = []
     state = goal_state
     while True:
         place, rel = divmod(state, stride)
         cycle = start_cycle + rel
-        steps.append(RouteStep("occupy", key_of[place], cycle))
+        key = ("occupy", place, cycle)
+        step, entry = known.get(key) or intern(*key)
+        steps.append(step)
+        entries.append(entry)
         places.append((place, cycle))
         parent = pstate[state]
         if parent == -1:
             break
         move_rid = pmove[state]
         if move_rid != -1:
-            steps.append(RouteStep("move", key_of[move_rid], cycle - 1))
+            key = ("move", move_rid, cycle - 1)
+            step, entry = known.get(key) or intern(*key)
+            steps.append(step)
+            entries.append(entry)
         state = parent
     steps.reverse()
+    entries.reverse()
     places.reverse()
 
     if goal_read != -2:
-        steps.append(RouteStep("read", key_of[goal_read], arrive_cycle))
+        key = ("read", goal_read, arrive_cycle)
+        step, entry = known.get(key) or intern(*key)
+        steps.append(step)
+        entries.append(entry)
 
     route = Route(
         net=net,
@@ -451,6 +563,7 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
         depart_cycle=depart_cycle,
         arrive_cycle=arrive_cycle,
         places=tuple(places),
+        charge_plan=(core.index, ii, tuple(entries)),
     )
     if commit:
         mrrg.commit_route(route)

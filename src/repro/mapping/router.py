@@ -99,28 +99,15 @@ def fewest_moves_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
     A route holds or moves once per cycle, so a route of span s makes at
     most s - 1 moves: a pair whose entry is at least s cannot route at
     span s (bypass pairs at span 1 aside).  Unreachable pairs read
-    ``MAX_TRANSPORT_CYCLES``.
+    ``MAX_TRANSPORT_CYCLES``.  A view of the routing core's pruning
+    table, :func:`~repro.mapping.routecore.fewest_moves_to_consume`.
     """
     def build() -> tuple[tuple[int, ...], ...]:
-        adjacency = router_adjacency(arch)
-        table = []
-        for src_fu in range(len(arch.fus)):
-            start = arch.produce_place[src_fu]
-            depth = {start: 0}
-            frontier = [start]
-            while frontier:
-                reached = []
-                for place in frontier:
-                    for dst_place, _resource in adjacency[place]:
-                        if dst_place not in depth:
-                            depth[dst_place] = depth[place] + 1
-                            reached.append(dst_place)
-                frontier = reached
-            table.append(tuple(
-                min((depth[place] for place in arch.consume_places[dst_fu]
-                     if place in depth), default=MAX_TRANSPORT_CYCLES)
-                for dst_fu in range(len(arch.fus))))
-        return tuple(table)
+        need = routecore.fewest_moves_to_consume(arch)
+        return tuple(
+            tuple(need[dst_fu][arch.produce_place[src_fu]]
+                  for dst_fu in range(len(arch.fus)))
+            for src_fu in range(len(arch.fus)))
 
     return arch.memo("fewest_moves_table", build)
 

@@ -49,6 +49,15 @@ class PhaseItem:
         return (self.kind, self.node_id)
 
 
+def mesh_neighbor_tiles(arch: Architecture) -> tuple[tuple[int, ...], ...]:
+    """Per tile, its mesh neighbours in :func:`mesh_neighbors` order,
+    memoized on the fabric for the link router's inner loop."""
+    return arch.memo("mesh_neighbor_tiles", lambda: tuple(
+        tuple(neighbor for _direction, neighbor
+              in mesh_neighbors(tile, arch.rows, arch.cols))
+        for tile in range(arch.num_tiles)))
+
+
 def _is_memory_item(dfg: DFG, item: PhaseItem) -> bool:
     """Spill ops and memory nodes: both take a memory port."""
     return item.kind != "node" or dfg.node(item.node_id).is_memory
@@ -481,6 +490,7 @@ class SpatialMapper:
 
     def _dijkstra_mesh(self, arch: Architecture, src: int, dst: int,
                        links, history, net) -> list[int]:
+        neighbors = mesh_neighbor_tiles(arch)
         best = {src: 0.0}
         parents: dict[int, int] = {}
         frontier = [(0.0, src)]
@@ -490,10 +500,9 @@ class SpatialMapper:
                 break
             if cost > best.get(tile, float("inf")):
                 continue
-            for _direction, neighbor in mesh_neighbors(
-                    tile, arch.rows, arch.cols):
+            for neighbor in neighbors[tile]:
                 link = (tile, neighbor)
-                occupants = links.get(link, set())
+                occupants = links.get(link)
                 step = 1.0 + history.get(link, 0.0)
                 if occupants and net not in occupants:
                     step += 4.0 * len(occupants)

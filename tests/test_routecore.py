@@ -20,6 +20,7 @@ the MRRG's flat arrays answer every congestion query exactly like a
 brute-force model rebuilt from the surviving charges.
 """
 
+import copy
 import re
 from collections import Counter
 
@@ -29,7 +30,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.arch.mrrg import Route, RouteStep, resource_index
 from repro.errors import MappingError
-from repro.eval.harness import _seed_for
+from repro.eval.harness import ARCH_KEYS, _seed_for, build_arch
 from repro.mapping import routecore
 from repro.mapping.engine import get_mapper
 from repro.mapping.pathfinder import PathFinderMapper
@@ -58,6 +59,30 @@ def _assert_same_route(a, b):
         assert a.steps == b.steps        # step order, not just set
 
 
+def _assert_router_plan(mrrg, route):
+    """The charge plan the compiled core built with ``route`` is the one
+    :meth:`MRRG._charge_plan` derives from its steps."""
+    if route is None:
+        return
+    index, ii, entries = route.charge_plan
+    assert index is resource_index(mrrg.arch) and ii == mrrg.ii
+    route.charge_plan = None
+    assert mrrg._charge_plan(route) == entries
+
+
+@pytest.fixture
+def plan_checked(monkeypatch):
+    """Check the plan of every route the compiled core returns."""
+    compiled = routecore.route_edge_compiled
+
+    def checked(mrrg, *args):
+        route = compiled(mrrg, *args)
+        _assert_router_plan(mrrg, route)
+        return route
+
+    monkeypatch.setattr(routecore, "route_edge_compiled", checked)
+
+
 # ---------------------------------------------------------------------------
 # Per-route conformance
 # ---------------------------------------------------------------------------
@@ -78,6 +103,7 @@ def test_compiled_matches_reference_empty_fabric(src, dst, slack, ii,
     want = route_edge_reference(reference, 1, src, depart, dst, arrive,
                                 commit=False)
     _assert_same_route(got, want)
+    _assert_router_plan(compiled, got)
 
 
 @settings(deadline=None, max_examples=25,
@@ -111,6 +137,7 @@ def test_compiled_matches_reference_congested(seed, ii, plaid):
         want = route_edge_reference(reference, net, src, depart, dst,
                                     arrive, history, commit=True)
         _assert_same_route(got, want)
+        _assert_router_plan(compiled, got)
         if rng.random() < 0.3:
             for resource, slot, used, cap in reference.overuse()[:2]:
                 history.add(resource, slot, 2.0 * (used - cap))
@@ -128,6 +155,7 @@ def test_compiled_matches_reference_congested(seed, ii, plaid):
                 want = route_edge_reference(reference, net, src, 0, dst,
                                             arrive, history, commit=False)
                 _assert_same_route(got, want)
+                _assert_router_plan(compiled, got)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +163,8 @@ def test_compiled_matches_reference_congested(seed, ii, plaid):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("mapper_key,arch_key,arch_factory", MAPPER_CASES)
 def test_mapper_runs_bit_identical_across_engines(mapper_key, arch_key,
-                                                  arch_factory):
+                                                  arch_factory,
+                                                  plan_checked):
     for workload in GOLDEN_WORKLOADS:
         seed = _seed_for(workload, arch_key, mapper_key)
         with reference_router():
@@ -153,7 +182,7 @@ def test_mapper_runs_bit_identical_across_engines(mapper_key, arch_key,
             == reference.stats.transport_steps
 
 
-def test_pathfinder_incremental_matches_full_ripup():
+def test_pathfinder_incremental_matches_full_ripup(plan_checked):
     """Dirty-net negotiation == full rip-up across the golden seeds."""
     arch = make_spatio_temporal(4, 4)
     for workload in GOLDEN_WORKLOADS:
@@ -377,6 +406,109 @@ def test_cores_are_memoized_per_arch_and_ii():
     assert other.adj == core.adj
     assert other.goal_rid == core.goal_rid
     assert other.key_of == core.key_of
+
+
+# ---------------------------------------------------------------------------
+# Dead-state pruning and interned steps
+# ---------------------------------------------------------------------------
+def _fewest_moves_oracle(arch, place, fu_id):
+    """Forward BFS from ``place`` to the nearest consume place of
+    ``fu_id``; ``MAX_TRANSPORT_CYCLES`` when none is reachable."""
+    depth = {place: 0}
+    frontier = [place]
+    while frontier:
+        reached = []
+        for here in frontier:
+            for move in arch.moves_from(here):
+                if move.dst not in depth:
+                    depth[move.dst] = depth[here] + 1
+                    reached.append(move.dst)
+        frontier = reached
+    return min((depth[goal] for goal in arch.consume_places[fu_id]
+                if goal in depth), default=routecore.MAX_TRANSPORT_CYCLES)
+
+
+@pytest.mark.parametrize("arch_key", ARCH_KEYS)
+def test_pruning_table_matches_per_place_bfs(arch_key):
+    arch = build_arch(arch_key)
+    table = routecore.fewest_moves_to_consume(arch)
+    assert table is routecore.fewest_moves_to_consume(arch)
+    assert routecore.route_core_for(arch, 2).need is table
+    for fu_id in range(len(arch.fus)):
+        assert table[fu_id] == tuple(
+            _fewest_moves_oracle(arch, place, fu_id)
+            for place in range(len(arch.places)))
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**20), plaid=st.booleans())
+def test_search_stamps_only_live_states(seed, plaid):
+    """Every state a search reaches has at least its place's fewest
+    moves to a goal left, on empty and congested fabrics alike."""
+    import random
+
+    arch = make_plaid(2, 2) if plaid else make_spatio_temporal(4, 4)
+    rng = random.Random(seed)
+    ii = rng.choice([2, 3])
+    mrrg = MRRG(arch, ii)
+    core = routecore.route_core_for(arch, ii)
+    stride = routecore.MAX_TRANSPORT_CYCLES
+    for _ in range(12):
+        src, dst = rng.randrange(len(arch.fus)), rng.randrange(len(arch.fus))
+        depart = rng.randrange(3)
+        span = min_transport_latency(arch, src, dst) + rng.randrange(4)
+        if span < 2:
+            continue        # span 1 runs no search
+        epoch = core._epoch
+        route_edge(mrrg, rng.randrange(3), src, depart, dst, depart + span)
+        if core._epoch == epoch:
+            continue        # the start state was dead: no search ran
+        need = core.need[dst]
+        reached = [state for state, mark in enumerate(core._stamp)
+                   if mark == core._epoch]
+        assert reached
+        for state in reached:
+            place, rel = divmod(state, stride)
+            assert need[place] <= span - 1 - rel
+
+
+def test_equal_steps_are_one_object_per_fabric():
+    arch = make_spatio_temporal(4, 4)
+    routes = [route_edge(MRRG(arch, ii), 0, 0, 0, 15, 8, commit=False)
+              for ii in (2, 3, 3)]
+    first = routes[0]
+    assert first.steps and all(route == first for route in routes)
+    for route in routes[1:]:
+        assert all(a is b for a, b in zip(route.steps, first.steps))
+    # Plans differ per II; steps do not.
+    assert routes[1].charge_plan == routes[2].charge_plan
+    assert routes[0].charge_plan[2] != routes[1].charge_plan[2]
+
+
+def test_edited_deep_copy_gets_its_own_tables():
+    arch = make_spatio_temporal(2, 2)
+    table = routecore.fewest_moves_to_consume(arch)
+    route = route_edge(MRRG(arch, 2), 0, 0, 0, 3, 4, commit=False)
+
+    edited = copy.deepcopy(arch)
+    # Cut every move out of FU 0's output place: from there, only its own
+    # tile's consumers stay reachable.
+    start = edited.produce_place[0]
+    edited.moves = [move for move in edited.moves if move.src != start]
+    edited_table = routecore.fewest_moves_to_consume(edited)
+    assert edited_table is not table and edited_table != table
+    for fu_id in range(len(edited.fus)):
+        assert edited_table[fu_id] == tuple(
+            _fewest_moves_oracle(edited, place, fu_id)
+            for place in range(len(edited.places)))
+    assert route_edge(MRRG(edited, 2), 0, 0, 0, 3, 4, commit=False) is None
+    # The original keeps its table, and the copy interns its own steps.
+    assert routecore.fewest_moves_to_consume(arch) is table
+    copied = copy.deepcopy(arch)
+    again = route_edge(MRRG(copied, 2), 0, 0, 0, 3, 4, commit=False)
+    assert again == route
+    assert all(a is not b for a, b in zip(again.steps, route.steps))
 
 
 # ---------------------------------------------------------------------------
