@@ -87,7 +87,7 @@ class _StringentPlaidMapper(PlaidMapper):
         from functools import lru_cache
 
         @lru_cache(maxsize=None)
-        def stringent(kind, max_templates=12):
+        def stringent(kind):
             return original(kind)[:1]
 
         schedules.schedule_templates = stringent

@@ -27,6 +27,9 @@ from repro.arch.topology import mesh_neighbors, tile_coords
 
 #: ALUs on the motif compute unit of each PCU.
 PCU_ALUS = 3
+#: FUs per PCU: the ALUs (slots ``0..PCU_ALUS - 1``) and the ALSU (slot
+#: ``PCU_ALUS``); slot s of PCU u is FU ``u * PCU_FUS + s``.
+PCU_FUS = PCU_ALUS + 1
 
 #: Local register bank entries (local-router side).
 LREG_CAPACITY = 4
@@ -45,7 +48,7 @@ GLINK_CAPACITY = 1    # per-direction global mesh wires
 #: three ALU fields (4b op + 8b const each), one ALSU field, and the local
 #: plus global router selects (the routers consume about half the bits).
 PCU_CONFIG_BITS = 120
-PCU_COMPUTE_CONFIG_BITS = 4 * (4 + 8)   # 3 ALUs + ALSU op/const fields
+PCU_COMPUTE_CONFIG_BITS = PCU_FUS * (4 + 8)   # ALU + ALSU op/const fields
 PCU_COMM_CONFIG_BITS = PCU_CONFIG_BITS - PCU_COMPUTE_CONFIG_BITS
 
 #: Router geometries for the power model.
@@ -132,7 +135,7 @@ def make_plaid(rows: int = 2, cols: int = 2,
 
     # Bypass pairs: ALU slot i feeds slot i+1 of the same PCU for free.
     for pcu in range(num_pcus):
-        base = pcu * (PCU_ALUS + 1)
+        base = pcu * PCU_FUS
         for slot in range(PCU_ALUS - 1):
             arch.bypass_pairs.add((base + slot, base + slot + 1))
 

@@ -27,10 +27,10 @@ routing (:func:`move_floor`): the unrouted edges and the overuse left
 after the rip-up (new charges only add overuse), the steps of the
 untouched routes, and, for each data edge of the node at its new spot,
 the fewest steps its route can take: one occupy step per cycle of span
-plus the fewest moves between the two FUs
-(:func:`~repro.mapping.router.fewest_moves_table`), or an unrouted
-edge's 1000 when those moves do not fit in the span.  A bound above the
-current cost makes the move uphill for sure, so the Metropolis draw
+plus the fewest moves between the two FUs, which is the pair's transport
+latency less one (:attr:`~repro.mapping.common.PlacementTables.latency`),
+or an unrouted edge's 1000 when the span is below that latency.  A bound
+above the current cost makes the move uphill for sure, so the Metropolis draw
 that would follow the routing is made at once.  If it rejects even the
 bound, it rejects the move: the ripped routes go back in their order
 and nothing is routed.  Otherwise the node moves, its edges route, and
@@ -65,9 +65,7 @@ from repro.mapping.common import (
     route_all_edges, step_total_cost,
 )
 from repro.mapping.engine import MapperStrategy, register_mapper
-from repro.mapping.router import (
-    MAX_TRANSPORT_CYCLES, fewest_moves_table, route_edge,
-)
+from repro.mapping.router import MAX_TRANSPORT_CYCLES, route_edge
 
 
 class SimulatedAnnealingMapper(MapperStrategy):
@@ -280,42 +278,41 @@ def move_floor(tables: PlacementTables, mrrg: MRRG, placement,
     steps left after the rip-up; rerouting keeps both and the overuse,
     and each of the node's data edges adds at least its units: 0 for
     span 1 between a bypass pair (a free bypass), 1000 when the edge
-    cannot route (a span outside 1..``MAX_TRANSPORT_CYCLES``, or fewer
-    than :func:`~repro.mapping.router.fewest_moves_table` moves fit in
-    its span - 1 cycles), and otherwise one occupy step per cycle of
-    span plus one step per move.  Other endpoints are read from
+    cannot route (a span outside 1..``MAX_TRANSPORT_CYCLES``, or below
+    the pair's transport latency, ``tables.latency``), and otherwise one
+    occupy step per cycle of span plus one step per move, of which the
+    route makes at least latency - 1.  Other endpoints are read from
     ``placement``.
     """
     fu_id, cycle = spot
-    arch = tables.arch
-    moves = fewest_moves_table(arch)
-    bypass = arch.bypass_pairs
+    latency = tables.latency
+    bypass = tables.arch.bypass_pairs
     for src, offset, ordering in tables.in_edges[node_id]:
         if not ordering:
             src_fu, src_cycle = placement[src]
             steps += _edge_units(cycle + offset - src_cycle, src_fu, fu_id,
-                                 moves, bypass)
+                                 latency, bypass)
     for dst, offset, ordering in tables.out_edges[node_id]:
         if not ordering:
             dst_fu, dst_cycle = placement[dst]
             steps += _edge_units(dst_cycle + offset - cycle, fu_id, dst_fu,
-                                 moves, bypass)
+                                 latency, bypass)
     for offset, ordering in tables.self_edges[node_id]:
         if not ordering:
-            steps += _edge_units(offset, fu_id, fu_id, moves, bypass)
+            steps += _edge_units(offset, fu_id, fu_id, latency, bypass)
     return step_total_cost(mrrg, unrouted, steps)
 
 
-def _edge_units(span: int, src_fu: int, dst_fu: int, moves,
+def _edge_units(span: int, src_fu: int, dst_fu: int, latency,
                 bypass) -> int:
     if span == 1 and (src_fu, dst_fu) in bypass:
         return 0
     if span < 1 or span > MAX_TRANSPORT_CYCLES:
         return 1000
-    fewest = moves[src_fu][dst_fu]
-    if fewest >= span:
+    least = latency[src_fu][dst_fu]
+    if span < least:
         return 1000
-    return span + fewest
+    return span + least - 1
 
 
 register_mapper(

@@ -30,9 +30,9 @@ exactly:
   slot and no route, and there is nothing to restore either;
 - the singleton scorer works out the FUs' start windows before it
   builds any span terms, which only scoring reads: one bound, at the
-  least span an edge can need, rules out every FU at once on most
-  futile moves, and the free modulo slots in its window rule out one
-  FU.  The FU shuffle is drawn either way;
+  least span an edge can need (1 cycle), rules out every FU at once on
+  most futile moves, and the free modulo slots in its window rule out
+  one FU.  The FU shuffle is drawn either way;
 - the stdlib draws (the FU shuffle, the victim, a motif's random PCU
   and start) are inlined, draw for draw.
 
@@ -55,6 +55,7 @@ from operator import itemgetter
 
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route
+from repro.arch.plaid import PCU_FUS
 from repro.arch.specialize import hardwired_motif_kinds
 from repro.errors import MappingError
 from repro.ir.graph import DFG
@@ -66,8 +67,9 @@ from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
 from repro.motifs.schedules import schedule_templates
 from repro.motifs.types import Motif, MotifKind
 
-#: FUs per PCU (3 ALUs + ALSU); ALU slot s of PCU u is FU ``u*4 + s``.
-_FUS_PER_PCU = 4
+#: Rip-up-and-reroute rounds a committed group negotiates
+#: (:meth:`_State._negotiate`).
+NEGOTIATION_ROUNDS = 2
 
 
 class PlaidMapper(MapperStrategy):
@@ -287,9 +289,6 @@ class _State:
         }
         self.num_pcus = arch.rows * arch.cols
         self._latency = transport_latency_table(arch)
-        #: The least span any edge needs: 1 for an ordering edge, the
-        #: transport latency for a data edge.
-        self._least_need = min(1, min(map(min, self._latency)))
         self._edge_list = dfg.edges
         num_groups = len(hierarchy.groups)
         self._incident_groups: dict[int, list[int]] = {
@@ -465,7 +464,7 @@ class _State:
         templates = schedule_templates(motif.kind)[:8]
         window = min(self.ii, 4)
         for pcu in self._pcus_for_kind(motif.kind):
-            earliest = max(self._earliest(links, pcu * _FUS_PER_PCU), asap)
+            earliest = max(self._earliest(links, pcu * PCU_FUS), asap)
             starts = range(earliest, min(earliest + window, self.horizon))
             candidates += self._collective_candidates(
                 group, links, pcu, templates, starts, 0.05)
@@ -485,7 +484,7 @@ class _State:
         nodes = self.hierarchy.groups[group].nodes
         fu_nodes = self.mrrg._fu_nodes
         ii = self.ii
-        base = pcu * _FUS_PER_PCU
+        base = pcu * PCU_FUS
         candidates = []
         for template in templates:
             fus = [base + slot for slot in template.slots]
@@ -520,22 +519,22 @@ class _State:
         time) and spans 2 * II cycles, cut by placed consumers.  Most
         calls find no candidate, so the windows come first, and span
         terms are built only for an FU with a free slot in its window.
-        A bound that gives every edge ``_least_need`` cycles rules out
-        all FUs at once on most such calls; otherwise each FU's window
+        A bound that gives every edge one cycle, the least span any edge
+        needs (every transport latency is at least 1), rules out all
+        FUs at once on most such calls; otherwise each FU's window
         is worked out and its first II cycles (every modulo slot it
         holds) are probed.
         """
         fus = self._singleton_candidates(group)   # drawn either way
-        least = self._least_need
         lo = max(asap, 0)
         stop = horizon = self.horizon
         for src_role, dst_role, _fu, const, _is_ordering in links:
             if src_role < 0:
-                if least - const > lo:
-                    lo = least - const
+                if 1 - const > lo:
+                    lo = 1 - const
             elif dst_role < 0:
-                if const - least + 1 < stop:
-                    stop = const - least + 1
+                if const < stop:
+                    stop = const
         if lo >= stop:
             return []                           # no FU has a window
         node_id = self.hierarchy.groups[group].nodes[0]
@@ -624,7 +623,7 @@ class _State:
         while r >= n:
             r = getrandbits(k)
         pcu = pcus[r]
-        earliest = max(self._earliest(links, pcu * _FUS_PER_PCU),
+        earliest = max(self._earliest(links, pcu * PCU_FUS),
                        self._group_asap[group])
         span = max(1, min(2 * self.ii, self.horizon - earliest))
         # self.rng.randrange(span), draw for draw.
@@ -721,8 +720,7 @@ class _State:
         return route_edge(self.mrrg, edge.src, src_fu, src_cycle,
                           dst_fu, arrival)
 
-    def _negotiate(self, new_routes: dict[int, Route],
-                   rounds: int = 2) -> None:
+    def _negotiate(self, new_routes: dict[int, Route]) -> None:
         """Mini rip-up-and-reroute for a group being committed:
         slack-rich routes committed early can squat on wires that later,
         tighter routes have no alternative to.  Every committed route
@@ -731,7 +729,7 @@ class _State:
         now-visible congestion.
         """
         mrrg = self.mrrg
-        for _round in range(rounds):
+        for _round in range(NEGOTIATION_ROUNDS):
             hot = mrrg.overused_indices()
             if not hot:
                 return

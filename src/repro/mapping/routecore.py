@@ -22,7 +22,9 @@ engine pattern (PR 2 mapping engine, PR 3 compiled simulator):
   :class:`RoutingHistory`: one flat ``hist[rid * II + slot]`` array;
 * dead states are pruned: :func:`fewest_moves_to_consume` gives each
   place's fewest moves to a consume place of each consumer FU, and a
-  state with fewer cycles left than that is never pushed;
+  state with fewer cycles left than that is never pushed; the same
+  table, read at each producer's output place, is the mappers'
+  transport latency (:func:`repro.mapping.router.transport_latency_table`);
 * each returned :class:`~repro.arch.mrrg.Route` carries its charge plan
   (``Route.charge_plan``), built during path reconstruction, so the
   MRRG charges it without resolving a resource key; its steps are

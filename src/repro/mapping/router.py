@@ -14,6 +14,9 @@ and they are bit-identical by invariant (``tests/test_routecore.py``).
 Every :func:`route_edge` call, and every failure (span out of range, no
 path), ticks :data:`repro.mapping.routecore.ROUTING` so mapping stats
 and failure messages can surface them.
+
+The least latency between two FUs (:func:`transport_latency_table`) is
+read off the fabric's moves, so it cannot disagree with the router.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import heapq
 
 from repro.arch.base import Architecture
 from repro.arch.mrrg import MRRG, Route, RouteStep
-from repro.arch.topology import manhattan
 from repro.mapping import routecore
 from repro.mapping.routecore import (
     MAX_TRANSPORT_CYCLES, ROUTING, RoutingHistory,
@@ -30,33 +32,27 @@ from repro.mapping.routecore import (
 
 __all__ = [
     "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory",
-    "fewest_moves_table", "min_transport_latency", "route_edge",
+    "min_transport_latency", "route_edge",
     "route_edge_reference", "router_adjacency", "transport_latency_table",
 ]
 
 
 def transport_latency_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
-    """Flattened FU x FU minimum-latency matrix, built once per fabric.
+    """FU x FU minimum producer-to-consumer latency, built once per fabric.
 
-    The placement heuristics and candidate estimators call
-    :func:`min_transport_latency` millions of times per mapper run; a
-    precomputed table turns each call into two index lookups without
-    changing a single value.
+    A route enters the producer's output place the cycle after execution
+    and moves at most once per cycle, so ``table[src][dst]`` is the
+    fewest moves from there to a consume place of ``dst``
+    (:func:`~repro.mapping.routecore.fewest_moves_to_consume`) plus one:
+    the least span the pair routes at.  An unreachable pair reads
+    ``MAX_TRANSPORT_CYCLES + 1``, a span no route takes.
     """
     def build() -> tuple[tuple[int, ...], ...]:
-        tiles = [fu.tile for fu in arch.fus]
-        cols = arch.cols
-        if arch.style == "plaid":
-            def latency(hops: int) -> int:
-                return 1 if hops == 0 else 1 + hops
-        else:
-            def latency(hops: int) -> int:
-                return max(1, hops)
+        need = routecore.fewest_moves_to_consume(arch)
         return tuple(
-            tuple(latency(manhattan(src_tile, dst_tile, cols))
-                  for dst_tile in tiles)
-            for src_tile in tiles
-        )
+            tuple(need[dst_fu][arch.produce_place[src_fu]] + 1
+                  for dst_fu in range(len(arch.fus)))
+            for src_fu in range(len(arch.fus)))
 
     return arch.memo("transport_latency_table", build)
 
@@ -90,26 +86,6 @@ def router_adjacency(arch: Architecture
         return tuple(tuple(entries) for entries in outgoing)
 
     return arch.memo("router_adjacency", build)
-
-
-def fewest_moves_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
-    """FU x FU fewest moves from the producer's output place to any
-    consume place of the consumer, built once per fabric.
-
-    A route holds or moves once per cycle, so a route of span s makes at
-    most s - 1 moves: a pair whose entry is at least s cannot route at
-    span s (bypass pairs at span 1 aside).  Unreachable pairs read
-    ``MAX_TRANSPORT_CYCLES``.  A view of the routing core's pruning
-    table, :func:`~repro.mapping.routecore.fewest_moves_to_consume`.
-    """
-    def build() -> tuple[tuple[int, ...], ...]:
-        need = routecore.fewest_moves_to_consume(arch)
-        return tuple(
-            tuple(need[dst_fu][arch.produce_place[src_fu]]
-                  for dst_fu in range(len(arch.fus)))
-            for src_fu in range(len(arch.fus)))
-
-    return arch.memo("fewest_moves_table", build)
 
 
 def route_edge(mrrg: MRRG, net: int, src_fu: int, depart_cycle: int,

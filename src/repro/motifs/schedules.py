@@ -18,13 +18,14 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.arch.plaid import PCU_ALUS
 from repro.motifs.types import MOTIF_SIZE, PATTERN_EDGES, MotifKind
-
-#: Number of ALUs on the motif compute unit (fixed by the PCU design).
-MOTIF_ALUS = 3
 
 #: Largest cycle offset a template may use.
 _MAX_OFFSET = 3
+
+#: Templates kept per motif kind, most compact first.
+MAX_TEMPLATES = 12
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,19 @@ def _offset_choices(kind: MotifKind) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def schedule_templates(kind: MotifKind,
-                       max_templates: int = 12) -> tuple[ScheduleTemplate, ...]:
+def schedule_templates(kind: MotifKind) -> tuple[ScheduleTemplate, ...]:
     """Template family for a motif kind, most compact first.
 
     Slot assignments cover every injective role->slot mapping; offset
     assignments cover every dependence-legal anchored tuple up to the
-    offset cap.  The list is truncated to ``max_templates`` after sorting
-    by makespan, keeping the diversity the paper's flexible scheduling
-    needs (forward and reversed orders appear before deep schedules).
+    offset cap.  The list is truncated to :data:`MAX_TEMPLATES` after
+    sorting by makespan, keeping the diversity the paper's flexible
+    scheduling needs (forward and reversed orders appear before deep
+    schedules).
     """
     size = MOTIF_SIZE[kind]
     templates: list[ScheduleTemplate] = []
-    slot_orders = list(itertools.permutations(range(MOTIF_ALUS), size))
+    slot_orders = list(itertools.permutations(range(PCU_ALUS), size))
     for offsets in _offset_choices(kind):
         for slots in slot_orders:
             template = ScheduleTemplate(kind, slots, offsets)
@@ -101,4 +102,4 @@ def schedule_templates(kind: MotifKind,
     templates.sort(
         key=lambda t: (t.makespan, -len(t.bypass_edges()), t.slots)
     )
-    return tuple(templates[:max_templates])
+    return tuple(templates[:MAX_TEMPLATES])

@@ -32,8 +32,10 @@ What the tables and the inlined draws replace lives on here as oracles:
   mid-anneal states, that the bound is the sum its definition gives and
   never above the cost after the real move, and that a skipped move
   leaves the state that displacing and restoring the node leaves; a
-  one-edge test does the same for every FU pair and short span, and the
-  fewest-moves table is checked against the reference router;
+  one-edge test does the same for every FU pair and short span.  The
+  transport latency table the bound reads is checked against the
+  reference router: tight on an empty MRRG, and every longer span up to
+  ``MAX_TRANSPORT_CYCLES`` routes under congestion and history;
 * the stdlib itself: the inlined draws copy the loop of
   ``random.Random._randbelow_with_getrandbits``, and a test checks that
   ``choice``, ``randrange(n)`` and ``shuffle`` still consume the RNG
@@ -71,10 +73,10 @@ from repro.mapping.common import (
 )
 from repro.mapping.mii import minimum_ii
 from repro.mapping.plaid_mapper import _State
-from repro.mapping.routecore import ROUTING
+from repro.mapping.routecore import ROUTING, RoutingHistory
 from repro.mapping.router import (
-    MAX_TRANSPORT_CYCLES, fewest_moves_table, min_transport_latency,
-    route_edge_reference,
+    MAX_TRANSPORT_CYCLES, min_transport_latency, route_edge,
+    route_edge_reference, transport_latency_table,
 )
 from repro.motifs.types import MotifKind
 from repro.workloads import get_dfg
@@ -658,22 +660,58 @@ def oracle_floor(state, node_id, spot):
 
 @pytest.mark.parametrize("arch_key", ORACLE_ARCHS)
 def test_fewest_moves_table_is_tight(arch_key):
-    """On an empty MRRG every FU pair routes at one cycle per fewest
-    move plus one, and a non-bypass pair with moves fails a cycle
-    sooner."""
+    """The transport latency is one cycle per fewest move plus one: on
+    an empty MRRG every FU pair routes at that span, and a pair with
+    moves fails a cycle sooner unless it is a span-1 bypass pair."""
     arch = build_arch(arch_key)
-    table = fewest_moves_table(arch)
+    table = transport_latency_table(arch)
     mrrg = MRRG(arch, 1)
     for src_fu in range(len(arch.fus)):
         for dst_fu in range(len(arch.fus)):
-            moves = table[src_fu][dst_fu]
-            assert moves == oracle_fewest_moves(arch, src_fu, dst_fu)
+            latency = table[src_fu][dst_fu]
+            assert latency == oracle_fewest_moves(arch, src_fu, dst_fu) + 1
             assert route_edge_reference(mrrg, 0, src_fu, 0, dst_fu,
-                                        moves + 1, commit=False)
-            if moves and not (moves == 1 and
-                              (src_fu, dst_fu) in arch.bypass_pairs):
+                                        latency, commit=False)
+            if latency > 1 and not (latency == 2 and
+                                    (src_fu, dst_fu) in arch.bypass_pairs):
                 assert route_edge_reference(mrrg, 0, src_fu, 0, dst_fu,
-                                            moves, commit=False) is None
+                                            latency - 1, commit=False) \
+                    is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(arch_key=st.sampled_from(ORACLE_ARCHS), ii=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_span_from_the_latency_routes(arch_key, ii, seed):
+    """Congestion and history only raise a route's cost: under random
+    committed routes and PathFinder history, every pair routes at every
+    span from its transport latency up to ``MAX_TRANSPORT_CYCLES``, on
+    the compiled router and the reference alike."""
+    arch = build_arch(arch_key)
+    latency = transport_latency_table(arch)
+    rng = random.Random(seed)
+    n_fus = len(arch.fus)
+    mrrg = MRRG(arch, ii)
+    for net in range(rng.randrange(24)):
+        src_fu, dst_fu = rng.randrange(n_fus), rng.randrange(n_fus)
+        span = latency[src_fu][dst_fu] + rng.randrange(4)
+        route_edge_reference(mrrg, net, src_fu, 0, dst_fu, span)
+    history = RoutingHistory.for_mrrg(mrrg)
+    for _ in range(rng.randrange(40)):
+        history.array[rng.randrange(len(history.array))] += \
+            rng.choice((0.5, 1.0, 3.0))
+    for _ in range(6):
+        src_fu, dst_fu = rng.randrange(n_fus), rng.randrange(n_fus)
+        least = latency[src_fu][dst_fu]
+        for span in sorted({least, least + 1, rng.randint(least, 16),
+                            MAX_TRANSPORT_CYCLES}):
+            depart = rng.randrange(ii)
+            route = route_edge(mrrg, 99, src_fu, depart, dst_fu,
+                               depart + span, history, commit=False)
+            assert route is not None, (src_fu, dst_fu, span)
+            assert route == route_edge_reference(
+                mrrg, 99, src_fu, depart, dst_fu, depart + span,
+                history=history, commit=False)
 
 
 @pytest.mark.parametrize("arch_key", ORACLE_ARCHS)

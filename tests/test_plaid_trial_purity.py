@@ -39,6 +39,7 @@ import random
 import pytest
 
 from mrrg_helpers import mrrg_state
+from repro.arch.plaid import PCU_FUS
 from repro.eval.harness import _seed_for, build_arch
 from repro.mapping import plaid_mapper
 from repro.mapping.common import mapping_cost
@@ -235,7 +236,7 @@ def _collective_spots(state: _State, group, pcu, template, start):
     role's FU slot is taken or falls outside the horizon."""
     spots = []
     for role, node_id in enumerate(state.hierarchy.groups[group].nodes):
-        fu_id = pcu * plaid_mapper._FUS_PER_PCU + template.slots[role]
+        fu_id = pcu * PCU_FUS + template.slots[role]
         cycle = start + template.offsets[role]
         if cycle >= state.horizon or start < 0:
             return None
@@ -281,7 +282,7 @@ def _oracle_best_candidates(state: _State, group):
     if motif.is_collective:
         for pcu in state._pcus_for_kind(motif.kind):
             earliest = max(_earliest_start_fu(
-                state, group, pcu * plaid_mapper._FUS_PER_PCU), asap)
+                state, group, pcu * PCU_FUS), asap)
             window = min(state.ii, 4)
             candidates += _scored(
                 state, group, pcu, schedule_templates(motif.kind)[:8],
@@ -314,7 +315,7 @@ def _oracle_random_candidates(state: _State, group):
     kind = state.hierarchy.groups[group].kind
     pcu = state.rng.choice(state._pcus_for_kind(kind))
     earliest = max(_earliest_start_fu(
-        state, group, pcu * plaid_mapper._FUS_PER_PCU),
+        state, group, pcu * PCU_FUS),
         state._group_asap[group])
     span = max(1, min(2 * state.ii, state.horizon - earliest))
     start0 = earliest + state.rng.randrange(span)

@@ -27,16 +27,20 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.arch import MRRG, make_plaid, make_spatio_temporal
+from repro.arch import MRRG, make_plaid, make_spatial, make_spatio_temporal
 from repro.arch.mrrg import Route, RouteStep, resource_index
+from repro.arch.topology import manhattan
 from repro.errors import MappingError
 from repro.eval.harness import ARCH_KEYS, _seed_for, build_arch
+from repro.ir.graph import DFG
+from repro.ir.ops import Opcode
 from repro.mapping import routecore
+from repro.mapping.common import PlacementTables
 from repro.mapping.engine import get_mapper
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.router import (
     ROUTING, RoutingHistory, min_transport_latency, route_edge,
-    route_edge_reference,
+    route_edge_reference, transport_latency_table,
 )
 from repro.workloads import get_dfg
 
@@ -486,9 +490,39 @@ def test_equal_steps_are_one_object_per_fabric():
     assert routes[0].charge_plan[2] != routes[1].charge_plan[2]
 
 
+def _style_latency_oracle(arch):
+    """The per-style transport formula the latency table replaced: on a
+    mesh, 1 cycle for the same or an adjacent tile and one more per
+    extra hop; on Plaid, 1 cycle within a PCU and 1 + PCU hops across
+    PCUs (the local-to-global staging hop)."""
+    def latency(hops):
+        if arch.style == "plaid":
+            return 1 if hops == 0 else 1 + hops
+        return max(1, hops)
+
+    tiles = [fu.tile for fu in arch.fus]
+    return tuple(
+        tuple(latency(manhattan(src, dst, arch.cols)) for dst in tiles)
+        for src in tiles)
+
+
+@pytest.mark.parametrize("arch", [
+    *(build_arch(key) for key in ARCH_KEYS),
+    *(make_spatio_temporal(rows, cols) for rows, cols in
+      ((2, 2), (3, 5), (6, 6))),
+    *(make_plaid(rows, cols) for rows, cols in ((1, 1), (2, 3), (4, 4))),
+    make_spatial(3, 3),
+], ids=lambda arch: arch.name)
+def test_transport_latency_matches_per_style_formula(arch):
+    """On every fabric the repo builds (Plaid 3x3 is ``plaid3x3``), the
+    latency read off the moves is the per-style formula."""
+    assert transport_latency_table(arch) == _style_latency_oracle(arch)
+
+
 def test_edited_deep_copy_gets_its_own_tables():
     arch = make_spatio_temporal(2, 2)
     table = routecore.fewest_moves_to_consume(arch)
+    latency = transport_latency_table(arch)
     route = route_edge(MRRG(arch, 2), 0, 0, 0, 3, 4, commit=False)
 
     edited = copy.deepcopy(arch)
@@ -503,8 +537,17 @@ def test_edited_deep_copy_gets_its_own_tables():
             _fewest_moves_oracle(edited, place, fu_id)
             for place in range(len(edited.places)))
     assert route_edge(MRRG(edited, 2), 0, 0, 0, 3, 4, commit=False) is None
-    # The original keeps its table, and the copy interns its own steps.
+    # The mappers' transport latency follows the edit: FU 3 is out of
+    # FU 0's reach, a span no route takes.
+    edited_latency = transport_latency_table(edited)
+    assert edited_latency[0][3] == routecore.MAX_TRANSPORT_CYCLES + 1
+    dfg = DFG("pair")
+    dfg.add_edge(dfg.add_node(Opcode.ADD), dfg.add_node(Opcode.ADD))
+    assert PlacementTables(dfg, edited, 2).latency is edited_latency
+    # The original keeps its tables, and the copy interns its own steps.
     assert routecore.fewest_moves_to_consume(arch) is table
+    assert transport_latency_table(arch) is latency
+    assert latency == _style_latency_oracle(arch)
     copied = copy.deepcopy(arch)
     again = route_edge(MRRG(copied, 2), 0, 0, 0, 3, 4, commit=False)
     assert again == route

@@ -2,7 +2,8 @@
 
 from hypothesis import given, strategies as st
 
-from repro.motifs.schedules import MOTIF_ALUS, schedule_templates
+from repro.arch.plaid import PCU_ALUS
+from repro.motifs.schedules import schedule_templates
 from repro.motifs.types import MOTIF_SIZE, PATTERN_EDGES, MotifKind
 
 KINDS = [MotifKind.FAN_OUT, MotifKind.FAN_IN, MotifKind.UNICAST,
@@ -30,7 +31,7 @@ def test_templates_have_distinct_slots():
     for kind in KINDS:
         for template in schedule_templates(kind):
             assert len(set(template.slots)) == MOTIF_SIZE[kind]
-            assert all(0 <= slot < MOTIF_ALUS for slot in template.slots)
+            assert all(0 <= slot < PCU_ALUS for slot in template.slots)
 
 
 def test_templates_anchored_at_zero():
