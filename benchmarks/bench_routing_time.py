@@ -30,7 +30,7 @@ from repro.eval.harness import _seed_for
 from repro.mapping import common
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.router import (
-    min_transport_latency, route_edge, route_edge_reference,
+    route_edge, route_edge_reference, transport_latency_table,
 )
 from repro.workloads import get_dfg
 
@@ -68,7 +68,7 @@ def _throughput(arch, ii, engine, rounds=12):
     start = time.perf_counter()
     for _ in range(rounds):
         for src, dst, slack in cases:
-            arrive = min_transport_latency(arch, src, dst) + slack
+            arrive = transport_latency_table(arch)[src][dst] + slack
             route(mrrg, 1, src, 0, dst, arrive, commit=False)
             count += 1
     return count / (time.perf_counter() - start), time.perf_counter() - start

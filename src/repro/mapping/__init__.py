@@ -26,9 +26,7 @@ from repro.mapping.engine import (
     MapperInfo, MapperStrategy, available_mappers, get_mapper, map_kernel,
     register_mapper, select_winner,
 )
-from repro.mapping.router import (
-    route_edge, route_edge_reference, min_transport_latency,
-)
+from repro.mapping.router import route_edge, route_edge_reference
 from repro.mapping.routecore import RouteCore, RoutingHistory, route_core_for
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.annealing import SimulatedAnnealingMapper
@@ -51,7 +49,6 @@ __all__ = [
     "available_mappers",
     "get_mapper",
     "map_kernel",
-    "min_transport_latency",
     "minimum_ii",
     "register_mapper",
     "resource_mii",

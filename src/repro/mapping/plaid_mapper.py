@@ -5,19 +5,21 @@ PCUs using flexible schedule templates (Section 5.2), singleton nodes onto
 individual FUs.  The flow follows the paper:
 
 1. motifs are sorted by data dependency (critical groups first);
-2. each is greedily placed on the candidate with the least routing cost:
-   candidates are ranked by a routing-free estimate, and the first one
-   whose operands all route with Dijkstra is committed;
+2. each is greedily placed on the candidate with the least routing cost,
+   by a routing-free estimate, and its operands are routed with
+   Dijkstra;
 3. if the mapping is not valid, a simulated-annealing loop repeatedly
-   unmaps one group, picks a random placement candidate, ranks every
-   schedule template the same way, and commits the first that routes —
+   unmaps one group, picks a random placement candidate, scores every
+   schedule template the same way, and commits the best —
    occasionally accepting a worse state to escape local minima;
 4. the II is incremented when the time budget runs out.
 
-Trying a candidate is pure: one that fails to route is rolled back
-before it negotiates, so the next is tried against the state as it
-was.  Only a committed candidate negotiates congestion, which may
-re-route other groups' routes.
+Every listed candidate routes: each data edge's span lies between its
+transport latency and ``MAX_TRANSPORT_CYCLES``, every such span routes
+(congestion only raises a route's cost), and ordering edges get a span
+of at least 1.  So the best-scoring candidate is committed outright.
+Committing negotiates congestion, which may re-route other groups'
+routes.
 
 Most annealing moves are futile: the victim is an unplaced singleton
 with no free, timing-feasible slot in any candidate FU's window, so the
@@ -62,7 +64,9 @@ from repro.ir.graph import DFG
 from repro.mapping.base import Mapping
 from repro.mapping.common import modulo_asap, schedule_horizon
 from repro.mapping.engine import MapperStrategy, register_mapper
-from repro.mapping.router import route_edge, transport_latency_table
+from repro.mapping.router import (
+    MAX_TRANSPORT_CYCLES, route_edge, transport_latency_table,
+)
 from repro.motifs.hierarchy import HierarchicalDFG, build_hierarchy
 from repro.motifs.schedules import schedule_templates
 from repro.motifs.types import Motif, MotifKind
@@ -90,11 +94,6 @@ class PlaidMapper(MapperStrategy):
         self.seed = seed
 
     # ------------------------------------------------------------------
-    def map(self, dfg: DFG, arch: Architecture,
-            hierarchy: HierarchicalDFG | None = None) -> Mapping:
-        """Map ``dfg`` (motif-decomposed) onto a Plaid fabric."""
-        return super().map(dfg, arch, hierarchy=hierarchy)
-
     def prepare(self, dfg: DFG, arch: Architecture, rng,
                 hierarchy: HierarchicalDFG | None = None):
         if arch.style != "plaid":
@@ -401,11 +400,12 @@ class _State:
 
         Returns ``(lo, stop, terms)``: every start in ``[lo, stop)`` is
         at or after cycle 0, keeps the shape inside the horizon and
-        meets every edge's timing (a data edge needs a span of its
-        transport latency, an ordering edge of 1); ``terms`` holds
-        ``(lat, const, sign)`` per data edge, in link order, with span
-        ``const + sign * start``.  None when an edge inside the group
-        cannot meet its timing at any start.
+        meets every edge's timing (a data edge needs a span from its
+        transport latency up to ``MAX_TRANSPORT_CYCLES``, an ordering
+        edge of at least 1); ``terms`` holds ``(lat, const, sign)`` per
+        data edge, in link order, with span ``const + sign * start``.
+        None when an edge inside the group cannot meet its timing at
+        any start.
         """
         latency = self._latency
         lo = 0
@@ -419,6 +419,9 @@ class _State:
                 need = 1 if is_ordering else lat
                 if need - const > lo:
                     lo = need - const
+                if not is_ordering \
+                        and MAX_TRANSPORT_CYCLES - const + 1 < stop:
+                    stop = MAX_TRANSPORT_CYCLES - const + 1
             elif dst_role < 0:                  # group -> placed consumer
                 lat = latency[fus[src_role]][fu]
                 const -= offsets[src_role]
@@ -426,11 +429,14 @@ class _State:
                 need = 1 if is_ordering else lat
                 if const - need + 1 < stop:
                     stop = const - need + 1
+                if not is_ordering and const - MAX_TRANSPORT_CYCLES > lo:
+                    lo = const - MAX_TRANSPORT_CYCLES
             else:                               # inside the group
                 lat = latency[fus[src_role]][fus[dst_role]]
                 const += offsets[dst_role] - offsets[src_role]
                 sign = 0
-                if const < (1 if is_ordering else lat):
+                if const < (1 if is_ordering else lat) \
+                        or not is_ordering and const > MAX_TRANSPORT_CYCLES:
                     return None
             if not is_ordering:
                 terms.append((lat, const, sign))
@@ -440,12 +446,14 @@ class _State:
     # Group placement
     # ------------------------------------------------------------------
     def place_group_best(self, group: int) -> bool:
-        """Greedy (Algorithm 2 lines 3-4): rank candidates by a cheap
-        routing estimate (:meth:`_best_candidates`), then commit the
-        first of the best six whose edges all route."""
+        """Greedy (Algorithm 2 lines 3-4): commit the candidate with the
+        least routing estimate (:meth:`_best_candidates`), the first
+        listed on a tie; False when there is none."""
         candidates = self._best_candidates(group)
-        candidates.sort(key=_score)
-        return self._commit_best(group, [c[1] for c in candidates[:6]])
+        if not candidates:
+            return False
+        self._commit(group, min(candidates, key=_score)[1])
+        return True
 
     def _best_candidates(self, group: int) -> list:
         """(score, spots) of every greedy candidate: (PCU, template,
@@ -516,7 +524,8 @@ class _State:
         of each candidate FU, scored like a one-node motif.
 
         The cycle window opens at the FU's earliest start (or the ASAP
-        time) and spans 2 * II cycles, cut by placed consumers.  Most
+        time) and spans 2 * II cycles, cut by placed consumers and by
+        each data edge's longest span, ``MAX_TRANSPORT_CYCLES``.  Most
         calls find no candidate, so the windows come first, and span
         terms are built only for an FU with a free slot in its window.
         A bound that gives every edge one cycle, the least span any edge
@@ -548,22 +557,32 @@ class _State:
             # in it, the terms.
             lo = 0
             stop = horizon
+            floor = 0                           # consumers' longest spans
             for src_role, dst_role, fu, const, is_ordering in links:
                 if src_role < 0:                # placed producer -> node
                     need = 1 if is_ordering else latency[fu][fu_id]
                     if need - const > lo:
                         lo = need - const
+                    if not is_ordering \
+                            and MAX_TRANSPORT_CYCLES - const + 1 < stop:
+                        stop = MAX_TRANSPORT_CYCLES - const + 1
                 elif dst_role < 0:              # node -> placed consumer
                     need = 1 if is_ordering else latency[fu_id][fu]
                     if const - need + 1 < stop:
                         stop = const - need + 1
-                elif const < (1 if is_ordering else latency[fu_id][fu_id]):
+                    if not is_ordering \
+                            and const - MAX_TRANSPORT_CYCLES > floor:
+                        floor = const - MAX_TRANSPORT_CYCLES
+                elif const < (1 if is_ordering else latency[fu_id][fu_id]) \
+                        or not is_ordering and const > MAX_TRANSPORT_CYCLES:
                     stop = 0                    # an untimeable self-loop
                     break
             if lo < asap:
                 lo = asap
             if stop > lo + 2 * ii:
                 stop = lo + 2 * ii
+            if floor > lo:
+                lo = floor
             for first in range(lo, min(stop, lo + ii)):
                 if (fu_id, first % ii) not in fu_nodes:
                     break
@@ -595,18 +614,19 @@ class _State:
         return candidates
 
     def place_group_random(self) -> bool:
-        """Lines 7-11: random placement candidate for the unmapped victim
-        (:meth:`_random_candidates`), committing the first of the best
-        four that routes."""
+        """Lines 7-11: commit the unmapped victim's best random placement
+        candidate (:meth:`_random_candidates`), the first listed on a
+        tie; a singleton victim is placed as in the greedy pass."""
         if self._last_failed is None:
             return False
         group = self._last_failed
         if not self.hierarchy.groups[group].is_collective:
             return self.place_group_best(group)
         candidates = self._random_candidates(group)
-        candidates.sort(key=_score)
-        return self._commit_best(group,
-                                 [c[1] for c in candidates[:4]])   # line 11
+        if not candidates:
+            return False
+        self._commit(group, min(candidates, key=_score)[1])   # line 11
+        return True
 
     def _random_candidates(self, group: int) -> list:
         """(estimate, spots) of a motif at one random PCU (line 7) under
@@ -636,60 +656,26 @@ class _State:
             group, links, pcu, schedule_templates(motif.kind),
             (start0, start0 + 1, earliest), 0.0)
 
-    def _commit_best(self, group: int, spot_lists) -> bool:
-        """Commit the first candidate, in the given (estimate) order,
-        whose every edge routes — Algorithm 2 lines 3-4 taken literally.
-
-        Each trial is pure: a candidate that fails to route is rolled
-        back exactly by :meth:`_commit_spots`, so the next candidate is
-        tried against the state as it was before the call.
-        """
-        return any(self._commit_spots(group, spots) for spots in spot_lists)
-
     # ------------------------------------------------------------------
-    # Committing (place + route or roll back)
+    # Committing (place + route)
     # ------------------------------------------------------------------
-    def _commit_spots(self, group: int, spots) -> bool:
-        """Place the group's nodes and route its ready edges; keep the
-        group when every edge routed, else roll back.
-
-        The rollback is exact: routing stops at the first failed edge,
-        before any negotiation, so undoing the trial's own routes and
-        placements restores the state as it was.  A kept group's
-        negotiation — which may re-route other groups' routes — is part
-        of the commit.
-        """
+    def _commit(self, group: int, spots) -> None:
+        """Place the group's nodes at a listed candidate's ``spots``,
+        route its ready data edges and negotiate, which may re-route
+        other groups' routes."""
         self._place_spots(spots)
         new_routes: dict[int, Route] = {}
-        routed = True
+        placement = self.placement
         for index in self._incident_groups[group]:
             edge = self._edge_list[index]
-            if edge.is_ordering:
-                if not self._ordering_ok(edge):
-                    routed = False
-                    break
-                continue
-            if edge.src not in self.placement \
-                    or edge.dst not in self.placement:
-                continue
-            route = self._route_index(index)
-            if route is None:
-                routed = False
-                break
-            new_routes[index] = route
-        if routed:
-            self._negotiate(new_routes)
-            self.group_spots[group] = list(spots)
-            for index, route in new_routes.items():
-                self._put_route(index, route)
-            self.unplaced.discard(group)
-            return True
-        for route in new_routes.values():
-            self.mrrg.uncommit_route(route)
-        for node_id, fu_id, cycle in spots:
-            self.mrrg.unplace_node(node_id, fu_id, cycle)
-            del self.placement[node_id]
-        return False
+            if not edge.is_ordering and edge.src in placement \
+                    and edge.dst in placement:
+                new_routes[index] = self._route_index(index)
+        self._negotiate(new_routes)
+        self.group_spots[group] = list(spots)
+        for index, route in new_routes.items():
+            self._put_route(index, route)
+        self.unplaced.discard(group)
 
     def _place_spots(self, spots) -> None:
         for node_id, fu_id, cycle in spots:
@@ -712,13 +698,24 @@ class _State:
             self._wirelength -= len(route.steps)
         return route
 
-    def _route_index(self, index: int) -> Route | None:
+    def _route_index(self, index: int) -> Route:
+        """Route data edge ``index`` between its placed endpoints.
+
+        Its span lies in the range every route exists for (the
+        enumeration lists no other), so a failure is a mapper bug.
+        """
         edge = self._edge_list[index]
         src_fu, src_cycle = self.placement[edge.src]
         dst_fu, dst_cycle = self.placement[edge.dst]
         arrival = dst_cycle + edge.distance * self.ii
-        return route_edge(self.mrrg, edge.src, src_fu, src_cycle,
-                          dst_fu, arrival)
+        route = route_edge(self.mrrg, edge.src, src_fu, src_cycle,
+                           dst_fu, arrival)
+        if route is None:
+            raise AssertionError(
+                f"edge {edge.src}->{edge.dst} found no route from FU "
+                f"{src_fu} at cycle {src_cycle} to FU {dst_fu} at cycle "
+                f"{arrival}")
+        return route
 
     def _negotiate(self, new_routes: dict[int, Route]) -> None:
         """Mini rip-up-and-reroute for a group being committed:
@@ -742,9 +739,6 @@ class _State:
                     continue
                 mrrg.uncommit_route(route)
                 redone = self._route_index(index)
-                if redone is None:
-                    mrrg.commit_route(route)
-                    continue
                 if index in new_routes or index not in self.routes:
                     new_routes[index] = redone
                 else:

@@ -31,8 +31,7 @@ from repro.mapping.routecore import (
 )
 
 __all__ = [
-    "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory",
-    "min_transport_latency", "route_edge",
+    "MAX_TRANSPORT_CYCLES", "ROUTING", "RoutingHistory", "route_edge",
     "route_edge_reference", "router_adjacency", "transport_latency_table",
 ]
 
@@ -55,17 +54,6 @@ def transport_latency_table(arch: Architecture) -> tuple[tuple[int, ...], ...]:
             for src_fu in range(len(arch.fus)))
 
     return arch.memo("transport_latency_table", build)
-
-
-def min_transport_latency(arch: Architecture, src_fu: int,
-                          dst_fu: int) -> int:
-    """Smallest producer-to-consumer latency the fabric allows.
-
-    Spatio-temporal mesh: 1 cycle for the same or an adjacent tile, one
-    more per extra hop.  Plaid: 1 cycle within a PCU, 1 + PCU hops across
-    PCUs (the extra cycle is the local-to-global staging hop).
-    """
-    return transport_latency_table(arch)[src_fu][dst_fu]
 
 
 def router_adjacency(arch: Architecture

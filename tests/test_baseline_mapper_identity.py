@@ -75,8 +75,8 @@ from repro.mapping.mii import minimum_ii
 from repro.mapping.plaid_mapper import _State
 from repro.mapping.routecore import ROUTING, RoutingHistory
 from repro.mapping.router import (
-    MAX_TRANSPORT_CYCLES, min_transport_latency, route_edge,
-    route_edge_reference, transport_latency_table,
+    MAX_TRANSPORT_CYCLES, route_edge, route_edge_reference,
+    transport_latency_table,
 )
 from repro.motifs.types import MotifKind
 from repro.workloads import get_dfg
@@ -166,7 +166,7 @@ def timing_feasible(dfg, arch, ii, placement, node_id, fu_id, cycle):
             continue
         arrival = cycle + edge.distance * ii
         needed = 1 if edge.is_ordering \
-            else min_transport_latency(arch, src_fu, fu_id)
+            else transport_latency_table(arch)[src_fu][fu_id]
         if arrival - src_cycle < needed:
             return False
     for edge in dfg.out_edges(node_id):
@@ -177,7 +177,7 @@ def timing_feasible(dfg, arch, ii, placement, node_id, fu_id, cycle):
         dst_fu, dst_cycle = placement[edge.dst]
         arrival = dst_cycle + edge.distance * ii
         needed = 1 if edge.is_ordering \
-            else min_transport_latency(arch, fu_id, dst_fu)
+            else transport_latency_table(arch)[fu_id][dst_fu]
         if arrival - cycle < needed:
             return False
     return True
@@ -203,7 +203,7 @@ def scan_first_cycle(dfg, arch, mrrg, placement, node_id, fu_id,
             continue
         src_fu, src_cycle = placement[edge.src]
         needed = 1 if edge.is_ordering \
-            else min_transport_latency(arch, src_fu, fu_id)
+            else transport_latency_table(arch)[src_fu][fu_id]
         earliest = max(earliest, src_cycle + needed - edge.distance * mrrg.ii)
     for cycle in range(max(earliest, 0), cap + 1):
         if mrrg.fu_free(fu_id, cycle) and timing_feasible(

@@ -7,7 +7,7 @@ from mrrg_helpers import mrrg_state, step_route
 from repro.arch import MRRG, make_plaid, make_spatio_temporal
 from repro.errors import MappingError
 from repro.mapping.router import (
-    min_transport_latency, route_edge, route_edge_reference,
+    route_edge, route_edge_reference, transport_latency_table,
 )
 
 #: Production router (the compiled core) and its interpreted oracle;
@@ -88,17 +88,17 @@ def test_step_cost_free_for_shared_segment():
 # Transport latency
 # ---------------------------------------------------------------------------
 def test_min_latency_st():
-    arch = make_spatio_temporal()
-    assert min_transport_latency(arch, 5, 5) == 1     # same PE
-    assert min_transport_latency(arch, 5, 6) == 1     # neighbour
-    assert min_transport_latency(arch, 0, 15) == 6    # corner to corner
+    latency = transport_latency_table(make_spatio_temporal())
+    assert latency[5][5] == 1       # same PE
+    assert latency[5][6] == 1       # neighbour
+    assert latency[0][15] == 6      # corner to corner
 
 
 def test_min_latency_plaid():
-    arch = make_plaid()
-    assert min_transport_latency(arch, 0, 2) == 1     # same PCU
-    assert min_transport_latency(arch, 0, 7) == 2     # adjacent PCU
-    assert min_transport_latency(arch, 0, 15) == 3    # diagonal PCU
+    latency = transport_latency_table(make_plaid())
+    assert latency[0][2] == 1       # same PCU
+    assert latency[0][7] == 2       # adjacent PCU
+    assert latency[0][15] == 3      # diagonal PCU
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_route_arrival_exact_property(src, dst, slack):
     respects the fabric's minimum latency."""
     arch = make_spatio_temporal()
     mrrg = MRRG(arch, 8)
-    lat = min_transport_latency(arch, src, dst)
+    lat = transport_latency_table(arch)[src][dst]
     arrive = lat + slack
     route = route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
     if route is not None:
@@ -317,7 +317,7 @@ def test_uncommitted_route_leaves_state_untouched(src, dst, slack, ii,
         route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
     snapshot = mrrg.occupancy_snapshot()
     state = mrrg_state(mrrg)
-    arrive = min_transport_latency(arch, src, dst) + slack
+    arrive = transport_latency_table(arch)[src][dst] + slack
     route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
     assert mrrg.occupancy_snapshot() == snapshot
     assert mrrg_state(mrrg) == state
@@ -340,7 +340,7 @@ def test_commit_uncommit_roundtrips_exactly(src, dst, slack, ii, preload,
         route_edge(mrrg, 1, (src + 1) % 16, 0, dst, 2 + slack)
         route_edge(mrrg, 2, src, 0, (dst + 3) % 16, 3)
     state = mrrg_state(mrrg)
-    arrive = min_transport_latency(arch, src, dst) + slack
+    arrive = transport_latency_table(arch)[src][dst] + slack
     route = route_edge(mrrg, 1, src, 0, dst, arrive, commit=False)
     if route is None:
         return

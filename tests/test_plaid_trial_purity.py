@@ -1,22 +1,19 @@
-"""The Plaid mapper's candidate trials are pure.
+"""Every candidate the Plaid mapper lists routes, and it commits the best.
 
-``_State._commit_best`` commits the first candidate, in estimate order,
-whose every edge routes (Algorithm 2 lines 3-4).  A candidate that fails
-is rolled back before any negotiation, so it must leave no trace.  These
-tests capture real mid-search states of the golden-grid workloads on
-``plaid``, ``plaid-ml`` and ``plaid3x3`` under the ``plaid`` mapper and
-on ``st`` under the motif-blind ``greedy`` mapper (which runs the same
-``_State`` search), then check every ``_commit_best`` call against its
-definition:
-
-- a call that returns False leaves the state exactly as it was;
-- a call that returns True equals committing, on a fresh deep copy,
-  the first candidate whose commit succeeds there.
-
-Real candidates almost always route at the first try, so each call is
-also replayed with the router refusing the last edge of the first
-candidate, and then of every candidate: trials that fail after some of
-their edges were committed.
+``_State`` lists a group's placement candidates (``_best_candidates``
+in the greedy pass and for a singleton victim, ``_random_candidates``
+for a motif victim) and commits the one with the least estimate, the
+first listed on a tie (Algorithm 2 lines 3-4 and 11), without trying
+it first: the enumeration lists only spots whose every data edge spans
+from its transport latency up to ``MAX_TRANSPORT_CYCLES``, and every
+such span routes.  These tests capture each placement call of short
+searches on the golden-grid workloads on ``plaid``, ``plaid-ml`` and
+``plaid3x3`` under the ``plaid`` mapper and on ``st`` under the
+motif-blind ``greedy`` mapper (which runs the same ``_State`` search),
+and check that every listed candidate, committed on a copy of the
+state, routes every ready data edge, and that the call committed the
+head of the estimate order.  A hand-built state checks that spans
+above ``MAX_TRANSPORT_CYCLES`` are not listed.
 
 The same snapshots check the candidate scorers: ``_best_candidates`` and
 ``_random_candidates`` read per-call link tables, and must list exactly
@@ -41,11 +38,16 @@ import pytest
 from mrrg_helpers import mrrg_state
 from repro.arch.plaid import PCU_FUS
 from repro.eval.harness import _seed_for, build_arch
+from repro.ir.graph import DFG
+from repro.ir.ops import Opcode
 from repro.mapping import plaid_mapper
 from repro.mapping.common import mapping_cost
 from repro.mapping.mii import minimum_ii
 from repro.mapping.plaid_mapper import PlaidMapper, _State, singleton_hierarchy
+from repro.mapping.router import MAX_TRANSPORT_CYCLES
+from repro.motifs.hierarchy import HierarchicalDFG
 from repro.motifs.schedules import schedule_templates
+from repro.motifs.types import Motif, MotifKind
 from repro.workloads import get_dfg
 
 WORKLOADS = ("dwconv", "conv2x2", "gesum_u2", "atax_u2", "jacobi_u2")
@@ -57,15 +59,17 @@ SOURCES = tuple(
 
 
 def _copy(state: _State) -> _State:
-    """Deep copy sharing the immutable fabric, DFG and hierarchy."""
-    memo = {id(state.arch): state.arch, id(state.dfg): state.dfg,
-            id(state.hierarchy): state.hierarchy}
-    return copy.deepcopy(state, memo)
+    """Deep copy sharing what no search step changes: the fabric, DFG,
+    hierarchy, per-state edge tables and the committed routes."""
+    shared = (state.arch, state.dfg, state.hierarchy, state.mrrg._index,
+              state._latency, state._edge_list, state._group_edges,
+              *state.routes.values())
+    return copy.deepcopy(state, {id(obj): obj for obj in shared})
 
 
 def _state_at_minimum_ii(workload, arch_key, mapper_key) -> _State:
     """The search state the mapper starts from at its tightest II, where
-    candidates fail to route most often."""
+    free slots are scarcest."""
     dfg = get_dfg(workload)
     arch = build_arch(arch_key)
     rng = random.Random(_seed_for(workload, arch_key, mapper_key))
@@ -79,21 +83,33 @@ def _state_at_minimum_ii(workload, arch_key, mapper_key) -> _State:
 
 
 def _snapshots(source, moves=40):
-    """(state copy, group, candidate spot lists) at every
-    ``_commit_best`` call of a short search, empty lists included."""
+    """``[state copy, group, candidates, committed spots]`` at every
+    placement call of a short search, empty candidate lists included.
+    The copy is taken before the candidates are listed (so it holds the
+    RNG state they were drawn from); ``committed`` is None when the
+    call committed nothing."""
     state = _state_at_minimum_ii(*source)
     captured = []
-    commit_best = _State._commit_best
 
-    def capture(self, group, spot_lists):
-        captured.append((_copy(self), group, list(spot_lists)))
-        return commit_best(self, group, spot_lists)
+    def capturing(list_candidates):
+        def capture(self, group):
+            snap = _copy(self)
+            candidates = list_candidates(self, group)
+            captured.append([snap, group, list(candidates), None])
+            return candidates
+        return capture
 
-    _State._commit_best = capture
-    try:
+    commit = _State._commit
+
+    def record(self, group, spots):
+        captured[-1][3] = spots
+        return commit(self, group, spots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_best_candidates", "_random_candidates"):
+            patch.setattr(_State, name, capturing(getattr(_State, name)))
+        patch.setattr(_State, "_commit", record)
         plaid_mapper.solve_state(state, moves, 6.0, 0.99)
-    finally:
-        _State._commit_best = commit_best
     return captured
 
 
@@ -108,55 +124,14 @@ def _view(state: _State) -> dict:
     }
 
 
-def _first_routable(snap: _State, group, spot_lists):
-    """Oracle: (position, state) of the first candidate whose commit on
-    a fresh copy of ``snap`` succeeds, or (None, None)."""
-    for position, spots in enumerate(spot_lists):
-        trial = _copy(snap)
-        if trial._commit_spots(group, spots):
-            return position, trial
-    return None, None
-
-
-def _edge_keys(snap: _State, group, spots) -> list[tuple]:
-    """``route_edge`` arguments of a candidate's data edges, in the
-    order :meth:`_State._commit_spots` routes them."""
-    where = dict(snap.placement)
-    where.update((node_id, (fu, cycle)) for node_id, fu, cycle in spots)
-    keys = []
-    for index in snap._incident_groups[group]:
-        edge = snap._edge_list[index]
-        if edge.is_ordering or edge.src not in where \
-                or edge.dst not in where:
-            continue
-        (src_fu, src_cycle), (dst_fu, dst_cycle) = \
-            where[edge.src], where[edge.dst]
-        keys.append((edge.src, src_fu, src_cycle, dst_fu,
-                     dst_cycle + edge.distance * snap.ii))
-    return keys
-
-
-def _refusing(refused: set):
-    """``route_edge`` that finds no path for the ``refused`` calls."""
-    route_edge = plaid_mapper.route_edge
-
-    def refuse(mrrg, net, src_fu, depart, dst_fu, arrive):
-        if (net, src_fu, depart, dst_fu, arrive) in refused:
-            return None
-        return route_edge(mrrg, net, src_fu, depart, dst_fu, arrive)
-    return refuse
-
-
-def _check_call(snap: _State, group, spot_lists):
-    """Run one ``_commit_best`` call on a copy and compare it with its
-    definition; returns the position of the committed candidate."""
-    before = _view(snap)
-    got = _copy(snap)
-    committed = got._commit_best(group, spot_lists)
-    position, want = _first_routable(snap, group, spot_lists)
-    assert committed == (position is not None)
-    assert _view(got) == (before if want is None else _view(want))
-    return position
+def _ready_data_edges(state: _State, group) -> set[int]:
+    """The group's incident data edges whose endpoints are both placed."""
+    return {
+        index for index in state._incident_groups[group]
+        if not state._edge_list[index].is_ordering
+        and state._edge_list[index].src in state.placement
+        and state._edge_list[index].dst in state.placement
+    }
 
 
 @pytest.fixture(scope="module")
@@ -165,28 +140,75 @@ def snapshots():
 
 
 @pytest.mark.parametrize("source", SOURCES, ids="/".join)
-def test_commit_best_is_first_routable_and_pure(source, snapshots,
-                                                monkeypatch):
-    for call, (snap, group, spot_lists) in enumerate(snapshots[source]):
-        _check_call(snap, group, spot_lists)
-        edges = [_edge_keys(snap, group, spots) for spots in spot_lists]
-        for doomed in (1, len(spot_lists)):
-            refused = {keys[-1] for keys in edges[:doomed] if keys}
-            with monkeypatch.context() as patch:
-                patch.setattr(plaid_mapper, "route_edge", _refusing(refused))
-                position = _check_call(snap, group, spot_lists)
-            if all(edges[:doomed]):
-                assert position is None or position >= doomed, call
+def test_every_candidate_routes(source, snapshots):
+    """Every listed candidate, committed on a copy of the state, places
+    the group and routes every ready data edge; the call itself
+    committed the head of the estimate order (the first listed on a
+    tie), or nothing when the list is empty."""
+    listed = 0
+    for snap, group, candidates, committed in snapshots[source]:
+        ranked = sorted(candidates, key=plaid_mapper._score)
+        assert committed == (ranked[0][1] if ranked else None), \
+            (source, group)
+        for _score, spots in candidates:
+            trial = _copy(snap)
+            trial._commit(group, spots)
+            assert trial.group_spots[group] == spots, (source, group)
+            assert _ready_data_edges(trial, group) <= set(trial.routes), \
+                (source, group, spots)
+            listed += 1
+    assert listed
 
 
-def test_refused_trials_fail_after_committing_routes(snapshots):
-    """The refused trials above include ones that had already committed
-    routes before their last edge failed, on every source."""
-    for source, captured in snapshots.items():
-        assert any(
-            len(_edge_keys(snap, group, spot_lists[0])) >= 2
-            for snap, group, spot_lists in captured if spot_lists
-        ), source
+def _far_state() -> tuple[_State, int, int]:
+    """A ``plaid`` state at II 4 whose timing-feasible spots include
+    spans above ``MAX_TRANSPORT_CYCLES``; returns it with its two
+    unplaced groups.
+
+    ``p -> a`` (distance 16) feeds a pair motif ``a -> b`` from ``p``
+    placed at cycle 2, so the pair's starts 1-4 span 63-66; ``q -> r``
+    (distance 17) feeds ``r`` placed at cycle 0, so ``q``'s cycles 0-7
+    span 68-61.
+    """
+    dfg = DFG("far")
+    p, a, b, q, r = (dfg.add_node(Opcode.ADD, name).node_id
+                     for name in "pabqr")
+    dfg.add_edge(p, a, distance=16)
+    dfg.add_edge(a, b)
+    dfg.add_edge(q, r, distance=17)
+    hierarchy = HierarchicalDFG.from_groups(dfg, [
+        Motif(MotifKind.SINGLETON, (p,)), Motif(MotifKind.PAIR, (a, b)),
+        Motif(MotifKind.SINGLETON, (q,)), Motif(MotifKind.SINGLETON, (r,)),
+    ])
+    state = _State(dfg, build_arch("plaid"), hierarchy, 4, None,
+                   random.Random(1))
+    state._commit(hierarchy.group_of(p), [(p, 0, 2)])
+    state._commit(hierarchy.group_of(r), [(r, 1, 0)])
+    return state, hierarchy.group_of(a), hierarchy.group_of(q)
+
+
+def test_spans_above_the_cap_are_not_listed():
+    """A motif behind a placed producer far upstream and a singleton
+    ahead of a placed consumer far downstream get only the spots whose
+    spans stay within ``MAX_TRANSPORT_CYCLES`` (no route takes a longer
+    one, and ``_estimate`` scores it infinite): ``a`` runs at cycle 1 or
+    2, ``q`` at cycle 4 or later (the first three free cycles from
+    there), as the capped oracle lists."""
+    state, pair, single = _far_state()
+    for group, listings, cycles in (
+            (pair, (state._best_candidates, state._random_candidates),
+             {1, 2}),
+            (single, (state._best_candidates,), {4, 5, 6, 7})):
+        for list_candidates in listings:
+            candidates = list_candidates(group)
+            assert candidates, group
+            for _score, spots in candidates:
+                assert _estimate(state, group, spots) != float("inf"), spots
+        same, got = _same_draws(
+            state, lambda: state._best_candidates(group),
+            lambda: _oracle_best_candidates(state, group))
+        assert same, group
+        assert {spots[0][2] for _score, spots in got} == cycles, group
 
 
 def test_kept_wirelength_matches_routes(snapshots):
@@ -194,7 +216,7 @@ def test_kept_wirelength_matches_routes(snapshots):
     commits, negotiation re-routes, unmaps and restores) it equals the
     step count of the routes, and ``cost()`` equals ``mapping_cost``."""
     for source, captured in snapshots.items():
-        for snap, _group, _spots in captured:
+        for snap, _group, _candidates, _committed in captured:
             steps = sum(len(route.steps) for route in snap.routes.values())
             assert snap._wirelength == steps, source
             missing = snap._num_data_edges - len(snap.routes)
@@ -208,7 +230,8 @@ def test_kept_wirelength_matches_routes(snapshots):
 # ---------------------------------------------------------------------------
 def _estimate(state: _State, group, spots) -> float:
     """Routing-free candidate score: transport slack and wire length
-    to already-placed neighbours; infinity when timing-infeasible."""
+    to already-placed neighbours; infinity when timing-infeasible, or
+    when a data edge spans more than ``MAX_TRANSPORT_CYCLES``."""
     trial = {node_id: (fu, cyc) for node_id, fu, cyc in spots}
     score = 0.0
     for index in state._incident_groups[group]:
@@ -225,7 +248,7 @@ def _estimate(state: _State, group, spots) -> float:
                 return float("inf")
             continue
         lat = state._latency[src_fu][dst_fu]
-        if span < lat:
+        if span < lat or span > MAX_TRANSPORT_CYCLES:
             return float("inf")
         score += 2.0 * lat + 0.5 * (span - lat)
     return score
@@ -343,14 +366,14 @@ def test_singleton_scores_match_estimate(snapshots):
     there too, with the oracle's draws."""
     empty = 0
     for source, captured in snapshots.items():
-        for snap, group, spot_lists in captured:
+        for snap, group, candidates, _committed in captured:
             if snap.hierarchy.groups[group].is_collective:
                 continue
             same, got = _same_draws(
                 snap, lambda: snap._best_candidates(group),
                 lambda: _oracle_best_candidates(snap, group))
             assert same, (source, group)
-            if not spot_lists:
+            if not candidates:
                 assert got == [], (source, group)
                 empty += 1
     assert empty
@@ -362,7 +385,7 @@ def test_collective_candidates_match_estimate(snapshots):
     ``_estimate``: same entries, same order, same RNG state after."""
     checked = 0
     for source, captured in snapshots.items():
-        for snap, group, _spots in captured:
+        for snap, group, _candidates, _committed in captured:
             if not snap.hierarchy.groups[group].is_collective:
                 continue
             same, got = _same_draws(
@@ -394,7 +417,7 @@ def test_pick_victim_draws_like_stdlib(snapshots):
     """The victim draw, inlined, picks the group and leaves the RNG
     state that ``random.Random.choice`` would."""
     for source, captured in snapshots.items():
-        for snap, _group, _spots in captured:
+        for snap, _group, _candidates, _committed in captured:
             last_failed = snap._last_failed
             same, _got = _same_draws(snap, snap.pick_victim,
                                      lambda: _oracle_pick_victim(snap))
@@ -411,7 +434,7 @@ def test_unplaced_groups_hold_no_slots_or_routes(snapshots):
     visited yet), and every route joins two placed groups.  This is why
     ``unmap_group`` has nothing to undo for an unplaced group."""
     for source, captured in snapshots.items():
-        for snap, group, _spots in captured:
+        for snap, group, _candidates, _committed in captured:
             assert snap.unplaced.isdisjoint(snap.group_spots), source
             if snap._last_failed is None:       # still in the greedy pass
                 pending = set(snap.order[snap.order.index(group):])
@@ -459,8 +482,8 @@ def test_futile_move_changes_only_the_rng(snapshots):
     restore draw on a copy."""
     moves = 0
     for source, captured in snapshots.items():
-        for snap, group, spot_lists in captured:
-            if spot_lists or group not in snap.unplaced \
+        for snap, group, candidates, _committed in captured:
+            if candidates or group not in snap.unplaced \
                     or snap.hierarchy.groups[group].is_collective:
                 continue
             got, want = _copy(snap), _copy(snap)
@@ -473,8 +496,10 @@ def test_futile_move_changes_only_the_rng(snapshots):
 
             saved = _full_unmap(want, group)
             candidates = _oracle_best_candidates(want, group)
-            candidates.sort(key=plaid_mapper._score)
-            placed = want._commit_best(group, [c[1] for c in candidates[:6]])
+            placed = bool(candidates)
+            if placed:
+                want._commit(group,
+                             min(candidates, key=plaid_mapper._score)[1])
             want.restore_group(group, saved, placed)
             assert _view(want) == _view(snap), source
             assert got.rng.getstate() == want.rng.getstate(), source

@@ -39,8 +39,8 @@ from repro.mapping.common import PlacementTables
 from repro.mapping.engine import get_mapper
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.router import (
-    ROUTING, RoutingHistory, min_transport_latency, route_edge,
-    route_edge_reference, transport_latency_table,
+    ROUTING, RoutingHistory, route_edge, route_edge_reference,
+    transport_latency_table,
 )
 from repro.workloads import get_dfg
 
@@ -100,7 +100,7 @@ def test_compiled_matches_reference_empty_fabric(src, dst, slack, ii,
     arch = make_spatio_temporal(4, 4)
     compiled = MRRG(arch, ii)
     reference = MRRG(arch, ii)
-    arrive = depart + min_transport_latency(arch, src, dst) + slack
+    arrive = depart + transport_latency_table(arch)[src][dst] + slack
     core = routecore.route_core_for(arch, ii)
     got = routecore.route_edge_compiled(
         compiled, core, 1, src, depart, dst, arrive, core.zero_hist, False)
@@ -133,7 +133,7 @@ def test_compiled_matches_reference_congested(seed, ii, plaid):
         net = rng.randrange(3)
         src, dst = rng.randrange(n_fus), rng.randrange(n_fus)
         depart = rng.randrange(4)
-        arrive = depart + min_transport_latency(arch, src, dst) \
+        arrive = depart + transport_latency_table(arch)[src][dst] \
             + rng.randrange(3)
         got = routecore.route_edge_compiled(
             compiled, core, net, src, depart, dst, arrive,
@@ -152,7 +152,7 @@ def test_compiled_matches_reference_congested(seed, ii, plaid):
     for src in range(0, n_fus, 3):
         for dst in range(0, n_fus, 2):
             for net in (0, 7):
-                arrive = min_transport_latency(arch, src, dst) + 1
+                arrive = transport_latency_table(arch)[src][dst] + 1
                 got = routecore.route_edge_compiled(
                     compiled, core, net, src, 0, dst, arrive,
                     history.array, False)
@@ -461,7 +461,7 @@ def test_search_stamps_only_live_states(seed, plaid):
     for _ in range(12):
         src, dst = rng.randrange(len(arch.fus)), rng.randrange(len(arch.fus))
         depart = rng.randrange(3)
-        span = min_transport_latency(arch, src, dst) + rng.randrange(4)
+        span = transport_latency_table(arch)[src][dst] + rng.randrange(4)
         if span < 2:
             continue        # span 1 runs no search
         epoch = core._epoch
