@@ -4,9 +4,10 @@
 (II, sorted placement, sorted route steps) per (workload, arch, mapper)
 cell: the golden-grid workloads on ``plaid``, ``plaid-ml`` and
 ``plaid3x3`` under the ``plaid`` mapper, the motif-blind ``greedy``
-mapper (which runs the same ``_State`` search) on ``st``, and every
-other Table-2 workload on ``plaid`` — with the golden-grid cells, the
-whole ``plaid`` column of the paper's default grid.  Unlike the
+mapper (which runs the same ``_State`` search) on ``st`` and
+``st-ml``, and every other Table-2 workload on ``plaid`` — with the
+golden-grid cells, the whole ``plaid`` column of the paper's default
+grid.  Unlike the
 golden fixture, which locks II/cycles/energy, a digest moves when any
 single placement or route step moves — so speed-ups of the mapper's
 search must leave it untouched.
@@ -39,7 +40,11 @@ CELLS = tuple(
     (workload, arch_key, "plaid")
     for workload in WORKLOADS
     for arch_key in ("plaid", "plaid-ml", "plaid3x3")
-) + tuple((workload, "st", "greedy") for workload in WORKLOADS) + tuple(
+) + tuple(
+    (workload, arch_key, "greedy")
+    for workload in WORKLOADS
+    for arch_key in ("st", "st-ml")
+) + tuple(
     (spec.name, "plaid", "plaid") for spec in all_workloads()
     if spec.name not in WORKLOADS
 )
