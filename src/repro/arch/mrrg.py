@@ -32,6 +32,10 @@ from repro.errors import MappingError
 
 ResourceKey = tuple[str, object]
 
+#: PathFinder's present-congestion factor: a charge costs 1.0 plus this
+#: much per unit of overuse it would leave on its slot.
+PRESENT_FACTOR = 4.0
+
 
 class ResourceIndex:
     """Dense resource ids for one fabric, built once per architecture.
@@ -142,8 +146,8 @@ class MRRG:
         size = len(self._index.key_of) * ii
         # Capacity-relevant usage per flat index rid * II + slot (see
         # usage_count), and the history-free cost of one more charge by
-        # a non-sharing net, 1.0 + 4.0 * overuse — what the compiled
-        # router reads.
+        # a non-sharing net, 1.0 + PRESENT_FACTOR * overuse — what the
+        # compiled router reads.
         self._counts = [0] * size
         self._cost_base = [1.0] * size
         # net -> {flat index: {absolute cycle: refcount}}.  Refcounts
@@ -293,13 +297,14 @@ class MRRG:
                 del self._overused[index]
             self._over_sum -= 1
         over = count + 1 - cap
-        self._cost_base[index] = 1.0 + 4.0 * over if over > 0 else 1.0
+        self._cost_base[index] = \
+            1.0 + PRESENT_FACTOR * over if over > 0 else 1.0
 
     # ------------------------------------------------------------------
     # Congestion queries
     # ------------------------------------------------------------------
     def step_cost(self, net: int, resource: ResourceKey, cycle: int,
-                  history=None, present_factor: float = 4.0) -> float:
+                  history=None) -> float:
         """Congestion-aware cost of charging one step.
 
         Re-charging a (net, cycle) pair already present is free (shared
@@ -319,7 +324,7 @@ class MRRG:
                 return 0.0
         base = 1.0
         over = self._counts[index] + 1 - self._index.caps[rid]
-        congestion = present_factor * over if over > 0 else 0.0
+        congestion = PRESENT_FACTOR * over if over > 0 else 0.0
         hist = 0.0
         if history is not None:
             hist = history.get((resource, slot), 0.0)

@@ -1,8 +1,8 @@
 """Report aggregation: turn experiment results into shareable artifacts.
 
 The benchmarks print paper-style tables; this module adds machine-readable
-summaries (dicts), Markdown export for EXPERIMENTS.md-style records, and
-the headline-claims scorecard comparing this reproduction to the paper.
+summaries (dicts) and the headline-claims scorecard comparing this
+reproduction to the paper.
 """
 
 from __future__ import annotations
@@ -369,18 +369,3 @@ def sweep_to_csv(report) -> str:
     writer.writerow(SWEEP_HEADERS)
     writer.writerows(sweep_rows(report))
     return buffer.getvalue()
-
-
-def to_markdown_table(headers: list[str], rows: list[list[object]]) -> str:
-    """Render rows as a GitHub-flavoured Markdown table."""
-    def fmt(value: object) -> str:
-        if isinstance(value, float):
-            return f"{value:.3f}"
-        return str(value)
-
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    lines.extend(
-        "| " + " | ".join(fmt(cell) for cell in row) + " |" for row in rows
-    )
-    return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Mappers: modulo-scheduled placement and routing of DFGs onto CGRAs.
 
-Three mappers target the time-extended fabrics (spatio-temporal and Plaid):
+Four mappers target the time-extended fabrics (spatio-temporal and Plaid):
 
 * :class:`~repro.mapping.pathfinder.PathFinderMapper` — negotiated
   congestion routing (McMurchie–Ebeling), adapted for CGRAs as in Morpher;
@@ -8,7 +8,10 @@ Three mappers target the time-extended fabrics (spatio-temporal and Plaid):
   placement/routing annealing (CGRA-ME style);
 * :class:`~repro.mapping.plaid_mapper.PlaidMapper` — the paper's
   Algorithm 2: hierarchical, motif-aware mapping with flexible schedule
-  templates.
+  templates;
+* :class:`~repro.mapping.plaid_mapper.GreedyRepairMapper` — the same
+  Algorithm 2 search over a motif-blind (singleton) hierarchy, for any
+  temporal fabric.
 
 The spatial CGRA uses :class:`~repro.mapping.spatial_mapper.SpatialMapper`,
 which partitions the DFG into fixed-configuration phases with SPM spills.
@@ -30,8 +33,7 @@ from repro.mapping.router import route_edge, route_edge_reference
 from repro.mapping.routecore import RouteCore, RoutingHistory, route_core_for
 from repro.mapping.pathfinder import PathFinderMapper
 from repro.mapping.annealing import SimulatedAnnealingMapper
-from repro.mapping.greedy import GreedyRepairMapper
-from repro.mapping.plaid_mapper import PlaidMapper
+from repro.mapping.plaid_mapper import GreedyRepairMapper, PlaidMapper
 from repro.mapping.spatial_mapper import SpatialMapper, SpatialMapping
 
 __all__ = [

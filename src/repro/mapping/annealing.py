@@ -5,8 +5,8 @@ against: each move relocates one node to a random compatible (FU, cycle)
 candidate and reroutes its incident edges; the Metropolis criterion
 occasionally accepts worse states.  It has no greedy candidate ranking and
 no motif awareness — exactly the generic baseline of the paper (adapted
-from CGRA-ME / Morpher).  The library's stronger search engine lives in
-:mod:`repro.mapping.greedy`.
+from CGRA-ME / Morpher).  The library's stronger search engine is
+:class:`~repro.mapping.plaid_mapper.GreedyRepairMapper`.
 
 The II escalation and stats live in the shared
 :func:`~repro.mapping.engine.search` driver; this class is the per-II
@@ -77,11 +77,6 @@ class SimulatedAnnealingMapper(MapperStrategy):
     MOVES_PER_II = 2500
     START_TEMP = 10.0
     COOLING = 0.997
-
-    def __init__(self, max_ii: int | None = None,
-                 seed: int | None = None) -> None:
-        self.max_ii = max_ii
-        self.seed = seed
 
     # ------------------------------------------------------------------
     def prepare(self, dfg: DFG, arch: Architecture, rng,

@@ -67,8 +67,11 @@ class MapperStrategy:
     name = "mapper"
     #: Human-facing label used in the "could not map" error.
     failure_label = "mapper"
-    seed: int | None = None
-    max_ii: int | None = None
+
+    def __init__(self, max_ii: int | None = None,
+                 seed: int | None = None) -> None:
+        self.max_ii = max_ii
+        self.seed = seed
 
     def prepare(self, dfg: DFG, arch: Architecture, rng, **kwargs):
         """Per-search context built once before the II escalation."""

@@ -48,8 +48,7 @@ class PathFinderMapper(MapperStrategy):
 
     def __init__(self, max_ii: int | None = None, seed: int | None = None,
                  incremental: bool = True) -> None:
-        self.max_ii = max_ii
-        self.seed = seed
+        super().__init__(max_ii, seed)
         self.incremental = incremental
 
     def prepare(self, dfg: DFG, arch: Architecture, rng,

@@ -46,8 +46,10 @@ on PCUs hardwired for their kind — pattern edges there are free wires —
 while general PCUs accept anything.
 
 The II escalation (step 4) and stats live in the shared
-:func:`~repro.mapping.engine.search` driver; this class is the per-II
-strategy, with one restart per candidate motif decomposition.
+:func:`~repro.mapping.engine.search` driver; :class:`PlaidMapper` is the
+per-II strategy, with one restart per candidate motif decomposition.
+:class:`GreedyRepairMapper` (``greedy``) runs the same search over a
+singleton (motif-blind) hierarchy on any temporal fabric.
 """
 
 from __future__ import annotations
@@ -88,11 +90,6 @@ class PlaidMapper(MapperStrategy):
     COOLING = 0.99
     MOTIF_SEEDS = (11, 23, 35)
 
-    def __init__(self, max_ii: int | None = None,
-                 seed: int | None = None) -> None:
-        self.max_ii = max_ii
-        self.seed = seed
-
     # ------------------------------------------------------------------
     def prepare(self, dfg: DFG, arch: Architecture, rng,
                 hierarchy: HierarchicalDFG | None = None):
@@ -126,6 +123,25 @@ class PlaidMapper(MapperStrategy):
                            self.COOLING)
 
 
+class GreedyRepairMapper(PlaidMapper):
+    """Algorithm 2 over a singleton hierarchy (every node its own
+    group), with no hardwired kinds: the library's own mapper for any
+    temporal fabric.  The paper-faithful baselines remain PathFinder
+    and SA."""
+
+    name = "greedy"
+    failure_label = "greedy mapper"
+    #: Repair moves per attempt, starting temperature, cooling per move,
+    #: and attempts per II.
+    MOVES_PER_II = 1200
+    START_TEMP = 8.0
+    COOLING = 0.995
+    RESTARTS = 2
+
+    def prepare(self, dfg: DFG, arch: Architecture, rng, **kwargs):
+        return [singleton_hierarchy(dfg)] * self.RESTARTS, None
+
+
 class _Decompositions:
     """The restarts' motif decompositions, one per motif seed, each
     built (and demoted for a hardwired fabric) the first time a restart
@@ -153,11 +169,8 @@ class _Decompositions:
 
 def solve_state(state: "_State", moves: int, start_temp: float,
                 cooling: float) -> Mapping | None:
-    """Greedy placement plus annealing repair over a mapping state.
-
-    This is Algorithm 2's search loop; the ``greedy`` mapper reuses it
-    over a singleton (motif-blind) hierarchy.
-    """
+    """Greedy placement plus annealing repair over a mapping state:
+    Algorithm 2's search loop."""
     # Lines 1-4: dependency-sorted greedy placement.
     for group in state.order:
         if not state.place_group_best(group):
@@ -176,7 +189,7 @@ def solve_state(state: "_State", moves: int, start_temp: float,
         if group is None:
             break
         saved = state.unmap_group(group)
-        placed = state.place_group_random()
+        placed = state.place_group_random(group)
         new_cost = state.cost()
         delta = new_cost - cost
         accept = placed and (
@@ -234,11 +247,8 @@ def demote_for_hardwired(hierarchy: HierarchicalDFG,
 
 
 def singleton_hierarchy(dfg: DFG) -> HierarchicalDFG:
-    """A motif-blind hierarchy: every node is its own group.
-
-    The ``greedy`` mapper searches this view with :func:`solve_state`:
-    the same fabric, without collective motif placement.
-    """
+    """A motif-blind hierarchy: every node is its own group, the view
+    :class:`GreedyRepairMapper` searches."""
     return HierarchicalDFG.from_groups(
         dfg, [Motif(MotifKind.SINGLETON, (node.node_id,))
               for node in dfg.nodes])
@@ -320,17 +330,16 @@ class _State:
         self._num_data_edges = len(self._edge_list) - len(self._ordering_edges)
         #: group -> list of (node_id, fu_id, cycle) commitments.
         self.group_spots: dict[int, list[tuple[int, int, int]]] = {}
-        self._last_failed: int | None = None
 
     # ------------------------------------------------------------------
     # Candidate enumeration
     # ------------------------------------------------------------------
     def _pcus_for_kind(self, kind: MotifKind) -> list[int]:
-        if self.hardwired is None:
-            return list(range(self.num_pcus))
-        if kind in (MotifKind.FAN_IN, MotifKind.FAN_OUT, MotifKind.UNICAST):
+        if self.hardwired is not None and kind in (
+                MotifKind.FAN_IN, MotifKind.FAN_OUT, MotifKind.UNICAST):
             matching = [p for p, k in self.hardwired.items() if k is kind]
-            return matching or list(range(self.num_pcus))
+            if matching:
+                return matching
         return list(range(self.num_pcus))
 
     def _singleton_candidates(self, group: int) -> list[int]:
@@ -613,13 +622,11 @@ class _State:
                     break
         return candidates
 
-    def place_group_random(self) -> bool:
-        """Lines 7-11: commit the unmapped victim's best random placement
-        candidate (:meth:`_random_candidates`), the first listed on a
-        tie; a singleton victim is placed as in the greedy pass."""
-        if self._last_failed is None:
-            return False
-        group = self._last_failed
+    def place_group_random(self, group: int) -> bool:
+        """Lines 7-11: commit the unmapped victim ``group``'s best random
+        placement candidate (:meth:`_random_candidates`), the first
+        listed on a tie; a singleton victim is placed as in the greedy
+        pass."""
         if not self.hierarchy.groups[group].is_collective:
             return self.place_group_best(group)
         candidates = self._random_candidates(group)
@@ -775,8 +782,7 @@ class _State:
         r = rng.getrandbits(k)
         while r >= n:
             r = rng.getrandbits(k)
-        victim = self._last_failed = pool[r]
-        return victim
+        return pool[r]
 
     def _congested_groups(self) -> list[int]:
         mrrg = self.mrrg
@@ -796,7 +802,6 @@ class _State:
     def unmap_group(self, group: int):
         """Remove a group's nodes and every route touching them."""
         saved_spots = self.group_spots.pop(group, None)
-        self._last_failed = group
         if saved_spots is None:
             # Unplaced already: a route exists only while both its
             # endpoints' groups are placed, so there is nothing to undo.
@@ -814,21 +819,21 @@ class _State:
         return (saved_spots, saved_routes)
 
     def restore_group(self, group: int, saved, newly_placed: bool) -> None:
-        """Undo an annealing move: put the group back where it was."""
+        """Undo an annealing move: put the group back where it was.
+
+        The move placed and unplaced only this group's nodes, so its
+        saved slots are free and both endpoints of each saved route are
+        placed.
+        """
         if newly_placed:
             self.unmap_group(group)
         saved_spots, saved_routes = saved
         if not saved_spots:
             return
-        ok = all(self.mrrg.fu_free(fu, cyc) for _n, fu, cyc in saved_spots)
-        if not ok:
-            return    # stays unplaced; annealing continues
         self._place_spots(saved_spots)
         for index, route in saved_routes.items():
-            edge = self._edge_list[index]
-            if edge.src in self.placement and edge.dst in self.placement:
-                self._put_route(index, route)
-                self.mrrg.commit_route(route)
+            self._put_route(index, route)
+            self.mrrg.commit_route(route)
         self.group_spots[group] = saved_spots
         self.unplaced.discard(group)
 
@@ -854,4 +859,9 @@ register_mapper(
     "plaid", PlaidMapper,
     description="motif-aware hierarchical mapping with flexible schedule "
                 "templates (the paper's Algorithm 2)",
+)
+register_mapper(
+    "greedy", GreedyRepairMapper,
+    description="motif-blind greedy placement with Metropolis repair "
+                "(Algorithm 2 over a singleton hierarchy)",
 )

@@ -268,9 +268,10 @@ def route_edge_compiled(mrrg: MRRG, core: RouteCore, net: int, src_fu: int,
     ``hist`` is a flat ``rid * II + slot`` float array (``core.zero_hist``
     for history-free calls).  Cost arithmetic reproduces
     :meth:`MRRG.step_cost` term by term — ``cost_base`` already holds
-    ``1.0 + present_factor * overuse`` — and the heap orders ``(cost,
-    state)`` exactly like the reference ``(cost, place, cycle)`` tuples,
-    so ties resolve identically.
+    ``1.0 + PRESENT_FACTOR * overuse`` (the :mod:`repro.arch.mrrg`
+    constant) — and the heap orders ``(cost, state)`` exactly like the
+    reference ``(cost, place, cycle)`` tuples, so ties resolve
+    identically.
 
     Dead states — fewer cycles left than their place's ``core.need``
     moves — are never pushed.  Every successor of a dead state is dead

@@ -78,10 +78,6 @@ class AreaReport:
     def fabric_um2(self) -> float:
         return sum(self.components.values())
 
-    @property
-    def total_um2(self) -> float:
-        return self.fabric_um2 + self.spm_um2
-
     def breakdown(self) -> dict[str, float]:
         fabric = self.fabric_um2
         return {name: um2 / fabric for name, um2 in self.components.items()}

@@ -12,13 +12,12 @@ def energy_nj(power: PowerReport, cycles: int) -> float:
     return power.total_mw * cycles * tech.CYCLE_NS * 1e-3
 
 
-def perf_per_area(cycles: int, area: AreaReport,
-                  include_spm: bool = False) -> float:
-    """Throughput per area: 1 / (cycles * um^2), scaled for readability."""
+def perf_per_area(cycles: int, area: AreaReport) -> float:
+    """Throughput per fabric area (SPM excluded): 1 / (cycles * um^2),
+    scaled for readability."""
     if cycles <= 0:
         return 0.0
-    um2 = area.total_um2 if include_spm else area.fabric_um2
-    return 1.0e9 / (cycles * um2)
+    return 1.0e9 / (cycles * area.fabric_um2)
 
 
 def power_table(reports: list[PowerReport]) -> str:

@@ -38,11 +38,3 @@ def format_table(
     lines.append("  ".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def format_series(name: str, labels: Sequence[str], values: Sequence[float]) -> str:
-    """Render one figure series (label: value pairs) as indented lines."""
-    body = "\n".join(
-        f"  {label}: {value:.3f}" for label, value in zip(labels, values)
-    )
-    return f"{name}\n{body}"

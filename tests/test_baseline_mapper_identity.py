@@ -824,8 +824,7 @@ def _plaid_draw_state(n, rng):
         _collective_candidates=lambda group, links, pcu, templates, starts,
         weight: (pcu, starts),
         unplaced=set(range(n)), group_spots=dict.fromkeys(range(n, 2 * n)),
-        _congested_groups=lambda: list(range(2 * n, 3 * n)),
-        _last_failed=None)
+        _congested_groups=lambda: list(range(2 * n, 3 * n)))
 
 
 def test_inlined_draws_match_stdlib():
@@ -870,7 +869,6 @@ def test_inlined_draws_match_stdlib():
             else:
                 victim = stdlib.choice(list(state.group_spots))
             assert _State.pick_victim(state) == victim, recheck
-            assert state._last_failed == victim, recheck
         assert stdlib.getstate() == inlined.getstate(), recheck
 
 

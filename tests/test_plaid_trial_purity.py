@@ -86,14 +86,17 @@ def _snapshots(source, moves=40):
     """``[state copy, group, candidates, committed spots]`` at every
     placement call of a short search, empty candidate lists included.
     The copy is taken before the candidates are listed (so it holds the
-    RNG state they were drawn from); ``committed`` is None when the
-    call committed nothing."""
+    RNG state they were drawn from), and its ``phase`` says whether the
+    call came from the greedy pass or an annealing move; ``committed``
+    is None when the call committed nothing."""
     state = _state_at_minimum_ii(*source)
     captured = []
+    phase = "greedy"
 
     def capturing(list_candidates):
         def capture(self, group):
             snap = _copy(self)
+            snap.phase = phase
             candidates = list_candidates(self, group)
             captured.append([snap, group, list(candidates), None])
             return candidates
@@ -105,10 +108,18 @@ def _snapshots(source, moves=40):
         captured[-1][3] = spots
         return commit(self, group, spots)
 
+    pick_victim = _State.pick_victim
+
+    def annealing(self):
+        nonlocal phase
+        phase = "anneal"
+        return pick_victim(self)
+
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_best_candidates", "_random_candidates"):
             patch.setattr(_State, name, capturing(getattr(_State, name)))
         patch.setattr(_State, "_commit", record)
+        patch.setattr(_State, "pick_victim", annealing)
         plaid_mapper.solve_state(state, moves, 6.0, 0.99)
     return captured
 
@@ -418,10 +429,8 @@ def test_pick_victim_draws_like_stdlib(snapshots):
     state that ``random.Random.choice`` would."""
     for source, captured in snapshots.items():
         for snap, _group, _candidates, _committed in captured:
-            last_failed = snap._last_failed
             same, _got = _same_draws(snap, snap.pick_victim,
                                      lambda: _oracle_pick_victim(snap))
-            snap._last_failed = last_failed
             assert same, source
 
 
@@ -436,7 +445,7 @@ def test_unplaced_groups_hold_no_slots_or_routes(snapshots):
     for source, captured in snapshots.items():
         for snap, group, _candidates, _committed in captured:
             assert snap.unplaced.isdisjoint(snap.group_spots), source
-            if snap._last_failed is None:       # still in the greedy pass
+            if snap.phase == "greedy":
                 pending = set(snap.order[snap.order.index(group):])
             else:
                 pending = set()
@@ -465,7 +474,6 @@ def _full_unmap(state: _State, group):
         state.mrrg.unplace_node(node_id, fu_id, cycle)
         state.placement.pop(node_id, None)
     state.unplaced.add(group)
-    state._last_failed = group
     return (saved_spots, saved_routes)
 
 
@@ -488,7 +496,7 @@ def test_futile_move_changes_only_the_rng(snapshots):
                 continue
             got, want = _copy(snap), _copy(snap)
             saved = got.unmap_group(group)
-            placed = got.place_group_random()
+            placed = got.place_group_random(group)
             got.restore_group(group, saved, placed)
             assert not placed, source
             assert _view(got) == _view(snap), source
@@ -503,6 +511,5 @@ def test_futile_move_changes_only_the_rng(snapshots):
             want.restore_group(group, saved, placed)
             assert _view(want) == _view(snap), source
             assert got.rng.getstate() == want.rng.getstate(), source
-            assert got._last_failed == want._last_failed == group
             moves += 1
     assert moves

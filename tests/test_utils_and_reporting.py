@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 from repro.ir.builder import DFGBuilder
 from repro.ir.dot import dfg_to_dot
 from repro.ir.ops import Opcode
-from repro.eval.reporting import ClaimResult, to_markdown_table
+from repro.eval.reporting import ClaimResult
 from repro.sim.trace import TraceRecorder
 from repro.utils.rng import make_rng
-from repro.utils.tables import format_series, format_table
+from repro.utils.tables import format_table
 
 
 # ---------------------------------------------------------------------------
@@ -39,23 +39,12 @@ def test_format_table_alignment():
     assert len(widths) == 1      # all rows equally wide
 
 
-def test_format_series():
-    text = format_series("s", ["x", "y"], [1.0, 2.0])
-    assert "x: 1.000" in text and text.startswith("s")
-
-
 @given(rows=st.lists(
     st.tuples(st.integers(-999, 999), st.floats(0, 10)), min_size=1,
     max_size=8))
 def test_format_table_handles_any_rows(rows):
     text = format_table(["i", "f"], [list(r) for r in rows])
     assert len(text.splitlines()) == len(rows) + 2
-
-
-def test_markdown_table():
-    text = to_markdown_table(["a", "b"], [[1, 2.5]])
-    assert text.splitlines()[1] == "|---|---|"
-    assert "| 2.500 |" in text
 
 
 # ---------------------------------------------------------------------------
