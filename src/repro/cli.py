@@ -41,6 +41,7 @@ families and reports the best variant per (family, architecture).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.errors import ReproError
@@ -596,10 +597,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (`repro mappers | head -1`): it
+        # has what it wanted.  Point stdout at devnull so the flush at
+        # interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":   # pragma: no cover

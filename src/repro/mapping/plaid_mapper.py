@@ -21,25 +21,40 @@ of at least 1.  So the best-scoring candidate is committed outright.
 Committing negotiates congestion, which may re-route other groups'
 routes.
 
-Most annealing moves are futile: the victim is an unplaced singleton
-with no free, timing-feasible slot in any candidate FU's window, so the
-move changes nothing but the RNG state.  It runs through the same loop
-as any other move, but does only the work its outcome depends on, and
-exactly:
+Decided moves.  An annealing move lists its victim's candidates before
+it rips anything up, with the victim's own FU slots counted as free
+(nothing else a listing reads is the victim's), so its RNG draws are
+those of listing after the rip-up.  Two outcomes decide the move:
 
-- unmapping an unplaced group returns at once.  A route exists only
-  while both its endpoints' groups are placed, so the group holds no
-  slot and no route, and there is nothing to restore either;
-- the singleton scorer works out the FUs' start windows before it
-  builds any span terms, which only scoring reads: one bound, at the
-  least span an edge can need (1 cycle), rules out every FU at once on
-  most futile moves, and the free modulo slots in its window rule out
-  one FU.  The FU shuffle is drawn either way;
-- the stdlib draws (the FU shuffle, the victim, a motif's random PCU
-  and start) are inlined, draw for draw.
+- the victim has no candidate (most moves: an unplaced singleton with
+  no free, timing-feasible slot in any candidate FU's window, or a
+  motif with none at its random PCU);
+- the best candidate is the victim's own spots, and its routes provably
+  come back step for step: every routed incident edge spans one cycle
+  (a bypass or single-state route, built from its endpoints alone) in
+  a legal MRRG, or the victim's stamp equals the state's epoch.  The
+  stamp is set by a kept commit of the group that found no overused
+  slot; the epoch moves with every change to the placement or to a
+  route's steps (different spots, a recommit that re-routes
+  differently, a negotiation reroute that differs).  So the MRRG holds
+  what it held after that commit, re-routing in incident order against
+  it returns the same steps, and negotiation finds nothing to do.
 
-Every RNG draw and route call is the one the full unmap, scoring and
-restore make, so every mapping is too.
+Either way the full rip-up and restore or recommit would change nothing
+but dict order, and only that is replayed: the group's incident routes,
+its nodes in ``placement`` and its ``group_spots`` entry move to the
+end.  The move makes no route call and, like the full path (which keeps
+a recommit of equal cost without a draw), no Metropolis draw.  Any
+other move rips the victim up and commits the candidate it listed.
+Negotiation likewise stops after a round whose reroutes all reproduce
+the routes they replace.  Every RNG draw, mapping and dict order is the
+full loop's; only route calls are saved.
+
+The singleton scorer works out the FUs' start windows before it builds
+any span terms: one bound, at the least span an edge can need (1
+cycle), rules out every FU at once on most futile listings.  The stdlib
+draws (the FU shuffle, the victim, a motif's random PCU and start) are
+inlined, draw for draw.
 
 On Plaid-ML fabrics (hardwired motif PCUs) collective groups may only land
 on PCUs hardwired for their kind — pattern edges there are free wires —
@@ -188,20 +203,7 @@ def solve_state(state: "_State", moves: int, start_temp: float,
         group = state.pick_victim()
         if group is None:
             break
-        saved = state.unmap_group(group)
-        placed = state.place_group_random(group)
-        new_cost = state.cost()
-        delta = new_cost - cost
-        accept = placed and (
-            delta <= 0
-            or state.rng.random() < math.exp(
-                -delta / max(temperature, 1e-6))
-        )
-        if accept:
-            cost = new_cost
-        else:
-            state.restore_group(group, saved, placed)
-            cost = state.cost()
+        cost = state.move(group, cost, temperature)
         if cost < best_cost - 1e-9:
             best_cost = cost
             stall = 0
@@ -272,7 +274,8 @@ class _State:
 
     The objective's wirelength term (``_wirelength``, the route steps of
     ``routes``) is kept up to date by :meth:`_put_route` and
-    :meth:`_pop_route`, the only writers of ``routes``.
+    :meth:`_pop_route`, the only writers of ``routes`` apart from
+    :meth:`_requeue`, which only reorders it.
     """
 
     def __init__(self, dfg: DFG, arch: Architecture,
@@ -330,6 +333,11 @@ class _State:
         self._num_data_edges = len(self._edge_list) - len(self._ordering_edges)
         #: group -> list of (node_id, fu_id, cycle) commitments.
         self.group_spots: dict[int, list[tuple[int, int, int]]] = {}
+        #: The routing content's version, bumped by every change to the
+        #: placement or a route's steps, and each group's stamp: the
+        #: epoch its last clean commit left (see :meth:`_reproducible`).
+        self._epoch = 0
+        self._stamps = [-1] * num_groups
 
     # ------------------------------------------------------------------
     # Candidate enumeration
@@ -461,7 +469,10 @@ class _State:
         candidates = self._best_candidates(group)
         if not candidates:
             return False
-        self._commit(group, min(candidates, key=_score)[1])
+        clean, _moved = self._commit(group, min(candidates, key=_score)[1])
+        self._epoch += 1
+        if clean:
+            self._stamps[group] = self._epoch
         return True
 
     def _best_candidates(self, group: int) -> list:
@@ -622,18 +633,24 @@ class _State:
                     break
         return candidates
 
-    def place_group_random(self, group: int) -> bool:
-        """Lines 7-11: commit the unmapped victim ``group``'s best random
-        placement candidate (:meth:`_random_candidates`), the first
-        listed on a tie; a singleton victim is placed as in the greedy
-        pass."""
-        if not self.hierarchy.groups[group].is_collective:
-            return self.place_group_best(group)
-        candidates = self._random_candidates(group)
-        if not candidates:
-            return False
-        self._commit(group, min(candidates, key=_score)[1])   # line 11
-        return True
+    def _victim_candidates(self, group: int, spots) -> list:
+        """Lines 7-9: the annealing victim ``group``'s candidates, a
+        motif's at a random PCU (:meth:`_random_candidates`), a
+        singleton's as in the greedy pass, listed with the victim's own
+        FU slots (its ``spots``, None when it is unplaced) counted as
+        free.  Nothing else a listing reads is the victim's."""
+        mrrg = self.mrrg
+        if spots is not None:
+            for node_id, fu_id, cycle in spots:
+                mrrg.unplace_node(node_id, fu_id, cycle)
+        if self.hierarchy.groups[group].is_collective:
+            candidates = self._random_candidates(group)
+        else:
+            candidates = self._best_candidates(group)
+        if spots is not None:
+            for node_id, fu_id, cycle in spots:
+                mrrg.place_node(node_id, fu_id, cycle)
+        return candidates
 
     def _random_candidates(self, group: int) -> list:
         """(estimate, spots) of a motif at one random PCU (line 7) under
@@ -666,10 +683,11 @@ class _State:
     # ------------------------------------------------------------------
     # Committing (place + route)
     # ------------------------------------------------------------------
-    def _commit(self, group: int, spots) -> None:
+    def _commit(self, group: int, spots) -> tuple[bool, bool]:
         """Place the group's nodes at a listed candidate's ``spots``,
         route its ready data edges and negotiate, which may re-route
-        other groups' routes."""
+        other groups' routes; returns :meth:`_negotiate`'s ``(clean,
+        moved)``."""
         self._place_spots(spots)
         new_routes: dict[int, Route] = {}
         placement = self.placement
@@ -678,11 +696,12 @@ class _State:
             if not edge.is_ordering and edge.src in placement \
                     and edge.dst in placement:
                 new_routes[index] = self._route_index(index)
-        self._negotiate(new_routes)
+        outcome = self._negotiate(new_routes)
         self.group_spots[group] = list(spots)
         for index, route in new_routes.items():
             self._put_route(index, route)
         self.unplaced.discard(group)
+        return outcome
 
     def _place_spots(self, spots) -> None:
         for node_id, fu_id, cycle in spots:
@@ -724,32 +743,46 @@ class _State:
                 f"{arrival}")
         return route
 
-    def _negotiate(self, new_routes: dict[int, Route]) -> None:
+    def _negotiate(self, new_routes: dict[int, Route]) -> tuple[bool, bool]:
         """Mini rip-up-and-reroute for a group being committed:
         slack-rich routes committed early can squat on wires that later,
         tighter routes have no alternative to.  Every committed route
         touching a slot that was overused when the round began —
         whichever group it belongs to — is rerouted against the
         now-visible congestion.
+
+        A round whose reroutes all reproduce the steps they replace
+        leaves the MRRG as it found it, so the next round would repeat
+        it: negotiation stops there.  Returns ``(clean, moved)``: whether
+        the first round found no overused slot, and whether a route of
+        ``self.routes`` (another group's) changed its steps.
         """
         mrrg = self.mrrg
-        for _round in range(NEGOTIATION_ROUNDS):
+        moved = False
+        for round_ in range(NEGOTIATION_ROUNDS):
             hot = mrrg.overused_indices()
             if not hot:
-                return
+                return round_ == 0, moved
             candidates = list(new_routes.items()) + [
                 (index, route) for index, route in self.routes.items()
                 if index not in new_routes
             ]
+            changed = False
             for index, route in candidates:
                 if not mrrg.route_touches(route, hot):
                     continue
                 mrrg.uncommit_route(route)
                 redone = self._route_index(index)
-                if index in new_routes or index not in self.routes:
+                if redone.steps != route.steps:
+                    changed = True
+                    moved = moved or index not in new_routes
+                if index in new_routes:
                     new_routes[index] = redone
                 else:
                     self._put_route(index, redone)
+            if not changed:
+                break
+        return False, moved
 
     def _ordering_ok(self, edge) -> bool:
         if edge.src not in self.placement or edge.dst not in self.placement:
@@ -799,6 +832,77 @@ class _State:
                     groups.add(dst_group)
         return sorted(groups)
 
+    def move(self, group: int, cost: float, temperature: float) -> float:
+        """Lines 7-11 on the victim ``group`` from a state of cost
+        ``cost``; returns the cost after the move.
+
+        A move its listing decides (no candidate, or a best that stays
+        put and :meth:`_reproducible`) only replays dict order
+        (:meth:`_requeue`).  Any other rips the victim up, commits the
+        listed best (line 11) and keeps it by the Metropolis rule, or
+        puts the victim back.
+        """
+        spots = self.group_spots.get(group)
+        candidates = self._victim_candidates(group, spots)
+        if not candidates:
+            if spots is not None:
+                self._requeue(group, spots)
+            return cost
+        best = min(candidates, key=_score)[1]
+        if best == spots and self._reproducible(group):
+            self._requeue(group, spots)
+            self._stamps[group] = self._epoch
+            return cost
+        saved = saved_spots, saved_routes = self.unmap_group(group)
+        clean, moved = self._commit(group, best)
+        new_cost = self.cost()
+        delta = new_cost - cost
+        if delta <= 0 or self.rng.random() < math.exp(
+                -delta / max(temperature, 1e-6)):
+            if moved or best != saved_spots or any(
+                    self.routes[index].steps != route.steps
+                    for index, route in saved_routes.items()):
+                self._epoch += 1
+            if clean:
+                self._stamps[group] = self._epoch
+            return new_cost
+        self.restore_group(group, saved)
+        if moved:
+            self._epoch += 1
+        return self.cost()
+
+    def _reproducible(self, group: int) -> bool:
+        """Whether ripping up the placed ``group`` and committing it at
+        its own spots provably gives back its routes, step for step,
+        with nothing to negotiate: its stamp is the current epoch, or
+        every routed incident edge spans one cycle in a legal MRRG (the
+        module docstring's "Decided moves" has the proof)."""
+        if self._stamps[group] == self._epoch:
+            return True
+        if not self.mrrg.is_legal():
+            return False
+        routes = self.routes
+        for index in self._incident_groups[group]:
+            route = routes.get(index)
+            if route is not None \
+                    and route.arrive_cycle - route.depart_cycle > 1:
+                return False
+        return True
+
+    def _requeue(self, group: int, spots) -> None:
+        """What unmapping the placed ``group`` and putting it back at
+        its own ``spots`` changes: its nodes, its incident routes and its
+        ``group_spots`` entry move to the end of their dicts."""
+        placement = self.placement
+        for node_id, _fu_id, _cycle in spots:
+            placement[node_id] = placement.pop(node_id)
+        routes = self.routes
+        for index in self._incident_groups[group]:
+            route = routes.pop(index, None)
+            if route is not None:
+                routes[index] = route
+        self.group_spots[group] = self.group_spots.pop(group)
+
     def unmap_group(self, group: int):
         """Remove a group's nodes and every route touching them."""
         saved_spots = self.group_spots.pop(group, None)
@@ -818,15 +922,15 @@ class _State:
         self.unplaced.add(group)
         return (saved_spots, saved_routes)
 
-    def restore_group(self, group: int, saved, newly_placed: bool) -> None:
-        """Undo an annealing move: put the group back where it was.
+    def restore_group(self, group: int, saved) -> None:
+        """Undo an annealing move's commit: put the group back where
+        :meth:`unmap_group` found it (``saved``).
 
         The move placed and unplaced only this group's nodes, so its
         saved slots are free and both endpoints of each saved route are
         placed.
         """
-        if newly_placed:
-            self.unmap_group(group)
+        self.unmap_group(group)
         saved_spots, saved_routes = saved
         if not saved_spots:
             return

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -252,6 +255,25 @@ def test_mappers_listing(capsys):
         assert key in out
     assert "composite" in out          # "best" advertises its candidates
     assert "pathfinder, sa" in out
+
+
+def test_closed_stdout_exits_quietly():
+    """``python -m repro mappers`` into a reader that closes the pipe
+    before reading (like ``| grep -q``) exits 0 with an empty stderr,
+    buffered or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for unbuffered in ("", "1"):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "mappers"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0, stderr
+        assert stderr == b"", unbuffered
 
 
 def test_map_accepts_registry_mapper(capsys):

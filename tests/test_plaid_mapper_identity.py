@@ -19,8 +19,20 @@ trial routing fails here, and a fall is committed with the fixture.
 To regenerate after an intentional change to mapper behaviour, run
 ``PYTHONPATH=src python tests/test_plaid_mapper_identity.py`` and
 explain the shift in the commit message.
+
+The fixture locks 50 cells.  To compare a change with its parent on all
+150 ``_State`` cells (``ALL_CELLS``: the 30 Table-2 workloads on
+``plaid``, ``plaid-ml`` and ``plaid3x3`` under ``plaid``, and on ``st``
+and ``st-ml`` under ``greedy``), run in each checkout::
+
+    PYTHONPATH=src python tests/test_plaid_mapper_identity.py --all OUT.json
+
+(about 10 s) and compare the two files with ``cmp``.  Equal files mean
+equal mappings and route calls; a change that only saves route calls
+differs in ``route_calls`` lines alone, which ``diff`` shows.
 """
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -47,6 +59,13 @@ CELLS = tuple(
 ) + tuple(
     (spec.name, "plaid", "plaid") for spec in all_workloads()
     if spec.name not in WORKLOADS
+)
+ALL_CELLS = tuple(
+    (spec.name, arch_key, "plaid") for spec in all_workloads()
+    for arch_key in ("plaid", "plaid-ml", "plaid3x3")
+) + tuple(
+    (spec.name, arch_key, "greedy") for spec in all_workloads()
+    for arch_key in ("st", "st-ml")
 )
 
 
@@ -104,8 +123,20 @@ def test_mapping_matches_digest(cell, digests):
     )
 
 
-if __name__ == "__main__":
-    DIGEST_PATH.write_text(json.dumps(
-        {cell_id(cell): cell_record(*cell) for cell in CELLS},
+def write_records(cells, path: Path) -> None:
+    path.write_text(json.dumps(
+        {cell_id(cell): cell_record(*cell) for cell in cells},
         indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(CELLS)} digests to {DIGEST_PATH}")
+    print(f"wrote {len(cells)} digests to {path}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Regenerate the digest fixture, or with --all write "
+                    "the records of all 150 _State cells to OUT.")
+    parser.add_argument("--all", metavar="OUT", type=Path)
+    args = parser.parse_args()
+    if args.all is None:
+        write_records(CELLS, DIGEST_PATH)
+    else:
+        write_records(ALL_CELLS, args.all)

@@ -22,15 +22,20 @@ what building each spot list and scoring it with the plain
 same RNG draws.  Each snapshot also checks the state's kept wirelength
 total against a re-sum of its routes.
 
-Most calls get an empty candidate list: an annealing move whose victim
-has nowhere to go.  Those calls are captured too.  At every snapshot a
-group is unplaced exactly when it holds no slots, and no route touches
-an unplaced group; a futile move from a snapshot must leave the state
-as it was, key order included, and draw what the full unmap, the
-stdlib-drawing scorer and the restore draw.
+An annealing move lists its victim's candidates before it rips
+anything up, with the victim's own FU slots counted as free, and the
+listing has one of three outcomes: a commit of the head of the estimate
+order, a futile skip (no candidate: most calls, captured too), or a
+proven no-op (the head is where the victim stands and its routes come
+back the same).  A skipped move, run from a snapshot, must leave the
+state, key order and RNG state that the full rip-up, the
+stdlib-drawing scorer and the restore or recommit leave on a copy.  At
+every snapshot a group is unplaced exactly when it holds no slots, and
+no route touches an unplaced group.
 """
 
 import copy
+import math
 import random
 
 import pytest
@@ -83,12 +88,15 @@ def _state_at_minimum_ii(workload, arch_key, mapper_key) -> _State:
 
 
 def _snapshots(source, moves=40):
-    """``[state copy, group, candidates, committed spots]`` at every
-    placement call of a short search, empty candidate lists included.
-    The copy is taken before the candidates are listed (so it holds the
-    RNG state they were drawn from), and its ``phase`` says whether the
-    call came from the greedy pass or an annealing move; ``committed``
-    is None when the call committed nothing."""
+    """``[state copy, group, candidates, committed spots, before]`` at
+    every placement call of a short search, empty candidate lists
+    included.  The copy is taken before the candidates are listed (so
+    it holds the RNG state they were drawn from), with the group
+    unmapped, as a commit finds it; its ``phase`` says whether the call
+    came from the greedy pass or an annealing move.  ``committed`` is
+    None when the call committed nothing, and ``before`` is an
+    annealing move's state with the victim where it stood (None in the
+    greedy pass)."""
     state = _state_at_minimum_ii(*source)
     captured = []
     phase = "greedy"
@@ -97,8 +105,16 @@ def _snapshots(source, moves=40):
         def capture(self, group):
             snap = _copy(self)
             snap.phase = phase
+            before = snap if phase == "anneal" else None
+            spots = snap.group_spots.get(group)
+            if spots is not None:
+                # A placed victim is listed with its own slots free.
+                for node_id, fu_id, cycle in spots:
+                    snap.mrrg.place_node(node_id, fu_id, cycle)
+                before = _copy(snap)
+                snap.unmap_group(group)
             candidates = list_candidates(self, group)
-            captured.append([snap, group, list(candidates), None])
+            captured.append([snap, group, list(candidates), None, before])
             return candidates
         return capture
 
@@ -155,9 +171,12 @@ def test_every_candidate_routes(source, snapshots):
     """Every listed candidate, committed on a copy of the state, places
     the group and routes every ready data edge; the call itself
     committed the head of the estimate order (the first listed on a
-    tie), or nothing when the list is empty."""
+    tie), or kept it where the victim stood (a proven no-op), or
+    nothing when the list is empty."""
     listed = 0
-    for snap, group, candidates, committed in snapshots[source]:
+    for snap, group, candidates, committed, before in snapshots[source]:
+        if committed is None and candidates:
+            committed = before.group_spots[group]
         ranked = sorted(candidates, key=plaid_mapper._score)
         assert committed == (ranked[0][1] if ranked else None), \
             (source, group)
@@ -227,7 +246,7 @@ def test_kept_wirelength_matches_routes(snapshots):
     commits, negotiation re-routes, unmaps and restores) it equals the
     step count of the routes, and ``cost()`` equals ``mapping_cost``."""
     for source, captured in snapshots.items():
-        for snap, _group, _candidates, _committed in captured:
+        for snap, _group, _candidates, _committed, _before in captured:
             steps = sum(len(route.steps) for route in snap.routes.values())
             assert snap._wirelength == steps, source
             missing = snap._num_data_edges - len(snap.routes)
@@ -377,7 +396,7 @@ def test_singleton_scores_match_estimate(snapshots):
     there too, with the oracle's draws."""
     empty = 0
     for source, captured in snapshots.items():
-        for snap, group, candidates, _committed in captured:
+        for snap, group, candidates, _committed, _before in captured:
             if snap.hierarchy.groups[group].is_collective:
                 continue
             same, got = _same_draws(
@@ -391,12 +410,13 @@ def test_singleton_scores_match_estimate(snapshots):
 
 
 def test_collective_candidates_match_estimate(snapshots):
-    """``place_group_best``'s and ``place_group_random``'s motif
-    candidates equal the (PCU, template, start) enumeration scored with
-    ``_estimate``: same entries, same order, same RNG state after."""
+    """The greedy pass's (``_best_candidates``) and an annealing move's
+    (``_random_candidates``) motif candidates equal the (PCU, template,
+    start) enumeration scored with ``_estimate``: same entries, same
+    order, same RNG state after."""
     checked = 0
     for source, captured in snapshots.items():
-        for snap, group, _candidates, _committed in captured:
+        for snap, group, _candidates, _committed, _before in captured:
             if not snap.hierarchy.groups[group].is_collective:
                 continue
             same, got = _same_draws(
@@ -428,7 +448,7 @@ def test_pick_victim_draws_like_stdlib(snapshots):
     """The victim draw, inlined, picks the group and leaves the RNG
     state that ``random.Random.choice`` would."""
     for source, captured in snapshots.items():
-        for snap, _group, _candidates, _committed in captured:
+        for snap, _group, _candidates, _committed, _before in captured:
             same, _got = _same_draws(snap, snap.pick_victim,
                                      lambda: _oracle_pick_victim(snap))
             assert same, source
@@ -443,7 +463,7 @@ def test_unplaced_groups_hold_no_slots_or_routes(snapshots):
     visited yet), and every route joins two placed groups.  This is why
     ``unmap_group`` has nothing to undo for an unplaced group."""
     for source, captured in snapshots.items():
-        for snap, group, _candidates, _committed in captured:
+        for snap, group, _candidates, _committed, _before in captured:
             assert snap.unplaced.isdisjoint(snap.group_spots), source
             if snap.phase == "greedy":
                 pending = set(snap.order[snap.order.index(group):])
@@ -483,33 +503,61 @@ def _keys(state: _State) -> dict:
             "group_spots": list(state.group_spots)}
 
 
-def test_futile_move_changes_only_the_rng(snapshots):
-    """An annealing move whose victim is an unplaced singleton with no
-    candidate leaves the state as it was, key order included, and draws
-    exactly what the full unmap, the stdlib-drawing scorer and the
-    restore draw on a copy."""
-    moves = 0
-    for source, captured in snapshots.items():
-        for snap, group, candidates, _committed in captured:
-            if candidates or group not in snap.unplaced \
-                    or snap.hierarchy.groups[group].is_collective:
-                continue
-            got, want = _copy(snap), _copy(snap)
-            saved = got.unmap_group(group)
-            placed = got.place_group_random(group)
-            got.restore_group(group, saved, placed)
-            assert not placed, source
-            assert _view(got) == _view(snap), source
-            assert _keys(got) == _keys(snap), source
+def _full_move(state: _State, group, cost: float,
+               temperature: float) -> float:
+    """The annealing move as a full rip-up: unmap the victim, list its
+    candidates with the stdlib-drawing scorers, commit the head, keep
+    it by the Metropolis rule or restore the victim; returns the cost
+    after the move.  The oracle of :meth:`_State.move`."""
+    saved_spots, saved_routes = _full_unmap(state, group)
+    if state.hierarchy.groups[group].is_collective:
+        candidates = _oracle_random_candidates(state, group)
+    else:
+        candidates = _oracle_best_candidates(state, group)
+    placed = bool(candidates)
+    if placed:
+        state._commit(group, min(candidates, key=plaid_mapper._score)[1])
+    new_cost = state.cost()
+    delta = new_cost - cost
+    if placed and (delta <= 0 or state.rng.random() < math.exp(
+            -delta / max(temperature, 1e-6))):
+        return new_cost
+    if placed:
+        _full_unmap(state, group)
+    if saved_spots:
+        state._place_spots(saved_spots)
+        for index, route in saved_routes.items():
+            state._put_route(index, route)
+            state.mrrg.commit_route(route)
+        state.group_spots[group] = saved_spots
+        state.unplaced.discard(group)
+    return state.cost()
 
-            saved = _full_unmap(want, group)
-            candidates = _oracle_best_candidates(want, group)
-            placed = bool(candidates)
-            if placed:
-                want._commit(group,
-                             min(candidates, key=plaid_mapper._score)[1])
-            want.restore_group(group, saved, placed)
-            assert _view(want) == _view(snap), source
+
+def test_futile_move_changes_only_the_rng(snapshots):
+    """An annealing move that commits nothing, futile (no candidate) or
+    a proven no-op (the head stays where the victim stood), leaves the
+    state content as it was and the state, key order and RNG state that
+    the full rip-up, the stdlib-drawing scorer and the restore or
+    recommit leave on a copy.  A futile move on an unplaced victim keeps
+    the key order too."""
+    outcomes = {"unplaced": 0, "placed": 0, "no-op": 0}
+    for source, captured in snapshots.items():
+        for snap, group, candidates, committed, before in captured:
+            if snap.phase != "anneal" or committed is not None:
+                continue
+            got, want = _copy(before), _copy(before)
+            cost = before.cost()
+            assert got.move(group, cost, 1.0) == cost, source
+            assert _full_move(want, group, cost, 1.0) == cost, source
+            assert _view(got) == _view(want) == _view(before), source
+            assert _keys(got) == _keys(want), source
             assert got.rng.getstate() == want.rng.getstate(), source
-            moves += 1
-    assert moves
+            if candidates:
+                outcomes["no-op"] += 1
+            elif group in before.group_spots:
+                outcomes["placed"] += 1
+            else:
+                assert _keys(got) == _keys(before), source
+                outcomes["unplaced"] += 1
+    assert all(outcomes.values()), outcomes
